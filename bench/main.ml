@@ -424,14 +424,8 @@ let run_benchmarks () =
 
 (* Median wall-clock of [runs] executions of [f]. *)
 let median_ms ~runs f =
-  let samples =
-    List.init runs (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        ignore (f ());
-        (Unix.gettimeofday () -. t0) *. 1000.)
-  in
-  match List.sort compare samples with
-  | s -> List.nth s (runs / 2)
+  Benchlib.Stats.median
+    (List.init runs (fun _ -> 1000. *. snd (Benchlib.Harness.timed f)))
 
 let write_certify_json path =
   let runs = 11 in
@@ -576,16 +570,8 @@ let write_resilience_json path =
 (* The --jobs column: quad_rv64 with the check phase sharded across forked
    workers.  Wall-clock speedup needs real cores, so the detected online
    CPU count is recorded next to the timings: on a single-core host the
-   workers serialise and the ratio degrades to fork + pipe overhead, which
+   workers serialise and the ratio degrades to fork + socket overhead, which
    is worth knowing but is not a scheduling regression. *)
-
-let online_cpus () =
-  try
-    let ic = Unix.open_process_in "getconf _NPROCESSORS_ONLN 2>/dev/null" in
-    let n = try int_of_string (String.trim (input_line ic)) with _ -> 1 in
-    ignore (Unix.close_process_in ic : Unix.process_status);
-    max 1 n
-  with _ -> 1
 
 let outcome_string o = Fmt.str "%a" Llhsc.Pipeline.pp_outcome o
 
@@ -607,7 +593,7 @@ let write_parallel_json path =
     && outcome_string (Llhsc.Quad_rv64.run_pipeline ~certify:true ~jobs:4 ())
        = outcome_string (Llhsc.Quad_rv64.run_pipeline ~certify:true ~jobs:1 ())
   in
-  let cpus = online_cpus () in
+  let cpus = Llhsc.Shard.online_cpus () in
   Llhsc.Durable.with_file ~path (fun oc ->
   Printf.fprintf oc
     {|{
@@ -674,7 +660,7 @@ let write_supervision_json path =
             ~cpu_limit:300 ())
        = baseline
   in
-  let cpus = online_cpus () in
+  let cpus = Llhsc.Shard.online_cpus () in
   Llhsc.Durable.with_file ~path (fun oc ->
   Printf.fprintf oc
     {|{
@@ -950,16 +936,7 @@ let write_fleet_json path =
             (("dispatch" :: "--listen" :: "127.0.0.1:0" :: "--port-file" :: port_file
               :: "--wait-workers" :: "30" :: pipeline_tail)))
     in
-    let rec wait_port tries =
-      if (try (Unix.stat port_file).Unix.st_size > 0 with Unix.Unix_error _ -> false)
-      then ()
-      else if tries = 0 then failwith "fleet bench: dispatcher never wrote its port"
-      else begin
-        Unix.sleepf 0.05;
-        wait_port (tries - 1)
-      end
-    in
-    wait_port 200;
+    ignore (Benchlib.Harness.wait_port_file ~timeout:10. port_file : int);
     let wpids =
       List.init workers (fun i ->
           let env = if kill && i = 0 then [ "LLHSC_FAULT_KILL_WORKER=1" ] else [] in
@@ -968,28 +945,13 @@ let write_fleet_json path =
     in
     wait_zero "dispatcher" dpid;
     let dt = Unix.gettimeofday () -. t0 in
-    List.iter
-      (fun pid ->
-        let rec poll tries =
-          match Unix.waitpid [ Unix.WNOHANG ] pid with
-          | 0, _ when tries > 0 ->
-            Unix.sleepf 0.05;
-            poll (tries - 1)
-          | 0, _ ->
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            ignore (Unix.waitpid [] pid)
-          | _ -> ()
-          | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-        in
-        poll 100)
-      wpids;
+    List.iter (fun pid -> ignore (Benchlib.Harness.reap ~within:5. pid)) wpids;
     (dt, read_file out_file)
   in
   let runs = 5 in
   let median_of f =
     let samples = List.init runs (fun _ -> f ()) in
-    let times = List.sort compare (List.map fst samples) in
-    (1000. *. List.nth times (runs / 2), snd (List.hd samples))
+    (1000. *. Benchlib.Stats.median (List.map fst samples), snd (List.hd samples))
   in
   let j1, base = median_of (fun () -> local_run 1) in
   let j4, j4_report = median_of (fun () -> local_run 4) in
@@ -997,8 +959,7 @@ let write_fleet_json path =
   let f3, f3_report = median_of (fun () -> fleet_run 3) in
   let fk, fk_report = median_of (fun () -> fleet_run ~kill:true 2) in
   Unix.close devnull;
-  (* Setup-payload sizes: the spec this workload ships to each worker,
-     plain vs --compress (LZ77 + base64, as it travels in the frame). *)
+  (* Setup-payload size: the spec this workload ships to each worker. *)
   let spec =
     { Fleet.Spec.core = { Fleet.Spec.file = "quad-rv64.dts"; text = Q.core_dts };
       deltas = { Fleet.Spec.file = "quad-rv64.deltas"; text = Q.deltas_src };
@@ -1013,13 +974,10 @@ let write_fleet_json path =
   let spec_bytes =
     String.length (Llhsc.Json.to_string (Fleet.Spec.to_wire spec))
   in
-  let spec_bytes_compressed =
-    String.length (Llhsc.Json.to_string (Fleet.Spec.to_wire ~compress:true spec))
-  in
   let identical =
     j4_report = base && f2_report = base && f3_report = base && fk_report = base
   in
-  let cpus = online_cpus () in
+  let cpus = Llhsc.Shard.online_cpus () in
   Llhsc.Durable.with_file ~path (fun oc ->
   Printf.fprintf oc
     {|{
@@ -1035,8 +993,6 @@ let write_fleet_json path =
   "kill_recovery_fleet2_ms": %.3f,
   "kill_recovery_overhead_pct": %.1f,
   "spec_wire_bytes": %d,
-  "spec_wire_bytes_compressed": %d,
-  "spec_compression_ratio": %.2f,
   "reports_byte_identical": %b
 }
 |}
@@ -1044,12 +1000,10 @@ let write_fleet_json path =
     (100. *. ((f3 /. j4) -. 1.))
     fk
     (100. *. ((fk /. f2) -. 1.))
-    spec_bytes spec_bytes_compressed
-    (float_of_int spec_bytes /. float_of_int (max 1 spec_bytes_compressed))
-    identical);
+    spec_bytes identical);
   Fmt.pr
-    "wrote %s (%d cpus; j1 %.2f ms, j4 %.2f ms; fleet2 %.2f ms, fleet3 %.2f ms; kill-recovery %.2f ms; spec %d -> %d bytes; identical=%b)@."
-    path cpus j1 j4 f2 f3 fk spec_bytes spec_bytes_compressed identical;
+    "wrote %s (%d cpus; j1 %.2f ms, j4 %.2f ms; fleet2 %.2f ms, fleet3 %.2f ms; kill-recovery %.2f ms; spec %d bytes; identical=%b)@."
+    path cpus j1 j4 f2 f3 fk spec_bytes identical;
   if not identical then failwith "fleet bench: reports diverged from --jobs 1"
 
 (* ------------------------------------------------------------------ *)
@@ -1162,7 +1116,7 @@ let write_durability_json path =
         | Error e -> failwith ("durability bench: compact failed: " ^ e));
         (Unix.gettimeofday () -. t0) *. 1000.)
   in
-  let compact_ms = List.nth (List.sort compare compact_samples) (runs / 2) in
+  let compact_ms = Benchlib.Stats.median compact_samples in
   let compacted =
     match Llhsc.Journal.fsck ~path:scratch with
     | Some r -> r.Llhsc.Journal.records

@@ -487,8 +487,8 @@ let read_secret_file path =
   if s = "" then failwith (Printf.sprintf "secret file %s is empty" path);
   s
 
-let cmd_dispatch listen min_workers wait_workers max_inflight port_file ship
-    secret_file compress core_path deltas_path fm_path schema_dir vm_features
+let cmd_dispatch listen min_workers wait_workers port_file ship secret_file
+    core_path deltas_path fm_path schema_dir vm_features
     exclusive out_dir max_conflicts timeout certify retry journal_path resume
     unsound task_deadline =
   handle_errors @@ fun () ->
@@ -498,8 +498,6 @@ let cmd_dispatch listen min_workers wait_workers max_inflight port_file ship
     failwith (Printf.sprintf "--min-workers wants a count >= 0, got %d" min_workers);
   if wait_workers < 0. then
     failwith (Printf.sprintf "--wait-workers wants seconds >= 0, got %g" wait_workers);
-  if max_inflight < 1 then
-    failwith (Printf.sprintf "--max-inflight wants a count >= 1, got %d" max_inflight);
   (match task_deadline with
    | Some d when d <= 0. ->
      failwith (Printf.sprintf "--task-deadline wants a positive duration, got %g" d)
@@ -560,7 +558,7 @@ let cmd_dispatch listen min_workers wait_workers max_inflight port_file ship
   in
   let cfg =
     { Fleet.Dispatch.host; port; min_workers; wait_workers; deadline;
-      max_inflight; port_file; secret; compress;
+      port_file; secret;
       (* The task journal rides next to the product journal: the
          product journal replays finished products on --resume, the
          task journal replays finished tasks of the interrupted sweep. *)
@@ -1119,11 +1117,6 @@ let dispatch_cmd =
                    --min-workers before the dispatcher degrades to \
                    in-process checking.")
   in
-  let max_inflight =
-    Arg.(value & opt int 1
-         & info [ "max-inflight" ] ~docv:"N"
-             ~doc:"Tasks leased to one worker at a time.")
-  in
   let port_file =
     Arg.(value & opt (some string) None
          & info [ "port-file" ] ~docv:"FILE"
@@ -1156,13 +1149,6 @@ let dispatch_cmd =
                    Workers that cannot authenticate are dropped and \
                    counted, never leased a task.")
   in
-  let compress =
-    Arg.(value & flag
-         & info [ "compress" ]
-             ~doc:"Ship the run spec LZ77-compressed (dependency-free; \
-                   workers detect the encoding automatically).  The spec \
-                   hash is always over the uncompressed form.")
-  in
   Cmd.v
     (Cmd.info "dispatch"
        ~doc:"Run the pipeline with its check phase sharded over socket workers"
@@ -1179,8 +1165,8 @@ let dispatch_cmd =
                duplicated results.  If the fleet shrinks below \
                --min-workers, remaining tasks finish in-process — a run \
                that loses every worker still completes." ])
-    Term.(const cmd_dispatch $ listen $ min_workers $ wait_workers $ max_inflight
-          $ port_file $ ship $ secret_file $ compress $ pl_core $ pl_deltas
+    Term.(const cmd_dispatch $ listen $ min_workers $ wait_workers
+          $ port_file $ ship $ secret_file $ pl_core $ pl_deltas
           $ pl_fm $ schema_dir_arg $ pl_vms
           $ pl_exclusive $ pl_out $ pl_max_conflicts $ pl_timeout $ certify_arg
           $ pl_retry $ pl_journal $ pl_resume $ pl_unsound $ task_deadline)

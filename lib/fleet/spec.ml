@@ -129,28 +129,9 @@ let of_json j =
 
 let hash s = Digest.to_hex (Digest.string (Json.to_string (to_json s)))
 
-(* Wire form: the plain canonical JSON, or — under [dispatch --compress]
-   — an envelope [{"z": "<base64(lz77(canonical json))>"}].  The spec
-   hash is always over the uncompressed canonical JSON, so compressed
-   and uncompressed transports agree on spec identity and a worker's
-   task cache hits either way.  A plain spec can never collide with the
-   envelope: [of_json] requires a "core" member, which the envelope
-   lacks. *)
-
-let to_wire ?(compress = false) s =
-  let j = to_json s in
-  if compress then
-    Json.Obj [ ("z", Json.Str (Lz.to_base64 (Lz.compress (Json.to_string j)))) ]
-  else j
-
-let of_wire j =
-  match Json.member "z" j with
-  | Some (Json.Str b64) ->
-    Option.bind (Lz.of_base64 b64) (fun packed ->
-        Option.bind (Lz.decompress packed) (fun txt ->
-            match Json.parse txt with Ok j' -> of_json j' | Error _ -> None))
-  | Some _ -> None
-  | None -> of_json j
+(* The wire form is the canonical JSON itself. *)
+let to_wire = to_json
+let of_wire = of_json
 
 (* --- flag decoding (mirrors the CLI's budget_of/retry_of/parse_unsound) ----- *)
 

@@ -36,17 +36,13 @@ val to_json : t -> Llhsc.Json.t
 (** [None] on a structurally invalid encoding. *)
 val of_json : Llhsc.Json.t -> t option
 
-(** Digest of the canonical JSON rendering; the protocol's spec identity.
-    Always computed over the uncompressed form, so compressed and plain
-    transports agree. *)
+(** Digest of the canonical JSON rendering; the protocol's spec identity. *)
 val hash : t -> string
 
-(** Wire encoding: canonical JSON, or with [~compress:true] an
-    [{"z": base64(lz77(json))}] envelope ([dispatch --compress]). *)
-val to_wire : ?compress:bool -> t -> Llhsc.Json.t
+(** Wire encoding: the canonical JSON ({!to_json}). *)
+val to_wire : t -> Llhsc.Json.t
 
-(** Decode either wire form; [None] on structural, base64, or LZ
-    corruption. *)
+(** {!of_json}: [None] on a structurally invalid encoding. *)
 val of_wire : Llhsc.Json.t -> t option
 
 (** Parse the shipped inputs and rebuild the dispatcher's task array.

@@ -1,6 +1,7 @@
 (** A fleet worker process: connect to a dispatcher, rebuild its task
     array from the shipped {!Spec}, and execute leased tasks until
-    retired.
+    retired.  Past the handshake it runs {!Llhsc.Shard.serve}, the same
+    task loop as a forked [--jobs N] worker.
 
     Stateless across connections: the setup message carries everything,
     and the built task array is cached by spec hash so reconnects
@@ -17,10 +18,10 @@
     refuses specs from a dispatcher that does not prove knowledge of
     the secret, and all post-handshake frames carry session-keyed MACs.
 
-    Fault hooks ([LLHSC_FAULT_{KILL,HANG,DROP_CONN,DELAY_RESULT,
-    DUP_RESULT}_WORKER=N], test harness only) inject worker death,
-    hangs, connection drops, slow results and duplicate results at task
-    [N]; see [worker.ml] for exact semantics. *)
+    The six worker fault hooks ([LLHSC_FAULT_{KILL,HANG,OOM,DROP_CONN,
+    DELAY_RESULT,DUP_RESULT}_WORKER=N], test harness only) are those of
+    {!Llhsc.Shard.serve}; after an injected connection drop the worker
+    reconnects. *)
 
 type config = {
   host : string;

@@ -1,10 +1,12 @@
 (** Length-framed, checksummed messages over a byte stream.
 
     One frame is [u32be length | u32be crc32(payload) | payload].  The
-    length restores message boundaries over TCP; the CRC (same IEEE
-    802.3 polynomial as the journal's per-line checksum) turns silent
-    payload corruption into a detectable protocol error, so a fleet peer
-    drops the connection instead of acting on garbage. *)
+    length restores message boundaries over a stream socket; the CRC
+    (same IEEE 802.3 polynomial as the journal's per-line checksum) turns
+    silent payload corruption into a detectable protocol error, so a
+    peer drops the connection instead of acting on garbage.  Every
+    worker connection speaks it: {!Shard}'s forked children over a
+    socketpair and fleet workers over TCP. *)
 
 (** Hard cap on one payload (64 MiB).  A declared length above this is
     reported as [`Corrupt] without buffering. *)
@@ -32,10 +34,9 @@ end
 
 (** {1 Session MACs}
 
-    After the authenticated handshake (see {!Dispatch}/{!Worker}) every
-    frame body is prefixed with
-    [HMAC-SHA256(session_key, u64be(seq) || body)] — 32 raw bytes —
-    where [seq] counts frames per direction.  Forged, spliced, and
+    After the fleet's authenticated handshake every frame body is
+    prefixed with [HMAC-SHA256(session_key, u64be(seq) || body)] — 32
+    raw bytes — where [seq] counts frames per direction.  Forged, spliced, and
     replayed frames all fail {!unseal} and collapse to dead-worker
     handling. *)
 
@@ -50,7 +51,8 @@ val unseal : key:string -> seq:int -> string -> string option
 
 (** Blocking write of one complete frame.  Retries [EINTR]; any other
     error ([EPIPE], [ECONNRESET], ...) propagates as [Unix_error] for
-    per-connection handling — fleet processes run with SIGPIPE ignored. *)
+    per-connection handling — workers and supervisors run with SIGPIPE
+    ignored. *)
 val write : Unix.file_descr -> string -> unit
 
 (** One [read(2)] into the decoder: [`Eof] on a closed peer, [`Data n]

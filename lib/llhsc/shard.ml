@@ -1,25 +1,21 @@
-(* Supervised worker pool for the sharded check phase.  See the .mli for
-   the contract; the key invariants live here:
+(* Sharded execution of the check phase's tasks.  See the .mli for the
+   contract; the key invariants live here:
 
-   - dynamic dispatch: the parent writes one task index per line down a
-     worker's command pipe and the worker answers with a heartbeat line
-     (lease start) followed by one complete JSON result line, flushed
-     immediately, so a crashing worker loses only its in-flight task;
-   - the parent multiplexes every result pipe through a non-blocking
-     [select] drain, tracks a per-worker lease (task + start time),
-     SIGKILLs leases that outlive the task deadline, reaps and respawns
-     dead workers (bounded, exponential backoff), and *reassigns* a dead
-     worker's task instead of degrading it — a task that has crashed two
-     workers is quarantined as a poison task and retried once in-process;
-   - every slow syscall is wrapped in an EINTR retry ([Util.retry_eintr]):
-     a stray signal must not abort the drain;
-   - results are keyed by task index and each task runs on a fresh
-     solver, so no matter which worker (or the parent) finally runs a
-     task, its result — and with it the merged report — is byte-identical
+   - one transport: [Frame] messages over a stream socket, one
+     supervisor loop ([supervise]) and one worker task loop ([serve]).
+     The local pool forks children over a [socketpair]; the fleet
+     (lib/fleet) accepts TCP workers and adds its handshake on top;
+   - one lease per worker: the supervisor sends a task index, the worker
+     answers with a heartbeat (the lease clock restarts) and then one
+     result, so a crashing worker loses only its in-flight task;
+   - every fault collapses to dropping the connection: its lease is
+     reassigned, or quarantined on the task's second crash and retried
+     once in-process, and [replace] deals with the worker behind it;
+   - results are keyed by task index, the first valid result wins, and
+     each task runs on a fresh solver, so no matter which worker (or the
+     supervisor) finally runs a task, the merged report is byte-identical
      across crash/reassign schedules;
-   - children exit through [Unix._exit], never [exit]: the parent's
-     [at_exit] handlers and buffered channels must not run or flush a
-     second time in the child. *)
+   - every slow syscall is wrapped in an EINTR retry ([Util.retry_eintr]). *)
 
 type result = {
   product : string;
@@ -70,7 +66,7 @@ let renumber ~offset r =
 
 (* --- JSON wire format ------------------------------------------------------- *)
 
-(* [Json.t] has no float constructor; times cross the pipe as hexadecimal
+(* [Json.t] has no float constructor; times cross the wire as hexadecimal
    float literals ("%h"), which round-trip exactly. *)
 let float_to_json t = Json.Str (Printf.sprintf "%h" t)
 let float_of_json j = Option.bind (Json.to_str j) float_of_string_opt
@@ -286,7 +282,7 @@ let install_guards ~mem_limit ~cpu_limit =
     ignore (set_rlimit rlimit_cpu secs (secs + 5) : bool)
   | _ -> ()
 
-(* --- fault-injection hooks (read only in worker children) ------------------- *)
+(* --- fault-injection hooks (read only by workers) ----------------------------- *)
 
 let env_int name = Option.bind (Sys.getenv_opt name) int_of_string_opt
 
@@ -301,7 +297,7 @@ let gobble_memory () =
   done;
   ignore (Sys.opaque_identity !hoard)
 
-(* --- worker child ------------------------------------------------------------ *)
+(* --- task execution -------------------------------------------------------- *)
 
 let degraded_result ~owner (d : Diag.t) =
   {
@@ -322,340 +318,484 @@ let run_task_guarded (t : task) =
     | Some d -> degraded_result ~owner:t.owner d
     | None -> raise e)
 
-(* The worker serves task indices read one per line from the command
-   pipe.  For each it emits a heartbeat line ({"hb": i}) before running
-   the task — the supervisor uses it to start/refresh the lease clock —
-   then the result line.  EOF on the command pipe is the retirement
-   signal. *)
-let worker_main ~(tasks : task array) ~mem_limit ~cpu_limit cmd_rfd res_wfd =
-  install_guards ~mem_limit ~cpu_limit;
-  let ic = Unix.in_channel_of_descr cmd_rfd in
-  let oc = Unix.out_channel_of_descr res_wfd in
+(* --- connections ------------------------------------------------------------- *)
+
+(* One framed byte stream, seen from either end.  The supervisor-only
+   fields (outbox, leases, handshake) sit unused on the worker side. *)
+type conn = {
+  fd : Unix.file_descr;
+  peer : string;
+  dec : Frame.Decoder.t;
+  mutable key : string option;  (* session key once authenticated *)
+  mutable seq_in : int;  (* next expected MAC sequence number, inbound *)
+  mutable seq_out : int;
+  out : Buffer.t;  (* encoded frames not yet written *)
+  mutable out_pos : int;
+  mutable alive : bool;
+  mutable why : string;  (* what the peer did to get dropped *)
+  mutable handshake : (Json.t -> unit) option;  (* [None] once admitted *)
+  created : float;
+  leases : Supervise.Lease.t;  (* at most one in-flight task *)
+}
+
+let conn ?(peer = "?") fd =
+  { fd; peer; dec = Frame.Decoder.create (); key = None; seq_in = 0; seq_out = 0;
+    out = Buffer.create 256; out_pos = 0; alive = true; why = ""; handshake = None;
+    created = Unix.gettimeofday (); leases = Supervise.Lease.create () }
+
+let peer c = c.peer
+let set_key c key = c.key <- Some key
+let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let seal c body =
+  match c.key with
+  | None -> body
+  | Some key ->
+    let sealed = Frame.seal ~key ~seq:c.seq_out body in
+    c.seq_out <- c.seq_out + 1;
+    sealed
+
+(* The next complete message buffered in [c]'s decoder.  After the
+   handshake every frame must carry the session MAC with the next
+   sequence number: a forged, spliced or replayed frame is never data. *)
+let next_msg c =
+  match Frame.Decoder.next c.dec with
+  | `Awaiting -> `Awaiting
+  | `Corrupt m -> `Bad (Printf.sprintf "sent a corrupt frame (%s)" m)
+  | `Frame payload -> (
+    let body =
+      match c.key with
+      | None -> Some payload
+      | Some key ->
+        let b = Frame.unseal ~key ~seq:c.seq_in payload in
+        if b <> None then c.seq_in <- c.seq_in + 1;
+        b
+    in
+    match body with
+    | None -> `Forged
+    | Some body -> (
+      match Json.parse body with
+      | Ok j -> `Msg j
+      | Error e -> `Bad (Printf.sprintf "sent an unparsable frame (%s)" e)))
+
+exception Protocol of string
+exception Dropped
+
+let send c j = Frame.write c.fd (seal c (Json.to_string j))
+
+let rec recv c =
+  match next_msg c with
+  | `Msg j -> Some j
+  | `Bad m -> raise (Protocol m)
+  | `Forged -> raise (Protocol "frame MAC mismatch")
+  | `Awaiting -> (
+    match Frame.read_chunk c.fd c.dec with `Eof -> None | `Data _ -> recv c)
+
+(* --- messages ------------------------------------------------------------------ *)
+
+let msg_task i = Json.to_string (Json.Obj [ ("task", Json.Int i) ])
+let msg_retire = Json.to_string (Json.Obj [ ("retire", Json.Bool true) ])
+
+let stamped ~spec i = [ ("task", Json.Int i); ("spec", Json.Str spec) ]
+
+(* --- worker side ------------------------------------------------------------------ *)
+
+(* The connection-drop hook fires once per process. *)
+let drop_fired = ref false
+
+(* Every leased task answers with a heartbeat (the supervisor restarts
+   its lease clock) and then the stamped result.  The fault hooks sit at
+   the points where a real worker can fail. *)
+let serve ~spec ~mem_limit (tasks : task array) c =
   let kill_at = env_int "LLHSC_FAULT_KILL_WORKER" in
   let hang_at = env_int "LLHSC_FAULT_HANG_WORKER" in
   let oom_at = env_int "LLHSC_FAULT_OOM_WORKER" in
-  let emit j =
-    output_string oc (Json.to_string j);
-    output_char oc '\n';
-    flush oc
-  in
-  try
-    let rec serve () =
-      match input_line ic with
-      | exception End_of_file -> Unix._exit 0
-      | line ->
-        let i =
-          match int_of_string_opt (String.trim line) with
-          | Some i when i >= 0 && i < Array.length tasks -> i
-          | _ -> Unix._exit 124
-        in
-        (match kill_at with
-         | Some k when k = i -> Unix.kill (Unix.getpid ()) Sys.sigkill
-         | _ -> ());
-        emit (Json.Obj [ ("hb", Json.Int i) ]);
-        (match hang_at with
-         | Some k when k = i ->
-           (* Simulated livelock: heartbeats stop, the result never
-              comes; only the supervisor's deadline can end this. *)
-           while true do
-             Unix.sleep 3600
-           done
-         | _ -> ());
+  let drop_at = env_int "LLHSC_FAULT_DROP_CONN_WORKER" in
+  let delay_at = env_int "LLHSC_FAULT_DELAY_RESULT_WORKER" in
+  let dup_at = env_int "LLHSC_FAULT_DUP_RESULT_WORKER" in
+  let rec loop () =
+    match recv c with
+    | None -> `Closed
+    | Some j -> (
+      match Option.bind (Json.member "task" j) Json.to_int with
+      | Some i ->
+        if i < 0 || i >= Array.length tasks then
+          raise (Protocol (Printf.sprintf "task %d out of range" i));
+        if kill_at = Some i then Unix.kill (Unix.getpid ()) Sys.sigkill;
+        send c (Json.Obj [ ("hb", Json.Obj (stamped ~spec i)) ]);
+        if hang_at = Some i then
+          (* Simulated livelock: only the lease deadline can end this. *)
+          while true do
+            Unix.sleep 3600
+          done;
+        if drop_at = Some i && not !drop_fired then begin
+          drop_fired := true;
+          raise Dropped
+        end;
         let t = tasks.(i) in
-        (* The OOM hook runs inside the task guard: a tripped memory
-           limit must degrade to error[RESOURCE] exactly like a genuine
-           allocation failure inside the task. *)
+        (* Inside the task guard, a tripped memory limit degrades to
+           error[RESOURCE] exactly like a genuine allocation failure. *)
         let t =
-          match oom_at with
-          | Some k when k = i && mem_limit <> None ->
+          if oom_at = Some i && mem_limit <> None then
             { t with run = (fun () -> gobble_memory (); t.run ()) }
-          | _ -> t
+          else t
         in
-        let res = run_task_guarded t in
-        emit (Json.Obj [ ("task", Json.Int i); ("result", result_to_json res) ]);
-        serve ()
-    in
-    serve ()
-  with e ->
-    (* Don't unwind into a second copy of the parent: report and die;
-       the supervisor reassigns the in-flight task. *)
-    Printf.eprintf "llhsc worker: %s\n%!" (Printexc.to_string e);
-    Unix._exit 125
-
-(* --- supervisor -------------------------------------------------------------- *)
-
-(* Task progress (pending queue, first-wins results, crash counts,
-   quarantine) and lease clocks live in the transport-agnostic
-   {!Supervise} core, shared with the socket fleet dispatcher; this
-   record keeps only what is specific to the fork-pipe transport. *)
-type worker = {
-  pid : int;
-  cmd_fd : Unix.file_descr;  (** parent writes task indices here *)
-  res_fd : Unix.file_descr;  (** parent reads heartbeat/result lines here *)
-  mutable acc : string;  (** partial line carried between drains *)
-  leases : Supervise.Lease.t;  (** at most one in-flight task *)
-}
-
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
-  let rec go off =
-    if off < len then
-      go (off + Util.retry_eintr (fun () -> Unix.write fd b off (len - off)))
+        let r = run_task_guarded t in
+        if delay_at = Some i then Unix.sleepf 2.0;
+        let msg =
+          Json.Obj
+            [ ("result", Json.Obj (stamped ~spec i @ [ ("r", result_to_json r) ])) ]
+        in
+        send c msg;
+        if dup_at = Some i then send c msg;
+        loop ()
+      | None ->
+        if Json.member "retire" j <> None then `Retired
+        else raise (Protocol "unknown message"))
   in
-  go 0
+  loop ()
 
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
+(* --- supervisor side -------------------------------------------------------------- *)
 
 (* Supervision notices go to stderr only and never into the report:
-   *what* happened to the pool must not change *what the checker
+   *what* happened to the workers must not change *what the checker
    found*. *)
 let notice fmt = Printf.eprintf ("llhsc: " ^^ fmt ^^ "\n%!")
 
-let run_supervised ~jobs ~deadline ~max_respawns ~mem_limit ~cpu_limit
+type pool = { mutable conns : conn list; admit : conn -> (Json.t -> unit) option }
+
+let live pool = List.length (List.filter (fun c -> c.alive) pool.conns)
+
+let add pool ~peer fd =
+  Unix.set_nonblock fd;
+  let c = conn ~peer fd in
+  c.handshake <- pool.admit c;
+  pool.conns <- pool.conns @ [ c ];
+  c
+
+let drop c why =
+  if c.alive then begin
+    c.alive <- false;
+    c.why <- why;
+    close_quiet c.fd
+  end
+
+let ready c = c.handshake <- None
+
+(* Write as much of the outbox as the socket takes right now.  A write
+   error is a lost worker, not a failed run: SIGPIPE is ignored, so a
+   peer vanishing mid-write surfaces here as EPIPE/ECONNRESET. *)
+let flush_out c =
+  let s = Buffer.contents c.out in
+  let len = String.length s in
+  (try
+     while c.alive && c.out_pos < len do
+       c.out_pos <-
+         c.out_pos
+         + Util.retry_eintr (fun () ->
+               Unix.write_substring c.fd s c.out_pos (len - c.out_pos))
+     done
+   with
+  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  | Unix.Unix_error _ -> drop c "failed mid-write");
+  if c.out_pos >= len then begin
+    Buffer.clear c.out;
+    c.out_pos <- 0
+  end
+
+let post c body =
+  if c.alive then begin
+    Buffer.add_string c.out (Frame.encode (seal c body));
+    flush_out c
+  end
+
+let peer_name fd =
+  match Unix.getpeername fd with
+  | Unix.ADDR_INET (ip, port) ->
+    Printf.sprintf "%s:%d" (Unix.string_of_inet_addr ip) port
+  | Unix.ADDR_UNIX p -> p
+  | exception Unix.Unix_error _ -> "?"
+
+(* How long a connection may dawdle before its handshake completes; a
+   connected-but-silent peer must not hold the run forever. *)
+let handshake_timeout = 10.0
+
+let supervise ?deadline ?listen ~spec ~admit ~replace ~fresh st
     (tasks : task array) =
   let n = Array.length tasks in
-  let st : result Supervise.t = Supervise.create n in
-  let results = Supervise.results st in
-  let respawns = ref 0 in
-  let workers = ref [] in
-  (* A write to a worker that died between select rounds must surface as
-     EPIPE, not kill the supervisor. *)
+  let owner i = tasks.(i).owner in
+  let pool = { conns = []; admit } in
   let restore_sigpipe = Util.ignore_sigpipe () in
-  let spawn () =
+  (* One lease per admitted worker.  The lease starts before the
+     (fallible) send: if the write drops the connection, the crash path
+     already sees the task. *)
+  let fill c =
+    if c.alive && c.handshake = None && Supervise.Lease.count c.leases = 0 then
+      match Supervise.next st with
+      | None -> ()
+      | Some i ->
+        Supervise.Lease.start c.leases i (Unix.gettimeofday ());
+        post c (msg_task i)
+  in
+  let on_result c j =
+    match
+      ( Option.bind (Json.member "task" j) Json.to_int,
+        Option.bind (Json.member "r" j) result_of_json )
+    with
+    | Some i, Some r
+      when Json.member "spec" j = Some (Json.Str spec)
+           && i >= 0 && i < n && r.product = owner i ->
+      let leased = List.mem i (Supervise.Lease.tasks c.leases) in
+      Supervise.Lease.finish c.leases i;
+      if (not leased) && Option.is_none (Supervise.results st).(i) then
+        drop c (Printf.sprintf "sent a result for task %d it was not leased" i)
+      else (
+        match Supervise.resolve st i r with
+        | `Fresh -> fresh i r
+        | `Duplicate ->
+          (* A reassigned task completing twice, or a duplicated send:
+             the first valid result won. *)
+          notice "duplicate result for task %d from %s ignored" i c.peer)
+    | _ -> drop c "sent an invalid result"
+  in
+  let on_msg c j =
+    match (c.handshake, Json.member "result" j, Json.member "hb" j) with
+    | Some shake, _, _ -> shake j
+    | None, Some r, _ -> on_result c r
+    | None, None, Some hb -> (
+      match Option.bind (Json.member "task" hb) Json.to_int with
+      | Some i when Json.member "spec" hb = Some (Json.Str spec) ->
+        Supervise.Lease.beat c.leases i (Unix.gettimeofday ())
+      | _ -> ())
+    | None, None, None -> (
+      match Option.bind (Json.member "error" j) Json.to_str with
+      | Some msg -> drop c ("failed: " ^ msg)
+      | None -> drop c "sent an unknown message")
+  in
+  let on_readable c =
+    match Frame.read_chunk c.fd c.dec with
+    | exception Unix.Unix_error _ -> drop c "failed mid-read"
+    | `Eof -> drop c "disconnected"
+    | `Data _ ->
+      let rec drain () =
+        if c.alive then
+          match next_msg c with
+          | `Awaiting -> ()
+          | `Bad why -> drop c why
+          | `Forged ->
+            notice "notice[AUTH] %s: frame MAC mismatch mid-stream" c.peer;
+            drop c "failed authentication"
+          | `Msg j ->
+            on_msg c j;
+            drain ()
+      in
+      drain ()
+  in
+  (* A worker whose lease outlives the deadline is presumed hung: drop
+     it, and let [replace] deal with what is behind the connection. *)
+  let expire now =
+    List.iter
+      (fun c ->
+        match (c.handshake, deadline) with
+        | Some _, _ when now -. c.created > handshake_timeout ->
+          drop c "stalled during handshake"
+        | None, Some dl -> (
+          match Supervise.Lease.expired c.leases ~deadline:dl ~now with
+          | [] -> ()
+          | i :: _ ->
+            notice
+              "task %d (product %s): deadline of %.1fs expired; dropping hung \
+               worker %s"
+              i (owner i) dl c.peer;
+            drop c "hung")
+        | _ -> ())
+      pool.conns
+  in
+  (* Wake at least every 0.25 s: handshake stalls and [replace]'s own
+     clocks (the fleet's registration grace) need a tick. *)
+  let select_timeout now =
+    match deadline with
+    | None -> 0.25
+    | Some dl ->
+      List.fold_left
+        (fun t c ->
+          match Supervise.Lease.next_expiry c.leases ~deadline:dl ~now with
+          | Some dt -> Float.min t (Float.max 0. dt)
+          | None -> t)
+        0.25 pool.conns
+  in
+  (* A lost worker's lease goes back on the queue, or into quarantine on
+     its task's second crash. *)
+  let bury c =
+    List.iter
+      (fun i ->
+        Supervise.Lease.finish c.leases i;
+        match Supervise.record_crash st i with
+        | `Resolved -> ()
+        | `Reassign ->
+          notice "worker %s %s; reassigning task %d (product %s)" c.peer c.why i
+            (owner i)
+        | `Quarantine k ->
+          notice
+            "task %d (product %s): crashed %d workers; quarantined as poison \
+             task, will retry in-process"
+            i (owner i) k)
+      (Supervise.Lease.tasks c.leases)
+  in
+  let rec rounds () =
+    let lost = List.filter (fun c -> not c.alive) pool.conns in
+    pool.conns <- List.filter (fun c -> c.alive) pool.conns;
+    List.iter bury lost;
+    if Supervise.unfinished st && replace pool lost then begin
+      let now = Unix.gettimeofday () in
+      expire now;
+      List.iter fill pool.conns;
+      let live = List.filter (fun c -> c.alive) pool.conns in
+      let rfds = Option.to_list listen @ List.map (fun c -> c.fd) live in
+      let wfds =
+        List.filter_map
+          (fun c -> if Buffer.length c.out > c.out_pos then Some c.fd else None)
+          live
+      in
+      (match Unix.select rfds wfds [] (select_timeout now) with
+       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+       | readable, writable, _ ->
+         Option.iter
+           (fun lfd ->
+             if List.memq lfd readable then
+               match Util.retry_eintr (fun () -> Unix.accept lfd) with
+               | exception Unix.Unix_error _ -> () (* EAGAIN, ECONNABORTED, ... *)
+               | fd, _ ->
+                 (try Unix.setsockopt fd Unix.TCP_NODELAY true
+                  with Unix.Unix_error _ -> ());
+                 ignore (add pool ~peer:(peer_name fd) fd : conn))
+           listen;
+         List.iter
+           (fun c -> if c.alive && List.memq c.fd writable then flush_out c)
+           live;
+         List.iter
+           (fun c -> if c.alive && List.memq c.fd readable then on_readable c)
+           live);
+      List.iter fill pool.conns;
+      rounds ()
+    end
+  in
+  let run () =
+    rounds ();
+    (* Retire the survivors (best effort: a worker that vanishes now has
+       nothing left to contribute). *)
+    List.iter
+      (fun c ->
+        if c.alive then begin
+          (try
+             Unix.clear_nonblock c.fd;
+             flush_out c;
+             if c.alive then Frame.write c.fd (seal c msg_retire)
+           with Unix.Unix_error _ -> ());
+          drop c "retired"
+        end)
+      pool.conns;
+    (* In-process sweep: a quarantined poison task gets its one local
+       retry here (the fault hooks are read only by workers), and the
+       same path finishes every leftover once no worker can come back.
+       Identical closures on a fresh solver keep the results
+       byte-identical to a worker run. *)
+    List.iter
+      (fun i ->
+        if Supervise.is_quarantined st i then
+          notice "task %d (product %s): retrying poison task in-process" i (owner i);
+        match run_task_guarded tasks.(i) with
+        | r -> if Supervise.resolve st i r = `Fresh then fresh i r
+        | exception e ->
+          (* Unknown exception even in-process: the merge degrades this
+             task to error[WORKER]. *)
+          notice "task %d (product %s): in-process retry failed (%s)" i (owner i)
+            (Printexc.to_string e))
+      (Supervise.unresolved st)
+  in
+  Fun.protect ~finally:restore_sigpipe run;
+  Supervise.results st
+
+(* --- the local pool --------------------------------------------------------------- *)
+
+(* A forked child inherits the task array, so there is no spec to agree
+   on: every message carries this stamp instead of a spec hash. *)
+let local_spec = "local"
+
+let run_local ~jobs ~deadline ~max_respawns ~mem_limit ~cpu_limit
+    (tasks : task array) =
+  let st = Supervise.create (Array.length tasks) in
+  let pids = ref [] in
+  let spawned = ref 0 in
+  let spawn pool =
     (* Anything buffered before the fork would be flushed once per child
        on top of once in the parent. *)
     flush stdout;
     flush stderr;
     Format.pp_print_flush Format.std_formatter ();
     Format.pp_print_flush Format.err_formatter ();
-    let cmd_r, cmd_w = Unix.pipe () in
-    let res_r, res_w = Unix.pipe () in
+    let mine, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.fork () with
     | 0 ->
-      Unix.close cmd_w;
-      Unix.close res_r;
-      (* Close inherited pipe ends of sibling workers: a sibling holding
-         a dead worker's write end open would mask its EOF forever. *)
-      List.iter
-        (fun w ->
-          close_quiet w.cmd_fd;
-          close_quiet w.res_fd)
-        !workers;
-      worker_main ~tasks ~mem_limit ~cpu_limit cmd_r res_w
+      (* Children exit through [_exit], never [exit]: the parent's
+         [at_exit] handlers and buffers must not run a second time. *)
+      close_quiet mine;
+      List.iter (fun c -> close_quiet c.fd) pool.conns;
+      install_guards ~mem_limit ~cpu_limit;
+      Unix._exit
+        (match serve ~spec:local_spec ~mem_limit tasks (conn theirs) with
+         | `Retired | `Closed -> 0
+         | exception Dropped ->
+           (* A child treats a dropped connection as its own death. *)
+           prerr_endline "llhsc worker: injected connection drop";
+           125
+         | exception e ->
+           Printf.eprintf "llhsc worker: %s\n%!" (Printexc.to_string e);
+           125)
     | pid ->
-      Unix.close cmd_r;
-      Unix.close res_w;
-      let w =
-        { pid; cmd_fd = cmd_w; res_fd = res_r; acc = "";
-          leases = Supervise.Lease.create () }
-      in
-      workers := !workers @ [ w ];
-      w
+      close_quiet theirs;
+      pids := (add pool ~peer:(Printf.sprintf "pid %d" pid) mine, pid) :: !pids
   in
-  let dispatch w =
-    match Supervise.next st with
-    | None -> ()
-    | Some i -> (
-      match write_all w.cmd_fd (string_of_int i ^ "\n") with
-      | () -> Supervise.Lease.start w.leases i (Unix.gettimeofday ())
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
-        (* Worker already dead: put the task back; the EOF on its result
-           pipe triggers the reap/reassign path. *)
-        Supervise.requeue st i)
-  in
-  let fill () =
-    List.iter
-      (fun w -> if Supervise.Lease.count w.leases = 0 then dispatch w)
-      !workers
-  in
-  let reap w =
-    close_quiet w.cmd_fd;
-    close_quiet w.res_fd;
-    (try ignore (Util.retry_eintr (fun () -> Unix.waitpid [] w.pid))
-     with Unix.Unix_error _ -> ());
-    workers := List.filter (fun w' -> w' != w) !workers
-  in
-  let handle_death w =
-    reap w;
-    List.iter
-      (fun i ->
-        match Supervise.record_crash st i with
-        | `Resolved -> ()
-        | `Quarantine k ->
-          notice
-            "task %d (product %s): crashed %d workers; quarantined as poison \
-             task, will retry in-process"
-            i tasks.(i).owner k
-        | `Reassign ->
-          notice "task %d (product %s): worker died before reporting; reassigning"
-            i tasks.(i).owner)
-      (Supervise.Lease.tasks w.leases);
-    (* Restore lost capacity, but only while there is queued work and
-       respawn budget left. *)
-    if Supervise.has_pending st then
-      if !respawns < max_respawns then begin
-        incr respawns;
-        let backoff = min 0.5 (0.02 *. (2. ** float_of_int (!respawns - 1))) in
-        Unix.sleepf backoff;
-        ignore (spawn () : worker)
-      end
-      else if !workers = [] then
-        notice "worker respawn budget (%d) exhausted; finishing %d task(s) \
-                in-process"
-          max_respawns (Supervise.pending_count st)
-  in
-  let resolve w i r =
-    ignore (Supervise.resolve st i r : [ `Fresh | `Duplicate ]);
-    Supervise.Lease.finish w.leases i;
-    dispatch w
-  in
-  let process_line w line =
-    match Json.parse line with
-    | Error _ -> () (* torn line of a worker killed mid-write *)
-    | Ok j -> (
-      match Json.member "hb" j with
-      | Some (Json.Int i) ->
-        (* Heartbeat: restart the lease clock for the in-flight task. *)
-        Supervise.Lease.beat w.leases i (Unix.gettimeofday ())
-      | _ -> (
-        match (Json.member "task" j, Json.member "result" j) with
-        | Some (Json.Int i), Some rj when i >= 0 && i < n -> (
-          match result_of_json rj with
-          | Some r -> resolve w i r
-          | None -> ())
-        | _ -> ()))
-  in
-  let buf = Bytes.create 65536 in
-  let drain w =
-    match
-      Util.retry_eintr (fun () -> Unix.read w.res_fd buf 0 (Bytes.length buf))
-    with
-    | 0 -> handle_death w
-    | k ->
-      w.acc <- w.acc ^ Bytes.sub_string buf 0 k;
-      let rec split () =
-        match String.index_opt w.acc '\n' with
-        | None -> ()
-        | Some nl ->
-          let line = String.sub w.acc 0 nl in
-          w.acc <- String.sub w.acc (nl + 1) (String.length w.acc - nl - 1);
-          process_line w line;
-          split ()
-      in
-      split ()
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EBADF), _, _) ->
-      handle_death w
-  in
-  let expire () =
-    match deadline with
-    | None -> ()
-    | Some dl ->
-      let now = Unix.gettimeofday () in
-      List.iter
-        (fun w ->
-          List.iter
-            (fun i ->
-              notice
-                "task %d (product %s): deadline of %.1fs expired; killing hung \
-                 worker (pid %d)"
-                i tasks.(i).owner dl w.pid;
-              (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-              (* Death arrives as EOF on the result pipe; restart the clock
-                 so the worker isn't re-killed every round meanwhile. *)
-              Supervise.Lease.start w.leases i now)
-            (Supervise.Lease.expired w.leases ~deadline:dl ~now))
-        !workers
-  in
-  let select_timeout () =
-    match deadline with
-    | None -> -1.
-    | Some dl ->
-      let now = Unix.gettimeofday () in
-      let next =
-        List.fold_left
-          (fun acc w ->
-            match Supervise.Lease.next_expiry w.leases ~deadline:dl ~now with
-            | Some dt -> min acc dt
-            | None -> acc)
-          infinity !workers
-      in
-      if next = infinity then -1. else Float.max 0.01 next
-  in
-  let supervise () =
-    for _ = 1 to min jobs n do
-      ignore (spawn () : worker)
-    done;
-    while Supervise.unfinished st && !workers <> [] do
-      fill ();
-      expire ();
-      if Supervise.unfinished st && !workers <> [] then begin
-        let fds = List.map (fun w -> w.res_fd) !workers in
-        let readable, _, _ =
-          Util.retry_eintr (fun () -> Unix.select fds [] [] (select_timeout ()))
-        in
-        List.iter
-          (fun fd ->
-            match List.find_opt (fun w -> w.res_fd = fd) !workers with
-            | Some w -> drain w
-            | None -> ())
-          readable
-      end
-    done;
-    (* Retire the pool: closing the command pipes makes idle workers exit;
-       a worker still computing a redundant copy of an already-resolved
-       task finishes, writes, sees EOF and exits — the drain below
-       discards the duplicate bytes and reaps everyone. *)
-    List.iter (fun w -> close_quiet w.cmd_fd) !workers;
-    List.iter
-      (fun w ->
-        (try
-           while
-             Util.retry_eintr (fun () ->
-                 Unix.read w.res_fd buf 0 (Bytes.length buf))
-             > 0
-           do
-             ()
-           done
-         with Unix.Unix_error _ -> ());
-        close_quiet w.res_fd;
-        try ignore (Util.retry_eintr (fun () -> Unix.waitpid [] w.pid))
+  let reap c =
+    Option.iter
+      (fun pid ->
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        try ignore (Util.retry_eintr (fun () -> Unix.waitpid [] pid))
         with Unix.Unix_error _ -> ())
-      !workers;
-    workers := [];
-    (* In-process fallback: quarantined poison tasks get exactly one
-       retry here (the fault hooks are read only in children, so a task
-       that only crashed because of an injected fault now succeeds); the
-       same path finishes leftovers after respawn exhaustion.  Identical
-       task closures on a fresh solver keep the results byte-identical
-       to a worker run. *)
-    List.iter
-      (fun i ->
-        if Supervise.is_quarantined st i then
-          notice "task %d (product %s): retrying poison task in-process" i
-            tasks.(i).owner;
-        match run_task_guarded tasks.(i) with
-        | r -> results.(i) <- Some r
-        | exception e ->
-          (* Unknown exception even in-process: give up on this task; the
-             merge phase degrades it to error[WORKER]. *)
-          notice "task %d (product %s): in-process retry failed (%s)" i
-            tasks.(i).owner (Printexc.to_string e))
-      (Supervise.unresolved st)
+      (List.assq_opt c !pids);
+    pids := List.remove_assq c !pids
   in
-  Fun.protect ~finally:restore_sigpipe supervise;
-  results
+  (* Whatever took a worker down, the child behind it is killed and
+     reaped; its slot is refilled while work is queued.  The first
+     [jobs] spawns are the pool itself, later ones spend the respawn
+     budget after an exponential backoff. *)
+  let replace pool lost =
+    List.iter reap lost;
+    for _ = live pool + 1 to jobs do
+      if Supervise.has_pending st && !spawned < jobs + max_respawns then begin
+        if !spawned >= jobs then
+          Unix.sleepf (Float.min 0.5 (0.02 *. (2. ** float_of_int (!spawned - jobs))));
+        incr spawned;
+        spawn pool
+      end
+    done;
+    if live pool = 0 && Supervise.has_pending st then
+      notice "worker respawn budget (%d) exhausted; finishing %d task(s) in-process"
+        max_respawns (Supervise.pending_count st);
+    live pool > 0
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (c, _) -> reap c) !pids)
+    (fun () ->
+      supervise ?deadline ~spec:local_spec ~admit:(fun _ -> None) ~replace
+        ~fresh:(fun _ _ -> ()) st tasks)
 
 let run_tasks ~jobs ?deadline ?(max_respawns = 8) ?mem_limit ?cpu_limit
     (tasks : task array) =
-  let n = Array.length tasks in
-  let jobs = min jobs n in
-  if jobs <= 1 then begin
+  let jobs = min jobs (Array.length tasks) in
+  if jobs <= 1 then
     (* In-process path: no forks, no hooks, no guards — this is the
        reference schedule every supervised run must match byte for
        byte. *)
-    let results = Array.make n None in
-    Array.iteri (fun i t -> results.(i) <- Some (t.run ())) tasks;
-    results
-  end
-  else run_supervised ~jobs ~deadline ~max_respawns ~mem_limit ~cpu_limit tasks
+    Array.map (fun t -> Some (t.run ())) tasks
+  else run_local ~jobs ~deadline ~max_respawns ~mem_limit ~cpu_limit tasks

@@ -1,12 +1,11 @@
-(* Transport-agnostic supervision core shared by the fork-pipe worker
-   pool (Shard) and the socket fleet dispatcher (Fleet.Dispatch).
+(* The supervision state machine behind Shard.supervise, the one
+   supervisor loop of the local pool and the fleet dispatcher.
 
    The state machine owns everything about task progress that does NOT
    depend on how workers are reached: the pending queue, the first-wins
    results array (duplicate suppression), per-task crash counts with
-   poison quarantine, and per-worker lease clocks.  The transports keep
-   only what is theirs — pids and pipes on one side, sockets and frame
-   decoders on the other — and drive this machine through a handful of
+   poison quarantine, and per-worker lease clocks.  The loop keeps the
+   connections and drives this machine through a handful of
    transitions:
 
      dispatch    -> Lease.start        (clock begins at hand-off)
@@ -14,17 +13,14 @@
      result      -> resolve            (`Fresh merges, `Duplicate drops)
      worker dies -> record_crash per leased unresolved task
                      (`Reassign requeues front; `Quarantine poisons)
-     deadline    -> Lease.expired      (transport kills/drops the worker)
+     deadline    -> Lease.expired      (the loop drops the worker)
 
-   Keeping one implementation is not just deduplication: the
-   byte-identity argument (any fault schedule merges to the --jobs 1
-   report) rests on first-wins resolution and deterministic task
-   content, and both transports must share it exactly. *)
+   The byte-identity argument (any fault schedule merges to the
+   --jobs 1 report) rests on first-wins resolution and deterministic
+   task content. *)
 
 module Lease = struct
-  (* In-flight (task, clock-start) pairs of ONE worker.  The fork pool
-     holds at most one; the fleet dispatcher up to its per-worker
-     in-flight bound. *)
+  (* In-flight (task, clock-start) pairs of ONE worker. *)
   type t = { mutable items : (int * float) list }
 
   let create () = { items = [] }
@@ -73,7 +69,6 @@ let create n =
     done_count = 0;
   }
 
-let task_count t = t.n
 let results t = t.results
 let has_pending t = t.pending <> []
 let pending_count t = List.length t.pending

@@ -1,5 +1,5 @@
-(** Transport-agnostic supervision core, shared by the fork-pipe worker
-    pool ({!Shard}) and the socket fleet dispatcher.
+(** The supervision state machine behind {!Shard.supervise}, the one
+    supervisor loop of the local pool and the fleet dispatcher.
 
     Owns the task-progress state that is independent of the transport:
     the pending queue, a first-wins results array (duplicate-result
@@ -7,12 +7,11 @@
     first valid result wins and later copies are dropped, which is what
     makes the merge exactly-once), per-task crash counts with poison
     quarantine after two worker losses, and per-worker lease clocks with
-    deadlines.  Transports hold only their pids/pipes or
-    sockets/decoders and drive this machine. *)
+    deadlines.  The loop holds the connections and drives this
+    machine. *)
 
 (** Per-worker lease clocks: the in-flight (task, clock-start) pairs of
-    one worker.  The fork pool keeps at most one per worker; the fleet
-    dispatcher up to its per-worker in-flight bound. *)
+    one worker ({!Shard.supervise} leases at most one). *)
 module Lease : sig
   type t
 
@@ -44,8 +43,6 @@ type 'r t
 (** [create n] — [n] tasks, all pending, none resolved. *)
 val create : int -> 'r t
 
-val task_count : 'r t -> int
-
 (** The first-wins results array (indexed by task). *)
 val results : 'r t -> 'r option array
 
@@ -54,10 +51,6 @@ val pending_count : 'r t -> int
 
 (** Pop the next pending task for dispatch. *)
 val next : 'r t -> int option
-
-(** Requeue a task at the front (it was popped but could not be
-    dispatched after all). *)
-val requeue : 'r t -> int -> unit
 
 (** First valid result wins; [`Duplicate] results (a reassigned task
     completing twice) are dropped without touching the merge. *)

@@ -402,8 +402,10 @@ let run_kill_worker binary sandbox ~failures ~total =
 (* The rest of the self-healing contract: hung workers (heartbeats stop)
    are killed at the task deadline and their tasks reassigned; respawn
    budget exhaustion falls back to in-process checking; a worker that
-   trips its RLIMIT_AS guard degrades the task to error[RESOURCE]; and
-   crash recovery composes with --certify/--retry byte-identically. *)
+   trips its RLIMIT_AS guard degrades the task to error[RESOURCE];
+   crash recovery composes with --certify/--retry byte-identically; and
+   the duplicate-result, connection-drop and delayed-result hooks are
+   recovered from in forked workers as in fleet ones. *)
 let run_supervision binary sandbox ~failures ~total =
   let stderr_file = Filename.concat sandbox "stderr.txt" in
   let out_file = Filename.concat sandbox "supervision.out" in
@@ -501,10 +503,37 @@ let run_supervision binary sandbox ~failures ~total =
     bad "rlimit-oom" "OOM degraded to error[WORKER] instead of error[RESOURCE]" err;
   if contains err "Fatal error" || contains err "Raised at" then
     bad "rlimit-oom" "uncaught OCaml exception on stderr" err;
+  (* The fleet's worker hooks fire in forked workers too, since both
+     run the same task loop: a duplicate result is ignored first-wins, a
+     dropped connection is the child's death (reassign, respawn), and a
+     result held past the deadline is reassigned. *)
+  List.iter
+    (fun n ->
+      expect_recovery
+        (Printf.sprintf "jobs=2 dup-result task=%d" n)
+        ~env:[ Printf.sprintf "LLHSC_FAULT_DUP_RESULT_WORKER=%d" n ]
+        ~extra:[ "--jobs"; "2" ]
+        ~baseline:plain_baseline ~expect_err:"duplicate result" ())
+    [ 0; 2 ];
+  List.iter
+    (fun n ->
+      expect_recovery
+        (Printf.sprintf "jobs=2 drop-conn task=%d" n)
+        ~env:[ Printf.sprintf "LLHSC_FAULT_DROP_CONN_WORKER=%d" n ]
+        ~extra:[ "--jobs"; "2" ]
+        ~baseline:plain_baseline ~expect_err:"reassigning" ())
+    [ 0; 1 ];
+  expect_recovery "jobs=2 delay-result task=1"
+    ~env:[ "LLHSC_FAULT_DELAY_RESULT_WORKER=1" ]
+    ~extra:[ "--jobs"; "2"; "--task-deadline"; "1" ]
+    ~baseline:plain_baseline ~expect_err:"deadline" ();
   (* The hooks are inert without workers: a --jobs 1 run with every hook
      set must be byte-identical to the undisturbed baseline. *)
   expect_recovery "hooks inert in-process"
-    ~env:[ "LLHSC_FAULT_HANG_WORKER=0"; "LLHSC_FAULT_OOM_WORKER=0" ]
+    ~env:
+      [ "LLHSC_FAULT_HANG_WORKER=0"; "LLHSC_FAULT_OOM_WORKER=0";
+        "LLHSC_FAULT_DUP_RESULT_WORKER=0"; "LLHSC_FAULT_DROP_CONN_WORKER=0";
+        "LLHSC_FAULT_DELAY_RESULT_WORKER=0" ]
     ~extra:[ "--jobs"; "1" ]
     ~baseline:plain_baseline ()
 

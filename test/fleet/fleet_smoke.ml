@@ -304,21 +304,21 @@ let () =
   let err = check ~name:"resume" ~base r in
   expect_notice ~name:"resume" err "replayed from journal";
 
-  (* Authenticated fleet, spec shipped LZ77-compressed: two workers
-     complete the HMAC handshake, session MACs seal every frame, and the
-     report is still byte-identical. *)
+  (* Authenticated fleet: two workers complete the HMAC handshake,
+     session MACs seal every frame, and the report is still
+     byte-identical. *)
   let code, out, err, wpids =
-    fleet ~name:"auth-compress"
-      ~dispatch_flags:[ "--secret-file"; secret_file; "--compress" ]
+    fleet ~name:"auth"
+      ~dispatch_flags:[ "--secret-file"; secret_file ]
       ~worker_flags:[ "--max-reconnects"; "3"; "--secret-file"; secret_file ]
       ~workers:[ []; [] ] ()
   in
-  ignore (check ~name:"auth-compress" ~base (code, out, err, []));
+  ignore (check ~name:"auth" ~base (code, out, err, []));
   List.iter
     (fun pid ->
       match wait_exit ~what:"authed worker" pid with
       | 0 -> ()
-      | c -> fail "auth-compress: retired worker exited %d, want 0" c)
+      | c -> fail "auth: retired worker exited %d, want 0" c)
     wpids;
 
   (* A worker with no secret knocks on a secret-requiring dispatcher:

@@ -1,10 +1,10 @@
 (* Unit tests for the fleet building blocks: CRC32, the frame codec and
    its session MACs, SHA-256/HMAC against the published vectors, the
-   LZ77 spec compressor, the shared supervision core, the journal's
-   per-line checksums, and the spec's JSON round-trip — plus qcheck
-   properties pushing adversarial bytes through the decoder.  The socket
-   paths themselves are exercised by fleet_smoke.ml with real
-   processes. *)
+   shared supervision core and its loop (driven by a scripted fake
+   worker), the journal's per-line checksums, and the spec's JSON
+   round-trip — plus qcheck properties pushing adversarial bytes through
+   the decoder.  The TCP paths themselves are exercised by
+   fleet_smoke.ml with real processes. *)
 
 module Util = Llhsc.Util
 module Journal = Llhsc.Journal
@@ -148,59 +148,6 @@ let test_seal_unseal () =
   Alcotest.(check (option string)) "payload shorter than a MAC" None
     (Fleet.Frame.unseal ~key ~seq:0 "short")
 
-(* --- lz77 + base64 ----------------------------------------------------------- *)
-
-let lz_roundtrip s =
-  match Fleet.Lz.decompress (Fleet.Lz.compress s) with
-  | Some s' -> Alcotest.(check string) "roundtrip" s s'
-  | None -> Alcotest.fail "compressed output does not decompress"
-
-let test_lz_known () =
-  List.iter lz_roundtrip
-    [ ""; "a"; "abcabcabcabcabcabc"; String.make 300_000 'x';
-      "the quick brown fox jumps over the lazy dog" ];
-  (* A spec-shaped repetitive payload must actually shrink. *)
-  let spec =
-    String.concat ""
-      (List.init 200 (fun i ->
-           Printf.sprintf "{\"vm\":[\"memory\",\"cpu@%d\",\"uart@20000000\"]}" i))
-  in
-  Alcotest.(check bool) "repetitive input shrinks >2x" true
-    (String.length (Fleet.Lz.compress spec) * 2 < String.length spec);
-  (* Truncated stream: a match token with its distance bytes cut off. *)
-  Alcotest.(check (option string)) "truncated stream rejected" None
-    (Fleet.Lz.decompress "\x80");
-  Alcotest.(check (option string)) "b64 roundtrip" (Some "any + carnal pleasure.")
-    (Fleet.Lz.of_base64 (Fleet.Lz.to_base64 "any + carnal pleasure."));
-  Alcotest.(check (option string)) "b64 garbage rejected" None
-    (Fleet.Lz.of_base64 "!!!!")
-
-let prop_lz_roundtrip_random =
-  QCheck.Test.make ~name:"lz roundtrip (random bytes)" ~count:300 QCheck.string
-    (fun s -> Fleet.Lz.decompress (Fleet.Lz.compress s) = Some s)
-
-(* Repetitive inputs drive the match-emitting paths (random bytes almost
-   never produce a 4-byte repeat). *)
-let repetitive_string =
-  QCheck.make
-    ~print:(fun s -> Printf.sprintf "<%d bytes> %S" (String.length s) s)
-    QCheck.Gen.(
-      map
-        (fun parts ->
-          String.concat ""
-            (List.concat_map (fun (s, n) -> List.init n (fun _ -> s)) parts))
-        (list_size (int_range 0 30)
-           (pair (string_size (int_range 0 12)) (int_range 1 60))))
-
-let prop_lz_roundtrip_repetitive =
-  QCheck.Test.make ~name:"lz roundtrip (repetitive)" ~count:300 repetitive_string
-    (fun s -> Fleet.Lz.decompress (Fleet.Lz.compress s) = Some s)
-
-let prop_lz_decompress_total =
-  QCheck.Test.make ~name:"lz decompress never raises" ~count:500 QCheck.string
-    (fun s ->
-      match Fleet.Lz.decompress s with Some _ | None -> true)
-
 (* --- adversarial frames ------------------------------------------------------ *)
 
 (* Satellite of the trust work: whatever bytes arrive — garbage,
@@ -338,6 +285,104 @@ let test_lease_clock () =
     (Supervise.Lease.expired l ~deadline:2.5 ~now:104.0);
   Supervise.Lease.finish l 9;
   Alcotest.(check (list int)) "finish drops" [ 7 ] (Supervise.Lease.tasks l)
+
+(* The shared supervisor loop against a scripted fake worker on a
+   socketpair: a bad CRC, a result for the wrong product, and a result
+   for a task it was not leased each cost the connection, and its lease
+   is reassigned (on the second crash, quarantined); a duplicate result
+   is ignored and the worker keeps serving. *)
+
+let fake_task i =
+  let owner = Printf.sprintf "p%d" i in
+  { Llhsc.Shard.owner;
+    run =
+      (fun () ->
+        { Llhsc.Shard.product = owner; findings = []; errors = []; queries = i;
+          certs = []; cert_failures = []; retried = [] }) }
+
+let test_loop_fake_worker () =
+  let module Shard = Llhsc.Shard in
+  let spec = "fake" in
+  let tasks = Array.init 3 fake_task in
+  let result_msg i (r : Shard.result) =
+    Json.Obj
+      [ ( "result",
+          Json.Obj
+            [ ("task", Json.Int i); ("spec", Json.Str spec);
+              ("r", Shard.result_to_json r) ] ) ]
+  in
+  let leased c =
+    match Option.bind (Shard.recv c) (Json.member "task") with
+    | Some (Json.Int i) -> i
+    | _ -> Alcotest.fail "fake worker: expected a lease"
+  in
+  (* Each script runs in a forked child on its end of the socketpair;
+     after misbehaving it waits for the supervisor to hang up. *)
+  let scripts =
+    [ (fun c fd ->
+        ignore (leased c);
+        let bad = Bytes.of_string (Fleet.Frame.encode "{\"hb\":{}}") in
+        Bytes.set bad 4 (Char.chr (Char.code (Bytes.get bad 4) lxor 0xff));
+        ignore (Unix.write fd bad 0 (Bytes.length bad)));
+      (fun c _ ->
+        let i = leased c in
+        Shard.send c (result_msg i { ((fake_task i).run ()) with product = "bogus" }));
+      (fun c _ ->
+        let i = leased c in
+        let j = (i + 1) mod 3 in
+        Shard.send c (result_msg j { ((fake_task j).run ()) with queries = 99 }));
+      (fun c _ ->
+        Unix.putenv "LLHSC_FAULT_DUP_RESULT_WORKER" "1";
+        ignore (Shard.serve ~spec ~mem_limit:None tasks c)) ]
+  in
+  let remaining = ref scripts and pids = ref [] and lost_count = ref 0 in
+  let fork_script pool script =
+    flush_all ();
+    let mine, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.fork () with
+    | 0 ->
+      Unix.close mine;
+      let c = Shard.conn theirs in
+      (try
+         script c theirs;
+         while Shard.recv c <> None do () done
+       with _ -> ());
+      Unix._exit 0
+    | pid ->
+      Unix.close theirs;
+      pids := (Shard.add pool ~peer:"fake" mine, pid) :: !pids
+  in
+  let replace pool lost =
+    lost_count := !lost_count + List.length lost;
+    List.iter (fun c -> ignore (Unix.waitpid [] (List.assq c !pids))) lost;
+    (match !remaining with
+     | script :: rest when Shard.live pool = 0 ->
+       remaining := rest;
+       fork_script pool script
+     | _ -> ());
+    Shard.live pool > 0
+  in
+  let st = Supervise.create 3 in
+  (* Every fault must be acted on when it arrives, not when a lease
+     expires. *)
+  let t0 = Unix.gettimeofday () in
+  let got =
+    Shard.supervise ~deadline:3. ~spec ~admit:(fun _ -> None) ~replace
+      ~fresh:(fun _ _ -> ()) st tasks
+  in
+  Alcotest.(check bool) "no lease expired" true (Unix.gettimeofday () -. t0 < 2.);
+  let last = snd (List.hd !pids) in
+  (match Unix.waitpid [] last with
+   | _, Unix.WEXITED 0 -> ()
+   | _ -> Alcotest.fail "the dup-sending worker was not retired cleanly");
+  Alcotest.(check int) "three connections dropped" 3 !lost_count;
+  Alcotest.(check (list int)) "crashes per task" [ 2; 1; 0 ]
+    (List.init 3 (Supervise.crashes st));
+  Alcotest.(check bool) "task 0 quarantined" true (Supervise.is_quarantined st 0);
+  let render = Option.map (fun r -> Json.to_string (Shard.result_to_json r)) in
+  Alcotest.(check (array (option string))) "results as in-process"
+    (Array.map render (Shard.run_tasks ~jobs:1 tasks))
+    (Array.map render got)
 
 (* --- journal per-line checksums ---------------------------------------------- *)
 
@@ -509,17 +554,14 @@ let () =
           Alcotest.test_case "corruption" `Quick test_frame_corruption;
           Alcotest.test_case "seal/unseal" `Quick test_seal_unseal;
           QCheck_alcotest.to_alcotest prop_adversarial_frames ] );
-      ( "lz",
-        [ Alcotest.test_case "known inputs + base64" `Quick test_lz_known;
-          QCheck_alcotest.to_alcotest prop_lz_roundtrip_random;
-          QCheck_alcotest.to_alcotest prop_lz_roundtrip_repetitive;
-          QCheck_alcotest.to_alcotest prop_lz_decompress_total ] );
       ( "backoff",
         [ Alcotest.test_case "jitter bounds" `Quick test_backoff_bounds ] );
       ( "supervise",
         [ Alcotest.test_case "first result wins" `Quick test_supervise_first_wins;
           Alcotest.test_case "crash and quarantine" `Quick test_supervise_crash_quarantine;
-          Alcotest.test_case "lease clock" `Quick test_lease_clock ] );
+          Alcotest.test_case "lease clock" `Quick test_lease_clock;
+          Alcotest.test_case "loop vs a scripted fake worker" `Quick
+            test_loop_fake_worker ] );
       ( "journal-crc",
         [ Alcotest.test_case "lines checksummed" `Quick test_journal_checksummed_lines;
           Alcotest.test_case "corrupt line skipped" `Quick test_journal_corrupt_line_skipped;
