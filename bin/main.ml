@@ -223,40 +223,6 @@ let exit_of_outcome outcome =
   else if Llhsc.Pipeline.ok outcome then 0
   else 1
 
-let budget_of max_conflicts timeout =
-  match (max_conflicts, timeout) with
-  | None, None -> None
-  | _ -> Some (Sat.Solver.budget ?max_conflicts ?time_limit:timeout ())
-
-(* "drop-lit:3" -> Drop_learnt_literal 3, etc.  A bad spec is an input error
-   (failwith -> Diag FAIL -> exit 2). *)
-let parse_unsound spec =
-  match String.index_opt spec ':' with
-  | Some i -> (
-    let kind = String.sub spec 0 i in
-    let n =
-      match int_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1)) with
-      | Some n when n > 0 -> n
-      | _ -> failwith (Printf.sprintf "bad --unsound period in %S (want a positive int)" spec)
-    in
-    match kind with
-    | "drop-lit" -> Sat.Solver.Drop_learnt_literal n
-    | "flip-model" -> Sat.Solver.Flip_model_bit n
-    | "mute-proof" -> Sat.Solver.Mute_proof_step n
-    | "force-unknown" -> Sat.Solver.Force_unknown n
-    | k ->
-      failwith
-        (Printf.sprintf
-           "unknown --unsound kind %S (drop-lit|flip-model|mute-proof|force-unknown)" k))
-  | None ->
-    failwith (Printf.sprintf "bad --unsound spec %S (want KIND:N)" spec)
-
-let retry_of = function
-  | None -> None
-  | Some n when n >= 2 -> Some (Smt.Escalation.ladder ~attempts:n ())
-  | Some n ->
-    failwith (Printf.sprintf "--retry wants at least 2 attempts, got %d" n)
-
 let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features exclusive
     out_dir max_conflicts timeout certify retry journal_path resume unsound jobs
     task_deadline max_respawns mem_limit cpu_limit =
@@ -363,8 +329,10 @@ let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features ex
     Sys.set_signal Sys.sigint prev_int
   in
   match
-    Llhsc.Pipeline.run ~exclusive ?budget:(budget_of max_conflicts timeout) ~certify
-      ?retry:(retry_of retry) ?unsound:(Option.map parse_unsound unsound)
+    Llhsc.Pipeline.run ~exclusive
+      ?budget:(Llhsc.Pipeline.budget_of ~max_conflicts ~timeout) ~certify
+      ?retry:(Llhsc.Pipeline.retry_of retry)
+      ?unsound:(Option.map Sat.Solver.unsound_of_string unsound)
       ~inputs_hash ?journal:sink ~resume:resume_entries ~jobs ?task_deadline
       ~max_respawns ?mem_limit ?cpu_limit ?runner
       ~model ~core ~deltas ~schemas_for ~vm_requests:vm_features ()
@@ -859,7 +827,9 @@ let cmd_sat cnf_path certify unsound =
   handle_errors @@ fun () ->
   let cnf = Sat.Dimacs.parse_file cnf_path in
   let solver, preok = Sat.Dimacs.load ~proof:certify cnf in
-  Option.iter (fun spec -> Sat.Solver.inject_unsoundness solver (parse_unsound spec)) unsound;
+  Option.iter
+    (fun spec -> Sat.Solver.inject_unsoundness solver (Sat.Solver.unsound_of_string spec))
+    unsound;
   let result = if preok then Sat.Solver.solve solver else Sat.Solver.Unsat in
   (match result with
    | Sat.Solver.Sat -> Fmt.pr "s SATISFIABLE@."
@@ -1316,9 +1286,10 @@ let sat_cmd =
   let unsound =
     Arg.(value & opt (some string) None
          & info [ "unsound" ] ~docv:"KIND:N"
-             ~doc:"Testing only: inject a deliberate solver unsoundness \
-                   (drop-lit:N, flip-model:N or mute-proof:N) so the \
-                   certification checker can be shown to catch it.")
+             ~doc:"Testing only: inject a deliberate solver fault \
+                   (drop-lit:N, flip-model:N, mute-proof:N or \
+                   force-unknown:N) so the certification checker can be \
+                   shown to catch it.")
   in
   Cmd.v
     (Cmd.info "sat" ~doc:"Solve a DIMACS CNF file (optionally certifying the verdict)")

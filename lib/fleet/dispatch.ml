@@ -38,9 +38,6 @@ let notice fmt =
     Format.err_formatter
     ("llhsc dispatch: " ^^ fmt)
 
-let env_int name =
-  match Sys.getenv_opt name with None -> None | Some v -> int_of_string_opt v
-
 let addr_of host port =
   let ip =
     try Unix.inet_addr_of_string host
@@ -72,77 +69,28 @@ let setup_choice ~cached ~spec_hash =
 (* --- task journal -----------------------------------------------------------
 
    Crash recovery for the dispatcher itself: every task result that wins
-   the first-wins merge is appended — one CRC-checksummed JSON line, the
-   same per-line framing as the pipeline journal — and fsync'd before
-   the next frame is processed.  The header binds the journal to the
-   spec hash and task count, so a journal from a different run (or from
-   a resumed run whose product-journal skip set changed the task array)
-   is ignored wholesale rather than replaying results onto the wrong
-   indices.  [dispatch --resume] preloads matching records through
+   the first-wins merge is appended to {!Llhsc.Journal}'s task journal,
+   bound to the spec hash and task count, so a journal from a different
+   run (or from a resumed run whose product-journal skip set changed the
+   task array) is started over rather than replaying results onto the
+   wrong indices.  [dispatch --resume] preloads matching records through
    {!Supervise.resolve}, which removes those tasks from the pending
    queue; a reconnecting worker that completes the same task later
-   merges as a harmless duplicate. *)
+   merges as a harmless duplicate.  Only the record codec lives here. *)
 
-let task_journal_header ~spec_hash ~n =
-  Json.to_string
-    (Json.Obj
-       [ ("llhsc-tasks", Json.Int 1);
-         ("spec", Json.Str spec_hash);
-         ("count", Json.Int n) ])
+let task_record i r = Json.Obj [ ("task", Json.Int i); ("r", Shard.result_to_json r) ]
 
-(* Appended (best-effort) when a task-journal write or fsync fails: the
-   dispatcher carried on without journaling, so the file is incomplete
-   from an unknowable point and a resumed run must not trust it. *)
-let task_degraded_json reason =
-  Json.to_string (Json.Obj [ ("llhsc-tasks-degraded", Json.Str reason) ])
-
-(* (header_matches, entries) — entries only from a matching header.  A
-   journal carrying a degradation marker is refused wholesale (header
-   reported as non-matching, so the caller rewrites it fresh). *)
-let load_task_journal path ~spec_hash ~(tasks : Shard.task array) =
-  let n = Array.length tasks in
-  match open_in path with
-  | exception Sys_error _ -> (false, [])
-  | ic ->
-    let ok_header =
-      match input_line ic with
-      | exception End_of_file -> false
-      | line -> (
-        match Json.parse line with
-        | Error _ -> false
-        | Ok j ->
-          Json.member "llhsc-tasks" j = Some (Json.Int 1)
-          && Option.bind (Json.member "spec" j) Json.to_str = Some spec_hash
-          && Option.bind (Json.member "count" j) Json.to_int = Some n)
-    in
-    let out = ref [] in
-    let degraded = ref false in
-    if ok_header then begin
-      try
-        while true do
-          let line = input_line ic in
-          match Llhsc.Journal.verify_line line with
-          | None -> () (* torn or corrupt record: skip *)
-          | Some body -> (
-            match Json.parse body with
-            | Error _ -> ()
-            | Ok j ->
-              if Json.member "llhsc-tasks-degraded" j <> None then degraded := true
-              else (
-                match
-                  ( Option.bind (Json.member "task" j) Json.to_int,
-                    Option.bind (Json.member "r" j) Shard.result_of_json )
-                with
-                | Some i, Some r
-                  when i >= 0 && i < n && r.Shard.product = tasks.(i).Shard.owner
-                  ->
-                  out := (i, r) :: !out
-                | _ -> ()))
-        done
-      with End_of_file -> ()
-    end;
-    close_in ic;
-    if !degraded then (false, []) else (ok_header, List.rev !out)
+(* A record is replayed only onto a task index of this run whose owner
+   produced it. *)
+let task_of_record (tasks : Shard.task array) j =
+  match
+    ( Option.bind (Json.member "task" j) Json.to_int,
+      Option.bind (Json.member "r" j) Shard.result_of_json )
+  with
+  | Some i, Some r
+    when i >= 0 && i < Array.length tasks && r.Shard.product = tasks.(i).Shard.owner ->
+    Some (i, r)
+  | _ -> None
 
 (* --- run -------------------------------------------------------------------- *)
 
@@ -161,89 +109,28 @@ let run cfg ~spec (tasks : Shard.task array) =
 
   (* Task journal: preload completed results on --resume, then append
      every fresh result.  Preloaded tasks leave the pending queue before
-     any worker connects, so they are never dispatched again. *)
-  let header_ok, preloaded =
-    match cfg.task_journal with
-    | Some path when cfg.resume -> load_task_journal path ~spec_hash ~tasks
-    | _ -> (false, [])
+     any worker connects, so they are never dispatched again.  A reused
+     journal may hold a task twice; only the first copy counts. *)
+  let binding = Printf.sprintf "%s/%d" spec_hash n in
+  Option.iter
+    (fun path ->
+      if cfg.resume then
+        let replayed =
+          List.filter_map (task_of_record tasks)
+            (Llhsc.Journal.(bodies Tasks) ~path ~binding)
+          |> List.filter (fun (i, r) -> Supervise.resolve st i r = `Fresh)
+        in
+        if replayed <> [] then
+          notice "resume: replayed %d task result(s) from %s"
+            (List.length replayed) path)
+    cfg.task_journal;
+  let journal =
+    Option.map
+      (fun path -> (path, Llhsc.Journal.(open_json Tasks) ~path ~binding))
+      cfg.task_journal
   in
-  List.iter (fun (i, r) -> ignore (Supervise.resolve st i r)) preloaded;
-  if preloaded <> [] then
-    notice "resume: replayed %d task result(s) from %s" (List.length preloaded)
-      (Option.get cfg.task_journal);
-  (* Fail-operational task journaling, mirroring the pipeline journal: a
-     write/fsync failure stops journaling (loud notice, best-effort
-     degradation marker so --resume refuses the file) but never stops the
-     dispatch — the merge and the report do not depend on the journal. *)
-  let tj_degraded = ref None in
-  let tj_degrade oc e =
-    let reason =
-      match e with
-      | Unix.Unix_error (err, op, _) ->
-        Printf.sprintf "%s: %s" op (Unix.error_message err)
-      | Sys_error m -> m
-      | e -> Printexc.to_string e
-    in
-    tj_degraded := Some reason;
-    notice
-      "warning[JOURNAL] task journal %s: %s; journaling disabled for the rest \
-       of the run"
-      (Option.value ~default:"?" cfg.task_journal)
-      reason;
-    try
-      output_char oc '\n';
-      output_string oc (Llhsc.Journal.checksummed (task_degraded_json reason));
-      output_char oc '\n';
-      flush oc
-    with Sys_error _ -> ()
-  in
-  let tj_oc =
-    match cfg.task_journal with
-    | None -> None
-    | Some path ->
-      let oc =
-        if header_ok then
-          open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path
-        else begin
-          (* New run, or a stale/degraded journal (different spec/skip
-             set, or a marker): start over rather than appending under a
-             wrong header. *)
-          let oc =
-            open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 path
-          in
-          (try
-             Llhsc.Durable.out_string oc (task_journal_header ~spec_hash ~n ^ "\n")
-           with (Unix.Unix_error _ | Sys_error _) as e -> tj_degrade oc e);
-          oc
-        end
-      in
-      Some oc
-  in
-  let tasks_recorded = ref 0 in
-  let term_after = env_int "LLHSC_FAULT_TERM_AFTER_TASKS" in
   let record_task i r =
-    match tj_oc with
-    | None -> ()
-    | Some _ when !tj_degraded <> None -> ()
-    | Some oc ->
-      (match
-         Llhsc.Durable.out_string oc
-           (Llhsc.Journal.checksummed
-              (Json.to_string
-                 (Json.Obj
-                    [ ("task", Json.Int i); ("r", Shard.result_to_json r) ]))
-           ^ "\n");
-         Llhsc.Durable.sync oc
-       with
-       | () -> ()
-       | exception ((Unix.Unix_error _ | Sys_error _) as e) -> tj_degrade oc e);
-      if !tj_degraded = None then begin
-        incr tasks_recorded;
-        (* Test hook: raise SIGTERM in-process after the n-th record,
-           exercising the CLI's graceful-interrupt + --resume path. *)
-        if term_after = Some !tasks_recorded then
-          Unix.kill (Unix.getpid ()) Sys.sigterm
-      end
+    Option.iter (fun (_, sink) -> Llhsc.Journal.append sink (task_record i r)) journal
   in
 
   (* The handshake a fresh connection must complete before it may hold
@@ -407,18 +294,18 @@ let run cfg ~spec (tasks : Shard.task array) =
   in
   let finish () =
     (try Unix.close lfd with Unix.Unix_error _ -> ());
-    (* Flush-and-fsync the task journal even on SIGTERM/SIGINT — the
-       interrupt arrives as an exception, and a resumed run replays
-       exactly what reached the disk. *)
+    (* Journaling is fail-operational: the merge and the report do not
+       depend on the journal, so a degraded one is reported, not fatal. *)
     Option.iter
-      (fun oc ->
-        try
-          flush oc;
-          (try Unix.fsync (Unix.descr_of_out_channel oc)
-           with Unix.Unix_error _ -> ());
-          close_out oc
-        with Sys_error _ -> ())
-      tj_oc
+      (fun (path, sink) ->
+        Llhsc.Journal.close sink;
+        Option.iter
+          (notice
+             "warning[JOURNAL] task journal %s: %s; journaling disabled for \
+              the rest of the run"
+             path)
+          (Llhsc.Journal.degradation sink))
+      journal
   in
   let results =
     Fun.protect ~finally:finish (fun () ->

@@ -28,7 +28,8 @@
     injector is handled as a dead worker (see DESIGN.md "fleet trust").
 
     With [task_journal] set, every merged task result is appended to a
-    CRC-checksummed, fsync'd journal; [resume] preloads a matching
+    task journal ({!Llhsc.Journal}: the product journal's open policy,
+    checksums, fsync and degradation); [resume] preloads a matching
     journal through the first-wins merge so a crashed dispatcher's
     successor re-runs only what is missing.
 

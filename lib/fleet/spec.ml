@@ -133,38 +133,6 @@ let hash s = Digest.to_hex (Digest.string (Json.to_string (to_json s)))
 let to_wire = to_json
 let of_wire = of_json
 
-(* --- flag decoding (mirrors the CLI's budget_of/retry_of/parse_unsound) ----- *)
-
-let budget s =
-  match (s.max_conflicts, s.solver_timeout) with
-  | None, None -> None
-  | mc, tl -> Some (Sat.Solver.budget ?max_conflicts:mc ?time_limit:tl ())
-
-let escalation s =
-  match s.retry with
-  | None -> None
-  | Some n when n >= 2 -> Some (Smt.Escalation.ladder ~attempts:n ())
-  | Some n -> failwith (Printf.sprintf "bad retry attempt count %d in spec" n)
-
-let parse_unsound spec =
-  match String.index_opt spec ':' with
-  | Some i -> (
-    let kind = String.sub spec 0 i in
-    let n =
-      match
-        int_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1))
-      with
-      | Some n when n > 0 -> n
-      | _ -> failwith (Printf.sprintf "bad unsound period in %S" spec)
-    in
-    match kind with
-    | "drop-lit" -> Sat.Solver.Drop_learnt_literal n
-    | "flip-model" -> Sat.Solver.Flip_model_bit n
-    | "mute-proof" -> Sat.Solver.Mute_proof_step n
-    | "force-unknown" -> Sat.Solver.Force_unknown n
-    | k -> failwith (Printf.sprintf "unknown unsound kind %S" k))
-  | None -> failwith (Printf.sprintf "bad unsound spec %S" spec)
-
 (* --- replanning -------------------------------------------------------------- *)
 
 let build s =
@@ -185,9 +153,12 @@ let build s =
     let schemas = List.map Schema.Binding.of_string s.schemas in
     let schemas_for _tree = schemas in
     Ok
-      (Llhsc.Pipeline.plan_tasks ~exclusive:s.exclusive ?budget:(budget s)
-         ~certify:s.certify ?retry:(escalation s)
-         ?unsound:(Option.map parse_unsound s.unsound)
+      (Llhsc.Pipeline.plan_tasks ~exclusive:s.exclusive
+         ?budget:
+           (Llhsc.Pipeline.budget_of ~max_conflicts:s.max_conflicts
+              ~timeout:s.solver_timeout)
+         ~certify:s.certify ?retry:(Llhsc.Pipeline.retry_of s.retry)
+         ?unsound:(Option.map Sat.Solver.unsound_of_string s.unsound)
          ~skip:s.skip ~model ~core ~deltas ~schemas_for ~vm_requests:s.vms ())
   with e -> (
     match Diag.of_exn e with

@@ -71,10 +71,13 @@ let kill_self () = Unix.kill (Unix.getpid ()) Sys.sigkill
 
 (* --- checked journal primitives ---------------------------------------------- *)
 
-let open_for_append path =
+let open_for_append ?(truncate = false) path =
   if fires opens (fun f n -> match f with Erofs m -> m = n | _ -> false) then
     raise (Sys_error (path ^ ": Read-only file system"));
-  open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644 path
+  open_out_gen
+    ((if truncate then [ Open_trunc ] else [])
+    @ [ Open_wronly; Open_append; Open_creat; Open_binary ])
+    0o644 path
 
 let out_string oc s =
   let enospc = fires writes (fun f n -> match f with Enospc m -> m = n | _ -> false) in

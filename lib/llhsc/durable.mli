@@ -47,9 +47,10 @@ val write_file : path:string -> string -> unit
     the temp file is removed and [path] is untouched. *)
 val with_file : path:string -> (out_channel -> unit) -> unit
 
-(** Open for appending (creating if needed, mode 0o644).  Raises
-    [Sys_error], including the injected [erofs@n] fault. *)
-val open_for_append : string -> out_channel
+(** Open for appending (creating if needed, mode 0o644; emptied first
+    with [~truncate:true]).  Raises [Sys_error], including the injected
+    [erofs@n] fault. *)
+val open_for_append : ?truncate:bool -> string -> out_channel
 
 (** Checked write: raises [Unix.Unix_error (ENOSPC, _, _)] under the
     [enospc@n]/[short@n] faults ([short] flushes the half-written prefix

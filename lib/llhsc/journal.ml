@@ -1,7 +1,215 @@
-(* Append-only JSONL journal for crash-safe pipeline runs.  See the .mli
-   for the format contract; the important invariants live in [record]:
-   one complete line per entry, fsync'd before control returns, so the
-   window a SIGKILL can lose is exactly one in-flight record. *)
+(* Append-only JSONL journals for crash-safe runs.  See the .mli for the
+   format contract and the open policy.  The file is split in two: a
+   core over JSON bodies that both journals use (header binding, line
+   checksums, fail-operational degradation, fault hooks, verified
+   bodies), and the pipeline's product entries on top.  The important
+   invariants live in [append]: one complete line per record, fsync'd
+   before control returns, so the window a SIGKILL can lose is exactly
+   one in-flight record. *)
+
+(* --- core: a journal of JSON bodies ----------------------------------------- *)
+
+type journal = Products | Tasks
+
+let version = 1
+
+(* The header's first key names the journal, so neither journal's file
+   ever reads as the other's. *)
+let tag = function Products -> "llhsc-journal" | Tasks -> "llhsc-tasks"
+
+let header journal binding =
+  Json.Obj [ (tag journal, Json.Int version); ("inputs", Json.Str binding) ]
+
+(* [Some binding] when [line] is a current-version header of [journal]. *)
+let binding_of journal line =
+  match Json.parse line with
+  | Ok (Json.Obj [ (t, Json.Int v); ("inputs", Json.Str b) ])
+    when t = tag journal && v = version ->
+    Some b
+  | _ -> None
+
+(* Any version, any binding: the file is some run's [journal]. *)
+let is_header_of journal line =
+  match Json.parse line with
+  | Ok (Json.Obj ((t, _) :: _)) -> t = tag journal
+  | _ -> false
+
+(* A record line is "<json>\t<crc32 of json, 8 lowercase hex digits>".
+   [Json.to_string] escapes control characters, so a raw tab can never
+   appear inside the JSON itself and the last tab splits unambiguously.
+   The checksum catches corrupt-but-still-parseable lines (bit rot, a
+   partial overwrite that happens to stay valid JSON) that the parse
+   failure heuristic cannot; lines without a tab are accepted as the
+   older checksum-less format. *)
+let checksummed line = Printf.sprintf "%s\t%08x" line (Util.crc32 line)
+
+(* [Some body] when the line is an old-format line or a checksummed line
+   whose CRC verifies; [None] when the checksum is torn or wrong. *)
+let verify_line line =
+  match String.rindex_opt line '\t' with
+  | None -> Some line (* pre-checksum journal *)
+  | Some t ->
+    let body = String.sub line 0 t in
+    let crc = String.sub line (t + 1) (String.length line - t - 1) in
+    if
+      String.length crc = 8
+      && String.for_all
+           (function 'a' .. 'f' | '0' .. '9' -> true | _ -> false)
+           crc
+      && int_of_string_opt ("0x" ^ crc) = Some (Util.crc32 body)
+    then Some body
+    else None
+
+(* A degradation marker is appended (best-effort, no durability claim)
+   when a journal write or fsync fails mid-run: the run carried on but
+   stopped journaling, so the file must never be trusted by [--resume]
+   again.  [compact] is the explicit operator path that drops it. *)
+let marker reason = Json.Obj [ ("llhsc-degraded", Json.Str reason) ]
+
+(* What one record line holds. *)
+let verdict line =
+  match verify_line line with
+  | None -> `Torn
+  | Some body -> (
+    match Json.parse body with
+    | Error _ -> `Invalid (* torn final record, or garbage *)
+    | Ok j -> (
+      match Option.bind (Json.member "llhsc-degraded" j) Json.to_str with
+      | Some reason -> `Marker reason
+      | None -> `Body j))
+
+let marked lines =
+  List.exists (fun l -> match verdict l with `Marker _ -> true | _ -> false) lines
+
+let bodies_of lines =
+  List.filter_map (fun l -> match verdict l with `Body j -> Some j | _ -> None) lines
+
+(* The lines of a file's contents; a final newline ends the last line
+   rather than starting an empty one. *)
+let lines_of s =
+  match List.rev (String.split_on_char '\n' s) with
+  | "" :: rest -> List.rev rest
+  | ls -> List.rev ls
+
+let read_lines path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error _ -> None
+  | s -> Some (lines_of s)
+
+let reason_of_exn = function
+  | Unix.Unix_error (e, op, _) -> Printf.sprintf "%s: %s" op (Unix.error_message e)
+  | Sys_error m -> m
+  | e -> Printexc.to_string e
+
+type sink = { oc : out_channel; mutable degraded : string option }
+
+(* Fail-operational: remember why journaling stopped, leave a marker so
+   no reader trusts the file, and let the run carry on unjournaled.  The
+   marker write is best-effort over the raw channel (the disk is already
+   failing; the leading newline terminates any torn line the failed
+   write left behind). *)
+let degrade sink reason =
+  sink.degraded <- Some reason;
+  try
+    output_char sink.oc '\n';
+    output_string sink.oc (checksummed (Json.to_string (marker reason)));
+    output_char sink.oc '\n';
+    flush sink.oc
+  with Sys_error _ -> ()
+
+let degradation sink = sink.degraded
+
+(* The open policy, read from the file itself.  The file is only opened
+   for writing once it is known to be a journal, so a refused file is
+   never touched. *)
+let open_json journal ~path ~binding =
+  let policy =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error _ when not (Sys.file_exists path) -> `Start_over
+    | "" -> `Start_over
+    | s ->
+      let lines = lines_of s in
+      let first = List.hd lines in
+      if marked lines then `Start_over
+      else if binding_of journal first = Some binding then
+        `Append (s.[String.length s - 1] <> '\n')
+      else if is_header_of journal first then `Start_over
+      else raise (Sys_error (path ^ ": not an llhsc journal; refusing to overwrite it"))
+  in
+  let oc = Durable.open_for_append ~truncate:(policy = `Start_over) path in
+  let sink = { oc; degraded = None } in
+  (match policy with
+   | `Append torn_tail ->
+     (* A crash mid-record left a fragment: the next record must start
+        its own line, or it would be glued onto the fragment and never
+        verify. *)
+     if torn_tail then output_char oc '\n'
+   | `Start_over -> (
+     (* fsync failure PROPAGATES from [Durable.sync]; a failed header
+        degrades the sink instead of failing the run. *)
+     try
+       Durable.out_string oc (Json.to_string (header journal binding) ^ "\n");
+       Durable.sync oc
+     with (Unix.Unix_error _ | Sys_error _) as e -> degrade sink (reason_of_exn e)));
+  sink
+
+(* The fault harness simulates a crash at a seeded point by having the
+   journal SIGKILL its own process: either right after the n-th record
+   lands (clean cut between lines) or halfway through writing it (torn
+   final line, which readers must skip).  Records are counted across
+   every sink of the process. *)
+let kill_self () = Unix.kill (Unix.getpid ()) Sys.sigkill
+
+let env_int name =
+  match Sys.getenv_opt name with None -> None | Some v -> int_of_string_opt v
+
+let appended = ref 0
+
+let append sink body =
+  if sink.degraded = None then begin
+    let line = checksummed (Json.to_string body) in
+    incr appended;
+    (match env_int "LLHSC_FAULT_KILL_MID_RECORD" with
+     | Some n when n = !appended ->
+       (* Torn write: half the record, no newline, then die. *)
+       output_string sink.oc (String.sub line 0 (String.length line / 2));
+       flush sink.oc;
+       (try Durable.sync sink.oc with Unix.Unix_error _ | Sys_error _ -> ());
+       kill_self ()
+     | _ -> ());
+    (match
+       Durable.out_string sink.oc (line ^ "\n");
+       Durable.sync sink.oc
+     with
+     | () -> ()
+     | exception ((Unix.Unix_error _ | Sys_error _) as e) ->
+       degrade sink (reason_of_exn e));
+    if sink.degraded = None then begin
+      (match env_int "LLHSC_FAULT_KILL_AFTER_RECORDS" with
+       | Some n when n = !appended -> kill_self ()
+       | _ -> ());
+      (* Unlike the SIGKILL hooks above, this one is catchable: it
+         exercises the graceful-interrupt path (close the journal, exit
+         128+15) rather than simulating a crash. *)
+      match env_int "LLHSC_FAULT_TERM_AFTER_RECORDS" with
+      | Some n when n = !appended -> Unix.kill (Unix.getpid ()) Sys.sigterm
+      | _ -> ()
+    end
+  end
+
+(* Every record was fsync'd when it was appended, so a failing close
+   loses nothing durable: after a degradation the channel may hold the
+   tail of a failed write whose flush would raise again. *)
+let close sink = close_out_noerr sink.oc
+
+let bodies journal ~path ~binding =
+  match read_lines path with
+  | Some (first :: rest)
+    when binding_of journal first = Some binding && not (marked rest) ->
+    bodies_of rest
+  | _ -> []
+
+(* --- the product journal -------------------------------------------------- *)
 
 type kind = Product | Partition
 
@@ -15,8 +223,6 @@ type entry = {
   certified : bool;
   cert_failures : int;
 }
-
-let version = 1
 
 (* --- hashes ---------------------------------------------------------------- *)
 
@@ -122,214 +328,29 @@ let entry_of_json j =
     let* cert_failures = Option.bind Json.(member "cert_failures" j) Json.to_int in
     Some { kind; name; hash; features; order; findings = findings'; certified; cert_failures }
 
-let header_json ~inputs_hash =
-  Json.Obj [ ("llhsc-journal", Json.Int version); ("inputs", Json.Str inputs_hash) ]
+(* --- writing and loading entries ------------------------------------------ *)
 
-let header_of_json j =
-  match Option.bind Json.(member "llhsc-journal" j) Json.to_int with
-  | Some v when v = version -> Option.bind (Json.member "inputs" j) Json.to_str
-  | _ -> None
-
-(* A degradation marker is appended (best-effort, no durability claim)
-   when a journal write or fsync fails mid-run: the run carried on
-   checking but stopped journaling, so the file must never be trusted by
-   [--resume] again.  [compact] is the explicit operator path that drops
-   the marker. *)
-let degraded_json reason = Json.Obj [ ("llhsc-degraded", Json.Str reason) ]
-let degraded_of_json j = Option.bind (Json.member "llhsc-degraded" j) Json.to_str
-
-let reason_of_exn = function
-  | Unix.Unix_error (e, op, _) -> Printf.sprintf "%s: %s" op (Unix.error_message e)
-  | Sys_error m -> m
-  | e -> Printexc.to_string e
-
-(* --- fault-injection kill hooks -------------------------------------------- *)
-
-(* The fault harness simulates a crash at a seeded point by having the
-   journal SIGKILL its own process: either right after the n-th record
-   lands (clean cut between lines) or halfway through writing it (torn
-   final line, which [load] must skip). *)
-let kill_self () = Unix.kill (Unix.getpid ()) Sys.sigkill
-
-let env_int name =
-  match Sys.getenv_opt name with None -> None | Some v -> int_of_string_opt v
-
-(* --- line checksums -------------------------------------------------------- *)
-
-(* A record line is "<json>\t<crc32 of json, 8 lowercase hex digits>".
-   [Json.to_string] escapes control characters, so a raw tab can never
-   appear inside the JSON itself and the last tab splits unambiguously.
-   The checksum catches corrupt-but-still-parseable lines (bit rot, a
-   partial overwrite that happens to stay valid JSON) that the parse
-   failure heuristic cannot; lines without a tab are accepted as the
-   older checksum-less format. *)
-let checksummed line = Printf.sprintf "%s\t%08x" line (Util.crc32 line)
-
-(* [Some body] when the line is an old-format line or a checksummed line
-   whose CRC verifies; [None] when the checksum is torn or wrong. *)
-let verify_line line =
-  match String.rindex_opt line '\t' with
-  | None -> Some line (* pre-checksum journal *)
-  | Some t ->
-    let body = String.sub line 0 t in
-    let crc = String.sub line (t + 1) (String.length line - t - 1) in
-    if
-      String.length crc = 8
-      && String.for_all
-           (function 'a' .. 'f' | '0' .. '9' -> true | _ -> false)
-           crc
-      && int_of_string_opt ("0x" ^ crc) = Some (Util.crc32 body)
-    then Some body
-    else None
-
-(* --- sink ------------------------------------------------------------------ *)
-
-type sink = { oc : out_channel; mutable written : int; mutable degraded : string option }
-
-(* fsync failure PROPAGATES ([Durable.sync]): a record must never be
-   reported durable when its fsync failed.  [record] catches the failure
-   and degrades the sink instead of crashing the check. *)
-let sync oc = Durable.sync oc
-
-(* Fail-operational: remember why journaling stopped, leave a marker so
-   [load] refuses the file, and let the run carry on unjournaled.  The
-   marker write is best-effort over the raw channel (the disk is already
-   failing; the leading newline terminates any torn line the failed
-   write left behind). *)
-let degrade sink reason =
-  sink.degraded <- Some reason;
-  try
-    output_char sink.oc '\n';
-    output_string sink.oc (checksummed (Json.to_string (degraded_json reason)));
-    output_char sink.oc '\n';
-    flush sink.oc
-  with Sys_error _ -> ()
-
-let degradation sink = sink.degraded
-
-let open_ ~path ~inputs_hash =
-  let exists = Sys.file_exists path in
-  let fresh =
-    (not exists)
-    || (try (Util.retry_eintr (fun () -> Unix.stat path)).Unix.st_size = 0
-        with Unix.Unix_error _ -> true)
-  in
-  let oc = Durable.open_for_append path in
-  let sink = { oc; written = 0; degraded = None } in
-  if fresh then begin
-    try
-      Durable.out_string oc (Json.to_string (header_json ~inputs_hash) ^ "\n");
-      sync oc
-    with (Unix.Unix_error _ | Sys_error _) as e -> degrade sink (reason_of_exn e)
-  end;
-  sink
-
-let record sink entry =
-  if sink.degraded <> None then () (* fail-operational: journaling is off *)
-  else begin
-    let line = checksummed (Json.to_string (entry_to_json entry)) in
-    sink.written <- sink.written + 1;
-    (match env_int "LLHSC_FAULT_KILL_MID_RECORD" with
-     | Some n when n = sink.written ->
-       (* Torn write: half the record, no newline, then die. *)
-       output_string sink.oc (String.sub line 0 (String.length line / 2));
-       flush sink.oc;
-       (try sync sink.oc with Unix.Unix_error _ | Sys_error _ -> ());
-       kill_self ()
-     | _ -> ());
-    (match
-       Durable.out_string sink.oc (line ^ "\n");
-       sync sink.oc
-     with
-     | () -> ()
-     | exception ((Unix.Unix_error _ | Sys_error _) as e) ->
-       degrade sink (reason_of_exn e));
-    if sink.degraded = None then begin
-      (match env_int "LLHSC_FAULT_KILL_AFTER_RECORDS" with
-       | Some n when n = sink.written -> kill_self ()
-       | _ -> ());
-      (* Unlike the SIGKILL hooks above, this one is catchable: it
-         exercises the CLI's graceful-interrupt path (close the journal,
-         exit 128+15) rather than simulating a crash. *)
-      match env_int "LLHSC_FAULT_TERM_AFTER_RECORDS" with
-      | Some n when n = sink.written -> Unix.kill (Unix.getpid ()) Sys.sigterm
-      | _ -> ()
-    end
-  end
-
-(* After a degradation the channel may hold the tail of a failed write
-   whose flush would raise again; nothing durable is lost by dropping it. *)
-let close sink =
-  match sink.degraded with
-  | Some _ -> close_out_noerr sink.oc
-  | None -> close_out sink.oc
-
-(* --- load ------------------------------------------------------------------ *)
-
-let read_lines path =
-  match open_in path with
-  | exception Sys_error _ -> None
-  | ic ->
-    let rec go acc =
-      match input_line ic with
-      | line -> go (line :: acc)
-      | exception End_of_file ->
-        close_in ic;
-        Some (List.rev acc)
-    in
-    go []
-
-(* Split a journal into (header verdict, record lines).  [None] when the
-   file is missing or unreadable. *)
-let scan path =
-  match read_lines path with
-  | None -> None
-  | Some [] -> Some (`Missing, [])
-  | Some (header :: rest) ->
-    let verdict =
-      match Json.parse header with
-      | Error _ -> `Bad
-      | Ok j -> (
-        match header_of_json j with Some ih -> `Ok ih | None -> `Bad)
-    in
-    Some (verdict, rest)
+let open_ ~path ~inputs_hash = open_json Products ~path ~binding:inputs_hash
+let record sink entry = append sink (entry_to_json entry)
 
 (* Last record wins per (kind, name): a resumed run appends fresher
-   verdicts rather than rewriting the file.  Also reports whether a
-   degradation marker was seen anywhere in the record stream. *)
-let entries_of_lines rest =
+   verdicts rather than rewriting the file. *)
+let last_wins bodies =
   let tbl = Hashtbl.create 16 in
   let order = ref [] in
-  let degraded = ref None in
   List.iter
-    (fun line ->
-      match verify_line line with
-      | None -> () (* checksum mismatch: corrupt line, skip *)
-      | Some body -> (
-        match Json.parse body with
-        | Error _ -> () (* torn final record, or garbage: skip *)
-        | Ok j -> (
-          match degraded_of_json j with
-          | Some r -> degraded := Some r
-          | None -> (
-            match entry_of_json j with
-            | None -> ()
-            | Some e ->
-              let key = (e.kind, e.name) in
-              if not (Hashtbl.mem tbl key) then order := key :: !order;
-              Hashtbl.replace tbl key e))))
-    rest;
-  (List.rev_map (fun key -> Hashtbl.find tbl key) !order, !degraded)
+    (fun j ->
+      match entry_of_json j with
+      | None -> ()
+      | Some e ->
+        let key = (e.kind, e.name) in
+        if not (Hashtbl.mem tbl key) then order := key :: !order;
+        Hashtbl.replace tbl key e)
+    bodies;
+  List.rev_map (fun key -> Hashtbl.find tbl key) !order
 
 let load ~path ~inputs_hash =
-  match scan path with
-  | None | Some (`Missing, _) | Some (`Bad, _) -> []
-  | Some (`Ok ih, _) when ih <> inputs_hash -> []
-  | Some (`Ok _, rest) ->
-    let entries, degraded = entries_of_lines rest in
-    (* A journal whose run recorded a degradation stopped being complete
-       at an unknowable point; trusting it could silently skip re-checks. *)
-    if degraded <> None then [] else entries
+  last_wins (bodies Products ~path ~binding:inputs_hash)
 
 let find entries kind name =
   List.find_opt (fun e -> e.kind = kind && e.name = name) entries
@@ -348,6 +369,17 @@ type fsck_report = {
 
 let fsck_issues r = r.torn > 0 || r.invalid > 0 || r.degraded_reason <> None
 
+(* Split a product journal into (header verdict, record lines).  [None]
+   when the file is missing or unreadable. *)
+let scan path =
+  match read_lines path with
+  | None -> None
+  | Some [] -> Some (`Missing, [])
+  | Some (first :: rest) ->
+    Some
+      ( (match binding_of Products first with Some ih -> `Ok ih | None -> `Bad),
+        rest )
+
 let fsck ~path =
   match scan path with
   | None -> None
@@ -362,21 +394,17 @@ let fsck ~path =
       (fun line ->
         if String.trim line = "" then () (* separator left by a degradation *)
         else
-          match verify_line line with
-          | None -> incr torn
-          | Some body -> (
-            match Json.parse body with
-            | Error _ -> incr invalid
-            | Ok j -> (
-              match degraded_of_json j with
-              | Some r -> degraded := Some r
-              | None -> (
-                match entry_of_json j with
-                | None -> incr invalid
-                | Some e ->
-                  incr records;
-                  if not (String.contains line '\t') then incr legacy;
-                  Hashtbl.replace tbl (e.kind, e.name) ()))))
+          match verdict line with
+          | `Torn -> incr torn
+          | `Invalid -> incr invalid
+          | `Marker r -> degraded := Some r
+          | `Body j -> (
+            match entry_of_json j with
+            | None -> incr invalid
+            | Some e ->
+              incr records;
+              if not (String.contains line '\t') then incr legacy;
+              Hashtbl.replace tbl (e.kind, e.name) ()))
       rest;
     Some
       { header; records = !records; entries = Hashtbl.length tbl;
@@ -389,9 +417,9 @@ let compact ~path =
   | Some (`Missing, _) -> Error (path ^ ": empty journal, nothing to compact")
   | Some (`Bad, _) -> Error (path ^ ": unrecognised journal header")
   | Some (`Ok ih, rest) ->
-    let entries, _degraded = entries_of_lines rest in
+    let entries = last_wins (bodies_of rest) in
     let buf = Buffer.create 4096 in
-    Buffer.add_string buf (Json.to_string (header_json ~inputs_hash:ih));
+    Buffer.add_string buf (Json.to_string (header Products ih));
     Buffer.add_char buf '\n';
     List.iter
       (fun e ->

@@ -1,18 +1,42 @@
-(** Crash-safe pipeline journal: an append-only JSONL file with one
-    fsync'd record per completed pipeline product, enabling [--resume] to
-    skip work that already concluded before a crash.
+(** Crash-safe journals: append-only JSONL files with one fsync'd record
+    per completed unit of work, enabling [--resume] to skip work that
+    already concluded before a crash.  This module is the only code that
+    reads or writes a journal file.  It serves both journals llhsc keeps:
+    the pipeline's product journal ([--journal FILE], one {!entry} per
+    product) and the fleet dispatcher's task journal ([FILE.tasks], one
+    merged task result per line).
 
-    File layout: the first line is a header record carrying a format
-    version and a hash of the run's inputs; every following line is one
-    {!entry}, written as ["<json>\t<crc32 of json, 8 hex digits>"] —
-    the per-line checksum catches corrupt-but-still-parseable lines
-    that a JSON parse failure cannot.  Each record is written, flushed
-    and [fsync]'d before the pipeline moves on, so a SIGKILL at any
-    point loses at most the record being written.  {!load} tolerates a
-    truncated final line, skips lines whose checksum does not verify,
-    accepts checksum-less lines written by older versions, and takes the
-    last record per (kind, name) when a product appears twice (a resumed
-    run appends, it never rewrites). *)
+    File layout: the first line is a header naming the journal, its
+    format version and a {e binding} — a hash of everything the run's
+    records depend on.  Every following line is one record, written as
+    ["<json>\t<crc32 of json, 8 hex digits>"]; the per-line checksum
+    catches corrupt-but-still-parseable lines that a JSON parse failure
+    cannot.  Each record is written, flushed and [fsync]'d before the
+    writer moves on, so a SIGKILL at any point loses at most the record
+    being written.  Readers skip a truncated final line and lines whose
+    checksum does not verify, and accept checksum-less lines written by
+    older versions.
+
+    {b Open policy.}  Both journals open the same way, decided by what
+    the file holds, never by a flag:
+    - missing or empty: write a fresh header;
+    - a header binding this run and no degradation marker: append (a
+      torn final line left by a crash is terminated first, so the next
+      record starts its own line);
+    - a journal of another run — another binding, another format
+      version, or a degradation marker anywhere: start over with a
+      fresh header;
+    - anything else (a non-empty file that is not this kind of journal):
+      refuse with [Sys_error], leaving the file untouched. *)
+
+(** The two journals.  Each header names its journal, so neither file
+    ever reads as the other: {!fsck} and {!compact} refuse a task
+    journal, and [compact] can never drop task records. *)
+type journal =
+  | Products  (** the pipeline's product journal *)
+  | Tasks  (** the fleet dispatcher's task journal *)
+
+(** {1 Product entries} *)
 
 type kind = Product | Partition
 
@@ -66,67 +90,66 @@ val finding_of_json : Json.t -> Report.finding option
 
 type sink
 
-(** Open (append mode, creating if needed) and write the header record if
-    the file is new or empty.  Raises [Sys_error] on unwritable paths
-    (including {!Durable}'s injected [erofs@n] fault).  A header
-    write/fsync failure does not raise: the sink opens already degraded
-    (see {!degradation}). *)
+(** [open_json journal ~path ~binding] applies the open policy above.
+    Raises [Sys_error] on unwritable paths (including {!Durable}'s
+    injected [erofs@n] fault) and on a file that is not a journal.  A
+    header write/fsync failure does not raise: the sink opens already
+    degraded (see {!degradation}). *)
+val open_json : journal -> path:string -> binding:string -> sink
+
+(** The product journal: [open_json Products ~binding:inputs_hash]. *)
 val open_ : path:string -> inputs_hash:string -> sink
 
-(** Append one record: a single JSON line, flushed and fsync'd before
-    returning.  Honours the fault-injection kill hooks
+(** Append one record: a single checksummed JSON line, flushed and
+    fsync'd before returning.  Honours the fault-injection hooks, which
+    count records across every sink of the process:
     [LLHSC_FAULT_KILL_AFTER_RECORDS]/[LLHSC_FAULT_KILL_MID_RECORD] (test
-    harness only: simulate SIGKILL at seeded points) and
-    [LLHSC_FAULT_TERM_AFTER_RECORDS] (raise SIGTERM in-process after the
-    n-th record, exercising the CLI's graceful-interrupt path).
+    harness only: simulate SIGKILL after, or halfway through writing,
+    the n-th record) and [LLHSC_FAULT_TERM_AFTER_RECORDS] (raise SIGTERM
+    in-process after the n-th record, exercising the graceful-interrupt
+    path of the CLI and the dispatcher).
 
     Fail-operational on disk errors: if the write or its fsync fails
     (ENOSPC, EIO, ...), the sink degrades instead of raising — a
-    best-effort marker record is appended so {!load} refuses the file,
-    every later [record] is a no-op, and {!degradation} reports the
-    reason so the caller can surface a [warning[JOURNAL]].  A record is
-    never reported durable when its fsync failed. *)
+    best-effort marker record is appended so no reader trusts the file
+    again, every later [append] is a no-op, and {!degradation} reports
+    the reason so the caller can surface a [warning[JOURNAL]].  A record
+    is never reported durable when its fsync failed. *)
+val append : sink -> Json.t -> unit
+
+(** [append] of one product {!entry}. *)
 val record : sink -> entry -> unit
 
 (** [Some reason] once a journal write or fsync has failed; the run
     carries on unjournaled and must report the degradation loudly. *)
 val degradation : sink -> string option
 
+(** Never raises: every record was already fsync'd by [append]. *)
 val close : sink -> unit
 
 (** {1 Loading} *)
 
-(** Parse a journal for resumption.  Returns [[]] when the file is
-    missing, unreadable, its header's inputs hash differs from
-    [inputs_hash] (the whole journal is stale), or the writing run
-    recorded a durability degradation — the journal stopped being
-    complete at an unknowable point, and {!compact} is the explicit
-    operator path that re-blesses the surviving entries.  Unparsable
-    lines — e.g. a half-written final record — are skipped.  Later
-    records win over earlier ones with the same (kind, name). *)
+(** [bodies journal ~path ~binding] — the verified record bodies, in file
+    order, of a journal whose header binds [binding].  [[]] when the file
+    is missing, unreadable, bound to another run, or carries a
+    degradation marker: the journal stopped being complete at an
+    unknowable point, and {!compact} is the explicit operator path that
+    re-blesses a product journal's surviving entries.  Torn and
+    checksum-failing lines are skipped. *)
+val bodies : journal -> path:string -> binding:string -> Json.t list
+
+(** The product journal's {!bodies} as entries.  Later records win over
+    earlier ones with the same (kind, name). *)
 val load : path:string -> inputs_hash:string -> entry list
 
 (** Lookup in a loaded journal. *)
 val find : entry list -> kind -> string -> entry option
 
-(** {1 Line checksums}
-
-    The per-line CRC32 framing, exported so other journals (the fleet
-    dispatcher's task journal) share the exact format. *)
-
-(** [checksummed line] is ["<line>\t<crc32 of line, 8 hex digits>"]. *)
-val checksummed : string -> string
-
-(** Inverse of {!checksummed}: [Some line] when the checksum verifies,
-    [Some line] unchanged for checksum-less lines written by older
-    versions, [None] when the checksum is present but wrong. *)
-val verify_line : string -> string option
-
 (** {1 fsck / compact}
 
-    Offline integrity checking and recovery, exposed by the
-    [llhsc journal] subcommand and run (quietly) before every
-    [--resume]. *)
+    Offline integrity checking and recovery of a product journal,
+    exposed by the [llhsc journal] subcommand and run (quietly) before
+    every [--resume]. *)
 
 type fsck_report = {
   header : [ `Ok of string | `Bad | `Missing ];

@@ -110,6 +110,16 @@ type plan =
       count : int; (* its number of tasks (syntactic chunks + semantic) *)
     }
 
+let budget_of ~max_conflicts ~timeout =
+  match (max_conflicts, timeout) with
+  | None, None -> None
+  | _ -> Some (Sat.Solver.budget ?max_conflicts ?time_limit:timeout ())
+
+let retry_of = function
+  | None -> None
+  | Some n when n >= 2 -> Some (Smt.Escalation.ladder ~attempts:n ())
+  | Some n -> failwith (Printf.sprintf "--retry wants at least 2 attempts, got %d" n)
+
 let fresh_solver ~certify ~budget ~retry ~unsound () =
   let s = Smt.Solver.create ~certify () in
   Smt.Solver.set_budget s budget;

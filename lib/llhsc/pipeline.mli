@@ -161,4 +161,18 @@ val plan_tasks :
   unit ->
   Shard.task array
 
+(** {1 Run flags}
+
+    The one decoder of each verdict-affecting solver flag, shared by the
+    CLI and by fleet workers replanning a shipped spec (a bad value
+    arriving over the wire is rejected there too).  A bad value raises
+    [Failure]; [--unsound] is {!Sat.Solver.unsound_of_string}. *)
+
+(** [--max-conflicts]/[--timeout]: [None] when neither is given. *)
+val budget_of :
+  max_conflicts:int option -> timeout:float option -> Sat.Solver.budget option
+
+(** [--retry N]: an escalation ladder of [N >= 2] attempts. *)
+val retry_of : int option -> Smt.Escalation.t option
+
 val pp_outcome : Format.formatter -> outcome -> unit

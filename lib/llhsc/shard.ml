@@ -321,7 +321,7 @@ let run_task_guarded (t : task) =
 (* --- connections ------------------------------------------------------------- *)
 
 (* One framed byte stream, seen from either end.  The supervisor-only
-   fields (outbox, leases, handshake) sit unused on the worker side. *)
+   fields (outbox, lease, handshake) sit unused on the worker side. *)
 type conn = {
   fd : Unix.file_descr;
   peer : string;
@@ -335,13 +335,13 @@ type conn = {
   mutable why : string;  (* what the peer did to get dropped *)
   mutable handshake : (Json.t -> unit) option;  (* [None] once admitted *)
   created : float;
-  leases : Supervise.Lease.t;  (* at most one in-flight task *)
+  lease : Supervise.Lease.t;
 }
 
 let conn ?(peer = "?") fd =
   { fd; peer; dec = Frame.Decoder.create (); key = None; seq_in = 0; seq_out = 0;
     out = Buffer.create 256; out_pos = 0; alive = true; why = ""; handshake = None;
-    created = Unix.gettimeofday (); leases = Supervise.Lease.create () }
+    created = Unix.gettimeofday (); lease = Supervise.Lease.create () }
 
 let peer c = c.peer
 let set_key c key = c.key <- Some key
@@ -530,11 +530,11 @@ let supervise ?deadline ?listen ~spec ~admit ~replace ~fresh st
      (fallible) send: if the write drops the connection, the crash path
      already sees the task. *)
   let fill c =
-    if c.alive && c.handshake = None && Supervise.Lease.count c.leases = 0 then
+    if c.alive && c.handshake = None && Supervise.Lease.task c.lease = None then
       match Supervise.next st with
       | None -> ()
       | Some i ->
-        Supervise.Lease.start c.leases i (Unix.gettimeofday ());
+        Supervise.Lease.start c.lease i (Unix.gettimeofday ());
         post c (msg_task i)
   in
   let on_result c j =
@@ -545,8 +545,8 @@ let supervise ?deadline ?listen ~spec ~admit ~replace ~fresh st
     | Some i, Some r
       when Json.member "spec" j = Some (Json.Str spec)
            && i >= 0 && i < n && r.product = owner i ->
-      let leased = List.mem i (Supervise.Lease.tasks c.leases) in
-      Supervise.Lease.finish c.leases i;
+      let leased = Supervise.Lease.task c.lease = Some i in
+      Supervise.Lease.finish c.lease i;
       if (not leased) && Option.is_none (Supervise.results st).(i) then
         drop c (Printf.sprintf "sent a result for task %d it was not leased" i)
       else (
@@ -565,7 +565,7 @@ let supervise ?deadline ?listen ~spec ~admit ~replace ~fresh st
     | None, None, Some hb -> (
       match Option.bind (Json.member "task" hb) Json.to_int with
       | Some i when Json.member "spec" hb = Some (Json.Str spec) ->
-        Supervise.Lease.beat c.leases i (Unix.gettimeofday ())
+        Supervise.Lease.beat c.lease i (Unix.gettimeofday ())
       | _ -> ())
     | None, None, None -> (
       match Option.bind (Json.member "error" j) Json.to_str with
@@ -600,9 +600,9 @@ let supervise ?deadline ?listen ~spec ~admit ~replace ~fresh st
         | Some _, _ when now -. c.created > handshake_timeout ->
           drop c "stalled during handshake"
         | None, Some dl -> (
-          match Supervise.Lease.expired c.leases ~deadline:dl ~now with
-          | [] -> ()
-          | i :: _ ->
+          match Supervise.Lease.expired c.lease ~deadline:dl ~now with
+          | None -> ()
+          | Some i ->
             notice
               "task %d (product %s): deadline of %.1fs expired; dropping hung \
                worker %s"
@@ -619,7 +619,7 @@ let supervise ?deadline ?listen ~spec ~admit ~replace ~fresh st
     | Some dl ->
       List.fold_left
         (fun t c ->
-          match Supervise.Lease.next_expiry c.leases ~deadline:dl ~now with
+          match Supervise.Lease.next_expiry c.lease ~deadline:dl ~now with
           | Some dt -> Float.min t (Float.max 0. dt)
           | None -> t)
         0.25 pool.conns
@@ -627,9 +627,9 @@ let supervise ?deadline ?listen ~spec ~admit ~replace ~fresh st
   (* A lost worker's lease goes back on the queue, or into quarantine on
      its task's second crash. *)
   let bury c =
-    List.iter
+    Option.iter
       (fun i ->
-        Supervise.Lease.finish c.leases i;
+        Supervise.Lease.finish c.lease i;
         match Supervise.record_crash st i with
         | `Resolved -> ()
         | `Reassign ->
@@ -640,7 +640,7 @@ let supervise ?deadline ?listen ~spec ~admit ~replace ~fresh st
             "task %d (product %s): crashed %d workers; quarantined as poison \
              task, will retry in-process"
             i (owner i) k)
-      (Supervise.Lease.tasks c.leases)
+      (Supervise.Lease.task c.lease)
   in
   let rec rounds () =
     let lost = List.filter (fun c -> not c.alive) pool.conns in

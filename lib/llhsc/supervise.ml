@@ -20,32 +20,23 @@
    task content. *)
 
 module Lease = struct
-  (* In-flight (task, clock-start) pairs of ONE worker. *)
-  type t = { mutable items : (int * float) list }
+  (* The one in-flight (task, clock-start) of ONE worker. *)
+  type t = { mutable slot : (int * float) option }
 
-  let create () = { items = [] }
-
-  let start l task now =
-    l.items <- (task, now) :: List.remove_assoc task l.items
-
-  let beat l task now =
-    if List.mem_assoc task l.items then start l task now
-
-  let finish l task = l.items <- List.remove_assoc task l.items
-  let tasks l = List.map fst l.items
-  let count l = List.length l.items
+  let create () = { slot = None }
+  let start l task now = l.slot <- Some (task, now)
+  let task l = Option.map fst l.slot
+  let holds l i = task l = Some i
+  let beat l i now = if holds l i then start l i now
+  let finish l i = if holds l i then l.slot <- None
 
   let expired l ~deadline ~now =
-    List.filter_map
-      (fun (task, t0) -> if now -. t0 > deadline then Some task else None)
-      l.items
+    match l.slot with
+    | Some (i, t0) when now -. t0 > deadline -> Some i
+    | _ -> None
 
   let next_expiry l ~deadline ~now =
-    List.fold_left
-      (fun acc (_, t0) ->
-        let dt = t0 +. deadline -. now in
-        match acc with None -> Some dt | Some a -> Some (Float.min a dt))
-      None l.items
+    Option.map (fun (_, t0) -> t0 +. deadline -. now) l.slot
 end
 
 type 'r t = {

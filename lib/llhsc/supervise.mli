@@ -10,31 +10,33 @@
     deadlines.  The loop holds the connections and drives this
     machine. *)
 
-(** Per-worker lease clocks: the in-flight (task, clock-start) pairs of
-    one worker ({!Shard.supervise} leases at most one). *)
+(** A worker's lease clock: the one task it holds and when its clock
+    started ({!Shard.supervise} leases one task per worker at a time). *)
 module Lease : sig
   type t
 
+  (** An idle slot. *)
   val create : unit -> t
 
-  (** [start l task now] — begin (or restart) the clock for [task]. *)
+  (** [start l task now] — lease [task] and start its clock, replacing
+      whatever the slot held. *)
   val start : t -> int -> float -> unit
 
-  (** Restart the clock iff [task] is leased here (a heartbeat for a
-      task this worker no longer owns is ignored). *)
+  (** The leased task, [None] when idle. *)
+  val task : t -> int option
+
+  (** Restart the clock iff [task] is the one leased here (a heartbeat
+      for a task this worker no longer owns is ignored). *)
   val beat : t -> int -> float -> unit
 
-  (** Drop the lease (task completed or reassigned elsewhere). *)
+  (** Free the slot iff it holds [task] (completed or reassigned). *)
   val finish : t -> int -> unit
 
-  val tasks : t -> int list
-  val count : t -> int
+  (** The leased task, when its clock has outlived [deadline] seconds. *)
+  val expired : t -> deadline:float -> now:float -> int option
 
-  (** Tasks whose clock has outlived [deadline] seconds. *)
-  val expired : t -> deadline:float -> now:float -> int list
-
-  (** Seconds until the earliest lease here expires ([None] when the
-      worker is idle); may be negative when already overdue. *)
+  (** Seconds until the lease expires ([None] when idle); may be
+      negative when already overdue. *)
   val next_expiry : t -> deadline:float -> now:float -> float option
 end
 

@@ -41,6 +41,26 @@ type unsound_mutation =
   | Mute_proof_step of int
   | Force_unknown of int
 
+let unsound_of_string spec =
+  match String.index_opt spec ':' with
+  | Some i -> (
+    let kind = String.sub spec 0 i in
+    let n =
+      match int_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1)) with
+      | Some n when n > 0 -> n
+      | _ -> failwith (Printf.sprintf "bad --unsound period in %S (want a positive int)" spec)
+    in
+    match kind with
+    | "drop-lit" -> Drop_learnt_literal n
+    | "flip-model" -> Flip_model_bit n
+    | "mute-proof" -> Mute_proof_step n
+    | "force-unknown" -> Force_unknown n
+    | k ->
+      failwith
+        (Printf.sprintf
+           "unknown --unsound kind %S (drop-lit|flip-model|mute-proof|force-unknown)" k))
+  | None -> failwith (Printf.sprintf "bad --unsound spec %S (want KIND:N)" spec)
+
 (* Restart diversification: initial phase policy for this [solve] call. *)
 type polarity_mode =
   | Phase_saved

@@ -143,6 +143,12 @@ type unsound_mutation =
           and graceful degradation (not an unsoundness: [Unknown] claims
           nothing) *)
 
+(** Decode ["KIND:N"] — [drop-lit], [flip-model], [mute-proof] or
+    [force-unknown] with a period [N > 0] — the one decoder of the
+    [--unsound] flag, whether it comes from the command line or from a
+    fleet spec.  Raises [Failure] on anything else. *)
+val unsound_of_string : string -> unsound_mutation
+
 val inject_unsoundness : t -> unsound_mutation -> unit
 
 (** Pretty-print solver statistics (decisions, conflicts, propagations). *)

@@ -286,6 +286,49 @@ cmp -s "$TMP/journal1.out" "$TMP/killed-resume.out" \
   || fail "post-kill resumed report differs from uninterrupted run"
 grep -q "skipping .* torn/corrupt line" "$TMP/killed-resume.err" \
   || fail "expected the quiet-fsck torn-line notice on resume stderr"
+# The first resume appended its records after the torn fragment; each
+# must have started its own line, so a second resume replays them all.
+run_journaled_pipeline --resume > "$TMP/killed-resume2.out" 2> "$TMP/killed-resume2.err" \
+  || fail "second resume after a mid-record kill should pass"
+cmp -s "$TMP/journal1.out" "$TMP/killed-resume2.out" \
+  || fail "second post-kill resumed report differs from uninterrupted run"
+grep -q "resume: replayed from journal: vm1, vm2, platform, partition" \
+  "$TMP/killed-resume2.err" \
+  || fail "second resume did not replay every record of the first resume"
+
+echo "# journal reuse: another run's or a degraded journal is started over"
+rm -f "$TMP/run.journal"
+run_journaled_pipeline > /dev/null 2> /dev/null || fail "journaled pipeline (inputs A) should pass"
+for prior in "other inputs" "degraded"; do
+  if [ "$prior" = degraded ]; then
+    rm -f "$TMP/run.journal"
+    LLHSC_FAULT_FS=enospc@2 run_journaled_pipeline --max-conflicts 100000 \
+      > /dev/null 2> /dev/null || fail "degraded journaled run should pass"
+  fi
+  set +e
+  (export LLHSC_FAULT_KILL_AFTER_RECORDS=3
+   run_journaled_pipeline --max-conflicts 100000 > /dev/null 2> /dev/null)
+  rc=$?
+  set -e
+  [ "$rc" -eq 137 ] || fail "record-3 kill after $prior should die of SIGKILL (got $rc)"
+  run_journaled_pipeline --max-conflicts 100000 --resume > /dev/null 2> "$TMP/reuse.err" \
+    || fail "resume after $prior should pass"
+  grep -q "resume: replayed from journal: vm1, vm2, platform$" "$TMP/reuse.err" \
+    || fail "resume after $prior did not replay the killed run's three records"
+done
+
+echo "# journal: a non-journal file is refused with error[IO] and left untouched"
+printf 'my notes\nnot a journal\n' > "$TMP/notes.txt"
+cp "$TMP/notes.txt" "$TMP/notes.orig"
+set +e
+"$LLHSC" pipeline --core "$FIXTURES/custom-sbc.dts" --deltas "$FIXTURES/custom-sbc.deltas" \
+  --model "$FIXTURES/custom-sbc.fm" --vm "memory,cpu@0" --journal "$TMP/notes.txt" \
+  > /dev/null 2> "$TMP/notes.err"
+rc=$?
+set -e
+[ "$rc" -eq 2 ] || fail "--journal on a non-journal file should exit 2 (got $rc)"
+grep -q 'error\[IO\]' "$TMP/notes.err" || fail "expected error[IO] for a non-journal file"
+cmp -s "$TMP/notes.orig" "$TMP/notes.txt" || fail "the non-journal file was modified"
 
 echo "# retry: escalation recovers injected Unknown verdicts"
 "$LLHSC" pipeline --core "$FIXTURES/custom-sbc.dts" --deltas "$FIXTURES/custom-sbc.deltas" \
@@ -297,6 +340,20 @@ echo "# retry: escalation recovers injected Unknown verdicts"
 grep -q "all checks passed" "$TMP/retry.out" || fail "retry pipeline checks"
 grep -q "escalation: .* recovered" "$TMP/retry.out" || fail "expected escalation summary"
 grep -q "inconclusive" "$TMP/retry.out" && fail "escalation left inconclusive verdicts"
+
+echo "# run flags: a bad --unsound or --retry is a structured error, exit 2"
+for flag in "--unsound bogus:1" "--retry 1"; do
+  set +e
+  # shellcheck disable=SC2086 # the flag and its value are two words
+  "$LLHSC" pipeline --core "$FIXTURES/custom-sbc.dts" --deltas "$FIXTURES/custom-sbc.deltas" \
+    --model "$FIXTURES/custom-sbc.fm" --vm "memory,cpu@0" $flag \
+    > /dev/null 2> "$TMP/badflag.err"
+  rc=$?
+  set -e
+  [ "$rc" -eq 2 ] || fail "pipeline $flag should exit 2 (got $rc)"
+  grep -q '^error\[[A-Z-]*\]' "$TMP/badflag.err" || fail "expected a structured error for $flag"
+  grep -q "Fatal error" "$TMP/badflag.err" && fail "uncaught exception for $flag"
+done
 
 echo "# parallel: --jobs 4 reports are byte-identical to --jobs 1"
 run_pipeline_at() {

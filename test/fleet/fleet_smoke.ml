@@ -43,11 +43,13 @@ let tmp_root =
   at_exit (fun () -> rm_rf dir);
   dir
 
-let contains_line ~needle path =
-  let body = try read_file path with Sys_error _ -> "" in
-  let hl = String.length body and nl = String.length needle in
-  let rec go i = i + nl <= hl && (String.sub body i nl = needle || go (i + 1)) in
+let contains s needle =
+  let hl = String.length s and nl = String.length needle in
+  let rec go i = i + nl <= hl && (String.sub s i nl = needle || go (i + 1)) in
   nl > 0 && go 0
+
+let contains_line ~needle path =
+  contains (try read_file path with Sys_error _ -> "") needle
 
 (* --- process management ------------------------------------------------------- *)
 
@@ -135,18 +137,20 @@ let wait_port_file path =
   in
   go 100
 
-(* Run one fleet schedule: a dispatcher plus one worker per element of
-   [workers] (each element is that worker's extra environment).  Returns
+(* Run one fleet schedule: a dispatcher (with [dispatch_env] added to its
+   environment) plus one worker per element of [workers] (each element
+   is that worker's extra environment).  Returns
    (dispatcher exit code, report path, dispatcher stderr path, worker pids). *)
-let fleet ~name ?(dispatch_flags = []) ?(worker_flags = [ "--max-reconnects"; "3" ])
-    ?(pipeline = pipeline_args) ~workers () =
+let fleet ~name ?(dispatch_env = []) ?(dispatch_flags = [])
+    ?(worker_flags = [ "--max-reconnects"; "3" ]) ?(pipeline = pipeline_args) ~workers
+    () =
   say "schedule: %s" name;
   let dir = scenario_dir name in
   let pf = Filename.concat dir "port" in
   let out = Filename.concat dir "report.txt" in
   let err = Filename.concat dir "dispatch.err" in
   let dpid =
-    spawn ~out ~err
+    spawn ~env:dispatch_env ~out ~err
       (("dispatch" :: "--listen" :: "127.0.0.1:0" :: "--port-file" :: pf
         :: dispatch_flags)
       @ pipeline)
@@ -397,9 +401,44 @@ let () =
       reap w)
     [ 1; 2 ];
 
-  (* Dispatcher crash-recovery: SIGTERM (via the fault hook) after two
-     task results are journalled, then a --resume successor on the same
-     port file.  The surviving worker re-reads the port, re-handshakes,
+  (* Task-journal degradation.  Writes 1-3 are the two journal headers
+     and the port file, so ENOSPC on write 5 hits the second task record:
+     the dispatcher carries on unjournaled, with the baseline report and
+     one warning naming the task journal.  A --resume must then replay
+     nothing from it, although its first record is intact.  The product
+     journal is removed first, so the resumed run plans the same tasks
+     and only the degradation marker stands between it and a replay. *)
+  let jj = Filename.concat tmp_root "enospc.jsonl" in
+  let r =
+    fleet ~name:"tasks-enospc" ~dispatch_env:[ "LLHSC_FAULT_FS=enospc@5" ]
+      ~dispatch_flags:[ "--journal"; jj; "--wait-workers"; "30" ]
+      ~workers:[ [] ] ()
+  in
+  let err = check ~name:"tasks-enospc" ~base r in
+  let warnings =
+    List.filter
+      (fun l -> contains l "warning[JOURNAL]")
+      (String.split_on_char '\n' (read_file err))
+  in
+  (match warnings with
+   | [ w ] when contains w (jj ^ ".tasks") -> ()
+   | _ ->
+     fail "tasks-enospc: want one warning[JOURNAL] naming %s.tasks:\n%s" jj
+       (read_file err));
+  Sys.remove jj;
+  let r =
+    fleet ~name:"tasks-enospc-resume"
+      ~dispatch_flags:[ "--journal"; jj; "--resume"; "--wait-workers"; "1" ]
+      ~workers:[] ()
+  in
+  let err = check ~name:"tasks-enospc-resume" ~base r in
+  if contains_line ~needle:"task result(s)" err then
+    fail "tasks-enospc-resume: replayed task results from a degraded journal:\n%s"
+      (read_file err);
+
+  (* Dispatcher crash-recovery: SIGTERM (via the journal's fault hook)
+     after two task results are journalled, then a --resume successor on
+     the same port file.  The surviving worker re-reads the port, re-handshakes,
      and the resumed run replays the two completed tasks instead of
      re-running them — byte-identical to the baseline. *)
   say "schedule: term-resume";
@@ -409,7 +448,7 @@ let () =
   let out1 = Filename.concat dir "report1.txt" in
   let err1 = Filename.concat dir "dispatch1.err" in
   let dpid =
-    spawn ~env:[ "LLHSC_FAULT_TERM_AFTER_TASKS=2" ] ~out:out1 ~err:err1
+    spawn ~env:[ "LLHSC_FAULT_TERM_AFTER_RECORDS=2" ] ~out:out1 ~err:err1
       (("dispatch" :: "--listen" :: "127.0.0.1:0" :: "--port-file" :: pf
         :: "--wait-workers" :: "30" :: "--journal" :: jj
         :: "--secret-file" :: secret_file :: [])

@@ -273,18 +273,26 @@ let test_supervise_crash_quarantine () =
 
 let test_lease_clock () =
   let l = Supervise.Lease.create () in
+  Alcotest.(check (option int)) "idle" None (Supervise.Lease.task l);
   Supervise.Lease.start l 7 100.0;
-  Supervise.Lease.start l 9 101.0;
-  Alcotest.(check int) "two leases" 2 (Supervise.Lease.count l);
-  Alcotest.(check (list int)) "expired at 103" [ 7 ]
-    (List.sort compare (Supervise.Lease.expired l ~deadline:2.5 ~now:103.0));
-  (* A heartbeat restarts the clock; one for a non-leased task is ignored. *)
+  Alcotest.(check (option int)) "leased" (Some 7) (Supervise.Lease.task l);
+  (* A heartbeat for another task is ignored: task 7's clock runs on. *)
+  Supervise.Lease.beat l 42 102.0;
+  Alcotest.(check (option int)) "expired at 103" (Some 7)
+    (Supervise.Lease.expired l ~deadline:2.5 ~now:103.0);
+  (* A heartbeat for the leased task restarts its clock. *)
   Supervise.Lease.beat l 7 103.0;
-  Supervise.Lease.beat l 42 103.0;
-  Alcotest.(check (list int)) "beat deferred expiry" [ 9 ]
+  Alcotest.(check (option int)) "beat deferred expiry" None
     (Supervise.Lease.expired l ~deadline:2.5 ~now:104.0);
+  Alcotest.(check (option (float 1e-9))) "next expiry" (Some 1.5)
+    (Supervise.Lease.next_expiry l ~deadline:2.5 ~now:104.0);
+  (* Finishing another task leaves the slot alone; finishing 7 frees it. *)
   Supervise.Lease.finish l 9;
-  Alcotest.(check (list int)) "finish drops" [ 7 ] (Supervise.Lease.tasks l)
+  Alcotest.(check (option int)) "other finish ignored" (Some 7) (Supervise.Lease.task l);
+  Supervise.Lease.finish l 7;
+  Alcotest.(check (option int)) "finish frees the slot" None (Supervise.Lease.task l);
+  Alcotest.(check (option (float 1e-9))) "idle never expires" None
+    (Supervise.Lease.next_expiry l ~deadline:2.5 ~now:200.0)
 
 (* The shared supervisor loop against a scripted fake worker on a
    socketpair: a bad CRC, a result for the wrong product, and a result
@@ -508,6 +516,25 @@ let test_spec_roundtrip () =
     (Fleet.Spec.hash sample_spec
     <> Fleet.Spec.hash { sample_spec with Fleet.Spec.skip = [] })
 
+(* A worker decodes a shipped spec's flags with the CLI's own decoders,
+   so a bad value arriving over the wire is refused, not planned. *)
+let test_spec_rejects_bad_flags () =
+  let module Q = Llhsc.Quad_rv64 in
+  let quad =
+    { Fleet.Spec.core = { Fleet.Spec.file = "quad-rv64.dts"; text = Q.core_dts };
+      deltas = { Fleet.Spec.file = "quad-rv64.deltas"; text = Q.deltas_src };
+      model = Q.feature_model_src; schemas = []; files = [];
+      vms = [ Q.vm1_features; Q.vm2_features; Q.vm3_features ];
+      exclusive = Q.exclusive; certify = false; retry = None; max_conflicts = None;
+      solver_timeout = None; unsound = None; skip = [] }
+  in
+  Alcotest.(check bool) "a good spec builds" true
+    (Result.is_ok (Fleet.Spec.build { quad with Fleet.Spec.retry = Some 2 }));
+  Alcotest.(check bool) "retry 1 refused" true
+    (Result.is_error (Fleet.Spec.build { quad with Fleet.Spec.retry = Some 1 }));
+  Alcotest.(check bool) "unknown unsound kind refused" true
+    (Result.is_error (Fleet.Spec.build { quad with Fleet.Spec.unsound = Some "bogus:1" }))
+
 (* --- bandwidth-aware setup ---------------------------------------------------- *)
 
 let test_setup_choice () =
@@ -567,7 +594,8 @@ let () =
           Alcotest.test_case "corrupt line skipped" `Quick test_journal_corrupt_line_skipped;
           Alcotest.test_case "old format accepted" `Quick test_journal_backward_compat ] );
       ( "spec",
-        [ Alcotest.test_case "json roundtrip + hash" `Quick test_spec_roundtrip ] );
+        [ Alcotest.test_case "json roundtrip + hash" `Quick test_spec_roundtrip;
+          Alcotest.test_case "bad flags refused" `Quick test_spec_rejects_bad_flags ] );
       ( "setup-cache",
         [ Alcotest.test_case "choice policy" `Quick test_setup_choice;
           Alcotest.test_case "cached setup wire shape" `Quick

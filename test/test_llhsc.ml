@@ -802,6 +802,98 @@ let test_journal_degrades_on_fsync_eio () =
   J.close sink;
   check_bool "load refuses the degraded journal" true (J.load ~path ~inputs_hash = [])
 
+(* --- the open policy: append, start over, or refuse --------------------------- *)
+
+let write_journal path ~inputs_hash entries =
+  let sink = J.open_ ~path ~inputs_hash in
+  List.iter (J.record sink) entries;
+  J.close sink
+
+let loaded_names path =
+  List.map (fun (e : J.entry) -> e.J.name) (J.load ~path ~inputs_hash:quad_inputs_hash)
+
+(* Records appended under another run's header could never be replayed:
+   reusing the path starts the journal over. *)
+let test_journal_other_binding_restarts () =
+  with_temp_journal @@ fun path ->
+  let entries = sample_entries ~inputs_hash:quad_inputs_hash in
+  let other = J.inputs_hash ~parts:[ "another run" ] in
+  write_journal path ~inputs_hash:other entries;
+  write_journal path ~inputs_hash:quad_inputs_hash [ List.hd entries ];
+  Alcotest.(check (list string)) "this run's record loads" [ "vm1" ] (loaded_names path);
+  check_bool "the other run's records are gone" true (J.load ~path ~inputs_hash:other = [])
+
+let test_journal_degraded_restarts () =
+  with_temp_journal @@ fun path ->
+  let entries = sample_entries ~inputs_hash:quad_inputs_hash in
+  let sink = J.open_ ~path ~inputs_hash:quad_inputs_hash in
+  with_fs_fault "enospc@1" (fun () -> J.record sink (List.hd entries));
+  J.close sink;
+  write_journal path ~inputs_hash:quad_inputs_hash entries;
+  Alcotest.(check (list string)) "the new records load" [ "vm1"; "partition" ]
+    (loaded_names path)
+
+(* A crash mid-record leaves a fragment with no newline; the next run's
+   first record must not be glued onto it. *)
+let test_journal_append_after_torn_tail () =
+  with_temp_journal @@ fun path ->
+  let entries = sample_entries ~inputs_hash:quad_inputs_hash in
+  write_journal path ~inputs_hash:quad_inputs_hash [ List.hd entries ];
+  let oc = open_out_gen [ Open_append ] 0o644 path in
+  output_string oc {|{"kind":"product","name":"vm2","ha|};
+  close_out oc;
+  write_journal path ~inputs_hash:quad_inputs_hash [ List.nth entries 1 ];
+  Alcotest.(check (list string)) "the appended record loads" [ "vm1"; "partition" ]
+    (loaded_names path);
+  match J.fsck ~path with
+  | Some r -> check_int "only the fragment is lost" 1 (r.J.torn + r.J.invalid)
+  | None -> Alcotest.fail "fsck could not read the journal"
+
+(* ENOSPC on the header write leaves a marker line and no header: still
+   a journal (of a degraded run), so it is started over. *)
+let test_journal_failed_header_restarts () =
+  with_temp_journal @@ fun path ->
+  let sink =
+    with_fs_fault "enospc@1" (fun () -> J.open_ ~path ~inputs_hash:quad_inputs_hash)
+  in
+  check_bool "opened degraded" true (J.degradation sink <> None);
+  J.close sink;
+  (match J.fsck ~path with
+   | Some r ->
+     check_bool "no header" true (r.J.header = `Bad);
+     check_bool "marker present" true (r.J.degraded_reason <> None)
+   | None -> Alcotest.fail "fsck could not read the journal");
+  write_journal path ~inputs_hash:quad_inputs_hash
+    (sample_entries ~inputs_hash:quad_inputs_hash);
+  Alcotest.(check (list string)) "started over" [ "vm1"; "partition" ] (loaded_names path)
+
+let test_journal_foreign_file_refused () =
+  with_temp_journal @@ fun path ->
+  let notes = "my notes\nnot a journal\n" in
+  let oc = open_out_bin path in
+  output_string oc notes;
+  close_out oc;
+  (match J.open_ ~path ~inputs_hash:quad_inputs_hash with
+   | _ -> Alcotest.fail "a non-journal file was opened"
+   | exception Sys_error _ -> ());
+  Alcotest.(check string) "bytes unchanged" notes (slurp path)
+
+(* The task journal's header names its own journal: the product-journal
+   tools refuse it, so [compact] can never drop task records. *)
+let test_task_journal_is_not_a_product_journal () =
+  with_temp_journal @@ fun path ->
+  let record = Llhsc.Json.Obj [ ("task", Llhsc.Json.Int 0) ] in
+  let sink = J.open_json J.Tasks ~path ~binding:"spec/1" in
+  J.append sink record;
+  J.close sink;
+  let bytes = slurp path in
+  check_bool "its bodies load" true (J.bodies J.Tasks ~path ~binding:"spec/1" = [ record ]);
+  check_bool "compact refuses it" true (Result.is_error (J.compact ~path));
+  (match J.open_ ~path ~inputs_hash:quad_inputs_hash with
+   | _ -> Alcotest.fail "a task journal opened as a product journal"
+   | exception Sys_error _ -> ());
+  Alcotest.(check string) "bytes unchanged" bytes (slurp path)
+
 (* The fsck/load tolerance property: whatever a disk does to a journal —
    truncation at any byte, arbitrary byte flips, appended garbage —
    [load] never raises and never yields an entry that was not written
@@ -1176,6 +1268,18 @@ let () =
           Alcotest.test_case "torn tail tolerated" `Quick test_journal_tolerates_torn_tail;
           Alcotest.test_case "last record wins" `Quick test_journal_last_record_wins;
           Alcotest.test_case "stale inputs hash" `Quick test_journal_stale_inputs_hash;
+          Alcotest.test_case "another binding is started over" `Quick
+            test_journal_other_binding_restarts;
+          Alcotest.test_case "a degraded journal is started over" `Quick
+            test_journal_degraded_restarts;
+          Alcotest.test_case "append after a torn tail starts a new line" `Quick
+            test_journal_append_after_torn_tail;
+          Alcotest.test_case "a failed header write is started over" `Quick
+            test_journal_failed_header_restarts;
+          Alcotest.test_case "a foreign file is refused untouched" `Quick
+            test_journal_foreign_file_refused;
+          Alcotest.test_case "a task journal is not a product journal" `Quick
+            test_task_journal_is_not_a_product_journal;
         ] );
       ( "storage-faults",
         [
