@@ -157,37 +157,40 @@ let create () =
   in
   Lazy.force t
 
-let grow_array a n dummy =
-  let old = Array.length a in
-  if n <= old then a
-  else begin
-    let a' = Array.make (max n (max 16 (2 * old))) dummy in
-    Array.blit a 0 a' 0 old;
+(* The watch list of every literal no clause watches yet.  [watch] gives a
+   literal its own list on first use, so nothing is ever pushed here. *)
+let no_watches : clause Vec.t = Vec.create ~capacity:1 dummy_clause
+
+(* The per-variable arrays share one capacity, [Array.length t.assigns]
+   ([t.watches] holds two entries per variable); [new_var] grows them all
+   together when the next variable would not fit. *)
+let grow_vars t =
+  let n = t.nvars in
+  let cap = max 16 (2 * n) in
+  let extend a dummy =
+    let a' = Array.make cap dummy in
+    Array.blit a 0 a' 0 n;
     a'
-  end
+  in
+  t.assigns <- extend t.assigns 0;
+  t.level <- extend t.level 0;
+  t.reason <- extend t.reason dummy_clause;
+  t.activity <- extend t.activity 0.;
+  t.polarity <- extend t.polarity false;
+  t.seen <- extend t.seen false;
+  let w = Array.make (2 * cap) no_watches in
+  Array.blit t.watches 0 w 0 (2 * n);
+  t.watches <- w
 
 let new_var t =
   let v = t.nvars in
+  if v = Array.length t.assigns then grow_vars t;
   t.nvars <- v + 1;
-  let n = v + 1 in
-  t.assigns <- grow_array t.assigns n 0;
-  t.level <- grow_array t.level n 0;
-  t.reason <- grow_array t.reason n dummy_clause;
-  t.activity <- grow_array t.activity n 0.;
-  t.polarity <- grow_array t.polarity n false;
-  t.seen <- grow_array t.seen n false;
-  let nlits = 2 * n in
-  if nlits > Array.length t.watches then begin
-    let old = Array.length t.watches in
-    let w = Array.make (max nlits (max 32 (2 * old))) (Vec.create dummy_clause) in
-    Array.blit t.watches 0 w 0 old;
-    for i = old to Array.length w - 1 do
-      w.(i) <- Vec.create dummy_clause
-    done;
-    t.watches <- w
-  end;
   Heap.insert t.order v;
   v
+
+(* Negative literals decode to huge variables, so this also rejects them. *)
+let allocated t l = Lit.var l < t.nvars
 
 let num_vars t = t.nvars
 let num_clauses t = Vec.size t.clauses
@@ -245,12 +248,19 @@ let cla_decay_activity t = t.cla_inc <- t.cla_inc *. clause_decay
 
 (* --- assignment --------------------------------------------------------- *)
 
-let watch_list t l = t.watches.(l)
+let watch t l c =
+  let ws = t.watches.(l) in
+  if ws == no_watches then begin
+    let ws = Vec.create ~capacity:4 dummy_clause in
+    Vec.push ws c;
+    t.watches.(l) <- ws
+  end
+  else Vec.push ws c
 
 let attach t c =
   (* clause is watched by the negations of its first two literals *)
-  Vec.push (watch_list t (Lit.neg c.lits.(0))) c;
-  Vec.push (watch_list t (Lit.neg c.lits.(1))) c
+  watch t (Lit.neg c.lits.(0)) c;
+  watch t (Lit.neg c.lits.(1)) c
 
 let unchecked_enqueue t l reason =
   let v = Lit.var l in
@@ -286,7 +296,7 @@ let propagate t =
       let p = Vec.get t.trail t.qhead in
       t.qhead <- t.qhead + 1;
       t.n_propagations <- t.n_propagations + 1;
-      let ws = watch_list t p in
+      let ws = t.watches.(p) in
       (* Rebuild the watch list in place while visiting it. *)
       let i = ref 0 and j = ref 0 in
       let n = Vec.size ws in
@@ -317,7 +327,7 @@ let propagate t =
                if !k < len then begin
                  c.lits.(1) <- c.lits.(!k);
                  c.lits.(!k) <- false_lit;
-                 Vec.push (watch_list t (Lit.neg c.lits.(1))) c
+                 watch t (Lit.neg c.lits.(1)) c
                end
                else begin
                  (* Unit or conflicting. *)
@@ -347,44 +357,78 @@ let propagate t =
 
 (* --- clause addition ---------------------------------------------------- *)
 
+(* Ascending, in place: insertion sort for the short clauses gates emit. *)
+let sort_lits a =
+  let n = Array.length a in
+  if n > 16 then Array.sort Lit.compare a
+  else
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+
+(* One pass over sorted literals: drop duplicates and literals false at
+   level 0, compacting the rest to the front of [a].  Returns how many
+   remain, or -1 for a clause that is already satisfied or a tautology
+   (sorting puts [2v] and [2v+1] next to each other).  [-2] stands for "no
+   previous literal": neither it nor its negation is a literal. *)
+let simplify t a =
+  let n = Array.length a in
+  let rec go i j prev =
+    if i = n then j
+    else
+      let l = a.(i) in
+      if l = prev then go (i + 1) j prev
+      else if l = Lit.neg prev then -1
+      else
+        match value_lit t l with
+        | 1 -> -1
+        | -1 -> go (i + 1) j l
+        | _ ->
+          a.(j) <- l;
+          go (i + 1) (j + 1) l
+  in
+  go 0 0 (-2)
+
 let add_clause t lits =
+  let a = Array.of_list lits in
+  for i = 0 to Array.length a - 1 do
+    if not (allocated t a.(i)) then
+      invalid_arg "Solver.add_clause: literal of an unallocated variable"
+  done;
   (* Log the clause verbatim, before simplification: unit clauses are
      enqueued rather than stored, yet the checker must still see them as
      part of the certified formula. *)
   (match t.proof with
-   | Some p -> Proof.log_input p (Array.of_list lits)
+   | Some p -> Proof.log_input p a
    | None -> ());
   if not t.ok then false
   else begin
     assert (decision_level t = 0);
-    (* Simplify: drop duplicate and false literals, detect tautologies. *)
-    let lits = List.sort_uniq Lit.compare lits in
-    let tautology =
-      List.exists (fun l -> List.exists (fun l' -> l' = Lit.neg l) lits) lits
-      || List.exists (fun l -> value_lit t l = 1) lits
-    in
-    if tautology then true
-    else begin
-      let lits = List.filter (fun l -> value_lit t l <> -1) lits in
-      match lits with
-      | [] ->
-        t.ok <- false;
-        false
-      | [ l ] ->
-        unchecked_enqueue t l dummy_clause;
-        (match propagate t with
-         | None -> true
-         | Some _ ->
-           t.ok <- false;
-           false)
-      | _ ->
-        let c =
-          { lits = Array.of_list lits; learnt = false; activity = 0.; lbd = 0; dead = false }
-        in
-        Vec.push t.clauses c;
-        attach t c;
-        true
-    end
+    sort_lits a;
+    match simplify t a with
+    | -1 -> true
+    | 0 ->
+      t.ok <- false;
+      false
+    | 1 ->
+      unchecked_enqueue t a.(0) dummy_clause;
+      (match propagate t with
+       | None -> true
+       | Some _ ->
+         t.ok <- false;
+         false)
+    | n ->
+      let lits = if n = Array.length a then a else Array.sub a 0 n in
+      let c = { lits; learnt = false; activity = 0.; lbd = 0; dead = false } in
+      Vec.push t.clauses c;
+      attach t c;
+      true
   end
 
 (* --- conflict analysis (first UIP) -------------------------------------- *)
@@ -758,6 +802,8 @@ let apply_diversification t ~seed ~polarity_mode ~var_decay =
 
 let solve ?(assumptions = []) ?budget ?seed ?(polarity_mode = Phase_saved)
     ?var_decay t =
+  if not (List.for_all (allocated t) assumptions) then
+    invalid_arg "Solver.solve: assumption of an unallocated variable";
   if not t.ok then begin
     t.core <- [];
     Unsat

@@ -53,7 +53,9 @@ val num_conflicts : t -> int
 
 (** [add_clause t lits] adds a clause over literals built with {!Lit}.
     Returns [false] iff the clause system became trivially unsatisfiable
-    (at decision level 0).  Variables must have been allocated. *)
+    (at decision level 0).  Variables must have been allocated: a literal
+    of any other variable raises [Invalid_argument], and the clause is
+    neither logged nor added. *)
 val add_clause : t -> Lit.t list -> bool
 
 (** Initial phase policy for one [solve] call — the polarity each variable
@@ -79,7 +81,10 @@ type polarity_mode =
     decision tie-breaking, [polarity_mode] sets the initial phases, and
     [var_decay] overrides the EVSIDS decay factor (must be in (0,1); default
     0.95, restored on every call).  None of them affect soundness — the same
-    certificate machinery observes every attempt. *)
+    certificate machinery observes every attempt.
+
+    An assumption over a variable that was never allocated raises
+    [Invalid_argument]. *)
 val solve :
   ?assumptions:Lit.t list ->
   ?budget:budget ->

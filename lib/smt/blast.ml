@@ -76,6 +76,50 @@ let mk_or ctx ls =
       add ctx (L.neg r :: ls);
       r
 
+(* Two- and three-input forms of [mk_and]/[mk_or] for the circuits below:
+   the same constant folding, and the same fresh variable and clauses in the
+   same order, without building lists of inputs. *)
+let and2 ctx a b =
+  let f = false_lit ctx in
+  if L.equal a f || L.equal b f then f
+  else if L.equal a ctx.true_lit then b
+  else if L.equal b ctx.true_lit then a
+  else begin
+    let r = fresh ctx in
+    add ctx [ L.neg r; a ];
+    add ctx [ L.neg r; b ];
+    add ctx [ r; L.neg a; L.neg b ];
+    r
+  end
+
+let or2 ctx a b =
+  let t = ctx.true_lit in
+  if L.equal a t || L.equal b t then t
+  else if L.equal a (false_lit ctx) then b
+  else if L.equal b (false_lit ctx) then a
+  else begin
+    let r = fresh ctx in
+    add ctx [ r; L.neg a ];
+    add ctx [ r; L.neg b ];
+    add ctx [ L.neg r; a; b ];
+    r
+  end
+
+let or3 ctx a b c =
+  let t = ctx.true_lit and f = false_lit ctx in
+  if L.equal a t || L.equal b t || L.equal c t then t
+  else if L.equal a f then or2 ctx b c
+  else if L.equal b f then or2 ctx a c
+  else if L.equal c f then or2 ctx a b
+  else begin
+    let r = fresh ctx in
+    add ctx [ r; L.neg a ];
+    add ctx [ r; L.neg b ];
+    add ctx [ r; L.neg c ];
+    add ctx [ L.neg r; a; b; c ];
+    r
+  end
+
 let mk_xor ctx a b =
   if L.equal a (false_lit ctx) then b
   else if L.equal b (false_lit ctx) then a
@@ -106,11 +150,15 @@ let mk_mux ctx c a b =
     r
   end
 
-(* full adder: returns (sum, carry_out) *)
+(* full adder: returns (sum, carry_out).  The carry's products are built
+   b·cin, a·cin, a·b, in that order: the clause stream is part of the
+   report contract (test_smt's cnf-identity digests pin it). *)
 let full_adder ctx a b cin =
   let sum = mk_xor ctx (mk_xor ctx a b) cin in
-  let carry = mk_or ctx [ mk_and ctx [ a; b ]; mk_and ctx [ a; cin ]; mk_and ctx [ b; cin ] ] in
-  (sum, carry)
+  let bc = and2 ctx b cin in
+  let ac = and2 ctx a cin in
+  let ab = and2 ctx a b in
+  (sum, or3 ctx ab ac bc)
 
 (* --- bit-vector circuits --------------------------------------------------- *)
 
@@ -119,16 +167,24 @@ let bv_const ctx ~width value =
       if Int64.logand (Int64.shift_right_logical value i) 1L = 1L then ctx.true_lit
       else false_lit ctx)
 
+let all_false ctx a = Array.for_all (fun l -> L.equal l (false_lit ctx)) a
+
+(* Adding zero with no carry in: every full adder would fold to (x, false)
+   without a fresh variable or a clause, so return the other operand. *)
 let ripple_add ctx a b cin =
-  let w = Array.length a in
-  let out = Array.make w cin in
-  let carry = ref cin in
-  for i = 0 to w - 1 do
-    let s, c = full_adder ctx a.(i) b.(i) !carry in
-    out.(i) <- s;
-    carry := c
-  done;
-  out
+  if L.equal cin (false_lit ctx) && all_false ctx b then a
+  else if L.equal cin (false_lit ctx) && all_false ctx a then b
+  else begin
+    let w = Array.length a in
+    let out = Array.make w cin in
+    let carry = ref cin in
+    for i = 0 to w - 1 do
+      let s, c = full_adder ctx a.(i) b.(i) !carry in
+      out.(i) <- s;
+      carry := c
+    done;
+    out
+  end
 
 let bv_add ctx a b = ripple_add ctx a b (false_lit ctx)
 let bv_not a = Array.map mk_not a
@@ -137,15 +193,18 @@ let bv_neg ctx a = bv_sub ctx (bv_const ctx ~width:(Array.length a) 0L) a
 
 let bv_bitwise ctx f a b = Array.init (Array.length a) (fun i -> f ctx a.(i) b.(i))
 
+(* Shift-and-add.  A row whose multiplier bit is the constant false is all
+   false and would add nothing, so it is skipped. *)
 let bv_mul ctx a b =
   let w = Array.length a in
   let acc = ref (bv_const ctx ~width:w 0L) in
   for i = 0 to w - 1 do
-    let partial =
-      Array.init w (fun j ->
-          if j < i then false_lit ctx else mk_and ctx [ a.(j - i); b.(i) ])
-    in
-    acc := bv_add ctx !acc partial
+    if not (L.equal b.(i) (false_lit ctx)) then begin
+      let partial =
+        Array.init w (fun j -> if j < i then false_lit ctx else and2 ctx a.(j - i) b.(i))
+      in
+      acc := bv_add ctx !acc partial
+    end
   done;
   !acc
 
@@ -168,7 +227,7 @@ let bv_shift ctx ~left a b =
       let picks = ref [] in
       for s = 0 to w - 1 do
         let src = if left then i - s else i + s in
-        if src >= 0 && src < w then picks := mk_and ctx [ conds.(s); a.(src) ] :: !picks
+        if src >= 0 && src < w then picks := and2 ctx conds.(s) a.(src) :: !picks
       done;
       mk_or ctx !picks)
 
@@ -179,9 +238,9 @@ let bv_ult ctx a b =
   let w = Array.length a in
   let res = ref (false_lit ctx) in
   for i = 0 to w - 1 do
-    let lt_here = mk_and ctx [ mk_not a.(i); b.(i) ] in
+    let lt_here = and2 ctx (mk_not a.(i)) b.(i) in
     let eq_here = mk_iff ctx a.(i) b.(i) in
-    res := mk_or ctx [ lt_here; mk_and ctx [ eq_here; !res ] ]
+    res := or2 ctx lt_here (and2 ctx eq_here !res)
   done;
   !res
 
@@ -233,7 +292,10 @@ let rec blast_bool ctx (t : Term.t) : L.t =
       | Not t -> mk_not (blast_bool ctx t)
       | And ts -> mk_and ctx (List.map (blast_bool ctx) ts)
       | Or ts -> mk_or ctx (List.map (blast_bool ctx) ts)
-      | Implies (a, b) -> mk_or ctx [ mk_not (blast_bool ctx a); blast_bool ctx b ]
+      | Implies (a, b) ->
+        (* [b] is blasted first: blasting order numbers the variables. *)
+        let lb = blast_bool ctx b in
+        or2 ctx (mk_not (blast_bool ctx a)) lb
       | Iff (a, b) -> mk_iff ctx (blast_bool ctx a) (blast_bool ctx b)
       | Xor (a, b) -> mk_xor ctx (blast_bool ctx a) (blast_bool ctx b)
       | Ite (c, a, b) ->
@@ -336,8 +398,8 @@ and blast_bv ctx (t : Term.t) : L.t array =
          | Bv_add -> bv_add ctx ba bb
          | Bv_sub -> bv_sub ctx ba bb
          | Bv_mul -> bv_mul ctx ba bb
-         | Bv_and -> bv_bitwise ctx (fun ctx x y -> mk_and ctx [ x; y ]) ba bb
-         | Bv_or -> bv_bitwise ctx (fun ctx x y -> mk_or ctx [ x; y ]) ba bb
+         | Bv_and -> bv_bitwise ctx and2 ba bb
+         | Bv_or -> bv_bitwise ctx or2 ba bb
          | Bv_xor -> bv_bitwise ctx mk_xor ba bb
          | Bv_shl -> bv_shift ctx ~left:true ba bb
          | Bv_lshr -> bv_shift ctx ~left:false ba bb)

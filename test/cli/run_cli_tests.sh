@@ -16,6 +16,17 @@ echo "# check: clean DTS passes"
   > "$TMP/check.out" || fail "check should pass"
 grep -q "all checks passed" "$TMP/check.out" || fail "expected 'all checks passed'"
 
+echo "# check --certify: report matches the golden byte for byte"
+# Run from the directory holding examples/ so the report names the DTS as
+# the golden does; the per-query trace-step counts pin the blasted CNF.
+LLHSC_ABS=$(cd "$(dirname "$LLHSC")" && pwd)/$(basename "$LLHSC")
+GOLDEN=$(cd "$(dirname "$0")/../golden" && pwd)
+(cd "$FIXTURES/../.." && "$LLHSC_ABS" check examples/files/custom-sbc.dts \
+  --schemas examples/files/schemas --certify) > "$TMP/certify.out" \
+  || fail "certified check should pass"
+cmp "$GOLDEN/check_certify.expected" "$TMP/certify.out" \
+  || fail "certified check report differs from test/golden/check_certify.expected"
+
 echo "# check: clash is detected and exits non-zero"
 sed 's/0x0 0x20000000 0x0 0x1000/0x0 0x60000000 0x0 0x1000/' \
   "$FIXTURES/custom-sbc.dts" > "$TMP/clash.dts"

@@ -31,6 +31,51 @@ let test_contradiction () =
   check_sat "becomes trivially unsat" false ok;
   check_sat "unsat" true (Sat.Solver.solve s = Unsat)
 
+(* add_clause stores the sorted clause without duplicates or literals false
+   at level 0, drops tautologies and satisfied clauses, and logs every
+   input verbatim. *)
+let test_add_clause_simplifies () =
+  let s, v = fresh_solver 4 in
+  Sat.Solver.enable_proof s;
+  let add lits = Sat.Solver.add_clause s lits in
+  let stored () = Sat.Solver.num_clauses s in
+  check_sat "tautology accepted" true (add [ lit v.(0); nlit v.(1); nlit v.(0) ]);
+  Alcotest.(check int) "tautology not stored" 0 (stored ());
+  check_sat "duplicate unit accepted" true (add [ lit v.(1); lit v.(1) ]);
+  Alcotest.(check int) "unit not stored" 0 (stored ());
+  check_sat "false literal dropped" true (add [ lit v.(3); nlit v.(1); lit v.(2) ]);
+  Alcotest.(check int) "binary stored" 1 (stored ());
+  check_sat "satisfied accepted" true (add [ lit v.(2); lit v.(1) ]);
+  Alcotest.(check int) "satisfied not stored" 1 (stored ());
+  check_sat "sat" true (Sat.Solver.solve s = Sat);
+  check_sat "unit propagated" true (Sat.Solver.value s v.(1));
+  check_sat "all false refutes" false (add [ nlit v.(1); nlit v.(1) ]);
+  let proof = Option.get (Sat.Solver.proof s) in
+  Alcotest.(check int) "every input logged" 5 (Sat.Proof.n_inputs proof);
+  match Sat.Proof.step proof 2 with
+  | Sat.Proof.Input c ->
+    Alcotest.(check (array int)) "logged verbatim" [| lit v.(3); nlit v.(1); lit v.(2) |] c
+  | _ -> Alcotest.fail "expected an input step"
+
+(* Variables must be allocated before a clause or an assumption names
+   them; otherwise the literal would read and write unowned slots. *)
+let test_unallocated_variables_rejected () =
+  let s, _ = fresh_solver 1 in
+  Sat.Solver.enable_proof s;
+  Alcotest.check_raises "clause"
+    (Invalid_argument "Solver.add_clause: literal of an unallocated variable") (fun () ->
+      ignore (Sat.Solver.add_clause s [ lit 5 ] : bool));
+  Alcotest.check_raises "negative literal"
+    (Invalid_argument "Solver.add_clause: literal of an unallocated variable") (fun () ->
+      ignore (Sat.Solver.add_clause s [ lit 0; -1 ] : bool));
+  Alcotest.check_raises "assumption"
+    (Invalid_argument "Solver.solve: assumption of an unallocated variable") (fun () ->
+      ignore (Sat.Solver.solve ~assumptions:[ lit 9 ] s : Sat.Solver.result));
+  Alcotest.(check int) "nothing logged" 0 (Sat.Proof.length (Option.get (Sat.Solver.proof s)));
+  Alcotest.(check int) "nothing stored" 0 (Sat.Solver.num_clauses s);
+  check_sat "still usable" true (Sat.Solver.solve ~assumptions:[ lit 0 ] s = Sat);
+  check_sat "assumption holds" true (Sat.Solver.value s 0)
+
 let test_propagation_chain () =
   (* x0 and a chain x_i -> x_{i+1} forces everything true. *)
   let n = 50 in
@@ -640,6 +685,9 @@ let () =
           Alcotest.test_case "empty" `Quick test_empty;
           Alcotest.test_case "unit clause" `Quick test_unit_clause;
           Alcotest.test_case "contradiction" `Quick test_contradiction;
+          Alcotest.test_case "add_clause simplifies" `Quick test_add_clause_simplifies;
+          Alcotest.test_case "unallocated variables rejected" `Quick
+            test_unallocated_variables_rejected;
           Alcotest.test_case "propagation chain" `Quick test_propagation_chain;
           Alcotest.test_case "triangle coloring" `Quick test_three_coloring_triangle;
           Alcotest.test_case "pigeonhole" `Quick test_pigeonhole;

@@ -630,6 +630,170 @@ let test_binary_predicate () =
   S.assert_ s (T.not_ (req "net" "mem"));
   check_bool "contradiction unsat" false (is_sat (S.check s))
 
+(* --- CNF identity --------------------------------------------------------------- *)
+
+(* The clauses the blaster hands the SAT solver are part of the report
+   contract: certified reports print each query's trace-step count, and
+   models, cores and containment witnesses follow from the exact clause
+   stream.  These tests blast fixed terms onto a proof-logging solver, solve
+   under activation literals as the checker's scopes do, and pin the digest
+   of the whole trace (input clauses verbatim, then learnt clauses and
+   deletions) together with the variable and clause counts.  An optimisation
+   of [Blast] or [Sat.Solver] must reproduce all of it. *)
+
+let cnf_enum_sorts =
+  [ ("props", [ "compatible"; "reg"; "status"; "interrupts"; "clocks" ]);
+    ("status", [ "okay"; "disabled"; "reserved" ]) ]
+
+(* Blast each group's terms, each guarded by a fresh activation literal;
+   then solve once per group with that group's literals assumed. *)
+let cnf_digest groups =
+  let sat = Sat.Solver.create () in
+  Sat.Solver.enable_proof sat;
+  let enum_universe s = Array.of_list (List.assoc s cnf_enum_sorts) in
+  let sort_of = T.sort_of ~enum_sorts:(fun s -> List.assoc_opt s cnf_enum_sorts) in
+  let ctx = Smt.Blast.create ~sat ~enum_universe ~sort_of in
+  let guard term =
+    let l = Smt.Blast.blast_bool ctx term in
+    let act = Sat.Lit.of_var (Sat.Solver.new_var sat) in
+    ignore (Sat.Solver.add_clause sat [ Sat.Lit.neg act; l ] : bool);
+    act
+  in
+  let acts = List.map (List.map guard) groups in
+  let verdicts =
+    List.map
+      (fun assumptions ->
+        match Sat.Solver.solve ~assumptions sat with
+        | Sat.Solver.Sat -> "sat"
+        | Sat.Solver.Unsat -> "unsat"
+        | Sat.Solver.Unknown -> "unknown")
+      acts
+  in
+  let trace = Fmt.str "%a" Sat.Proof.pp_drup (Option.get (Sat.Solver.proof sat)) in
+  ( Digest.to_hex (Digest.string trace),
+    Sat.Solver.num_vars sat,
+    Sat.Solver.num_clauses sat,
+    String.concat " " verdicts )
+
+let check_cnf name (digest, vars, clauses, verdicts) actual =
+  let digest', vars', clauses', verdicts' = actual in
+  Alcotest.(check string) (name ^ ": verdicts") verdicts verdicts';
+  Alcotest.(check int) (name ^ ": vars") vars vars';
+  Alcotest.(check int) (name ^ ": stored clauses") clauses clauses';
+  Alcotest.(check string) (name ^ ": trace digest") digest digest'
+
+(* The shapes the schema compiler and the semantic checks emit. *)
+let test_cnf_checker_shapes () =
+  let path = "/soc/uart@10000000" in
+  let pname p = T.enum ~sort:"props" p in
+  let r x = T.pred ("R|uart|" ^ path) [ x ] and c x = T.pred ("C|uart|" ^ path) [ x ] in
+  let forall f = T.and_ (List.map (fun p -> f (pname p)) (List.assoc "props" cnf_enum_sorts)) in
+  let cnt = T.bv_var "cnt" ~width:16 and cells = T.bv_var "cells" ~width:16 in
+  let cell i = T.bv_var (Printf.sprintf "cell|%d" i) ~width:32 in
+  let cell0 = T.bv_var "cell0" ~width:64 in
+  let wide t = T.zero_extend ~by:16 t in
+  let multiple_of m q =
+    T.implies (r (pname "reg"))
+      (T.eq (wide cells) (T.mul (wide (T.bv_of_int ~width:16 m)) (wide (T.bv_var q ~width:16))))
+  in
+  let status = T.enum_var "valv|status" ~sort:"status" in
+  let present = [ "compatible"; "reg"; "status" ] in
+  let base i = T.bv_var (Printf.sprintf "base%d" i) ~width:64 in
+  let shapes =
+    [ T.eq cnt (T.bv_of_int ~width:16 2);
+      T.eq cells (T.bv_of_int ~width:16 12);
+      T.implies (r (pname "reg")) (T.eq (cell 0) (T.bv ~width:32 0x10000000L));
+      T.eq (cell 1) (T.bv ~width:32 0x1000L);
+      T.eq cell0 (T.bv ~width:64 0x10000000L);
+      T.implies (r (pname "reg")) (T.ule (T.bv_of_int ~width:16 1) cnt);
+      T.implies (r (pname "reg")) (T.ule cnt (T.bv_of_int ~width:16 4));
+      T.implies (r (pname "reg")) (T.uge cell0 (T.bv ~width:64 0x10000000L));
+      T.implies (r (pname "reg")) (T.ule cell0 (T.bv ~width:64 0x1fffffffL));
+      multiple_of 1 "q1";
+      multiple_of 2 "q2";
+      multiple_of 3 "q3";
+      multiple_of 12 "q12";
+      T.implies (r (pname "status"))
+        (T.or_ [ T.eq status (T.enum ~sort:"status" "okay"); T.eq status (T.enum ~sort:"status" "disabled") ]);
+      T.eq status (T.enum ~sort:"status" "okay");
+      forall (fun x -> T.iff (c x) (T.or_ (List.map (fun p -> T.eq x (pname p)) present)));
+      forall (fun x ->
+          T.and_ [ T.implies (c x) (r x); T.implies (T.not_ (c x)) (T.not_ (r x)) ]);
+      T.distinct [ base 0; base 1; base 2 ];
+    ]
+  in
+  (* Five 64-bit bases below 4 cannot be distinct: a search with conflicts,
+     so learnt clauses enter the trace too. *)
+  let pigeons =
+    T.distinct (List.init 5 (fun i -> base (10 + i)))
+    :: List.init 5 (fun i -> T.ule (base (10 + i)) (T.bv ~width:64 3L))
+  in
+  (* 12 is not a multiple of 5. *)
+  let not_multiple =
+    [ r (pname "reg"); multiple_of 5 "q5"; T.eq cells (T.bv_of_int ~width:16 12) ]
+  in
+  check_cnf "checker shapes"
+    ("a5180b17e318863579898f8598785dc1", 2884, 8447, "sat unsat unsat")
+    (cnf_digest [ shapes; pigeons; not_multiple ])
+
+(* Seeded terms over gen_term's grammar.  A local xorshift drives the
+   choices, so the terms do not depend on the generator internals of
+   QCheck or Stdlib.Random, which differ between library versions. *)
+let seeded_terms ~seed ~width n =
+  let state = ref seed in
+  let next bound =
+    let x = !state in
+    let x = x lxor ((x lsl 13) land 0xFFFFFFFF) in
+    let x = x lxor (x lsr 17) in
+    let x = x lxor ((x lsl 5) land 0xFFFFFFFF) in
+    state := x;
+    x mod bound
+  in
+  let leaf () =
+    match next 3 with
+    | 0 -> T.bv_var "a" ~width
+    | 1 -> T.bv_var "b" ~width
+    | _ -> T.bv ~width (Int64.of_int (next 1001))
+  in
+  let rec gen n =
+    if n = 0 then leaf ()
+    else
+      let binary op =
+        let x = gen (n / 2) in
+        let y = gen (n / 2) in
+        op x y
+      in
+      match next 11 with
+      | 0 -> leaf ()
+      | 1 -> binary T.add
+      | 2 -> binary T.sub
+      | 3 -> binary T.mul
+      | 4 -> binary T.band
+      | 5 -> binary T.bor
+      | 6 -> binary T.bxor
+      | 7 -> T.bnot (gen (n / 2))
+      | 8 -> T.neg (gen (n / 2))
+      | 9 -> binary T.shl
+      | _ -> binary T.lshr
+  in
+  List.init n (fun _ -> gen 3)
+
+let test_cnf_seeded_terms () =
+  List.iter
+    (fun (width, expected) ->
+      let terms = seeded_terms ~seed:(0x9E3779B9 + width) ~width 6 in
+      let result i term = T.eq term (T.bv_var (Printf.sprintf "r%d" i) ~width) in
+      let pin name v = T.eq (T.bv_var name ~width) (T.bv ~width v) in
+      (* The results as free circuits, then every result under fixed inputs. *)
+      let circuits = List.mapi result terms in
+      let fixed = pin "a" 0x5A5A5A5A5A5A5A5AL :: pin "b" 0x0123456789ABCDEFL :: circuits in
+      check_cnf (Printf.sprintf "width %d" width) expected (cnf_digest [ circuits; fixed ]))
+    [ (8, ("2a5c9991fe233d9abac020ee9eee37f5", 377, 1290, "sat sat"));
+      (16, ("aad1f1d27d6ae2b2d3e6fc5f2921729e", 1870, 6348, "sat sat"));
+      (32, ("3c2e4a6e88ceae5eb811cc0295893ecc", 5227, 19653, "sat sat"));
+      (64, ("dc9ea3886e9cdcd57a86f2281454143b", 18053, 60711, "sat sat"));
+    ]
+
 let () =
   Alcotest.run "smt"
     [
@@ -714,5 +878,10 @@ let () =
           QCheck_alcotest.to_alcotest (prop_blaster_matches_interp 32);
           QCheck_alcotest.to_alcotest (prop_comparisons_match 8);
           QCheck_alcotest.to_alcotest (prop_comparisons_match 16);
+        ] );
+      ( "cnf-identity",
+        [
+          Alcotest.test_case "checker shapes" `Quick test_cnf_checker_shapes;
+          Alcotest.test_case "seeded terms" `Quick test_cnf_seeded_terms;
         ] );
     ]
