@@ -647,7 +647,7 @@ let write_supervision_json path =
      in-process — the full supervision path on every run. *)
   let baseline = outcome_string (Llhsc.Quad_rv64.run_pipeline ~jobs:1 ()) in
   let kill_ms, kill_identical =
-    with_env "LLHSC_FAULT_KILL_WORKER" "0" (fun () ->
+    with_env "LLHSC_FAULT" "kill-worker@0" (fun () ->
         let ms =
           median_ms ~runs (fun () -> Llhsc.Quad_rv64.run_pipeline ~jobs:2 ())
         in
@@ -939,7 +939,7 @@ let write_fleet_json path =
     ignore (Benchlib.Harness.wait_port_file ~timeout:10. port_file : int);
     let wpids =
       List.init workers (fun i ->
-          let env = if kill && i = 0 then [ "LLHSC_FAULT_KILL_WORKER=1" ] else [] in
+          let env = if kill && i = 0 then [ "LLHSC_FAULT=kill-worker@1" ] else [] in
           spawn ~env ~out:devnull
             [ "worker"; "--port-file"; port_file; "--max-reconnects"; "3" ])
     in

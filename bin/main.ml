@@ -44,12 +44,16 @@ let load_tree path =
   | Ok tree -> tree
   | Error errs -> raise (Input_errors (List.map Diag.parse_error errs))
 
-let load_schemas = function
+(* The .yaml/.yml files of a --schemas directory, in name order. *)
+let schema_files = function
   | None -> []
   | Some dir ->
     Sys.readdir dir |> Array.to_list |> List.sort String.compare
     |> List.filter (fun f -> Filename.check_suffix f ".yaml" || Filename.check_suffix f ".yml")
-    |> List.map (fun f -> Schema.Binding.of_string (read_file (Filename.concat dir f)))
+    |> List.map (Filename.concat dir)
+
+let load_schemas dir =
+  List.map (fun f -> Schema.Binding.of_string (read_file f)) (schema_files dir)
 
 let print_findings findings =
   List.iter (fun f -> Fmt.pr "%a@." Llhsc.Report.pp f) findings
@@ -223,6 +227,55 @@ let exit_of_outcome outcome =
   else if Llhsc.Pipeline.ok outcome then 0
   else 1
 
+(* The worker resource guards of `pipeline` and `worker`. *)
+let check_limits mem_limit cpu_limit =
+  (match mem_limit with
+   | Some m when m <= 0 ->
+     failwith (Printf.sprintf "--mem-limit wants a positive MiB count, got %d" m)
+   | _ -> ());
+  match cpu_limit with
+  | Some c when c <= 0 ->
+    failwith (Printf.sprintf "--cpu-limit wants a positive second count, got %d" c)
+  | _ -> ()
+
+(* The per-task lease of `pipeline` and `dispatch`.  Without an explicit
+   --task-deadline, derive one from the per-query solver timeout: a
+   lease covers a whole task (at most a chunk of obligations), so give
+   it a generous multiple plus slack.  [None] when neither flag is
+   given. *)
+let task_deadline_of task_deadline timeout =
+  match (task_deadline, timeout) with
+  | Some d, _ when d <= 0. ->
+    failwith (Printf.sprintf "--task-deadline wants a positive duration, got %g" d)
+  | (Some _ as d), _ -> d
+  | None, Some t -> Some ((t *. 32.) +. 10.)
+  | None, None -> None
+
+(* The checked products' DTS plus the Bao platform.c and config.c, into
+   [dir]; [wrote path] runs after each file commits. *)
+let write_artifacts ~wrote dir outcome =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let products = outcome.Llhsc.Pipeline.products in
+  let emit name contents =
+    let path = Filename.concat dir name in
+    write_file path contents;
+    wrote path
+  in
+  List.iter
+    (fun p ->
+      emit (p.Llhsc.Pipeline.name ^ ".dts")
+        (Devicetree.Printer.to_string p.Llhsc.Pipeline.tree))
+    products;
+  (match List.find_opt (fun p -> p.Llhsc.Pipeline.name = "platform") products with
+   | Some platform ->
+     emit "platform.c" (Bao.Platform.to_c (Bao.Platform.of_tree platform.Llhsc.Pipeline.tree))
+   | None -> ());
+  let vm_products = List.filter (fun p -> p.Llhsc.Pipeline.name <> "platform") products in
+  emit "config.c"
+    (Bao.Config.to_c
+       (Bao.Config.of_vm_trees
+          (List.map (fun p -> (p.Llhsc.Pipeline.name, p.Llhsc.Pipeline.tree)) vm_products)))
+
 let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features exclusive
     out_dir max_conflicts timeout certify retry journal_path resume unsound jobs
     task_deadline max_respawns mem_limit cpu_limit =
@@ -232,29 +285,10 @@ let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features ex
       (Printf.sprintf "--jobs wants a worker count >= 0 (0 = auto-detect), got %d" jobs);
   if max_respawns < 0 then
     failwith (Printf.sprintf "--max-respawns wants a count >= 0, got %d" max_respawns);
-  (match task_deadline with
-   | Some d when d <= 0. ->
-     failwith (Printf.sprintf "--task-deadline wants a positive duration, got %g" d)
-   | _ -> ());
-  (match mem_limit with
-   | Some m when m <= 0 ->
-     failwith (Printf.sprintf "--mem-limit wants a positive MiB count, got %d" m)
-   | _ -> ());
-  (match cpu_limit with
-   | Some c when c <= 0 ->
-     failwith (Printf.sprintf "--cpu-limit wants a positive second count, got %d" c)
-   | _ -> ());
-  (* Without an explicit --task-deadline, derive one from the per-query
-     solver timeout: a worker's lease covers a whole task (at most a
-     chunk of obligations), so give it a generous multiple plus slack.
-     No deadline at all when neither flag is given — supervision must
+  (* No deadline at all when neither flag is given: supervision must
      never kill a legitimately slow unbudgeted run. *)
-  let task_deadline =
-    match (task_deadline, timeout) with
-    | (Some _ as d), _ -> d
-    | None, Some t -> Some ((t *. 32.) +. 10.)
-    | None, None -> None
-  in
+  let task_deadline = task_deadline_of task_deadline timeout in
+  check_limits mem_limit cpu_limit;
   let core = load_tree core_path in
   let deltas = Delta.Parse.parse ~file:deltas_path (read_file deltas_path) in
   let model = Featuremodel.Parse.parse (read_file fm_path) in
@@ -264,19 +298,10 @@ let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features ex
      verdict-affecting flags.  Threaded into every journal record's content
      hash, so --resume re-checks when any of it changed. *)
   let inputs_hash =
-    let schema_bytes =
-      match schema_dir with
-      | None -> []
-      | Some dir ->
-        Sys.readdir dir |> Array.to_list |> List.sort String.compare
-        |> List.filter (fun f ->
-               Filename.check_suffix f ".yaml" || Filename.check_suffix f ".yml")
-        |> List.map (fun f -> read_file (Filename.concat dir f))
-    in
     Llhsc.Journal.inputs_hash
       ~parts:
         ([ read_file core_path; read_file deltas_path; read_file fm_path ]
-        @ schema_bytes
+        @ List.map read_file (schema_files schema_dir)
         @ List.map (String.concat ",") vm_features
         @ exclusive
         @ [ Printf.sprintf "conflicts=%s timeout=%s certify=%b retry=%s unsound=%s"
@@ -358,31 +383,7 @@ let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features ex
   Fmt.pr "%a" Llhsc.Pipeline.pp_outcome outcome;
   (match out_dir with
    | Some dir when Llhsc.Pipeline.ok outcome ->
-     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-     let vm_products =
-       List.filter (fun p -> p.Llhsc.Pipeline.name <> "platform") outcome.Llhsc.Pipeline.products
-     in
-     List.iter
-       (fun p ->
-         let path = Filename.concat dir (p.Llhsc.Pipeline.name ^ ".dts") in
-         write_file path (Devicetree.Printer.to_string p.Llhsc.Pipeline.tree);
-         Fmt.pr "wrote %s@." path)
-       outcome.Llhsc.Pipeline.products;
-     (* Bao artifacts. *)
-     (match
-        List.find_opt (fun p -> p.Llhsc.Pipeline.name = "platform") outcome.Llhsc.Pipeline.products
-      with
-      | Some platform ->
-        let c = Bao.Platform.to_c (Bao.Platform.of_tree platform.Llhsc.Pipeline.tree) in
-        write_file (Filename.concat dir "platform.c") c;
-        Fmt.pr "wrote %s@." (Filename.concat dir "platform.c")
-      | None -> ());
-     let cfg =
-       Bao.Config.of_vm_trees
-         (List.map (fun p -> (p.Llhsc.Pipeline.name, p.Llhsc.Pipeline.tree)) vm_products)
-     in
-     write_file (Filename.concat dir "config.c") (Bao.Config.to_c cfg);
-     Fmt.pr "wrote %s@." (Filename.concat dir "config.c")
+     write_artifacts ~wrote:(Fmt.pr "wrote %s@.") dir outcome
    | Some _ -> Fmt.pr "checks failed; not writing artifacts@."
    | None -> ());
   exit_of_outcome outcome
@@ -466,19 +467,10 @@ let cmd_dispatch listen min_workers wait_workers port_file ship secret_file
     failwith (Printf.sprintf "--min-workers wants a count >= 0, got %d" min_workers);
   if wait_workers < 0. then
     failwith (Printf.sprintf "--wait-workers wants seconds >= 0, got %g" wait_workers);
-  (match task_deadline with
-   | Some d when d <= 0. ->
-     failwith (Printf.sprintf "--task-deadline wants a positive duration, got %g" d)
-   | _ -> ());
   (* A remote lease must always expire eventually — a partitioned worker
      holds its tasks until then — so unlike the local pool there is a
      hard default. *)
-  let deadline =
-    match (task_deadline, timeout) with
-    | Some d, _ -> d
-    | None, Some t -> (t *. 32.) +. 10.
-    | None, None -> 60.
-  in
+  let deadline = Option.value ~default:60. (task_deadline_of task_deadline timeout) in
   (* Everything a worker needs to replan the run, as raw bytes keyed by
      the original file-name strings (so remote diagnostics match local
      ones byte for byte).  /include/d files are shipped by name:
@@ -500,20 +492,11 @@ let cmd_dispatch listen min_workers wait_workers port_file ship secret_file
     let explicit = List.map ship_entry ship in
     explicit @ auto (* first match wins on lookup: --ship overrides *)
   in
-  let schemas =
-    match schema_dir with
-    | None -> []
-    | Some dir ->
-      Sys.readdir dir |> Array.to_list |> List.sort String.compare
-      |> List.filter (fun f ->
-             Filename.check_suffix f ".yaml" || Filename.check_suffix f ".yml")
-      |> List.map (fun f -> read_file (Filename.concat dir f))
-  in
   let spec =
     { Fleet.Spec.core = { Fleet.Spec.file = core_path; text = read_file core_path };
       deltas = { Fleet.Spec.file = deltas_path; text = read_file deltas_path };
       model = read_file fm_path;
-      schemas;
+      schemas = List.map read_file (schema_files schema_dir);
       files;
       vms = vm_features;
       exclusive;
@@ -548,14 +531,7 @@ let cmd_worker connect port_file max_reconnects mem_limit cpu_limit secret_file
   handle_errors @@ fun () ->
   if max_reconnects < 0 then
     failwith (Printf.sprintf "--max-reconnects wants a count >= 0, got %d" max_reconnects);
-  (match mem_limit with
-   | Some m when m <= 0 ->
-     failwith (Printf.sprintf "--mem-limit wants a positive MiB count, got %d" m)
-   | _ -> ());
-  (match cpu_limit with
-   | Some c when c <= 0 ->
-     failwith (Printf.sprintf "--cpu-limit wants a positive second count, got %d" c)
-   | _ -> ());
+  check_limits mem_limit cpu_limit;
   let host, port =
     match connect with
     | Some s ->
@@ -569,28 +545,6 @@ let cmd_worker connect port_file max_reconnects mem_limit cpu_limit secret_file
   Fleet.Worker.run
     { Fleet.Worker.host; port; port_file; max_reconnects; mem_limit; cpu_limit;
       secret }
-
-(* --- chaosproxy ------------------------------------------------------------- *)
-
-let cmd_chaosproxy listen upstream port_file seed corrupt drop trunc stall
-    stall_ms reorder dup split =
-  handle_errors @@ fun () ->
-  let listen_host, listen_port = parse_hostport "--listen" listen in
-  let upstream_host, upstream_port = parse_hostport "--upstream" upstream in
-  List.iter
-    (fun (flag, p) ->
-      if p < 0. || p > 1. then
-        failwith (Printf.sprintf "%s wants a probability in 0..1, got %g" flag p))
-    [ ("--corrupt", corrupt); ("--drop", drop); ("--truncate", trunc);
-      ("--stall", stall); ("--reorder", reorder); ("--dup", dup);
-      ("--split", split) ];
-  if stall_ms < 0 then
-    failwith (Printf.sprintf "--stall-ms wants milliseconds >= 0, got %d" stall_ms);
-  Fleet.Chaos.run
-    { Fleet.Chaos.listen_host; listen_port; upstream_host; upstream_port;
-      port_file; seed; corrupt; drop; trunc; stall; stall_ms; reorder; dup;
-      split };
-  0
 
 (* --- serve ------------------------------------------------------------------------ *)
 
@@ -752,27 +706,7 @@ let cmd_build project_path =
   (match Option.bind (Schema.Yaml_lite.find "output" y) Schema.Yaml_lite.as_string with
    | Some out when Llhsc.Pipeline.ok outcome ->
      let out = resolve out in
-     if not (Sys.file_exists out) then Sys.mkdir out 0o755;
-     List.iter
-       (fun p ->
-         write_file
-           (Filename.concat out (p.Llhsc.Pipeline.name ^ ".dts"))
-           (Devicetree.Printer.to_string p.Llhsc.Pipeline.tree))
-       outcome.Llhsc.Pipeline.products;
-     (match
-        List.find_opt (fun p -> p.Llhsc.Pipeline.name = "platform") outcome.Llhsc.Pipeline.products
-      with
-      | Some platform ->
-        write_file (Filename.concat out "platform.c")
-          (Bao.Platform.to_c (Bao.Platform.of_tree platform.Llhsc.Pipeline.tree))
-      | None -> ());
-     let vm_products =
-       List.filter (fun p -> p.Llhsc.Pipeline.name <> "platform") outcome.Llhsc.Pipeline.products
-     in
-     write_file (Filename.concat out "config.c")
-       (Bao.Config.to_c
-          (Bao.Config.of_vm_trees
-             (List.map (fun p -> (p.Llhsc.Pipeline.name, p.Llhsc.Pipeline.tree)) vm_products)));
+     write_artifacts ~wrote:ignore out outcome;
      Fmt.pr "artifacts written to %s@." out
    | Some _ -> Fmt.pr "checks failed; not writing artifacts@."
    | None -> ());
@@ -1193,58 +1127,6 @@ let worker_cmd =
     Term.(const cmd_worker $ connect $ port_file $ max_reconnects $ mem_limit
           $ cpu_limit $ secret_file)
 
-let chaosproxy_cmd =
-  let listen =
-    Arg.(value & opt string "127.0.0.1:0"
-         & info [ "listen" ] ~docv:"HOST:PORT"
-             ~doc:"Bind address for proxied clients (port 0 picks an \
-                   ephemeral port; see --port-file).")
-  in
-  let upstream =
-    Arg.(required & opt (some string) None
-         & info [ "upstream" ] ~docv:"HOST:PORT"
-             ~doc:"Where real connections go (the dispatcher).")
-  in
-  let port_file =
-    Arg.(value & opt (some string) None
-         & info [ "port-file" ] ~docv:"FILE"
-             ~doc:"Write the bound port to $(docv) once listening (workers \
-                   can poll it with their own --port-file).")
-  in
-  let seed =
-    Arg.(value & opt int 1
-         & info [ "seed" ] ~docv:"N"
-             ~doc:"Seed for the chaos schedule; the same seed injects the \
-                   same fault mix.")
-  in
-  let prob name doc = Arg.(value & opt float 0. & info [ name ] ~docv:"P" ~doc) in
-  let corrupt = prob "corrupt" "Per-chunk probability of one flipped byte." in
-  let drop = prob "drop" "Per-chunk probability of killing the connection (partition)." in
-  let trunc = prob "truncate" "Per-chunk probability of truncating the chunk." in
-  let stall = prob "stall" "Per-chunk probability of delaying delivery by --stall-ms." in
-  let stall_ms =
-    Arg.(value & opt int 100
-         & info [ "stall-ms" ] ~docv:"MS" ~doc:"Stall duration in milliseconds.")
-  in
-  let reorder = prob "reorder" "Per-chunk probability of delivering newer bytes before older ones." in
-  let dup = prob "dup" "Per-chunk probability of delivering the chunk twice." in
-  let split = prob "split" "Per-chunk probability of splitting the chunk into two writes." in
-  Cmd.v
-    (Cmd.info "chaosproxy"
-       ~doc:"Seeded fault-injecting TCP proxy for fleet testing"
-       ~man:
-         [ `S Manpage.s_description;
-           `P "Relays TCP connections to --upstream while injecting \
-               partitions, corruption, truncation, stalls, reordering, \
-               duplication and split writes at seeded per-chunk \
-               probabilities.  Point llhsc $(b,worker) processes at the \
-               proxy and the dispatcher at the other side to rehearse a \
-               hostile network: the fleet protocol must degrade every \
-               injected fault to dead-worker handling and keep the \
-               dispatcher's report byte-identical to a local run." ])
-    Term.(const cmd_chaosproxy $ listen $ upstream $ port_file $ seed $ corrupt
-          $ drop $ trunc $ stall $ stall_ms $ reorder $ dup $ split)
-
 let dtb_cmd =
   let input = Arg.(required & pos 0 (some string) None & info [] ~docv:"INPUT") in
   let output = Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUTPUT") in
@@ -1448,7 +1330,14 @@ let main_cmd =
     (Cmd.info "llhsc" ~version:"1.0.0"
        ~doc:"DeviceTree syntax and semantic checker for static-partitioning hypervisors")
     [ check_cmd; products_cmd; configure_cmd; analyze_cmd; generate_cmd; pipeline_cmd;
-      dispatch_cmd; worker_cmd; chaosproxy_cmd; build_cmd; dtb_cmd; diff_cmd;
+      dispatch_cmd; worker_cmd; build_cmd; dtb_cmd; diff_cmd;
       overlay_cmd; smt2_cmd; sat_cmd; serve_cmd; journal_cmd; demo_cmd ]
 
-let () = exit (Cmd.eval' main_cmd)
+(* A malformed fault schedule would silently run with no fault, so it
+   stops every subcommand before any work. *)
+let () =
+  match Llhsc.Fault.check () with
+  | Error msg ->
+    Fmt.epr "%a@." Diag.pp (Diag.make ~code:"FAULT" "%s" msg);
+    exit 2
+  | Ok () -> exit (Cmd.eval' main_cmd)

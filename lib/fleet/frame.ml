@@ -1,1 +1,2 @@
-include Llhsc.Frame (* the codec moved to Llhsc.Frame; Fleet.Frame stays a name for it *)
+(* The codec is Llhsc.Frame; this alias stays because perfbench/replay.ml names it Fleet.Frame. *)
+include Llhsc.Frame

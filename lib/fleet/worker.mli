@@ -18,10 +18,9 @@
     refuses specs from a dispatcher that does not prove knowledge of
     the secret, and all post-handshake frames carry session-keyed MACs.
 
-    The six worker fault hooks ([LLHSC_FAULT_{KILL,HANG,OOM,DROP_CONN,
-    DELAY_RESULT,DUP_RESULT}_WORKER=N], test harness only) are those of
-    {!Llhsc.Shard.serve}; after an injected connection drop the worker
-    reconnects. *)
+    The six worker kinds of the [LLHSC_FAULT] schedule ({!Llhsc.Fault},
+    test harness only) fire in {!Llhsc.Shard.serve}; after an injected
+    connection drop the worker reconnects. *)
 
 type config = {
   host : string;

@@ -1,53 +1,8 @@
 (* Durable I/O with seeded fault injection.  See the .mli for the two
-   disciplines (atomic whole-file replace, checked journal append) and
-   the LLHSC_FAULT_FS schedule grammar.  The design constraint inherited
-   from the other LLHSC_FAULT_* hooks: with the variable unset this
-   module must behave exactly like the stdlib calls it wraps, and under
-   a schedule the n-th operation of each kind must fail identically
-   across runs, so harness failures reproduce from the seed alone. *)
-
-(* --- fault schedule ---------------------------------------------------------- *)
-
-type fault =
-  | Enospc of int (* n-th write fails ENOSPC before writing *)
-  | Short of int (* n-th write persists half, then ENOSPC *)
-  | Eio_fsync of int (* n-th fsync fails EIO *)
-  | Crash_rename of int (* n-th atomic commit dies before the rename *)
-  | Erofs of int (* n-th open-for-write fails EROFS *)
-
-let parse_schedule raw =
-  List.filter_map
-    (fun tok ->
-      let tok = String.trim tok in
-      match String.index_opt tok '@' with
-      | None -> None
-      | Some i -> (
-        let kind = String.sub tok 0 i in
-        let n = int_of_string_opt (String.sub tok (i + 1) (String.length tok - i - 1)) in
-        match (kind, n) with
-        | "enospc", Some n -> Some (Enospc n)
-        | "short", Some n -> Some (Short n)
-        | "eio-fsync", Some n -> Some (Eio_fsync n)
-        | "crash-rename", Some n -> Some (Crash_rename n)
-        | "erofs", Some n -> Some (Erofs n)
-        | _ -> None))
-    (String.split_on_char ',' raw)
-
-(* Re-read the environment on every operation (a putenv-driven unit test
-   may change the schedule mid-process) but only re-parse when the raw
-   string actually changed. *)
-let parsed : (string * fault list) option ref = ref None
-
-let schedule () =
-  match Sys.getenv_opt "LLHSC_FAULT_FS" with
-  | None -> []
-  | Some raw -> (
-    match !parsed with
-    | Some (r, fs) when r = raw -> fs
-    | _ ->
-      let fs = parse_schedule raw in
-      parsed := Some (raw, fs);
-      fs)
+   disciplines (atomic whole-file replace, checked journal append); the
+   disk-fault kinds and what their n counts are in fault.mli.  With no
+   schedule this module must behave exactly like the stdlib calls it
+   wraps. *)
 
 (* Operation counters, process-global so a schedule addresses the n-th
    write/fsync/commit/open of the whole run, whichever file it lands on. *)
@@ -62,29 +17,22 @@ let reset_faults () =
   commits := 0;
   opens := 0
 
-let fires counter pred =
+let fires counter kind =
   incr counter;
-  let n = !counter in
-  List.exists (fun f -> pred f n) (schedule ())
-
-let kill_self () = Unix.kill (Unix.getpid ()) Sys.sigkill
+  Fault.fires kind !counter
 
 (* --- checked journal primitives ---------------------------------------------- *)
 
 let open_for_append ?(truncate = false) path =
-  if fires opens (fun f n -> match f with Erofs m -> m = n | _ -> false) then
-    raise (Sys_error (path ^ ": Read-only file system"));
+  if fires opens Fault.Erofs then raise (Sys_error (path ^ ": Read-only file system"));
   open_out_gen
     ((if truncate then [ Open_trunc ] else [])
     @ [ Open_wronly; Open_append; Open_creat; Open_binary ])
     0o644 path
 
 let out_string oc s =
-  let enospc = fires writes (fun f n -> match f with Enospc m -> m = n | _ -> false) in
-  let short =
-    List.exists (function Short m -> m = !writes | _ -> false) (schedule ())
-  in
-  if short then begin
+  let enospc = fires writes Fault.Enospc in
+  if Fault.fires Fault.Short !writes then begin
     (* A torn write: half the bytes land on disk, then the device is full. *)
     output_string oc (String.sub s 0 (String.length s / 2));
     (try flush oc with Sys_error _ -> ());
@@ -95,8 +43,7 @@ let out_string oc s =
 
 let sync oc =
   flush oc;
-  if fires fsyncs (fun f n -> match f with Eio_fsync m -> m = n | _ -> false) then
-    raise (Unix.Unix_error (Unix.EIO, "fsync", ""));
+  if fires fsyncs Fault.Eio_fsync then raise (Unix.Unix_error (Unix.EIO, "fsync", ""));
   Util.retry_eintr (fun () -> Unix.fsync (Unix.descr_of_out_channel oc))
 
 (* --- atomic whole-file replace ------------------------------------------------ *)
@@ -122,8 +69,7 @@ let fsync_dir dir =
 
 let with_file ~path f =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  if fires opens (fun fl n -> match fl with Erofs m -> m = n | _ -> false) then
-    raise (Sys_error (tmp ^ ": Read-only file system"));
+  if fires opens Fault.Erofs then raise (Sys_error (tmp ^ ": Read-only file system"));
   let oc = open_out_gen [ Open_wronly; Open_trunc; Open_creat; Open_binary ] 0o644 tmp in
   (try
      f oc;
@@ -133,8 +79,7 @@ let with_file ~path f =
      close_out_noerr oc;
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
-  if fires commits (fun fl n -> match fl with Crash_rename m -> m = n | _ -> false)
-  then kill_self ();
+  if fires commits Fault.Crash_rename then Fault.kill_self ();
   (try Unix.rename tmp path
    with e ->
      (try Sys.remove tmp with Sys_error _ -> ());

@@ -16,24 +16,12 @@
 
     {1 Fault injection}
 
-    [LLHSC_FAULT_FS] holds a comma-separated schedule of seeded disk
-    faults, in the style of the other [LLHSC_FAULT_*] hooks (inert in
-    production, deterministic under test).  Each token is [<kind>@<n>]
-    where [n] is a 1-based count of operations of that kind performed by
-    this process:
-
-    - [enospc@n] — the [n]-th write raises [ENOSPC] before writing.
-    - [short@n] — the [n]-th write persists only half its bytes (a torn
-      write), then raises [ENOSPC].
-    - [eio-fsync@n] — the [n]-th fsync raises [EIO].
-    - [crash-rename@n] — the [n]-th atomic commit SIGKILLs the process
-      after the temp file is written and fsync'd but before the rename,
-      simulating a crash in the commit window.
-    - [erofs@n] — the [n]-th open-for-write raises [Sys_error]
-      ("Read-only file system").
-
-    Unrecognised tokens are ignored.  Counters are process-global;
-    {!reset_faults} rewinds them for in-process unit tests. *)
+    The disk-fault kinds of the [LLHSC_FAULT] schedule ({!Fault}) fire
+    here: [enospc@n] and [short@n] on the [n]-th write, [eio-fsync@n] on
+    the [n]-th fsync, [crash-rename@n] on the [n]-th atomic commit and
+    [erofs@n] on the [n]-th open-for-write ({!Fault} has the table).
+    Counters are process-global; {!reset_faults} rewinds them for
+    in-process unit tests. *)
 
 (** Atomically replace [path] with [data]: write [path ^ ".tmp.<pid>"],
     fsync, rename over [path], fsync the parent directory.  On failure the

@@ -158,25 +158,19 @@ let open_json journal ~path ~binding =
    lands (clean cut between lines) or halfway through writing it (torn
    final line, which readers must skip).  Records are counted across
    every sink of the process. *)
-let kill_self () = Unix.kill (Unix.getpid ()) Sys.sigkill
-
-let env_int name =
-  match Sys.getenv_opt name with None -> None | Some v -> int_of_string_opt v
-
 let appended = ref 0
 
 let append sink body =
   if sink.degraded = None then begin
     let line = checksummed (Json.to_string body) in
     incr appended;
-    (match env_int "LLHSC_FAULT_KILL_MID_RECORD" with
-     | Some n when n = !appended ->
-       (* Torn write: half the record, no newline, then die. *)
-       output_string sink.oc (String.sub line 0 (String.length line / 2));
-       flush sink.oc;
-       (try Durable.sync sink.oc with Unix.Unix_error _ | Sys_error _ -> ());
-       kill_self ()
-     | _ -> ());
+    if Fault.fires Fault.Kill_mid_record !appended then begin
+      (* Torn write: half the record, no newline, then die. *)
+      output_string sink.oc (String.sub line 0 (String.length line / 2));
+      flush sink.oc;
+      (try Durable.sync sink.oc with Unix.Unix_error _ | Sys_error _ -> ());
+      Fault.kill_self ()
+    end;
     (match
        Durable.out_string sink.oc (line ^ "\n");
        Durable.sync sink.oc
@@ -185,15 +179,12 @@ let append sink body =
      | exception ((Unix.Unix_error _ | Sys_error _) as e) ->
        degrade sink (reason_of_exn e));
     if sink.degraded = None then begin
-      (match env_int "LLHSC_FAULT_KILL_AFTER_RECORDS" with
-       | Some n when n = !appended -> kill_self ()
-       | _ -> ());
+      if Fault.fires Fault.Kill_after_records !appended then Fault.kill_self ();
       (* Unlike the SIGKILL hooks above, this one is catchable: it
          exercises the graceful-interrupt path (close the journal, exit
          128+15) rather than simulating a crash. *)
-      match env_int "LLHSC_FAULT_TERM_AFTER_RECORDS" with
-      | Some n when n = !appended -> Unix.kill (Unix.getpid ()) Sys.sigterm
-      | _ -> ()
+      if Fault.fires Fault.Term_after_records !appended then
+        Unix.kill (Unix.getpid ()) Sys.sigterm
     end
   end
 

@@ -101,13 +101,12 @@ val open_json : journal -> path:string -> binding:string -> sink
 val open_ : path:string -> inputs_hash:string -> sink
 
 (** Append one record: a single checksummed JSON line, flushed and
-    fsync'd before returning.  Honours the fault-injection hooks, which
-    count records across every sink of the process:
-    [LLHSC_FAULT_KILL_AFTER_RECORDS]/[LLHSC_FAULT_KILL_MID_RECORD] (test
-    harness only: simulate SIGKILL after, or halfway through writing,
-    the n-th record) and [LLHSC_FAULT_TERM_AFTER_RECORDS] (raise SIGTERM
-    in-process after the n-th record, exercising the graceful-interrupt
-    path of the CLI and the dispatcher).
+    fsync'd before returning.  The record kinds of the [LLHSC_FAULT]
+    schedule ({!Fault}) fire here, counting records across every sink of
+    the process: [kill-after-records@n] and [kill-mid-record@n] simulate
+    a SIGKILL after, or halfway through writing, the n-th record, and
+    [term-after-records@n] raises SIGTERM in-process after it, exercising
+    the graceful-interrupt path of the CLI and the dispatcher.
 
     Fail-operational on disk errors: if the write or its fsync fails
     (ENOSPC, EIO, ...), the sink degrades instead of raising — a

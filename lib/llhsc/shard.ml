@@ -282,9 +282,7 @@ let install_guards ~mem_limit ~cpu_limit =
     ignore (set_rlimit rlimit_cpu secs (secs + 5) : bool)
   | _ -> ()
 
-(* --- fault-injection hooks (read only by workers) ----------------------------- *)
-
-let env_int name = Option.bind (Sys.getenv_opt name) int_of_string_opt
+(* --- fault injection (workers only) ------------------------------------------- *)
 
 (* Deliberately exceed RLIMIT_AS: large untouched allocations raise the
    address-space watermark without paging in real memory, so the guard
@@ -407,12 +405,6 @@ let drop_fired = ref false
    its lease clock) and then the stamped result.  The fault hooks sit at
    the points where a real worker can fail. *)
 let serve ~spec ~mem_limit (tasks : task array) c =
-  let kill_at = env_int "LLHSC_FAULT_KILL_WORKER" in
-  let hang_at = env_int "LLHSC_FAULT_HANG_WORKER" in
-  let oom_at = env_int "LLHSC_FAULT_OOM_WORKER" in
-  let drop_at = env_int "LLHSC_FAULT_DROP_CONN_WORKER" in
-  let delay_at = env_int "LLHSC_FAULT_DELAY_RESULT_WORKER" in
-  let dup_at = env_int "LLHSC_FAULT_DUP_RESULT_WORKER" in
   let rec loop () =
     match recv c with
     | None -> `Closed
@@ -421,14 +413,14 @@ let serve ~spec ~mem_limit (tasks : task array) c =
       | Some i ->
         if i < 0 || i >= Array.length tasks then
           raise (Protocol (Printf.sprintf "task %d out of range" i));
-        if kill_at = Some i then Unix.kill (Unix.getpid ()) Sys.sigkill;
+        if Fault.fires Fault.Kill_worker i then Fault.kill_self ();
         send c (Json.Obj [ ("hb", Json.Obj (stamped ~spec i)) ]);
-        if hang_at = Some i then
+        if Fault.fires Fault.Hang_worker i then
           (* Simulated livelock: only the lease deadline can end this. *)
           while true do
             Unix.sleep 3600
           done;
-        if drop_at = Some i && not !drop_fired then begin
+        if Fault.fires Fault.Drop_conn_worker i && not !drop_fired then begin
           drop_fired := true;
           raise Dropped
         end;
@@ -436,18 +428,18 @@ let serve ~spec ~mem_limit (tasks : task array) c =
         (* Inside the task guard, a tripped memory limit degrades to
            error[RESOURCE] exactly like a genuine allocation failure. *)
         let t =
-          if oom_at = Some i && mem_limit <> None then
+          if Fault.fires Fault.Oom_worker i && mem_limit <> None then
             { t with run = (fun () -> gobble_memory (); t.run ()) }
           else t
         in
         let r = run_task_guarded t in
-        if delay_at = Some i then Unix.sleepf 2.0;
+        if Fault.fires Fault.Delay_result_worker i then Unix.sleepf 2.0;
         let msg =
           Json.Obj
             [ ("result", Json.Obj (stamped ~spec i @ [ ("r", result_to_json r) ])) ]
         in
         send c msg;
-        if dup_at = Some i then send c msg;
+        if Fault.fires Fault.Dup_result_worker i then send c msg;
         loop ()
       | None ->
         if Json.member "retire" j <> None then `Retired

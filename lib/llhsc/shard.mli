@@ -47,17 +47,16 @@
     Workers never touch the journal: the supervisor remains the sole
     journal writer.
 
-    Fault hooks, read only by {!serve} (in-process runs never consult
-    them), fire at task index [N]:
-    [LLHSC_FAULT_KILL_WORKER=N] (SIGKILL self),
-    [LLHSC_FAULT_HANG_WORKER=N] (hang forever after the heartbeat),
-    [LLHSC_FAULT_OOM_WORKER=N] (allocate until the memory guard trips;
-    only with [mem_limit]), [LLHSC_FAULT_DROP_CONN_WORKER=N] (drop the
-    connection after the heartbeat, once per process),
-    [LLHSC_FAULT_DELAY_RESULT_WORKER=N] (sleep 2 s before sending the
-    result) and [LLHSC_FAULT_DUP_RESULT_WORKER=N] (send the result
-    twice).  A forked child treats a dropped connection as its own
-    death; a fleet worker reconnects. *)
+    The six worker kinds of the [LLHSC_FAULT] schedule ({!Fault}) fire
+    only in {!serve} (in-process runs never consult them), at the leased
+    task index [n]: [kill-worker@n] (SIGKILL self), [hang-worker@n]
+    (hang forever after the heartbeat), [oom-worker@n] (allocate until
+    the memory guard trips; only with [mem_limit]), [drop-conn-worker@n]
+    (drop the connection after the heartbeat, once per process),
+    [delay-result-worker@n] (sleep 2 s before sending the result) and
+    [dup-result-worker@n] (send the result twice).  A forked child
+    treats a dropped connection as its own death; a fleet worker
+    reconnects. *)
 
 (** Everything one task produced.  Query indices in [certs],
     [cert_failures] and [retried] are local to the task's solver (0-based
@@ -126,7 +125,7 @@ val set_key : conn -> string -> unit
     unparsable frame, unknown message, task index out of range. *)
 exception Protocol of string
 
-(** Raised by {!serve} when [LLHSC_FAULT_DROP_CONN_WORKER] fires. *)
+(** Raised by {!serve} when [drop-conn-worker@n] fires. *)
 exception Dropped
 
 (** Worker side: blocking write of one message. *)

@@ -279,12 +279,6 @@ let prepare_pipeline cfg req =
 
 let run cfg =
   let test_hooks = Sys.getenv_opt "LLHSC_SERVE_TEST_HOOKS" = Some "1" in
-  let fault_kill_job =
-    Option.bind (Sys.getenv_opt "LLHSC_FAULT_KILL_JOB") int_of_string_opt
-  in
-  let fault_hang_job =
-    Option.bind (Sys.getenv_opt "LLHSC_FAULT_HANG_JOB") int_of_string_opt
-  in
   let limits =
     { Http.max_header_bytes = cfg.max_header_bytes;
       max_body_bytes = cfg.max_body_bytes }
@@ -451,12 +445,8 @@ let run cfg =
           run in the same directory. *)
        (try
           ignore (Unix.setsid ());
-          (match fault_kill_job with
-           | Some n when n = job.id -> Unix.kill (Unix.getpid ()) Sys.sigkill
-           | _ -> ());
-          (match fault_hang_job with
-           | Some n when n = job.id -> Unix.sleep 3600
-           | _ -> ());
+          if Llhsc.Fault.fires Llhsc.Fault.Kill_job job.id then Llhsc.Fault.kill_self ();
+          if Llhsc.Fault.fires Llhsc.Fault.Hang_job job.id then Unix.sleep 3600;
           if job.delay_ms > 0 then Unix.sleepf (float_of_int job.delay_ms /. 1000.);
           Unix.chdir job.dir;
           Unix.dup2 null Unix.stdin;

@@ -121,6 +121,18 @@ echo "# build from project file"
 "$LLHSC" build "$FIXTURES/custom-sbc.proj.yaml" > "$TMP/build.out" || fail "build should pass"
 grep -q "product platform" "$TMP/build.out" || fail "expected platform product"
 
+echo "# build: output: artifacts are byte-identical to pipeline --out-dir"
+mkdir "$TMP/proj"
+cp -R "$FIXTURES/." "$TMP/proj/"
+echo "output: out" >> "$TMP/proj/custom-sbc.proj.yaml"
+"$LLHSC" build "$TMP/proj/custom-sbc.proj.yaml" > "$TMP/build-out.out" \
+  || fail "build with output: should pass"
+grep -q "artifacts written to" "$TMP/build-out.out" || fail "expected build artifact notice"
+for f in vm1.dts vm2.dts platform.dts platform.c config.c; do
+  cmp -s "$TMP/out/$f" "$TMP/proj/out/$f" \
+    || fail "build artifact $f differs from pipeline --out-dir"
+done
+
 echo "# configure with propagation"
 "$LLHSC" configure "$FIXTURES/custom-sbc.fm" -d veth0 > "$TMP/conf.out" || fail "configure should pass"
 grep -Eq "cpu@0 +forced" "$TMP/conf.out" || fail "cpu@0 should be forced"
@@ -235,7 +247,7 @@ grep -q "resume: replayed from journal" "$TMP/resume.err" || fail "expected resu
 echo "# journal + SIGTERM: interrupted run exits 143 and is resume-able"
 rm -f "$TMP/run.journal"
 set +e
-LLHSC_FAULT_TERM_AFTER_RECORDS=2 run_journaled_pipeline > "$TMP/term.out" 2> "$TMP/term.err"
+LLHSC_FAULT=term-after-records@2 run_journaled_pipeline > "$TMP/term.out" 2> "$TMP/term.err"
 rc=$?
 set -e
 [ "$rc" -eq 143 ] || fail "interrupted pipeline should exit 143 (got $rc)"
@@ -282,7 +294,7 @@ grep -q "resume: replayed from journal" "$TMP/compact-resume.err" \
 echo "# kill mid-record: fsck reports the torn tail, resume recovers byte-identically"
 rm -f "$TMP/run.journal"
 set +e
-(export LLHSC_FAULT_KILL_MID_RECORD=2; run_journaled_pipeline > /dev/null 2> /dev/null)
+(export LLHSC_FAULT=kill-mid-record@2; run_journaled_pipeline > /dev/null 2> /dev/null)
 rc=$?
 set -e
 [ "$rc" -eq 137 ] || fail "mid-record kill should die of SIGKILL (got $rc)"
@@ -313,11 +325,11 @@ run_journaled_pipeline > /dev/null 2> /dev/null || fail "journaled pipeline (inp
 for prior in "other inputs" "degraded"; do
   if [ "$prior" = degraded ]; then
     rm -f "$TMP/run.journal"
-    LLHSC_FAULT_FS=enospc@2 run_journaled_pipeline --max-conflicts 100000 \
+    LLHSC_FAULT=enospc@2 run_journaled_pipeline --max-conflicts 100000 \
       > /dev/null 2> /dev/null || fail "degraded journaled run should pass"
   fi
   set +e
-  (export LLHSC_FAULT_KILL_AFTER_RECORDS=3
+  (export LLHSC_FAULT=kill-after-records@3
    run_journaled_pipeline --max-conflicts 100000 > /dev/null 2> /dev/null)
   rc=$?
   set -e
@@ -402,37 +414,39 @@ grep -q "jobs" "$TMP/jneg.err" || fail "expected --jobs validation message"
 
 echo "# supervision: SIGKILLed workers are reassigned, report byte-identical"
 # env assignments live in subshells: VAR=x fn leaks the var in some shells
-(export LLHSC_FAULT_KILL_WORKER=0; run_pipeline_at 2 > "$TMP/skill.out" 2> "$TMP/skill.err") \
+(export LLHSC_FAULT=kill-worker@0; run_pipeline_at 2 > "$TMP/skill.out" 2> "$TMP/skill.err") \
   || fail "pipeline with killed worker should still pass"
 cmp -s "$TMP/j1.out" "$TMP/skill.out" || fail "killed-worker report differs from --jobs 1"
 grep -q "error\[WORKER\]" "$TMP/skill.out" && fail "self-healing pool left error[WORKER]"
-grep -q "reassigning\|quarantined" "$TMP/skill.err" || fail "expected supervision notice on stderr"
+grep -q "reassigning task 0 (" "$TMP/skill.err" || fail "expected task 0's reassignment notice"
 
 echo "# supervision: kills under --certify --retry stay byte-identical"
 run_pipeline_at 1 --certify --unsound force-unknown:3 --retry 3 > "$TMP/j1cr.out" \
   || fail "--jobs 1 --certify --retry should pass"
-(export LLHSC_FAULT_KILL_WORKER=1; run_pipeline_at 2 --certify --unsound force-unknown:3 \
-  --retry 3 > "$TMP/skillcr.out" 2> /dev/null) \
+(export LLHSC_FAULT=kill-worker@1; run_pipeline_at 2 --certify --unsound force-unknown:3 \
+  --retry 3 > "$TMP/skillcr.out" 2> "$TMP/skillcr.err") \
   || fail "killed-worker --certify --retry should pass"
 cmp -s "$TMP/j1cr.out" "$TMP/skillcr.out" \
   || fail "killed-worker --certify --retry report differs from --jobs 1"
+grep -q "reassigning task 1 (" "$TMP/skillcr.err" || fail "expected task 1's reassignment notice"
 
 echo "# supervision: hung worker hits the task deadline and its task is reassigned"
-(export LLHSC_FAULT_HANG_WORKER=0; run_pipeline_at 2 --task-deadline 1 \
+(export LLHSC_FAULT=hang-worker@0; run_pipeline_at 2 --task-deadline 1 \
   > "$TMP/hang.out" 2> "$TMP/hang.err") || fail "pipeline with hung worker should still pass"
 cmp -s "$TMP/j1.out" "$TMP/hang.out" || fail "hung-worker report differs from --jobs 1"
 grep -q "deadline" "$TMP/hang.err" || fail "expected deadline-expiry notice on stderr"
 grep -q "error\[WORKER\]" "$TMP/hang.out" && fail "hung worker left error[WORKER]"
 
 echo "# supervision: respawn budget exhaustion falls back to in-process checking"
-(export LLHSC_FAULT_KILL_WORKER=0; run_pipeline_at 2 --max-respawns 0 \
+(export LLHSC_FAULT=kill-worker@0; run_pipeline_at 2 --max-respawns 0 \
   > "$TMP/exhaust.out" 2> "$TMP/exhaust.err") \
   || fail "respawn-exhausted pipeline should still pass"
 cmp -s "$TMP/j1.out" "$TMP/exhaust.out" || fail "respawn-exhausted report differs from --jobs 1"
+grep -q "exhausted" "$TMP/exhaust.err" || fail "expected the respawn-budget notice"
 
 echo "# supervision: rlimit OOM degrades to error[RESOURCE], exit 2"
 set +e
-(export LLHSC_FAULT_OOM_WORKER=0; run_pipeline_at 2 --mem-limit 512 \
+(export LLHSC_FAULT=oom-worker@0; run_pipeline_at 2 --mem-limit 512 \
   > "$TMP/oom.out" 2> "$TMP/oom.err")
 rc=$?
 set -e
@@ -454,6 +468,22 @@ rc=$?
 set -e
 [ "$rc" -eq 2 ] || fail "--mem-limit 0 should exit 2 (got $rc)"
 grep -q "mem-limit" "$TMP/badmem.err" || fail "expected --mem-limit validation message"
+
+echo "# fault schedule: a malformed LLHSC_FAULT stops every subcommand, exit 2"
+for schedule in enopsc@2 kill-worker kill-worker@-1 kill-worker@x; do
+  set +e
+  (export LLHSC_FAULT="$schedule"
+   "$LLHSC" check "$FIXTURES/custom-sbc.dts" > "$TMP/badfault.out" 2> "$TMP/badfault.err")
+  rc=$?
+  set -e
+  [ "$rc" -eq 2 ] || fail "LLHSC_FAULT=$schedule should exit 2 (got $rc)"
+  [ ! -s "$TMP/badfault.out" ] || fail "LLHSC_FAULT=$schedule still ran the check"
+  [ "$(wc -l < "$TMP/badfault.err")" -eq 1 ] || fail "want one error line for $schedule"
+  grep -q "^error\[FAULT\]: .*\"$schedule\"" "$TMP/badfault.err" \
+    || fail "error line does not name $schedule"
+done
+(export LLHSC_FAULT=""; "$LLHSC" check "$FIXTURES/custom-sbc.dts" > /dev/null) \
+  || fail "an empty LLHSC_FAULT must inject nothing"
 
 echo "# parallel: journal written at --jobs 4 resumes at --jobs 1"
 run_pipeline_at 4 --journal "$TMP/par.journal" > "$TMP/par4.out" 2> /dev/null \

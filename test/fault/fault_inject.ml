@@ -7,7 +7,8 @@
      - stderr carries structured diagnostics, not an OCaml backtrace.
 
    Runs ~200 mutants from a fixed seed, so failures reproduce exactly.
-   Usage: fault_inject.exe LLHSC_BINARY FIXTURES_DIR *)
+   Usage: fault_inject.exe LLHSC_BINARY FIXTURES_DIR CHAOSPROXY_BINARY
+          [ARTIFACT_FILE] *)
 
 (* --- deterministic PRNG (xorshift64*, fixed seed) --------------------------- *)
 
@@ -128,8 +129,9 @@ let mutate s = mutators.(rand_int (Array.length mutators)) s
 
 (* Start [argv]; stdin from /dev/null, stdout devnulled unless
    [stdout_file] is given, stderr to a file.  [env] appends NAME=VALUE
-   bindings (the fault hooks).  Returns the pid — the fleet phase runs a
-   dispatcher and workers concurrently; everything else waits. *)
+   bindings (the LLHSC_FAULT schedule).  Returns the pid — the fleet
+   phase runs a dispatcher and workers concurrently; everything else
+   waits. *)
 let spawn_cli ?env ?stdout_file binary args ~stderr_file =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   let out =
@@ -300,7 +302,7 @@ let run_kill_resume binary sandbox ~failures ~total =
             if Sys.file_exists journal then Sys.remove journal;
             let kill_status, kerr =
               run_cli binary
-                ~env:[ Printf.sprintf "%s=%d" hook n ]
+                ~env:[ Printf.sprintf "LLHSC_FAULT=%s@%d" hook n ]
                 (pipeline_args sandbox ~vms ~journal:(Some journal)
                    ~resume:false)
                 ~stderr_file
@@ -328,18 +330,19 @@ let run_kill_resume binary sandbox ~failures ~total =
             else if read_file res_out <> baseline then
               bad "resumed report is not byte-identical to baseline" rerr
           done)
-        [ ("LLHSC_FAULT_KILL_AFTER_RECORDS", "after");
-          ("LLHSC_FAULT_KILL_MID_RECORD", "mid") ])
+        [ ("kill-after-records", "after"); ("kill-mid-record", "mid") ])
     kill_configs
 
 (* --- kill-a-worker phase -------------------------------------------------------- *)
 
 (* Self-healing contract: SIGKILL the worker dispatched the n-th task
-   (the LLHSC_FAULT_KILL_WORKER hook in Shard).  The supervised pool must
-   reassign the task, quarantine it after a second crash and retry it
-   in-process, so EVERY kill index — in range or not — yields exit 0, a
-   report byte-identical to the unkilled run, and zero error[WORKER]
-   diagnostics.  In single-process mode (--jobs 1) the hook is inert. *)
+   (kill-worker@n, in Shard).  The supervised pool must reassign the
+   task, quarantine it after a second crash and retry it in-process, so
+   EVERY kill index — in range or not — yields exit 0, a report
+   byte-identical to the unkilled run, and zero error[WORKER]
+   diagnostics; an index in range must also leave its reassignment
+   notice, or a kill that never fired would pass too.  In
+   single-process mode (--jobs 1) the hook is inert. *)
 let run_kill_worker binary sandbox ~failures ~total =
   let stderr_file = Filename.concat sandbox "stderr.txt" in
   let out_file = Filename.concat sandbox "worker.out" in
@@ -351,6 +354,8 @@ let run_kill_worker binary sandbox ~failures ~total =
   let args jobs =
     pipeline_args sandbox ~vms ~journal:None ~resume:false @ [ "--jobs"; jobs ]
   in
+  (* Two check tasks per product (vm1, vm2, platform). *)
+  let tasks = 6 in
   let bad what reason err =
     incr failures;
     log_failure "phase=kill-worker what=%S reason=%S" what reason;
@@ -370,7 +375,7 @@ let run_kill_worker binary sandbox ~failures ~total =
       let what = Printf.sprintf "task=%d jobs=4" n in
       let status, err =
         run_cli binary
-          ~env:[ Printf.sprintf "LLHSC_FAULT_KILL_WORKER=%d" n ]
+          ~env:[ Printf.sprintf "LLHSC_FAULT=kill-worker@%d" n ]
           ~stdout_file:out_file (args "4") ~stderr_file
       in
       let stdout = read_file out_file in
@@ -383,13 +388,15 @@ let run_kill_worker binary sandbox ~failures ~total =
        | Unix.WSTOPPED s -> bad what (Printf.sprintf "parent stopped by signal %d" s) err);
       if contains stdout "error[WORKER]" then
         bad what "reassignment left an error[WORKER] diagnostic" err;
+      if n < tasks && not (contains err (Printf.sprintf "reassigning task %d (" n)) then
+        bad what (Printf.sprintf "no \"reassigning task %d\" notice on stderr" n) err;
       if contains err "Fatal error" || contains err "Raised at" then
         bad what "uncaught OCaml exception on stderr" err)
     [ 0; 1; 2; 3; 4; 5; 6; 7; 64 ];
   incr total;
   let status, err =
     run_cli binary
-      ~env:[ "LLHSC_FAULT_KILL_WORKER=0" ]
+      ~env:[ "LLHSC_FAULT=kill-worker@0" ]
       ~stdout_file:out_file (args "1") ~stderr_file
   in
   (match status with
@@ -460,14 +467,14 @@ let run_supervision binary sandbox ~failures ~total =
     (fun n ->
       expect_recovery
         (Printf.sprintf "hang task=%d" n)
-        ~env:[ Printf.sprintf "LLHSC_FAULT_HANG_WORKER=%d" n ]
+        ~env:[ Printf.sprintf "LLHSC_FAULT=hang-worker@%d" n ]
         ~extra:[ "--jobs"; "2"; "--task-deadline"; "1" ]
         ~baseline:plain_baseline ~expect_err:"deadline" ())
     [ 0; 2; 5 ];
   (* Respawn exhaustion: no replacement workers allowed, so the pool must
      finish the remaining tasks in-process. *)
   expect_recovery "respawn-exhaustion"
-    ~env:[ "LLHSC_FAULT_KILL_WORKER=0" ]
+    ~env:[ "LLHSC_FAULT=kill-worker@0" ]
     ~extra:[ "--jobs"; "2"; "--max-respawns"; "0" ]
     ~baseline:plain_baseline ~expect_err:"exhausted" ();
   (* Crash recovery composes with certification and retry: the disturbed
@@ -475,11 +482,11 @@ let run_supervision binary sandbox ~failures ~total =
   let cr_flags = [ "--certify"; "--unsound"; "force-unknown:3"; "--retry"; "3" ] in
   let cr_baseline = baseline_of ([ "--jobs"; "1" ] @ cr_flags) in
   expect_recovery "kill under certify+retry"
-    ~env:[ "LLHSC_FAULT_KILL_WORKER=1" ]
+    ~env:[ "LLHSC_FAULT=kill-worker@1" ]
     ~extra:([ "--jobs"; "2" ] @ cr_flags)
-    ~baseline:cr_baseline ();
+    ~baseline:cr_baseline ~expect_err:"reassigning task 1 (" ();
   expect_recovery "hang under certify+retry"
-    ~env:[ "LLHSC_FAULT_HANG_WORKER=1" ]
+    ~env:[ "LLHSC_FAULT=hang-worker@1" ]
     ~extra:([ "--jobs"; "2"; "--task-deadline"; "1" ] @ cr_flags)
     ~baseline:cr_baseline ~expect_err:"deadline" ();
   (* RLIMIT_AS guard: the OOM-injected task degrades to error[RESOURCE]
@@ -487,7 +494,7 @@ let run_supervision binary sandbox ~failures ~total =
   incr total;
   let status, err =
     run_cli binary
-      ~env:[ "LLHSC_FAULT_OOM_WORKER=0" ]
+      ~env:[ "LLHSC_FAULT=oom-worker@0" ]
       ~stdout_file:out_file
       (args [ "--jobs"; "2"; "--mem-limit"; "512" ])
       ~stderr_file
@@ -511,7 +518,7 @@ let run_supervision binary sandbox ~failures ~total =
     (fun n ->
       expect_recovery
         (Printf.sprintf "jobs=2 dup-result task=%d" n)
-        ~env:[ Printf.sprintf "LLHSC_FAULT_DUP_RESULT_WORKER=%d" n ]
+        ~env:[ Printf.sprintf "LLHSC_FAULT=dup-result-worker@%d" n ]
         ~extra:[ "--jobs"; "2" ]
         ~baseline:plain_baseline ~expect_err:"duplicate result" ())
     [ 0; 2 ];
@@ -519,21 +526,20 @@ let run_supervision binary sandbox ~failures ~total =
     (fun n ->
       expect_recovery
         (Printf.sprintf "jobs=2 drop-conn task=%d" n)
-        ~env:[ Printf.sprintf "LLHSC_FAULT_DROP_CONN_WORKER=%d" n ]
+        ~env:[ Printf.sprintf "LLHSC_FAULT=drop-conn-worker@%d" n ]
         ~extra:[ "--jobs"; "2" ]
         ~baseline:plain_baseline ~expect_err:"reassigning" ())
     [ 0; 1 ];
   expect_recovery "jobs=2 delay-result task=1"
-    ~env:[ "LLHSC_FAULT_DELAY_RESULT_WORKER=1" ]
+    ~env:[ "LLHSC_FAULT=delay-result-worker@1" ]
     ~extra:[ "--jobs"; "2"; "--task-deadline"; "1" ]
     ~baseline:plain_baseline ~expect_err:"deadline" ();
   (* The hooks are inert without workers: a --jobs 1 run with every hook
      set must be byte-identical to the undisturbed baseline. *)
   expect_recovery "hooks inert in-process"
     ~env:
-      [ "LLHSC_FAULT_HANG_WORKER=0"; "LLHSC_FAULT_OOM_WORKER=0";
-        "LLHSC_FAULT_DUP_RESULT_WORKER=0"; "LLHSC_FAULT_DROP_CONN_WORKER=0";
-        "LLHSC_FAULT_DELAY_RESULT_WORKER=0" ]
+      [ "LLHSC_FAULT=hang-worker@0,oom-worker@0,dup-result-worker@0,\
+         drop-conn-worker@0,delay-result-worker@0" ]
     ~extra:[ "--jobs"; "1" ]
     ~baseline:plain_baseline ()
 
@@ -639,32 +645,32 @@ let run_fleet binary sandbox ~failures ~total =
     (fun n ->
       schedule
         (Printf.sprintf "drop-conn task=%d" n)
-        ~env:[ Printf.sprintf "LLHSC_FAULT_DROP_CONN_WORKER=%d" n ]
+        ~env:[ Printf.sprintf "LLHSC_FAULT=drop-conn-worker@%d" n ]
         ~flags:[ "--wait-workers"; "30" ])
     [ 0; 1; 64 ];
   (* A result delayed past the lease deadline: reassigned, and the late
      copy lands on a closed socket without upsetting the merge. *)
   schedule "delay-result task=1"
-    ~env:[ "LLHSC_FAULT_DELAY_RESULT_WORKER=1" ]
+    ~env:[ "LLHSC_FAULT=delay-result-worker@1" ]
     ~flags:[ "--wait-workers"; "3"; "--task-deadline"; "1" ];
   (* Duplicate results: the second copy must be suppressed first-wins. *)
   List.iter
     (fun n ->
       schedule
         (Printf.sprintf "dup-result task=%d" n)
-        ~env:[ Printf.sprintf "LLHSC_FAULT_DUP_RESULT_WORKER=%d" n ]
+        ~env:[ Printf.sprintf "LLHSC_FAULT=dup-result-worker@%d" n ]
         ~flags:[ "--wait-workers"; "30" ])
     [ 0; 2 ]
 
 (* --- network-chaos phase --------------------------------------------------------- *)
 
-(* The dispatcher/worker link runs through llhsc's own seeded
-   fault-injecting TCP proxy (corruption, partitions, truncation,
+(* The dispatcher/worker link runs through the seeded fault-injecting
+   TCP proxy of the fleet tests (test/fleet/chaosproxy.ml) (corruption, partitions, truncation,
    stalls, reorders, duplicated and split writes), with authentication
    on.  The contract: every damaged frame collapses to dead-worker
    handling, the run still exits 0 with the baseline bytes, and nothing
    ever crashes. *)
-let run_network_chaos binary sandbox ~failures ~total =
+let run_network_chaos binary ~chaosproxy sandbox ~failures ~total =
   let stderr_file = Filename.concat sandbox "chaos-dispatch.err" in
   let out_file = Filename.concat sandbox "chaos.out" in
   let base_out = Filename.concat sandbox "chaos-base.out" in
@@ -739,8 +745,8 @@ let run_network_chaos binary sandbox ~failures ~total =
     end
     else begin
       let ppid =
-        spawn_cli binary
-          [ "chaosproxy"; "--listen"; "127.0.0.1:0";
+        spawn_cli chaosproxy
+          [ "--listen"; "127.0.0.1:0";
             "--upstream"; "127.0.0.1:" ^ String.trim (read_file port_file);
             "--port-file"; proxy_port_file; "--seed"; string_of_int seed;
             "--corrupt"; "0.03"; "--drop"; "0.02"; "--truncate"; "0.02";
@@ -835,9 +841,9 @@ let run_forced_unknown binary sandbox ~failures ~total =
 
 (* --- disk-fault phase ----------------------------------------------------------- *)
 
-(* Storage contract (LLHSC_FAULT_FS, lib/llhsc/durable.ml): under any
-   seeded disk fault the checker never crashes mid-check and never
-   pretends data is durable when it is not.
+(* Storage contract (the disk kinds of LLHSC_FAULT, fired in
+   lib/llhsc/durable.ml): under any seeded disk fault the checker never
+   crashes mid-check and never pretends data is durable when it is not.
 
    - [enospc@n]/[eio-fsync@n] on a journaled run: the journal degrades,
      the run completes with its baseline exit code, the report carries a
@@ -890,7 +896,7 @@ let run_disk_faults binary sandbox ~failures ~total =
             if Sys.file_exists journal then Sys.remove journal;
             let status, err =
               run_cli binary ~stdout_file:out_file
-                ~env:[ Printf.sprintf "LLHSC_FAULT_FS=%s@%d" kind n ]
+                ~env:[ Printf.sprintf "LLHSC_FAULT=%s@%d" kind n ]
                 (pipeline_args sandbox ~vms ~journal:(Some journal) ~resume:false)
                 ~stderr_file
             in
@@ -934,7 +940,7 @@ let run_disk_faults binary sandbox ~failures ~total =
       incr total;
       if Sys.file_exists journal then Sys.remove journal;
       let status, err =
-        run_cli binary ~stdout_file:out_file ~env:[ "LLHSC_FAULT_FS=erofs@1" ]
+        run_cli binary ~stdout_file:out_file ~env:[ "LLHSC_FAULT=erofs@1" ]
           (pipeline_args sandbox ~vms ~journal:(Some journal) ~resume:false)
           ~stderr_file
       in
@@ -955,7 +961,7 @@ let run_disk_faults binary sandbox ~failures ~total =
       incr total;
       write_file gen "previous contents\n";
       let status, err =
-        run_cli binary ~env:[ "LLHSC_FAULT_FS=" ^ kind ] gen_args ~stderr_file
+        run_cli binary ~env:[ "LLHSC_FAULT=" ^ kind ] gen_args ~stderr_file
       in
       check status err;
       if read_file gen <> "previous contents\n" then
@@ -985,12 +991,14 @@ let run_disk_faults binary sandbox ~failures ~total =
    | s -> bad "generate clean" (Printf.sprintf "exit %s (want 0)" (exit_str s)) err)
 
 let () =
-  let binary, fixtures, artifact =
+  let binary, fixtures, chaosproxy, artifact =
     match Sys.argv with
-    | [| _; b; f |] -> (b, f, None)
-    | [| _; b; f; a |] -> (b, f, Some a)
+    | [| _; b; f; c |] -> (b, f, c, None)
+    | [| _; b; f; c; a |] -> (b, f, c, Some a)
     | _ ->
-      prerr_endline "usage: fault_inject.exe LLHSC_BINARY FIXTURES_DIR [ARTIFACT_FILE]";
+      prerr_endline
+        "usage: fault_inject.exe LLHSC_BINARY FIXTURES_DIR CHAOSPROXY_BINARY \
+         [ARTIFACT_FILE]";
       exit 2
   in
   let rounds = 20 in (* x 10 targets = 200 mutants *)
@@ -1061,7 +1069,7 @@ let () =
      fault-injecting proxy, authentication on. *)
   if Sys.file_exists sandbox then remove_tree sandbox;
   copy_dir fixtures sandbox;
-  run_network_chaos binary sandbox ~failures ~total;
+  run_network_chaos binary ~chaosproxy sandbox ~failures ~total;
   (* Forced-Unknown phase: saturate the solver with Unknown verdicts, with
      and without the escalation ladder. *)
   if Sys.file_exists sandbox then remove_tree sandbox;

@@ -1,4 +1,4 @@
-(* Seeded network-chaos TCP proxy (`llhsc chaosproxy`).
+(* chaosproxy: a seeded network-chaos TCP proxy for the fleet tests.
 
    Sits between fleet workers and the dispatcher and, driven by a
    deterministic seed, injects the failure modes real networks produce:
@@ -6,9 +6,9 @@
    stalls, reordering, duplicated writes, and writes split at arbitrary
    byte boundaries.  The fleet protocol's claim is that every one of
    these collapses to dead-worker handling with reports byte-identical
-   to a local run; the smoke and fault harnesses route workers through
-   this proxy to hold the claim under adversarial schedules instead of
-   only the in-process fault hooks.
+   to a local run; the fleet smoke harness, the fault harness and CI
+   route workers through this proxy to hold the claim under adversarial
+   schedules instead of only the in-process fault hooks.
 
    Single-process select loop, one chunk queue per direction per
    connection.  Faults apply per read chunk, so probabilities are "per
@@ -16,7 +16,10 @@
    one chunk in fifty regardless of chunk size.  All chaos decisions
    come from one xorshift64* stream seeded by --seed; the interleaving
    of socket events is OS-scheduled, so a seed pins the fault mix, not
-   an exact byte schedule. *)
+   an exact byte schedule.
+
+   Usage: chaosproxy.exe --upstream HOST:PORT [OPTION]... (see --help);
+   it runs until killed. *)
 
 type config = {
   listen_host : string;
@@ -53,7 +56,7 @@ let default =
     split = 0.0;
   }
 
-let notice fmt = Format.eprintf ("llhsc chaosproxy: " ^^ fmt ^^ "@.")
+let notice fmt = Format.eprintf ("chaosproxy: " ^^ fmt ^^ "@.")
 
 (* xorshift64*: the same generator the fault harness uses, so seeds in
    CI logs mean the same thing everywhere. *)
@@ -320,3 +323,75 @@ let run cfg =
         end)
       !pairs
   done
+
+(* --- command line ------------------------------------------------------------ *)
+
+let hostport flag s =
+  let bad () = raise (Arg.Bad (Printf.sprintf "%s wants HOST:PORT, got %S" flag s)) in
+  match String.rindex_opt s ':' with
+  | None -> bad ()
+  | Some i -> (
+    match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
+    | Some p when p >= 0 && p <= 65535 -> (String.sub s 0 i, p)
+    | _ -> bad ())
+
+let () =
+  let cfg = ref default and upstream = ref false in
+  let prob flag set doc =
+    ( flag,
+      Arg.Float
+        (fun p ->
+          if p < 0. || p > 1. then
+            raise (Arg.Bad (Printf.sprintf "%s wants a probability in 0..1, got %g" flag p));
+          cfg := set !cfg p),
+      "P " ^ doc )
+  in
+  let specs =
+    [ ( "--listen",
+        Arg.String
+          (fun s ->
+            let listen_host, listen_port = hostport "--listen" s in
+            cfg := { !cfg with listen_host; listen_port }),
+        "HOST:PORT bind address for proxied clients (port 0 picks an ephemeral port)" );
+      ( "--upstream",
+        Arg.String
+          (fun s ->
+            let upstream_host, upstream_port = hostport "--upstream" s in
+            upstream := true;
+            cfg := { !cfg with upstream_host; upstream_port }),
+        "HOST:PORT where real connections go (the dispatcher)" );
+      ( "--port-file",
+        Arg.String (fun f -> cfg := { !cfg with port_file = Some f }),
+        "FILE write the bound port here once listening" );
+      ( "--seed",
+        Arg.Int (fun seed -> cfg := { !cfg with seed }),
+        "N seed of the chaos schedule; the same seed injects the same fault mix" );
+      prob "--corrupt" (fun c corrupt -> { c with corrupt })
+        "per-chunk probability of one flipped byte";
+      prob "--drop" (fun c drop -> { c with drop })
+        "per-chunk probability of killing the connection (partition)";
+      prob "--truncate" (fun c trunc -> { c with trunc })
+        "per-chunk probability of truncating the chunk";
+      prob "--stall" (fun c stall -> { c with stall })
+        "per-chunk probability of delaying delivery by --stall-ms";
+      ( "--stall-ms",
+        Arg.Int
+          (fun ms ->
+            if ms < 0 then
+              raise (Arg.Bad (Printf.sprintf "--stall-ms wants milliseconds >= 0, got %d" ms));
+            cfg := { !cfg with stall_ms = ms }),
+        "MS stall duration (default 100)" );
+      prob "--reorder" (fun c reorder -> { c with reorder })
+        "per-chunk probability of delivering newer bytes before older ones";
+      prob "--dup" (fun c dup -> { c with dup })
+        "per-chunk probability of delivering the chunk twice";
+      prob "--split" (fun c split -> { c with split })
+        "per-chunk probability of splitting the chunk into two writes" ]
+  in
+  let usage = "chaosproxy --upstream HOST:PORT [OPTION]..." in
+  Arg.parse specs (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
+  if not !upstream then begin
+    prerr_endline "chaosproxy: --upstream HOST:PORT is required";
+    exit 2
+  end;
+  run !cfg

@@ -11,11 +11,13 @@
      - --certify/--retry and --journal/--resume variants.
 
    Every schedule must exit 0 with a report byte-identical to the
-   single-process baseline.  Usage: fleet_smoke.exe LLHSC_BINARY FIXTURES_DIR *)
+   single-process baseline.
+   Usage: fleet_smoke.exe LLHSC_BINARY FIXTURES_DIR CHAOSPROXY_BINARY *)
 
 let absolute p = if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p
 let llhsc = absolute Sys.argv.(1)
 let fixtures = absolute Sys.argv.(2)
+let chaosproxy = absolute Sys.argv.(3)
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("FAIL: " ^ m); exit 1) fmt
 let say fmt = Printf.ksprintf (fun m -> print_endline ("# " ^ m); flush stdout) fmt
@@ -53,13 +55,13 @@ let contains_line ~needle path =
 
 (* --- process management ------------------------------------------------------- *)
 
-let spawn ?(env = []) ~out ~err args =
+let spawn ?(prog = llhsc) ?(env = []) ~out ~err args =
   let fd_out = Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
   let fd_err = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
   let full_env = Array.append (Unix.environment ()) (Array.of_list env) in
   let pid =
-    Unix.create_process_env llhsc
-      (Array.of_list (llhsc :: args))
+    Unix.create_process_env prog
+      (Array.of_list (prog :: args))
       full_env Unix.stdin fd_out fd_err
   in
   Unix.close fd_out;
@@ -222,7 +224,7 @@ let () =
   let r =
     fleet ~name:"kill"
       ~dispatch_flags:[ "--wait-workers"; "3" ]
-      ~workers:[ [ "LLHSC_FAULT_KILL_WORKER=1" ] ] ()
+      ~workers:[ [ "LLHSC_FAULT=kill-worker@1" ] ] ()
   in
   let err = check ~name:"kill" ~base r in
   expect_notice ~name:"kill" err "reassigning";
@@ -233,7 +235,7 @@ let () =
   let r =
     fleet ~name:"hang"
       ~dispatch_flags:[ "--wait-workers"; "3"; "--task-deadline"; "1" ]
-      ~workers:[ [ "LLHSC_FAULT_HANG_WORKER=1" ] ] ()
+      ~workers:[ [ "LLHSC_FAULT=hang-worker@1" ] ] ()
   in
   let err = check ~name:"hang" ~base r in
   expect_notice ~name:"hang" err "deadline";
@@ -244,7 +246,7 @@ let () =
   let r =
     fleet ~name:"delay"
       ~dispatch_flags:[ "--wait-workers"; "3"; "--task-deadline"; "1" ]
-      ~workers:[ [ "LLHSC_FAULT_DELAY_RESULT_WORKER=1" ] ] ()
+      ~workers:[ [ "LLHSC_FAULT=delay-result-worker@1" ] ] ()
   in
   let err = check ~name:"delay" ~base r in
   expect_notice ~name:"delay" err "deadline";
@@ -255,9 +257,7 @@ let () =
   let r =
     fleet ~name:"drop-dup"
       ~dispatch_flags:[ "--wait-workers"; "30" ]
-      ~workers:
-        [ [ "LLHSC_FAULT_DROP_CONN_WORKER=1"; "LLHSC_FAULT_DUP_RESULT_WORKER=2" ] ]
-      ()
+      ~workers:[ [ "LLHSC_FAULT=drop-conn-worker@1,dup-result-worker@2" ] ] ()
   in
   let err = check ~name:"drop-dup" ~base r in
   expect_notice ~name:"drop-dup" err "duplicate result";
@@ -267,7 +267,7 @@ let () =
      poisoned task index is a scheduling race, so only the invariants —
      exit 0 and byte-identity — are asserted.) *)
   let r =
-    fleet ~name:"duo-kill" ~workers:[ [ "LLHSC_FAULT_KILL_WORKER=1" ]; [] ] ()
+    fleet ~name:"duo-kill" ~workers:[ [ "LLHSC_FAULT=kill-worker@1" ]; [] ] ()
   in
   ignore (check ~name:"duo-kill" ~base r);
 
@@ -284,7 +284,7 @@ let () =
   let r =
     fleet ~name:"cert-kill"
       ~pipeline:(pipeline_args @ cert_flags)
-      ~workers:[ [ "LLHSC_FAULT_KILL_WORKER=1" ]; [] ] ()
+      ~workers:[ [ "LLHSC_FAULT=kill-worker@1" ]; [] ] ()
   in
   ignore (check ~name:"cert-kill" ~base:base_cert r);
 
@@ -377,10 +377,10 @@ let () =
       in
       wait_port_file pf;
       let proxy =
-        spawn
+        spawn ~prog:chaosproxy
           ~out:(Filename.concat dir "proxy.out")
           ~err:(Filename.concat dir "proxy.err")
-          [ "chaosproxy"; "--listen"; "127.0.0.1:0";
+          [ "--listen"; "127.0.0.1:0";
             "--upstream"; "127.0.0.1:" ^ read_port pf; "--port-file"; ppf;
             "--seed"; string_of_int seed; "--corrupt"; "0.03"; "--drop"; "0.02";
             "--truncate"; "0.02"; "--stall"; "0.1"; "--stall-ms"; "80";
@@ -410,7 +410,7 @@ let () =
      and only the degradation marker stands between it and a replay. *)
   let jj = Filename.concat tmp_root "enospc.jsonl" in
   let r =
-    fleet ~name:"tasks-enospc" ~dispatch_env:[ "LLHSC_FAULT_FS=enospc@5" ]
+    fleet ~name:"tasks-enospc" ~dispatch_env:[ "LLHSC_FAULT=enospc@5" ]
       ~dispatch_flags:[ "--journal"; jj; "--wait-workers"; "30" ]
       ~workers:[ [] ] ()
   in
@@ -448,7 +448,7 @@ let () =
   let out1 = Filename.concat dir "report1.txt" in
   let err1 = Filename.concat dir "dispatch1.err" in
   let dpid =
-    spawn ~env:[ "LLHSC_FAULT_TERM_AFTER_RECORDS=2" ] ~out:out1 ~err:err1
+    spawn ~env:[ "LLHSC_FAULT=term-after-records@2" ] ~out:out1 ~err:err1
       (("dispatch" :: "--listen" :: "127.0.0.1:0" :: "--port-file" :: pf
         :: "--wait-workers" :: "30" :: "--journal" :: jj
         :: "--secret-file" :: secret_file :: [])

@@ -37,20 +37,20 @@ let test_crc_incremental () =
 (* --- frame codec ------------------------------------------------------------- *)
 
 let next_frame dec =
-  match Fleet.Frame.Decoder.next dec with
+  match Llhsc.Frame.Decoder.next dec with
   | `Frame p -> Some p
   | `Awaiting -> None
   | `Corrupt m -> Alcotest.failf "unexpected corrupt: %s" m
 
 let test_frame_roundtrip () =
-  let dec = Fleet.Frame.Decoder.create () in
+  let dec = Llhsc.Frame.Decoder.create () in
   let payloads = [ "alpha"; ""; String.make 100_000 'x'; "{\"task\":3}" ] in
-  let wire = String.concat "" (List.map Fleet.Frame.encode payloads) in
+  let wire = String.concat "" (List.map Llhsc.Frame.encode payloads) in
   (* Feed byte by byte: boundaries must not matter. *)
   let got = ref [] in
   String.iteri
     (fun i _ ->
-      Fleet.Frame.Decoder.feed dec wire i 1;
+      Llhsc.Frame.Decoder.feed dec wire i 1;
       match next_frame dec with Some p -> got := p :: !got | None -> ())
     wire;
   (* Drain anything completed by the last byte. *)
@@ -65,19 +65,19 @@ let test_frame_roundtrip () =
   Alcotest.(check (list string)) "all frames, in order" payloads (List.rev !got)
 
 let test_frame_corruption () =
-  let wire = Fleet.Frame.encode "hello fleet" in
+  let wire = Llhsc.Frame.encode "hello fleet" in
   (* Flip one payload byte: checksum must catch it. *)
   let b = Bytes.of_string wire in
   Bytes.set b (String.length wire - 1) '!';
-  let dec = Fleet.Frame.Decoder.create () in
-  Fleet.Frame.Decoder.feed dec (Bytes.to_string b) 0 (Bytes.length b);
-  (match Fleet.Frame.Decoder.next dec with
+  let dec = Llhsc.Frame.Decoder.create () in
+  Llhsc.Frame.Decoder.feed dec (Bytes.to_string b) 0 (Bytes.length b);
+  (match Llhsc.Frame.Decoder.next dec with
    | `Corrupt m -> Alcotest.(check bool) "mentions checksum" true (contains m "checksum")
    | `Frame _ | `Awaiting -> Alcotest.fail "corrupt frame accepted");
   (* An absurd declared length is rejected without buffering. *)
-  let dec = Fleet.Frame.Decoder.create () in
-  Fleet.Frame.Decoder.feed dec "\xff\xff\xff\xff????" 0 8;
-  (match Fleet.Frame.Decoder.next dec with
+  let dec = Llhsc.Frame.Decoder.create () in
+  Llhsc.Frame.Decoder.feed dec "\xff\xff\xff\xff????" 0 8;
+  (match Llhsc.Frame.Decoder.next dec with
    | `Corrupt m -> Alcotest.(check bool) "mentions size" true (contains m "oversized")
    | `Frame _ | `Awaiting -> Alcotest.fail "oversized frame accepted")
 
@@ -127,26 +127,26 @@ let test_constant_time_equal () =
 
 let test_seal_unseal () =
   let key = Hmac.sha256 "session key" in
-  let sealed = Fleet.Frame.seal ~key ~seq:7 "payload bytes" in
+  let sealed = Llhsc.Frame.seal ~key ~seq:7 "payload bytes" in
   Alcotest.(check (option string)) "roundtrip" (Some "payload bytes")
-    (Fleet.Frame.unseal ~key ~seq:7 sealed);
+    (Llhsc.Frame.unseal ~key ~seq:7 sealed);
   Alcotest.(check (option string)) "empty body" (Some "")
-    (Fleet.Frame.unseal ~key ~seq:0 (Fleet.Frame.seal ~key ~seq:0 ""));
+    (Llhsc.Frame.unseal ~key ~seq:0 (Llhsc.Frame.seal ~key ~seq:0 ""));
   (* A replayed or reordered frame carries the wrong sequence number. *)
   Alcotest.(check (option string)) "wrong seq" None
-    (Fleet.Frame.unseal ~key ~seq:8 sealed);
+    (Llhsc.Frame.unseal ~key ~seq:8 sealed);
   Alcotest.(check (option string)) "wrong key" None
-    (Fleet.Frame.unseal ~key:(Hmac.sha256 "other") ~seq:7 sealed);
+    (Llhsc.Frame.unseal ~key:(Hmac.sha256 "other") ~seq:7 sealed);
   let b = Bytes.of_string sealed in
   Bytes.set b (Bytes.length b - 1) 'X';
   Alcotest.(check (option string)) "tampered body" None
-    (Fleet.Frame.unseal ~key ~seq:7 (Bytes.to_string b));
+    (Llhsc.Frame.unseal ~key ~seq:7 (Bytes.to_string b));
   let b = Bytes.of_string sealed in
   Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
   Alcotest.(check (option string)) "tampered mac" None
-    (Fleet.Frame.unseal ~key ~seq:7 (Bytes.to_string b));
+    (Llhsc.Frame.unseal ~key ~seq:7 (Bytes.to_string b));
   Alcotest.(check (option string)) "payload shorter than a MAC" None
-    (Fleet.Frame.unseal ~key ~seq:0 "short")
+    (Llhsc.Frame.unseal ~key ~seq:0 "short")
 
 (* --- adversarial frames ------------------------------------------------------ *)
 
@@ -155,10 +155,10 @@ let test_seal_unseal () =
    must neither raise nor hand back a payload the MAC layer accepts. *)
 
 let drain_frames wire =
-  let dec = Fleet.Frame.Decoder.create () in
-  Fleet.Frame.Decoder.feed dec wire 0 (String.length wire);
+  let dec = Llhsc.Frame.Decoder.create () in
+  Llhsc.Frame.Decoder.feed dec wire 0 (String.length wire);
   let rec go acc =
-    match Fleet.Frame.Decoder.next dec with
+    match Llhsc.Frame.Decoder.next dec with
     | `Frame p -> go (p :: acc)
     | `Awaiting | `Corrupt _ -> List.rev acc
   in
@@ -188,27 +188,27 @@ let prop_adversarial_frames =
         match mode with
         | 0 -> payload (* raw garbage *)
         | 1 ->
-          let w = Fleet.Frame.encode payload in
+          let w = Llhsc.Frame.encode payload in
           String.sub w 0 (a mod String.length w) (* truncated frame *)
         | 2 ->
-          let w = Fleet.Frame.encode payload in
+          let w = Llhsc.Frame.encode payload in
           flip w (a mod String.length w) mask (* one flipped byte *)
         | 3 -> "\xff\xff\xff\xff" ^ payload (* absurd declared length *)
         | _ ->
           (* Valid frame around a MAC-tampered sealed payload. *)
-          let sealed = Fleet.Frame.seal ~key ~seq:3 payload in
-          Fleet.Frame.encode (flip sealed (a mod Fleet.Frame.mac_len) mask)
+          let sealed = Llhsc.Frame.seal ~key ~seq:3 payload in
+          Llhsc.Frame.encode (flip sealed (a mod Llhsc.Frame.mac_len) mask)
       in
       let frames = drain_frames wire in
       match mode with
       | 4 -> (
         (* The frame itself is intact, so it decodes — but the MAC layer
            must refuse it (and accept the untampered original). *)
-        Fleet.Frame.unseal ~key ~seq:3 (Fleet.Frame.seal ~key ~seq:3 payload)
+        Llhsc.Frame.unseal ~key ~seq:3 (Llhsc.Frame.seal ~key ~seq:3 payload)
         = Some payload
         &&
         match frames with
-        | [ f ] -> Fleet.Frame.unseal ~key ~seq:3 f = None
+        | [ f ] -> Llhsc.Frame.unseal ~key ~seq:3 f = None
         | _ -> false)
       | _ ->
         (* Corrupted or truncated wire bytes never produce a frame (a
@@ -329,7 +329,7 @@ let test_loop_fake_worker () =
   let scripts =
     [ (fun c fd ->
         ignore (leased c);
-        let bad = Bytes.of_string (Fleet.Frame.encode "{\"hb\":{}}") in
+        let bad = Bytes.of_string (Llhsc.Frame.encode "{\"hb\":{}}") in
         Bytes.set bad 4 (Char.chr (Char.code (Bytes.get bad 4) lxor 0xff));
         ignore (Unix.write fd bad 0 (Bytes.length bad)));
       (fun c _ ->
@@ -340,7 +340,7 @@ let test_loop_fake_worker () =
         let j = (i + 1) mod 3 in
         Shard.send c (result_msg j { ((fake_task j).run ()) with queries = 99 }));
       (fun c _ ->
-        Unix.putenv "LLHSC_FAULT_DUP_RESULT_WORKER" "1";
+        Unix.putenv "LLHSC_FAULT" "dup-result-worker@1";
         ignore (Shard.serve ~spec ~mem_limit:None tasks c)) ]
   in
   let remaining = ref scripts and pids = ref [] and lost_count = ref 0 in

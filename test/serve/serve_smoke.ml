@@ -466,8 +466,7 @@ let test_faults () =
   let d =
     start_daemon
       ~env:
-        [ "LLHSC_SERVE_TEST_HOOKS=1"; "LLHSC_FAULT_KILL_JOB=0";
-          "LLHSC_FAULT_HANG_JOB=1" ]
+        [ "LLHSC_SERVE_TEST_HOOKS=1"; "LLHSC_FAULT=kill-job@0,hang-job@1" ]
       [ "--workers"; "2"; "--request-deadline"; "1.5" ]
   in
   say "job 0 is killed at birth -> 500 WORKER, exactly one response";

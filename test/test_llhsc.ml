@@ -675,21 +675,67 @@ let test_journal_stale_inputs_hash () =
     (J.load ~path ~inputs_hash:(J.inputs_hash ~parts:[ "different" ]) = []);
   check_bool "matching hash still loads" true (J.load ~path ~inputs_hash <> [])
 
-(* --- storage faults: Durable fault hooks, journal degradation, fsck ------------ *)
+(* --- the fault schedule ------------------------------------------------------- *)
 
 module D = Llhsc.Durable
+module F = Llhsc.Fault
 
-(* The LLHSC_FAULT_FS schedule is read per-operation, so flipping it with
-   putenv works; the counters are process-global and must be rewound
-   around every use or a later test inherits a half-spent schedule. *)
-let with_fs_fault schedule f =
-  Unix.putenv "LLHSC_FAULT_FS" schedule;
+(* The LLHSC_FAULT schedule is read on every injection point, so setting
+   it with putenv works (forked workers inherit it); Durable's counters
+   are process-global and must be rewound around every use or a later
+   test inherits a half-spent schedule. *)
+let with_fault schedule f =
+  Unix.putenv "LLHSC_FAULT" schedule;
   D.reset_faults ();
   Fun.protect
     ~finally:(fun () ->
-      Unix.putenv "LLHSC_FAULT_FS" "";
+      Unix.putenv "LLHSC_FAULT" "";
       D.reset_faults ())
     f
+
+(* Every kind parses under its table name; each malformed form is
+   rejected with the bad token named, never silently dropped. *)
+let test_fault_schedule_parse () =
+  check_int "sixteen kinds" 16 (List.length F.kinds);
+  List.iter
+    (fun (name, kind) ->
+      check_bool (name ^ "@3 parses") true (F.parse (name ^ "@3") = Ok [ (kind, 3) ]))
+    F.kinds;
+  check_bool "comma-joined tokens" true
+    (F.parse "enospc@2, short@5,kill-worker@0"
+    = Ok [ (F.Enospc, 2); (F.Short, 5); (F.Kill_worker, 0) ]);
+  check_bool "empty means no faults" true (F.parse "" = Ok []);
+  List.iter
+    (fun (raw, token) ->
+      match F.parse raw with
+      | Ok _ -> Alcotest.failf "%S accepted" raw
+      | Error msg ->
+        check_bool (Printf.sprintf "%S names %S" raw token) true
+          (Test_util.contains msg (Printf.sprintf "%S" token)))
+    [ ("enopsc@2", "enopsc@2"); (* unknown kind *)
+      ("KILL_WORKER@1", "KILL_WORKER@1"); (* old spelling *)
+      ("kill-worker", "kill-worker"); (* missing @n *)
+      ("kill-worker@", "kill-worker@");
+      ("kill-worker@-1", "kill-worker@-1"); (* negative *)
+      ("kill-worker@x", "kill-worker@x"); (* not an integer *)
+      ("kill-worker@0x10", "kill-worker@0x10");
+      ("kill-worker@1.5", "kill-worker@1.5");
+      ("enospc@2,,short@5", ""); (* empty token *)
+      ("enospc@2,enopsc@3", "enopsc@3") ];
+  with_fault "kill-worker@3,enospc@1" (fun () ->
+      check_bool "check accepts" true (F.check () = Ok ());
+      check_bool "fires at n" true (F.fires F.Kill_worker 3);
+      check_bool "not at another n" false (F.fires F.Kill_worker 2);
+      check_bool "not for another kind" false (F.fires F.Hang_worker 3));
+  with_fault "enopsc@2" (fun () ->
+      check_bool "check rejects" true (Result.is_error (F.check ()));
+      match F.fires F.Enospc 2 with
+      | _ -> Alcotest.fail "fires read a malformed schedule"
+      | exception Invalid_argument _ -> ());
+  check_bool "cleared: check accepts" true (F.check () = Ok ());
+  check_bool "cleared: nothing fires" false (F.fires F.Kill_worker 3)
+
+(* --- storage faults: Durable fault hooks, journal degradation, fsck ------------ *)
 
 let with_temp_file f =
   let path = Filename.temp_file "llhsc-durable" ".txt" in
@@ -720,7 +766,7 @@ let test_durable_atomic_write () =
 let check_old_contents_survive name schedule expect_exn =
   with_temp_file @@ fun path ->
   D.write_file ~path "before";
-  with_fs_fault schedule @@ fun () ->
+  with_fault schedule @@ fun () ->
   (match D.write_file ~path "after" with
   | () -> Alcotest.fail (name ^ ": injected fault did not fire")
   | exception e ->
@@ -758,7 +804,7 @@ let test_durable_crash_between_write_and_rename () =
   | 0 ->
     (* Child: the hook SIGKILLs the process after the temp file is
        written and fsync'd but before the rename publishes it. *)
-    Unix.putenv "LLHSC_FAULT_FS" "crash-rename@1";
+    Unix.putenv "LLHSC_FAULT" "crash-rename@1";
     D.reset_faults ();
     (try D.write_file ~path "after" with _ -> ());
     Unix._exit 0 (* only reached if the hook failed to fire *)
@@ -777,7 +823,7 @@ let test_journal_degrades_on_enospc () =
   check_bool "healthy before the fault" true (J.degradation sink = None);
   (* The next record's write hits ENOSPC: the sink degrades instead of
      raising, and later records are dropped without touching the disk. *)
-  with_fs_fault "enospc@1" (fun () -> J.record sink (List.nth entries 1));
+  with_fault "enospc@1" (fun () -> J.record sink (List.nth entries 1));
   (match J.degradation sink with
   | Some _ -> ()
   | None -> Alcotest.fail "sink did not degrade on ENOSPC");
@@ -805,7 +851,7 @@ let test_journal_degrades_on_fsync_eio () =
   let sink = J.open_ ~path ~inputs_hash in
   (* The record's write lands but its fsync reports EIO: the record may
      not be durable, so the sink must degrade — never pretend-durable. *)
-  with_fs_fault "eio-fsync@1" (fun () -> J.record sink (List.hd entries));
+  with_fault "eio-fsync@1" (fun () -> J.record sink (List.hd entries));
   check_bool "sink degraded on fsync failure" true (J.degradation sink <> None);
   J.close sink;
   check_bool "load refuses the degraded journal" true (J.load ~path ~inputs_hash = [])
@@ -835,7 +881,7 @@ let test_journal_degraded_restarts () =
   with_temp_journal @@ fun path ->
   let entries = sample_entries ~inputs_hash:quad_inputs_hash in
   let sink = J.open_ ~path ~inputs_hash:quad_inputs_hash in
-  with_fs_fault "enospc@1" (fun () -> J.record sink (List.hd entries));
+  with_fault "enospc@1" (fun () -> J.record sink (List.hd entries));
   J.close sink;
   write_journal path ~inputs_hash:quad_inputs_hash entries;
   Alcotest.(check (list string)) "the new records load" [ "vm1"; "partition" ]
@@ -862,7 +908,7 @@ let test_journal_append_after_torn_tail () =
 let test_journal_failed_header_restarts () =
   with_temp_journal @@ fun path ->
   let sink =
-    with_fs_fault "enospc@1" (fun () -> J.open_ ~path ~inputs_hash:quad_inputs_hash)
+    with_fault "enospc@1" (fun () -> J.open_ ~path ~inputs_hash:quad_inputs_hash)
   in
   check_bool "opened degraded" true (J.degradation sink <> None);
   J.close sink;
@@ -1140,10 +1186,6 @@ let prop_parallel_report_identical =
    report byte-identical to the undisturbed single-process run.  The
    fault hooks are read only in forked workers, so the jobs-1 baseline
    is undisturbed by construction. *)
-let with_fault_env var value f =
-  Unix.putenv var value;
-  Fun.protect ~finally:(fun () -> Unix.putenv var "") f
-
 let prop_supervised_crash_report_identical =
   QCheck.Test.make ~count:4
     ~name:"supervised pool with kills/hangs = --jobs 1 report"
@@ -1158,11 +1200,9 @@ let prop_supervised_crash_report_identical =
           ~deltas:(RE.deltas ()) ~schemas_for:RE.schemas_for ~vm_requests ()
       in
       let baseline = outcome_string (run 1) in
-      let var =
-        if hang then "LLHSC_FAULT_HANG_WORKER" else "LLHSC_FAULT_KILL_WORKER"
-      in
+      let kind = if hang then "hang-worker" else "kill-worker" in
       let disturbed =
-        with_fault_env var (string_of_int victim) (fun () ->
+        with_fault (Printf.sprintf "%s@%d" kind victim) (fun () ->
             outcome_string (run ~task_deadline:1.0 2))
       in
       disturbed = baseline)
@@ -1288,6 +1328,11 @@ let () =
             test_journal_foreign_file_refused;
           Alcotest.test_case "a task journal is not a product journal" `Quick
             test_task_journal_is_not_a_product_journal;
+        ] );
+      ( "fault-schedule",
+        [
+          Alcotest.test_case "parse accepts every kind, rejects malformed" `Quick
+            test_fault_schedule_parse;
         ] );
       ( "storage-faults",
         [
