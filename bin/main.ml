@@ -8,27 +8,12 @@
      dtb       compile DTS to a flattened DTB (or decompile with -d)
      demo      run the paper's running example end to end *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file = Llhsc.Util.read_file
 
 (* Every artifact the CLI emits (generated DTS, Bao configs, DTBs, SMT
    dumps) commits atomically: a crash or disk error mid-write leaves the
    old bytes or no file, never a torn artifact. *)
 let write_file path contents = Llhsc.Durable.write_file ~path contents
-
-(* Resolve /include/ relative to the including file's directory. *)
-let loader_for path file =
-  let dir = Filename.dirname path in
-  let candidate = Filename.concat dir file in
-  if Sys.file_exists candidate then Some (read_file candidate) else None
-
-(* All collected input diagnostics for one bad file; printed (every one of
-   them) by [handle_errors]. *)
-exception Input_errors of Diag.t list
 
 (* A delivery of SIGTERM/SIGINT mid-pipeline.  Raised from the signal
    handler so the journal sink can be fsync'd and closed on the way out —
@@ -39,10 +24,11 @@ exception Interrupted of int
    just the first. *)
 let load_tree path =
   match
-    Devicetree.Tree.of_source_diags ~loader:(loader_for path) ~file:path (read_file path)
+    Devicetree.Tree.of_source_diags ~loader:(Llhsc.Util.include_loader path) ~file:path
+      (read_file path)
   with
   | Ok tree -> tree
-  | Error errs -> raise (Input_errors (List.map Diag.parse_error errs))
+  | Error errs -> raise (Diag.Errors (List.map Diag.parse_error errs))
 
 (* The .yaml/.yml files of a --schemas directory, in name order. *)
 let schema_files = function
@@ -66,7 +52,7 @@ let exit_of_findings findings = if Llhsc.Report.is_clean findings then 0 else 1
    harness treats as a bug). *)
 let handle_errors f =
   try f () with
-  | Input_errors ds ->
+  | Diag.Errors ds ->
     List.iter (fun d -> Fmt.epr "%a@." Diag.pp d) ds;
     2
   | e -> (
@@ -289,28 +275,16 @@ let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features ex
      never kill a legitimately slow unbudgeted run. *)
   let task_deadline = task_deadline_of task_deadline timeout in
   check_limits mem_limit cpu_limit;
-  let core = load_tree core_path in
-  let deltas = Delta.Parse.parse ~file:deltas_path (read_file deltas_path) in
-  let model = Featuremodel.Parse.parse (read_file fm_path) in
-  let schemas = load_schemas schema_dir in
-  let schemas_for _tree = schemas in
-  (* Everything a verdict depends on: raw input bytes plus the
-     verdict-affecting flags.  Threaded into every journal record's content
-     hash, so --resume re-checks when any of it changed. *)
-  let inputs_hash =
-    Llhsc.Journal.inputs_hash
-      ~parts:
-        ([ read_file core_path; read_file deltas_path; read_file fm_path ]
-        @ List.map read_file (schema_files schema_dir)
-        @ List.map (String.concat ",") vm_features
-        @ exclusive
-        @ [ Printf.sprintf "conflicts=%s timeout=%s certify=%b retry=%s unsound=%s"
-              (match max_conflicts with Some n -> string_of_int n | None -> "-")
-              (match timeout with Some t -> string_of_float t | None -> "-")
-              certify
-              (match retry with Some n -> string_of_int n | None -> "-")
-              (Option.value ~default:"-" unsound) ])
+  let spec, pipeline =
+    Fleet.Spec.load ~core:core_path ~deltas:deltas_path ~model:fm_path
+      ~schemas:(schema_files schema_dir) ~vms:vm_features ~exclusive ~certify
+      ~retry ~max_conflicts ~solver_timeout:timeout ~unsound
   in
+  (* The run spec holds every byte the parser read, /include/d files
+     too, and every verdict-affecting flag: its digest is threaded into
+     every journal record's content hash, so --resume re-checks when any
+     of it changed. *)
+  let inputs_hash = Fleet.Spec.hash spec in
   let resume_entries =
     if not resume then []
     else
@@ -354,13 +328,10 @@ let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features ex
     Sys.set_signal Sys.sigint prev_int
   in
   match
-    Llhsc.Pipeline.run ~exclusive
-      ?budget:(Llhsc.Pipeline.budget_of ~max_conflicts ~timeout) ~certify
-      ?retry:(Llhsc.Pipeline.retry_of retry)
-      ?unsound:(Option.map Sat.Solver.unsound_of_string unsound)
-      ~inputs_hash ?journal:sink ~resume:resume_entries ~jobs ?task_deadline
-      ~max_respawns ?mem_limit ?cpu_limit ?runner
-      ~model ~core ~deltas ~schemas_for ~vm_requests:vm_features ()
+    pipeline
+      (Llhsc.Pipeline.run ~inputs_hash ?journal:sink ~resume:resume_entries ~jobs
+         ?task_deadline ~max_respawns ?mem_limit ?cpu_limit
+         ?runner:(Option.map (fun runner -> runner spec) runner))
   with
   | exception Interrupted s ->
     restore ();
@@ -456,7 +427,7 @@ let read_secret_file path =
   if s = "" then failwith (Printf.sprintf "secret file %s is empty" path);
   s
 
-let cmd_dispatch listen min_workers wait_workers port_file ship secret_file
+let cmd_dispatch listen min_workers wait_workers port_file secret_file
     core_path deltas_path fm_path schema_dir vm_features
     exclusive out_dir max_conflicts timeout certify retry journal_path resume
     unsound task_deadline =
@@ -471,42 +442,6 @@ let cmd_dispatch listen min_workers wait_workers port_file ship secret_file
      holds its tasks until then — so unlike the local pool there is a
      hard default. *)
   let deadline = Option.value ~default:60. (task_deadline_of task_deadline timeout) in
-  (* Everything a worker needs to replan the run, as raw bytes keyed by
-     the original file-name strings (so remote diagnostics match local
-     ones byte for byte).  /include/d files are shipped by name:
-     .dtsi siblings of the core automatically, anything else via --ship
-     (NAME=PATH to override the key). *)
-  let ship_entry s =
-    match String.index_opt s '=' with
-    | Some i ->
-      (String.sub s 0 i, read_file (String.sub s (i + 1) (String.length s - i - 1)))
-    | None -> (Filename.basename s, read_file s)
-  in
-  let files =
-    let dir = Filename.dirname core_path in
-    let auto =
-      Sys.readdir dir |> Array.to_list |> List.sort String.compare
-      |> List.filter (fun f -> Filename.check_suffix f ".dtsi")
-      |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
-    in
-    let explicit = List.map ship_entry ship in
-    explicit @ auto (* first match wins on lookup: --ship overrides *)
-  in
-  let spec =
-    { Fleet.Spec.core = { Fleet.Spec.file = core_path; text = read_file core_path };
-      deltas = { Fleet.Spec.file = deltas_path; text = read_file deltas_path };
-      model = read_file fm_path;
-      schemas = List.map read_file (schema_files schema_dir);
-      files;
-      vms = vm_features;
-      exclusive;
-      certify;
-      retry;
-      max_conflicts;
-      solver_timeout = timeout;
-      unsound;
-      skip = [] }
-  in
   let cfg =
     { Fleet.Dispatch.host; port; min_workers; wait_workers; deadline;
       port_file; secret;
@@ -516,12 +451,14 @@ let cmd_dispatch listen min_workers wait_workers port_file ship secret_file
       task_journal = Option.map (fun p -> p ^ ".tasks") journal_path;
       resume }
   in
-  let runner ~skip tasks =
+  (* Workers get the spec `pipeline` built, with the products replayed
+     from the journal as its skip list. *)
+  let runner spec ~skip tasks =
     Fleet.Dispatch.run cfg ~spec:{ spec with Fleet.Spec.skip } tasks
   in
   (* Same driver as `pipeline`, with the fleet in place of the local
-     pool: journal, resume, report rendering and exit codes are shared,
-     and the local-pool knobs are fixed to their no-op values. *)
+     pool: spec, journal, resume, report rendering and exit codes are
+     shared, and the local-pool knobs are fixed to their no-op values. *)
   cmd_pipeline ~runner core_path deltas_path fm_path schema_dir vm_features
     exclusive out_dir max_conflicts timeout certify retry journal_path resume
     unsound 1 None 8 None None
@@ -614,7 +551,7 @@ let cmd_dtb input output decompile =
     let src = read_file input in
     let ast = Devicetree.Parser.parse ~file:input src in
     let memreserves = Devicetree.Tree.memreserves_of_ast ast in
-    let tree = Devicetree.Tree.of_ast ~loader:(loader_for input) ast in
+    let tree = Devicetree.Tree.of_ast ~loader:(Llhsc.Util.include_loader input) ast in
     let blob = Devicetree.Fdt.encode ~memreserves tree in
     let out = match output with Some p -> p | None -> Filename.remove_extension input ^ ".dtb" in
     write_file out blob;
@@ -1027,13 +964,6 @@ let dispatch_cmd =
              ~doc:"Write the bound port to $(docv) once listening (workers \
                    can poll it with their own --port-file).")
   in
-  let ship =
-    Arg.(value & opt_all string []
-         & info [ "ship" ] ~docv:"[NAME=]PATH"
-             ~doc:"Ship an extra /include/d file to workers under its base \
-                   name (or $(b,NAME)).  .dtsi files next to the core are \
-                   shipped automatically.")
-  in
   let task_deadline =
     Arg.(value & opt (some float) None
          & info [ "task-deadline" ] ~docv:"SECONDS"
@@ -1070,7 +1000,7 @@ let dispatch_cmd =
                --min-workers, remaining tasks finish in-process — a run \
                that loses every worker still completes." ])
     Term.(const cmd_dispatch $ listen $ min_workers $ wait_workers
-          $ port_file $ ship $ secret_file $ pl_core $ pl_deltas
+          $ port_file $ secret_file $ pl_core $ pl_deltas
           $ pl_fm $ schema_dir_arg $ pl_vms
           $ pl_exclusive $ pl_out $ pl_max_conflicts $ pl_timeout $ certify_arg
           $ pl_retry $ pl_journal $ pl_resume $ pl_unsound $ task_deadline)

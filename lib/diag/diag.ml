@@ -19,6 +19,8 @@ type t = {
   loc : Devicetree.Loc.t option;
 }
 
+exception Errors of t list
+
 let make ?(severity = Error) ?loc ~code fmt =
   Fmt.kstr (fun message -> { severity; code; message; loc }) fmt
 
@@ -37,11 +39,11 @@ let pp ppf d =
   | None -> Fmt.pf ppf "%a[%s]: %s" pp_severity d.severity d.code d.message
 
 let is_error d = d.severity = Error
-let exit_code diags = if List.exists is_error diags then 2 else 0
 
 let of_exn exn =
   let at ?loc code fmt = Fmt.kstr (fun m -> Some (make ?loc ~code "%s" m)) fmt in
   match exn with
+  | Errors (d :: _) -> Some d
   (* devicetree *)
   | Devicetree.Lexer.Error (msg, loc) -> at ~loc "DT-LEX" "%s" msg
   | Devicetree.Parser.Error (msg, loc) -> at ~loc "DT-PARSE" "%s" msg
@@ -94,22 +96,3 @@ let of_exn exn =
   | Resource_limit msg -> at "RESOURCE" "%s" msg
   | Out_of_memory -> at "RESOURCE" "out of memory (memory limit exceeded?)"
   | _ -> None
-
-let catch f =
-  match f () with
-  | v -> Ok v
-  | exception e -> (match of_exn e with Some d -> Error d | None -> raise e)
-
-module Collector = struct
-  type diag = t
-  type nonrec t = { mutable diags : diag list (* newest first *) }
-
-  let create () = { diags = [] }
-  let add c d = c.diags <- d :: c.diags
-
-  let error c ?loc ~code fmt =
-    Fmt.kstr (fun message -> add c { severity = Error; code; message; loc }) fmt
-
-  let has_errors c = List.exists is_error c.diags
-  let to_list c = List.rev c.diags
-end

@@ -23,6 +23,11 @@ type t = {
   loc : Devicetree.Loc.t option;
 }
 
+(** Every diagnostic of one bad input, such as a DTS whose parse
+    recovered past several errors.  The CLI prints them all; {!of_exn}
+    keeps the first. *)
+exception Errors of t list
+
 (** Build a diagnostic with a formatted message (default severity
     [Error]). *)
 val make :
@@ -40,10 +45,6 @@ val pp : Format.formatter -> t -> unit
 
 val is_error : t -> bool
 
-(** CLI exit code for a diagnostic set: [0] when no [Error]-severity
-    diagnostics are present, [2] otherwise (the "input error" code). *)
-val exit_code : t list -> int
-
 (** Convert any known llhsc exception into a diagnostic; [None] for
     exceptions the pipeline does not own, which should keep propagating.
     This is the exhaustive catalogue of every [exception Error] in the
@@ -53,30 +54,3 @@ val exit_code : t list -> int
     to [error[RESOURCE]]: a tripped rlimit guard degrades to a per-task
     diagnostic instead of killing the checker. *)
 val of_exn : exn -> t option
-
-(** Run a thunk, converting known exceptions into a diagnostic. Unknown
-    exceptions propagate. *)
-val catch : (unit -> 'a) -> ('a, t) result
-
-(** Mutable accumulator for diagnostics, for pipelines that keep going
-    after the first problem. *)
-module Collector : sig
-  type diag = t
-  type t
-
-  val create : unit -> t
-  val add : t -> diag -> unit
-
-  (** Record a formatted [Error]-severity diagnostic. *)
-  val error :
-    t ->
-    ?loc:Devicetree.Loc.t ->
-    code:string ->
-    ('a, Format.formatter, unit, unit) format4 ->
-    'a
-
-  val has_errors : t -> bool
-
-  (** Collected diagnostics, oldest first. *)
-  val to_list : t -> diag list
-end

@@ -52,20 +52,6 @@ let addr_of host port =
 let msg_setup spec hash =
   Json.to_string (Json.Obj [ ("setup", Spec.to_wire spec); ("hash", Json.Str hash) ])
 
-(* Bandwidth-aware setup: a worker whose hello advertised this spec hash
-   already holds the built task array from an earlier session, so the
-   setup carries only the hash — no spec body.  A worker that lost its
-   cache replies with an error and the dispatcher falls back to shipping
-   in full. *)
-let msg_setup_cached hash =
-  Json.to_string
-    (Json.Obj
-       [ ("setup", Json.Obj [ ("cached", Json.Bool true) ]);
-         ("hash", Json.Str hash) ])
-
-let setup_choice ~cached ~spec_hash =
-  if List.mem spec_hash cached then `Cached else `Ship
-
 (* --- task journal -----------------------------------------------------------
 
    Crash recovery for the dispatcher itself: every task result that wins
@@ -103,9 +89,6 @@ let run cfg ~spec (tasks : Shard.task array) =
      the rejected-connection count surfaced in the final stats line. *)
   let seen_nonces : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let auth_rejected = ref 0 in
-  (* Spec transfers skipped because the worker's hello advertised a warm
-     cache of this spec hash (bandwidth-aware scheduling). *)
-  let spec_skips = ref 0 in
 
   (* Task journal: preload completed results on --resume, then append
      every fresh result.  Preloaded tasks leave the pending queue before
@@ -142,37 +125,20 @@ let run cfg ~spec (tasks : Shard.task array) =
   let handshake c =
     let state = ref `Hello in
     let nonces = ref ("", "") in
-    let cached = ref [] in
-    let sent_cached = ref false in
     let reject reason =
       incr auth_rejected;
       notice "notice[AUTH] %s: %s" (Shard.peer c) reason;
-      Shard.drop c "failed authentication"
+      Shard.drop c Shard.auth_failure
     in
-    (* Ship the spec, or just its hash when the worker's hello advertised
-       a warm cache for it — the worker rebuilds its task array from the
-       cache and replies ready exactly as if the spec had been shipped. *)
     let send_setup () =
       state := `Setup;
-      match setup_choice ~cached:!cached ~spec_hash with
-      | `Cached ->
-        sent_cached := true;
-        incr spec_skips;
-        notice "worker %s has spec %s cached; skipping spec transfer"
-          (Shard.peer c) spec_hash;
-        Shard.post c (msg_setup_cached spec_hash)
-      | `Ship ->
-        sent_cached := false;
-        Shard.post c setup_payload
+      Shard.post c setup_payload
     in
     fun j ->
       match !state with
       | `Hello -> (
         match Json.member "hello" j with
         | Some hello -> (
-          cached :=
-            Option.value ~default:[]
-              (Option.bind (Json.member "cached" hello) Json.to_str_list);
           match cfg.secret with
           | None -> send_setup ()
           | Some secret -> (
@@ -230,15 +196,6 @@ let run cfg ~spec (tasks : Shard.task array) =
                  (match k with Some k -> string_of_int k | None -> "?"))
         | None -> (
           match Option.bind (Json.member "error" j) Json.to_str with
-          | Some msg when !sent_cached ->
-            (* The worker advertised this spec but lost its cache (e.g. a
-               restart between hello and setup): fall back to shipping in
-               full rather than dropping a healthy worker. *)
-            notice "worker %s lost its cached spec (%s); shipping in full"
-              (Shard.peer c) msg;
-            sent_cached := false;
-            decr spec_skips;
-            Shard.post c setup_payload
           | Some msg -> Shard.drop c (Printf.sprintf "failed to plan: %s" msg)
           | None -> Shard.drop c "spoke before ready"))
   in
@@ -315,7 +272,4 @@ let run cfg ~spec (tasks : Shard.task array) =
   in
   if !auth_rejected > 0 then
     notice "auth: rejected %d connection attempt(s)" !auth_rejected;
-  if !spec_skips > 0 then
-    notice "spec cache: skipped %d spec transfer(s) to worker(s) with a warm \
-            cache" !spec_skips;
   results

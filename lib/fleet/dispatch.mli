@@ -5,9 +5,11 @@
 
     On top of that loop the dispatcher adds only its listen socket, the
     handshake, the worker floor and the task journal.  Workers connect
-    and handshake (hello -> setup -> ready); the ready message must echo
-    the spec hash and task count, so a worker that planned a different
-    run is rejected before it can contribute a result.  Ready workers
+    and handshake (hello -> setup -> ready).  Every setup ships the whole
+    {!Spec}; the ready message must echo the spec hash and task count,
+    so a worker that planned a different run is rejected before it can
+    contribute a result.  A connection refused during its handshake is
+    named on stderr with the reason ({!Llhsc.Shard.drop}).  Ready workers
     are then leased one task at a time; every fault — death, partition,
     hang (lease past [deadline]), corrupt frame, invalid result —
     collapses to dropping the connection and reassigning its lease (or
@@ -57,19 +59,3 @@ type config = {
     [tasks], with [spec.skip] naming the journal-replayed products. *)
 val run :
   config -> spec:Spec.t -> Llhsc.Shard.task array -> Llhsc.Shard.result option array
-
-(** {1 Bandwidth-aware setup}
-
-    Exposed for unit tests: the pure policy deciding whether a worker's
-    setup ships the spec body or only its hash. *)
-
-(** [`Cached] when [spec_hash] is among the hashes the worker's hello
-    advertised as cached — the dispatcher sends {!msg_setup_cached} and
-    skips the spec transfer; [`Ship] otherwise. *)
-val setup_choice : cached:string list -> spec_hash:string -> [ `Cached | `Ship ]
-
-(** The hash-only setup message sent on a cache hit:
-    [{"setup":{"cached":true},"hash":h}] — no spec body.  A worker whose
-    cache no longer holds [h] replies with an error and the dispatcher
-    falls back to the full setup. *)
-val msg_setup_cached : string -> string

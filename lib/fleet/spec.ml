@@ -1,18 +1,20 @@
-(* The shippable description of one pipeline run: every raw input byte
-   and verdict-affecting flag, as one JSON value.
+(* The one description of a pipeline run: every raw input byte and
+   verdict-affecting flag, as one JSON value.
 
-   Closures cannot cross a socket, so the fleet protocol ships *inputs*
-   and has each worker replan: [build] parses the shipped texts exactly
-   as the CLI parses the files they came from (same file-name strings,
-   so diagnostic locations match byte-for-byte) and calls
-   [Pipeline.plan_tasks], which is deterministic in these inputs plus
-   [skip].  Dispatcher and workers therefore agree on the task array —
-   index [i] means the same closure everywhere — and [hash] (a digest of
-   the canonical JSON rendering) is the protocol's proof of that
-   agreement: it rides on every task message and result, and a mismatch
-   means the peer planned a different run. *)
+   [load] builds it from the files the parser actually read, and
+   [parse] turns it back into [Pipeline] arguments: the CLI runs
+   [Pipeline.run] on those, and a fleet worker's [build] runs
+   [Pipeline.plan_tasks] on the same arguments rebuilt from the shipped
+   texts (same file-name strings, so diagnostic locations match
+   byte-for-byte).  Planning is deterministic in these inputs plus
+   [skip], so dispatcher and workers agree on the task array — index [i]
+   means the same closure everywhere — and [hash] (a digest of the
+   canonical JSON rendering) is the proof of that agreement: it rides on
+   every task message and result, and a mismatch means the peer planned
+   a different run.  The product journal keys on the same digest. *)
 
 module Json = Llhsc.Json
+module Pipeline = Llhsc.Pipeline
 
 type input = { file : string; text : string }
 
@@ -41,9 +43,10 @@ let opt_str = function None -> Json.Null | Some s -> Json.Str s
 let input_to_json i =
   Json.Obj [ ("file", Json.Str i.file); ("text", Json.Str i.text) ]
 
-(* Field order is fixed: [hash] digests this rendering, so it must be a
-   canonical function of the record. *)
-let to_json s =
+(* The wire form is the canonical JSON itself.  Field order is fixed:
+   [hash] digests this rendering, so it must be a canonical function of
+   the record. *)
+let to_wire s =
   Json.Obj
     [
       ("core", input_to_json s.core);
@@ -84,7 +87,7 @@ let opt_str_of name j =
   | None | Some Json.Null -> Some None
   | Some v -> Option.map Option.some (Json.to_str v)
 
-let of_json j =
+let of_wire j =
   let* core = Option.bind (Json.member "core" j) input_of_json in
   let* deltas = Option.bind (Json.member "deltas" j) input_of_json in
   let* model = Option.bind (Json.member "model" j) Json.to_str in
@@ -127,40 +130,81 @@ let of_json j =
     { core; deltas; model; schemas; files; vms; exclusive; certify; retry;
       max_conflicts; solver_timeout; unsound; skip }
 
-let hash s = Digest.to_hex (Digest.string (Json.to_string (to_json s)))
+let hash s = Digest.to_hex (Digest.string (Json.to_string (to_wire s)))
 
-(* The wire form is the canonical JSON itself. *)
-let to_wire = to_json
-let of_wire = of_json
+(* --- Pipeline arguments ------------------------------------------------------ *)
+
+type 'a pipeline =
+  ?exclusive:string list ->
+  ?budget:Sat.Solver.budget ->
+  ?certify:bool ->
+  ?retry:Smt.Escalation.t ->
+  ?unsound:Sat.Solver.unsound_mutation ->
+  model:Featuremodel.Model.t ->
+  core:Devicetree.Tree.t ->
+  deltas:Delta.Lang.t list ->
+  schemas_for:(Devicetree.Tree.t -> Schema.Binding.t list) ->
+  vm_requests:string list list ->
+  unit ->
+  'a
+
+(* The texts parse now, in the CLI's order; the flags decode only once
+   the result meets its [Pipeline] function, so whatever the caller does
+   in between (the CLI opens its journal) still comes first. *)
+let parse ~loader s : 'a pipeline -> 'a =
+  let core =
+    match Devicetree.Tree.of_source_diags ~loader ~file:s.core.file s.core.text with
+    | Ok tree -> tree
+    | Error errs -> raise (Diag.Errors (List.map Diag.parse_error errs))
+  in
+  let deltas = Delta.Parse.parse ~file:s.deltas.file s.deltas.text in
+  let model = Featuremodel.Parse.parse s.model in
+  let schemas = List.map Schema.Binding.of_string s.schemas in
+  fun f ->
+    f ~exclusive:s.exclusive
+      ?budget:
+        (Pipeline.budget_of ~max_conflicts:s.max_conflicts ~timeout:s.solver_timeout)
+      ~certify:s.certify ?retry:(Pipeline.retry_of s.retry)
+      ?unsound:(Option.map Sat.Solver.unsound_of_string s.unsound)
+      ~model ~core ~deltas ~schemas_for:(fun _ -> schemas) ~vm_requests:s.vms ()
+
+let load ~core ~deltas ~model ~schemas ~vms ~exclusive ~certify ~retry
+    ~max_conflicts ~solver_timeout ~unsound =
+  let read = Llhsc.Util.read_file in
+  let core = { file = core; text = read core } in
+  let deltas = { file = deltas; text = read deltas } in
+  let model = read model in
+  let schemas = List.map read schemas in
+  (* Each /include/d file is recorded under its literal name, the key a
+     worker looks it up by.  A name included twice parses as the bytes
+     recorded. *)
+  let files = ref [] in
+  let loader name =
+    match List.assoc_opt name !files with
+    | Some _ as text -> text
+    | None ->
+      let text = Llhsc.Util.include_loader core.file name in
+      Option.iter (fun text -> files := (name, text) :: !files) text;
+      text
+  in
+  let spec =
+    { core; deltas; model; schemas; files = []; vms; exclusive; certify; retry;
+      max_conflicts; solver_timeout; unsound; skip = [] }
+  in
+  let pipeline = parse ~loader spec in
+  ({ spec with files = List.rev !files }, pipeline)
 
 (* --- replanning -------------------------------------------------------------- *)
 
+(* Includes resolve by their literal name against the shipped file set:
+   the key [load] recorded them under, so resolution cannot diverge. *)
 let build s =
-  try
-    (* Includes resolve by the literal /include/ string against the
-       shipped file set — the same key the dispatcher used when it
-       shipped them, so resolution cannot silently diverge. *)
-    let loader file = List.assoc_opt file s.files in
-    let core =
-      match
-        Devicetree.Tree.of_source_diags ~loader ~file:s.core.file s.core.text
-      with
-      | Ok tree -> tree
-      | Error _ -> failwith (Printf.sprintf "unparsable core %s" s.core.file)
-    in
-    let deltas = Delta.Parse.parse ~file:s.deltas.file s.deltas.text in
-    let model = Featuremodel.Parse.parse s.model in
-    let schemas = List.map Schema.Binding.of_string s.schemas in
-    let schemas_for _tree = schemas in
-    Ok
-      (Llhsc.Pipeline.plan_tasks ~exclusive:s.exclusive
-         ?budget:
-           (Llhsc.Pipeline.budget_of ~max_conflicts:s.max_conflicts
-              ~timeout:s.solver_timeout)
-         ~certify:s.certify ?retry:(Llhsc.Pipeline.retry_of s.retry)
-         ?unsound:(Option.map Sat.Solver.unsound_of_string s.unsound)
-         ~skip:s.skip ~model ~core ~deltas ~schemas_for ~vm_requests:s.vms ())
-  with e -> (
+  match
+    parse ~loader:(fun name -> List.assoc_opt name s.files) s
+      (Pipeline.plan_tasks ~skip:s.skip)
+  with
+  | tasks -> Ok tasks
+  | exception e -> (
     match Diag.of_exn e with
     | Some d -> Error (Fmt.str "%a" Diag.pp d)
     | None -> raise e)

@@ -2,11 +2,10 @@
    shipped spec, and execute leased tasks until retired.
 
    The worker is deliberately stateless across connections: everything
-   it needs arrives in the setup message, and the task array it builds
-   is cached by spec hash so a reconnect (network blip, injected drop)
-   re-handshakes in microseconds instead of re-parsing.  Task results go
-   back as one frame each, stamped with the spec hash and validated
-   again on the dispatcher — the worker is not trusted, merely useful.
+   it needs arrives in the setup message, and every connection replans
+   from the spec shipped on it.  Task results go back as one frame each,
+   stamped with the spec hash and validated again on the dispatcher —
+   the worker is not trusted, merely useful.
 
    Connection loss is survived, not fatal: exponential-backoff reconnect,
    bounded by [max_reconnects] consecutive failures (a completed
@@ -107,8 +106,8 @@ let backoff_delay ~seed ~attempt =
   base *. (0.75 +. (0.5 *. u))
 
 (* One connection's lifetime: hello (with a fresh nonce when a secret
-   is configured), the mutual HMAC challenge–response, build (or reuse)
-   the task array, then serve leased tasks until retire/EOF.  Returns
+   is configured), the mutual HMAC challenge–response, build the task
+   array, then serve leased tasks until retire/EOF.  Returns
    [true] when the handshake completed (resets the reconnect budget).
 
    Auth protocol (see DESIGN.md "fleet trust"): the worker's hello
@@ -122,25 +121,17 @@ let backoff_delay ~seed ~attempt =
    sequence number ({!Frame.seal}).  A secret-configured worker never
    accepts a spec from a dispatcher that did not complete the
    challenge. *)
-let session fd ~secret ~mem_limit ~cache =
+let session fd ~secret ~mem_limit =
   let c = Shard.conn ~peer:"dispatcher" fd in
   let authed = ref false in
   let nonce_w =
     match secret with Some _ -> Some (Llhsc.Hmac.nonce ()) | None -> None
   in
-  (* Advertise which spec hashes we already hold so the dispatcher can
-     skip re-shipping the spec body on reconnect (bandwidth-aware
-     scheduling; it sends a hash-only setup and we answer from cache). *)
   Shard.send c
     (Json.Obj
        [ ( "hello",
            Json.Obj
              (("pid", Json.Int (Unix.getpid ()))
-             :: ( "cached",
-                  Json.List
-                    (match !cache with
-                    | Some (h, _) -> [ Json.Str h ]
-                    | None -> []) )
              ::
              (match nonce_w with
              | Some n -> [ ("nonce", Json.Str n) ]
@@ -182,18 +173,10 @@ let session fd ~secret ~mem_limit ~cache =
       | None -> raise (Shard.Protocol "setup without hash")
     in
     let built =
-      match !cache with
-      | Some (h', ts) when h' = h -> Ok ts
-      | _ when Json.member "cached" sj = Some (Json.Bool true) ->
-        (* A hash-only setup with a cold cache (e.g. the worker
-           restarted between hello and setup) cannot be planned; the
-           dispatcher falls back to shipping the full spec. *)
-        Error "spec not cached"
-      | _ -> (
-        match Spec.of_wire sj with
-        | None -> Error "malformed spec"
-        | Some spec when Spec.hash spec <> h -> Error "spec hash mismatch"
-        | Some spec -> Spec.build spec)
+      match Spec.of_wire sj with
+      | None -> Error "malformed spec"
+      | Some spec when Spec.hash spec <> h -> Error "spec hash mismatch"
+      | Some spec -> Spec.build spec
     in
     match built with
     | Error msg ->
@@ -201,7 +184,6 @@ let session fd ~secret ~mem_limit ~cache =
       notice "cannot plan the shipped run: %s" msg;
       None
     | Ok ts ->
-      cache := Some (h, ts);
       Shard.send c
         (Json.Obj
            [ ( "ready",
@@ -233,7 +215,6 @@ let session fd ~secret ~mem_limit ~cache =
 let run cfg =
   Shard.install_guards ~mem_limit:cfg.mem_limit ~cpu_limit:cfg.cpu_limit;
   let restore_sigpipe = Util.ignore_sigpipe () in
-  let cache = ref None in
   let failures = ref 0 in
   let code = ref 1 in
   (try
@@ -245,7 +226,7 @@ let run cfg =
             ~finally:(fun () ->
               try Unix.close fd with Unix.Unix_error _ -> ())
             (fun () ->
-              session fd ~secret:cfg.secret ~mem_limit:cfg.mem_limit ~cache)
+              session fd ~secret:cfg.secret ~mem_limit:cfg.mem_limit)
         with
         | handshaken -> if handshaken then failures := 0 else incr failures
         | exception Retired ->

@@ -4,12 +4,11 @@
     task loop as a forked [--jobs N] worker.
 
     Stateless across connections: the setup message carries everything,
-    and the built task array is cached by spec hash so reconnects
-    re-handshake without re-parsing.  Connection loss is survived with
-    exponential-backoff reconnects (±25% seeded jitter so a restarted
-    dispatcher is not hit by a thundering herd), bounded by
-    [max_reconnects] {e consecutive} failures (a completed handshake
-    resets the budget).  Resource guards ([mem_limit] MiB /
+    and each connection replans from the spec shipped on it.  Connection
+    loss is survived with exponential-backoff reconnects (±25% seeded
+    jitter so a restarted dispatcher is not hit by a thundering herd),
+    bounded by [max_reconnects] {e consecutive} failures (a completed
+    handshake resets the budget).  Resource guards ([mem_limit] MiB /
     [cpu_limit] seconds) are installed once at startup, like a
     fork-pool child's.
 

@@ -127,6 +127,11 @@ let fresh_solver ~certify ~budget ~retry ~unsound () =
   Option.iter (Smt.Solver.inject_unsoundness s) unsound;
   s
 
+(* A journal entry is only worth replaying if the current run's
+   certification demands are no stricter than the run that wrote it. *)
+let trusted ~certify (e : Journal.entry) =
+  (not certify) || (e.Journal.certified && e.Journal.cert_failures = 0)
+
 type planned =
   | Plan_rejected of Report.finding list (* allocation said no *)
   | Planned of { plans : plan list; tasks : Shard.task array }
@@ -146,16 +151,11 @@ type planned =
    plans them as [Done] without needing the journal itself. *)
 let plan_all ~exclusive ~budget ~certify ~retry ~unsound ~inputs_hash ~resume
     ~skip ~errors ~replayed ~model ~core ~deltas ~schemas_for ~vm_requests =
-  (* A journal entry is only worth replaying if the current run's
-     certification demands are no stricter than the run that wrote it. *)
-  let trusted (e : Journal.entry) =
-    (not certify) || (e.Journal.certified && e.Journal.cert_failures = 0)
-  in
   let replay_findings name hash =
     if List.mem name skip then Some []
     else
       match Journal.find resume Journal.Product name with
-      | Some e when e.Journal.hash = hash && trusted e ->
+      | Some e when e.Journal.hash = hash && trusted ~certify e ->
         Some e.Journal.findings
       | _ -> None
   in
@@ -321,11 +321,6 @@ let run ?(exclusive = []) ?budget ?(certify = false) ?retry ?unsound
         { Journal.kind; name; hash; features; order; findings;
           certified = certify; cert_failures }
   in
-  (* A journal entry is only worth replaying if the current run's
-     certification demands are no stricter than the run that wrote it. *)
-  let trusted (e : Journal.entry) =
-    (not certify) || (e.Journal.certified && e.Journal.cert_failures = 0)
-  in
   (* Canonical-order accumulation of the per-task solver statistics.
      Every task numbers its queries from 0; [absorb] renumbers them into
      one run-wide sequence (products in order, each product's syntactic
@@ -455,7 +450,7 @@ let run ?(exclusive = []) ?budget ?(certify = false) ?retry ?unsound
           ~products:(List.map (fun p -> (p.name, p.features)) all_products)
       in
       match Journal.find resume Journal.Partition "partition" with
-      | Some e when e.Journal.hash = hash && trusted e ->
+      | Some e when e.Journal.hash = hash && trusted ~certify e ->
         replayed := "partition" :: !replayed;
         e.Journal.findings
       | _ ->

@@ -74,9 +74,10 @@ val ok : outcome -> bool
     [resume] replays a previously loaded journal (see [Journal.load]):
     products whose content hash matches a trusted entry are skipped —
     findings replayed verbatim — and stale or untrusted entries are
-    re-checked.  [inputs_hash] is the caller-computed hash of the run's
-    raw inputs and verdict-affecting flags, threaded into every record's
-    content hash.
+    re-checked.  [inputs_hash] identifies the run's inputs and
+    verdict-affecting flags (the CLI passes the digest of its run spec,
+    [Fleet.Spec.hash]) and is threaded into every record's content
+    hash.
 
     [unsound] is test-only fault injection forwarded to the underlying
     SAT solver (see [Sat.Solver.inject_unsoundness]); the

@@ -465,6 +465,10 @@ let add pool ~peer fd =
   pool.conns <- pool.conns @ [ c ];
   c
 
+(* The [why] of an authentication rejection, which prints its own
+   notice[AUTH] line. *)
+let auth_failure = "failed authentication"
+
 let drop c why =
   if c.alive then begin
     c.alive <- false;
@@ -576,7 +580,7 @@ let supervise ?deadline ?listen ~spec ~admit ~replace ~fresh st
           | `Bad why -> drop c why
           | `Forged ->
             notice "notice[AUTH] %s: frame MAC mismatch mid-stream" c.peer;
-            drop c "failed authentication"
+            drop c auth_failure
           | `Msg j ->
             on_msg c j;
             drain ()
@@ -590,7 +594,7 @@ let supervise ?deadline ?listen ~spec ~admit ~replace ~fresh st
       (fun c ->
         match (c.handshake, deadline) with
         | Some _, _ when now -. c.created > handshake_timeout ->
-          drop c "stalled during handshake"
+          drop c "stalled"
         | None, Some dl -> (
           match Supervise.Lease.expired c.lease ~deadline:dl ~now with
           | None -> ()
@@ -617,8 +621,11 @@ let supervise ?deadline ?listen ~spec ~admit ~replace ~fresh st
         0.25 pool.conns
   in
   (* A lost worker's lease goes back on the queue, or into quarantine on
-     its task's second crash. *)
+     its task's second crash.  A connection lost before it was admitted
+     held no lease, so it is named here. *)
   let bury c =
+    if c.handshake <> None && c.why <> auth_failure then
+      notice "worker %s dropped during handshake: %s" c.peer c.why;
     Option.iter
       (fun i ->
         Supervise.Lease.finish c.lease i;

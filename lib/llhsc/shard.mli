@@ -158,8 +158,15 @@ val post : conn -> string -> unit
 
 (** Drop the connection: close it now; at the end of the loop round its
     lease is reassigned (the notice says the worker [why]) and it is
-    handed to [replace]. *)
+    handed to [replace].  A connection dropped before {!ready} holds no
+    lease; it gets a [worker <peer> dropped during handshake: <why>]
+    notice instead, unless [why] is {!auth_failure}. *)
 val drop : conn -> string -> unit
+
+(** The [why] of a connection refused for failing authentication.  Its
+    [notice[AUTH]] line, printed by whoever refused it, is its only
+    notice. *)
+val auth_failure : string
 
 (** The handshake is complete: the connection may now hold leases. *)
 val ready : conn -> unit

@@ -9,6 +9,17 @@ let starts_with ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
+let read_file path =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
+let include_loader path name =
+  let candidate = Filename.concat (Filename.dirname path) name in
+  if Sys.file_exists candidate then Some (read_file candidate) else None
+
 (* A stray signal (SIGCHLD from a reaped worker, a profiler's SIGPROF, ...)
    interrupts slow syscalls with EINTR; every [Unix.read]/[select]/[waitpid]
    /[fsync] in the pool and the journal must retry instead of surfacing a

@@ -5,6 +5,14 @@ val contains : string -> string -> bool
 
 val starts_with : prefix:string -> string -> bool
 
+(** The whole contents of a file.  Raises [Sys_error]. *)
+val read_file : string -> string
+
+(** [include_loader path name] resolves [/include/ "name"] in the DTS
+    at [path]: the contents of [name] relative to [path]'s directory,
+    [None] when there is no such file. *)
+val include_loader : string -> string -> string option
+
 (** Run a syscall thunk, retrying as long as it fails with
     [Unix.EINTR].  Wrap every blocking [Unix.read]/[select]/[waitpid]/
     [fsync] call site: a stray signal must not abort a drain. *)

@@ -244,6 +244,31 @@ run_journaled_pipeline --resume > "$TMP/journal2.out" 2> "$TMP/resume.err" \
 cmp -s "$TMP/journal1.out" "$TMP/journal2.out" || fail "resumed report differs from original"
 grep -q "resume: replayed from journal" "$TMP/resume.err" || fail "expected resume status on stderr"
 
+echo "# journal + resume: an edited /include/d file is re-checked, not replayed"
+mkdir "$TMP/incl"
+cp -R "$FIXTURES/." "$TMP/incl/"
+run_incl_pipeline() {
+  "$LLHSC" pipeline --core "$TMP/incl/custom-sbc.dts" --deltas "$TMP/incl/custom-sbc.deltas" \
+    --model "$TMP/incl/custom-sbc.fm" --schemas "$TMP/incl/schemas" \
+    --vm "memory,cpu@0,uart@20000000,uart@30000000,veth0" \
+    --vm "memory,cpu@1,uart@20000000,uart@30000000,veth1" \
+    --exclusive cpus "$@"
+}
+run_incl_pipeline --journal "$TMP/incl.journal" > /dev/null 2> /dev/null \
+  || fail "journaled pipeline on the fixture copy should pass"
+sed 's/device_type = "cpu"/device_type = "cpux"/' "$FIXTURES/cpus.dtsi" > "$TMP/incl/cpus.dtsi"
+set +e
+run_incl_pipeline --journal "$TMP/incl.journal" --resume > "$TMP/incl-resume.out" \
+  2> "$TMP/incl-resume.err"
+rc=$?
+run_incl_pipeline > "$TMP/incl-fresh.out" 2> /dev/null
+set -e
+[ "$rc" -eq 1 ] || fail "resume after an include edit should re-check and exit 1 (got $rc)"
+cmp -s "$TMP/incl-fresh.out" "$TMP/incl-resume.out" \
+  || fail "resumed report differs from a fresh run of the edited copy"
+grep -q "resume: nothing replayable" "$TMP/incl-resume.err" \
+  || fail "expected nothing replayed after an include edit"
+
 echo "# journal + SIGTERM: interrupted run exits 143 and is resume-able"
 rm -f "$TMP/run.journal"
 set +e

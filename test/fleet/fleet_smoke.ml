@@ -95,14 +95,16 @@ let run_blocking ?(env = []) ~out ~err args =
 
 (* --- fixture ------------------------------------------------------------------ *)
 
-let pipeline_args =
-  [ "--core"; Filename.concat fixtures "custom-sbc.dts";
-    "--deltas"; Filename.concat fixtures "custom-sbc.deltas";
-    "--model"; Filename.concat fixtures "custom-sbc.fm";
-    "--schemas"; Filename.concat fixtures "schemas";
+let board_args dir =
+  [ "--core"; Filename.concat dir "custom-sbc.dts";
+    "--deltas"; Filename.concat dir "custom-sbc.deltas";
+    "--model"; Filename.concat dir "custom-sbc.fm";
+    "--schemas"; Filename.concat dir "schemas";
     "--vm"; "memory,cpu@0,uart@20000000,uart@30000000,veth0";
     "--vm"; "memory,cpu@1,uart@20000000,uart@30000000,veth1";
     "--exclusive"; "cpus" ]
+
+let pipeline_args = board_args fixtures
 
 let scenario_dir name =
   let dir = Filename.concat tmp_root name in
@@ -110,12 +112,12 @@ let scenario_dir name =
   dir
 
 (* Single-process reference runs. *)
-let baseline ~name extra =
+let baseline ~name ?(pipeline = pipeline_args) extra =
   let dir = scenario_dir name in
   let out = Filename.concat dir "report.txt" in
   let err = Filename.concat dir "err.txt" in
   let code =
-    run_blocking ~out ~err (("pipeline" :: pipeline_args) @ ("--jobs" :: "1" :: extra))
+    run_blocking ~out ~err (("pipeline" :: pipeline) @ ("--jobs" :: "1" :: extra))
   in
   if code <> 0 then fail "%s baseline exited %d:\n%s" name code (read_file err);
   read_file out
@@ -188,6 +190,14 @@ let wrong_secret_file =
   path
 
 let read_port path = String.trim (read_file path)
+
+let rec copy_dir src dst =
+  Unix.mkdir dst 0o700;
+  Array.iter
+    (fun name ->
+      let s = Filename.concat src name and d = Filename.concat dst name in
+      if Sys.is_directory s then copy_dir s d else write_file d (read_file s))
+    (Sys.readdir src)
 
 let check ~name ~base (code, out, err, wpids) =
   if code <> 0 then fail "%s: dispatcher exited %d:\n%s" name code (read_file err);
@@ -341,8 +351,8 @@ let () =
 
   (* Same with the wrong secret: the mutual handshake fails on the
      worker side (the dispatcher cannot prove knowledge of the worker's
-     secret), so the worker refuses the spec and the dispatcher sees
-     only a vanished connection and degrades. *)
+     secret), so the worker refuses the spec and vanishes; the
+     dispatcher names the dropped connection and degrades. *)
   let r =
     fleet ~name:"auth-wrong-secret"
       ~dispatch_flags:[ "--secret-file"; secret_file; "--wait-workers"; "1" ]
@@ -351,9 +361,43 @@ let () =
   in
   let err = check ~name:"auth-wrong-secret" ~base r in
   expect_notice ~name:"auth-wrong-secret" err "in-process";
+  expect_notice ~name:"auth-wrong-secret" err "dropped during handshake: disconnected";
   expect_notice ~name:"auth-wrong-secret"
     (Filename.concat (Filename.concat tmp_root "auth-wrong-secret") "w0.err")
     "dispatcher failed authentication";
+
+  (* A core that /include/s a file in a subdirectory: the spec records
+     it under its literal include name, so the worker plans the same run
+     and nothing falls back to checking in-process. *)
+  let board = Filename.concat tmp_root "subdir-board" in
+  copy_dir fixtures board;
+  Unix.mkdir (Filename.concat board "inc") 0o700;
+  Sys.rename (Filename.concat board "cpus.dtsi")
+    (Filename.concat board (Filename.concat "inc" "cpus.dtsi"));
+  let core = Filename.concat board "custom-sbc.dts" in
+  write_file core
+    (String.split_on_char '\n' (read_file core)
+    |> List.map (function
+         | {|/include/ "cpus.dtsi"|} -> {|/include/ "inc/cpus.dtsi"|}
+         | line -> line)
+    |> String.concat "\n");
+  let sub_args = board_args board in
+  let base_sub = baseline ~name:"base-subdir" ~pipeline:sub_args [] in
+  let r =
+    fleet ~name:"subdir-include" ~pipeline:sub_args
+      ~dispatch_flags:[ "--wait-workers"; "5" ] ~workers:[ [] ] ()
+  in
+  let err = check ~name:"subdir-include" ~base:base_sub r in
+  let lines = String.split_on_char '\n' (read_file err) in
+  if not
+       (List.exists
+          (fun l ->
+            contains l "llhsc dispatch: worker " && String.ends_with ~suffix:" ready" l)
+          lines)
+  then fail "subdir-include: no worker became ready:\n%s" (read_file err);
+  if contains_line ~needle:"in-process" err then
+    fail "subdir-include: the dispatcher fell back to checking in-process:\n%s"
+      (read_file err);
 
   (* Network chaos: the worker reaches the dispatcher only through a
      seeded fault-injecting proxy (corruption, partitions, truncation,

@@ -2,9 +2,9 @@
    its session MACs, SHA-256/HMAC against the published vectors, the
    shared supervision core and its loop (driven by a scripted fake
    worker), the journal's per-line checksums, and the spec's JSON
-   round-trip — plus qcheck properties pushing adversarial bytes through
-   the decoder.  The TCP paths themselves are exercised by
-   fleet_smoke.ml with real processes. *)
+   round-trip and include recording — plus qcheck properties pushing
+   adversarial bytes through the decoder.  The TCP paths themselves are
+   exercised by fleet_smoke.ml with real processes. *)
 
 module Util = Llhsc.Util
 module Journal = Llhsc.Journal
@@ -498,11 +498,11 @@ let sample_spec =
     skip = [ "vm2" ] }
 
 let test_spec_roundtrip () =
-  let j = Fleet.Spec.to_json sample_spec in
+  let j = Fleet.Spec.to_wire sample_spec in
   (match Json.parse (Json.to_string j) with
    | Error e -> Alcotest.failf "spec JSON does not reparse: %s" e
    | Ok j' -> (
-     match Fleet.Spec.of_json j' with
+     match Fleet.Spec.of_wire j' with
      | None -> Alcotest.fail "spec does not decode"
      | Some s ->
        Alcotest.(check bool) "round-trips" true (s = sample_spec);
@@ -535,35 +535,58 @@ let test_spec_rejects_bad_flags () =
   Alcotest.(check bool) "unknown unsound kind refused" true
     (Result.is_error (Fleet.Spec.build { quad with Fleet.Spec.unsound = Some "bogus:1" }))
 
-(* --- bandwidth-aware setup ---------------------------------------------------- *)
+(* --- the run spec of a set of files ----------------------------------------- *)
 
-let test_setup_choice () =
-  let h = Fleet.Spec.hash sample_spec in
-  Alcotest.(check bool) "cold cache ships" true
-    (Fleet.Dispatch.setup_choice ~cached:[] ~spec_hash:h = `Ship);
-  Alcotest.(check bool) "other hash ships" true
-    (Fleet.Dispatch.setup_choice ~cached:[ "deadbeef" ] ~spec_hash:h = `Ship);
-  Alcotest.(check bool) "warm cache skips the transfer" true
-    (Fleet.Dispatch.setup_choice ~cached:[ "deadbeef"; h ] ~spec_hash:h = `Cached)
+(* A board in a fresh directory: a core that /include/s inc/a.dtsi, which
+   /include/s inc/b.dtsi (resolved, like every include, against the
+   core's directory), plus an unrelated .dtsi next to the core. *)
+let with_board f =
+  let dir = Filename.temp_dir "llhsc-spec" "" in
+  let path name = Filename.concat dir name in
+  let write name text = Out_channel.with_open_bin (path name) (fun oc -> output_string oc text) in
+  Sys.mkdir (path "inc") 0o755;
+  write "board.dts" "/dts-v1/;\n/include/ \"inc/a.dtsi\"\n/ { model = \"t\"; };\n";
+  write "inc/a.dtsi" "/include/ \"inc/b.dtsi\"\n/ { a = <1>; };\n";
+  write "inc/b.dtsi" "/ { b = <2>; };\n";
+  write "spare.dtsi" "/ { spare = <3>; };\n";
+  write "board.deltas" Llhsc.Quad_rv64.deltas_src;
+  write "board.fm" Llhsc.Quad_rv64.feature_model_src;
+  let load () =
+    fst
+      (Fleet.Spec.load ~core:(path "board.dts") ~deltas:(path "board.deltas")
+         ~model:(path "board.fm") ~schemas:[] ~vms:[ [ "memory" ] ] ~exclusive:[]
+         ~certify:false ~retry:None ~max_conflicts:None ~solver_timeout:None
+         ~unsound:None)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun n -> Sys.remove (path n))
+        [ "board.dts"; "inc/a.dtsi"; "inc/b.dtsi"; "spare.dtsi"; "board.deltas"; "board.fm" ];
+      Sys.rmdir (path "inc");
+      Sys.rmdir dir)
+    (fun () -> f ~write ~load)
 
-let test_msg_setup_cached_wire () =
-  let h = Fleet.Spec.hash sample_spec in
-  let full = Json.to_string (Json.Obj [ ("setup", Fleet.Spec.to_json sample_spec);
-                                        ("hash", Json.Str h) ]) in
-  match Json.parse (Fleet.Dispatch.msg_setup_cached h) with
-  | Error e -> Alcotest.failf "cached setup does not parse: %s" e
-  | Ok j ->
-    Alcotest.(check (option string)) "carries the spec hash" (Some h)
-      (Option.bind (Json.member "hash" j) Json.to_str);
-    (match Json.member "setup" j with
-    | Some sj ->
-      Alcotest.(check bool) "marked cached" true
-        (Json.member "cached" sj = Some (Json.Bool true));
-      Alcotest.(check bool) "no spec body shipped" true
-        (Fleet.Spec.of_json sj = None)
-    | None -> Alcotest.fail "cached setup lacks a setup member");
-    Alcotest.(check bool) "materially smaller than the full setup" true
-      (String.length (Fleet.Dispatch.msg_setup_cached h) * 4 < String.length full)
+let test_spec_records_includes () =
+  with_board @@ fun ~write:_ ~load ->
+  let spec = load () in
+  Alcotest.(check (list (pair string string)))
+    "every include, nested too, under its literal name"
+    [ ("inc/a.dtsi", "/include/ \"inc/b.dtsi\"\n/ { a = <1>; };\n");
+      ("inc/b.dtsi", "/ { b = <2>; };\n") ]
+    spec.Fleet.Spec.files;
+  Alcotest.(check bool) "a worker plans the recorded spec" true
+    (Result.is_ok (Fleet.Spec.build spec))
+
+let test_spec_digest_follows_includes () =
+  with_board @@ fun ~write ~load ->
+  let before = Fleet.Spec.hash (load ()) in
+  write "inc/b.dtsi" "/ { b = <4>; };\n";
+  let edited = Fleet.Spec.hash (load ()) in
+  Alcotest.(check bool) "an edited nested include changes the digest" true
+    (edited <> before);
+  write "spare.dtsi" "/ { spare = <5>; };\n";
+  Alcotest.(check string) "an unrelated .dtsi next to the core does not" edited
+    (Fleet.Spec.hash (load ()))
 
 let () =
   Alcotest.run "fleet"
@@ -595,9 +618,9 @@ let () =
           Alcotest.test_case "old format accepted" `Quick test_journal_backward_compat ] );
       ( "spec",
         [ Alcotest.test_case "json roundtrip + hash" `Quick test_spec_roundtrip;
-          Alcotest.test_case "bad flags refused" `Quick test_spec_rejects_bad_flags ] );
-      ( "setup-cache",
-        [ Alcotest.test_case "choice policy" `Quick test_setup_choice;
-          Alcotest.test_case "cached setup wire shape" `Quick
-            test_msg_setup_cached_wire ] );
+          Alcotest.test_case "bad flags refused" `Quick test_spec_rejects_bad_flags;
+          Alcotest.test_case "includes under literal names" `Quick
+            test_spec_records_includes;
+          Alcotest.test_case "digest follows includes only" `Quick
+            test_spec_digest_follows_includes ] );
     ]
