@@ -721,7 +721,7 @@ let cmd_sat cnf_path certify unsound =
         match result with
         | Sat.Solver.Sat ->
           Sat.Checker.check_sat_model proof (fun l -> Sat.Solver.lit_value solver l)
-        | _ -> Sat.Checker.check_proof proof
+        | _ -> Sat.Checker.check_proof ~chain:(Sat.Solver.unsat_chain solver) proof
       in
       let ms = (Unix.gettimeofday () -. t0) *. 1000. in
       match checked with

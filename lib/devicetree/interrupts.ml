@@ -271,5 +271,5 @@ let spec_key s =
 
 let pp_spec ppf s =
   Fmt.pf ppf "%s -> %s <%a>" s.device s.controller
-    Fmt.(list ~sep:sp (fmt "%Ld"))
+    Fmt.(list ~sep:(any " ") (fmt "%Ld"))
     s.cells

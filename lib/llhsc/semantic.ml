@@ -249,7 +249,7 @@ let check_interrupts ?solver tree =
                  [ Report.finding ~checker:"semantic" ~node_path:s.Devicetree.Interrupts.device
                      ~loc:s.Devicetree.Interrupts.loc ~core
                      "interrupt %a of controller %s claimed by multiple devices: %s"
-                     Fmt.(list ~sep:sp (fmt "%Ld"))
+                     Fmt.(list ~sep:(any " ") (fmt "%Ld"))
                      s.Devicetree.Interrupts.cells controller
                      (String.concat ", " device_names)
                  ]

@@ -1,278 +1,195 @@
-(* Independent certificate checker.
+(* Independent certificate checker: hinted (LRAT-style) replay.
 
-   Deliberately naive: plain arrays, occurrence lists and counter-based
-   unit propagation with a trail for undo.  It shares the literal encoding
-   with the solver (Lit) but none of its search machinery — no watched
-   literals, no activity heap, no clause database heuristics — so a bug in
-   the CDCL engine and a bug here would have to coincide to let a wrong
-   verdict through.
+   The checker reads clause literals straight from the [Proof] trace and
+   keeps two pieces of state of its own: the value of every literal and
+   whether each step is a live clause.  It shares the literal encoding with
+   the solver (Lit) but none of its machinery — no watches, no occurrence
+   lists, no search — so a bug in the CDCL engine and a bug here would have
+   to coincide to let a wrong verdict through.
 
-   The checker maintains the clause set at "level 0": every time a clause
-   is added, units are propagated persistently; [conflicted] latches once
-   the clause set is refutable by unit propagation alone.  Each [Add] step
-   is verified to be RUP — assuming the negation of the clause and
-   propagating must yield a conflict — before it is admitted to the
-   database.  A step that fails verification is reported and *not*
-   admitted, so a corrupted trace can never help later steps pass. *)
+   Every deduction is one rule, [resolve]: a live clause whose literals
+   are all false but one forces that one; a clause whose literals are all
+   false is a conflict.  The solver names the clauses to resolve:
 
-type clause = {
-  lits : Lit.t array;
-  learnt : bool;
-  mutable dead : bool;
-}
+   - each level-0 unit names the clause that forced it (a false clause
+     there refutes the whole set);
+   - each [Add c] names its antecedents: assuming the negation of [c] and
+     resolving them in order must reach a conflict, or the step is rejected
+     and [c] withheld, so a corrupted trace cannot bootstrap later steps;
+   - each Unsat answer names the chain from its assumptions to a conflict.
+
+   A cited clause that is neither unit nor false adds nothing, rather than
+   failing the step: under the full assumption set of an Unsat answer, an
+   assumption outside the core may already satisfy a clause of the chain.
+   Every accept is therefore a run of unit propagation over the live
+   clauses, so it implies the RUP accept a searching checker would give. *)
 
 type t = {
-  mutable clauses : clause array;
-  mutable n_clauses : int;
-  mutable occ : int list array; (* literal -> ids of clauses containing it *)
-  mutable assigns : int array; (* var -> 1 true, -1 false, 0 unassigned *)
-  mutable trail : Lit.t array;
-  mutable trail_len : int;
-  mutable qhead : int;
-  mutable conflicted : bool;
-  index : (Lit.t list, int list ref) Hashtbl.t; (* live learnt clauses *)
-  mutable replayed : int;
+  proof : Proof.t;
+  mutable value : Bytes.t; (* literal -> '\001' while true *)
+  mutable live : Bytes.t; (* step -> '\001' while an admitted, undeleted clause *)
+  mutable steps : int; (* steps replayed *)
+  mutable units : int; (* level-0 units replayed *)
+  mutable edits : int; (* [Add] and [Delete] steps replayed *)
+  mutable refuted : bool; (* a refutation was verified: every clause follows *)
+  mutable assumed : Lit.t list; (* true above level 0, until [undo] *)
 }
 
-let dummy_clause = { lits = [||]; learnt = false; dead = true }
+let create proof =
+  { proof; value = Bytes.make 64 '\000'; live = Bytes.make 64 '\000'; steps = 0;
+    units = 0; edits = 0; refuted = false; assumed = [] }
 
-let create () =
-  {
-    clauses = Array.make 64 dummy_clause;
-    n_clauses = 0;
-    occ = Array.make 128 [];
-    assigns = Array.make 64 0;
-    trail = Array.make 64 0;
-    trail_len = 0;
-    qhead = 0;
-    conflicted = false;
-    index = Hashtbl.create 64;
-    replayed = 0;
-  }
-
-(* --- growable state -------------------------------------------------------- *)
-
-let ensure_var t v =
-  let cap = Array.length t.assigns in
-  if v >= cap then begin
-    let cap' = max (2 * cap) (v + 1) in
-    let assigns = Array.make cap' 0 in
-    Array.blit t.assigns 0 assigns 0 cap;
-    t.assigns <- assigns;
-    let occ = Array.make (2 * cap') [] in
-    Array.blit t.occ 0 occ 0 (Array.length t.occ);
-    t.occ <- occ
+(* [b], or a copy zero-extended to hold index [i]. *)
+let reach b i =
+  if i < Bytes.length b then b
+  else begin
+    let b' = Bytes.make (max (i + 1) (2 * Bytes.length b)) '\000' in
+    Bytes.blit b 0 b' 0 (Bytes.length b);
+    b'
   end
 
-let value t l =
-  let s = t.assigns.(Lit.var l) in
-  if Lit.is_neg l then -s else s
+let holds t l = l < Bytes.length t.value && Bytes.get t.value l = '\001'
 
-let assign t l =
-  t.assigns.(Lit.var l) <- (if Lit.is_neg l then -1 else 1);
-  if t.trail_len = Array.length t.trail then begin
-    let bigger = Array.make (2 * t.trail_len) 0 in
-    Array.blit t.trail 0 bigger 0 t.trail_len;
-    t.trail <- bigger
-  end;
-  t.trail.(t.trail_len) <- l;
-  t.trail_len <- t.trail_len + 1
+let set t l =
+  t.value <- reach t.value l;
+  Bytes.set t.value l '\001'
 
-(* Unwind the trail (and propagation queue) to a saved point. *)
-let undo_to t saved =
-  for i = t.trail_len - 1 downto saved do
-    t.assigns.(Lit.var t.trail.(i)) <- 0
-  done;
-  t.trail_len <- saved;
-  t.qhead <- saved
+let assume t l =
+  set t l;
+  t.assumed <- l :: t.assumed
 
-(* Propagate to fixpoint; true iff a conflict was found.  On conflict the
-   queue is left mid-way — callers either undo or latch [conflicted]. *)
-let propagate t =
-  let conflict = ref false in
-  while (not !conflict) && t.qhead < t.trail_len do
-    let p = t.trail.(t.qhead) in
-    t.qhead <- t.qhead + 1;
-    let watch = t.occ.(Lit.neg p) in
-    List.iter
-      (fun cid ->
-        if not !conflict then begin
-          let c = t.clauses.(cid) in
-          if not c.dead then begin
-            let sat = ref false in
-            let unassigned = ref [] in
-            Array.iter
-              (fun l ->
-                match value t l with
-                | 1 -> sat := true
-                | 0 -> unassigned := l :: !unassigned
-                | _ -> ())
-              c.lits;
-            if not !sat then
-              match !unassigned with
-              | [] -> conflict := true
-              | [ l ] -> assign t l
-              | _ -> ()
-          end
-        end)
-      watch
-  done;
-  !conflict
-
-let canon lits = List.sort_uniq Lit.compare (Array.to_list lits)
-
-let add_clause_db t ~learnt lits =
-  let lits = Array.of_list (canon lits) in
-  Array.iter (fun l -> ensure_var t (Lit.var l)) lits;
-  if t.n_clauses = Array.length t.clauses then begin
-    let bigger = Array.make (2 * t.n_clauses) dummy_clause in
-    Array.blit t.clauses 0 bigger 0 t.n_clauses;
-    t.clauses <- bigger
-  end;
-  let id = t.n_clauses in
-  t.clauses.(id) <- { lits; learnt; dead = false };
-  t.n_clauses <- id + 1;
-  Array.iter (fun l -> t.occ.(l) <- id :: t.occ.(l)) lits;
-  if learnt then begin
-    let key = Array.to_list lits in
-    match Hashtbl.find_opt t.index key with
-    | Some bucket -> bucket := id :: !bucket
-    | None -> Hashtbl.add t.index key (ref [ id ])
-  end;
-  (* keep the level-0 closure current *)
-  if not t.conflicted then begin
-    let sat = ref false in
-    let unassigned = ref [] in
-    Array.iter
-      (fun l ->
-        match value t l with
-        | 1 -> sat := true
-        | 0 -> unassigned := l :: !unassigned
-        | _ -> ())
-      lits;
-    if not !sat then
-      match !unassigned with
-      | [] -> t.conflicted <- true
-      | [ l ] ->
-        assign t l;
-        if propagate t then t.conflicted <- true
-      | _ -> ()
-  end
+let undo t =
+  List.iter (fun l -> Bytes.set t.value l '\000') t.assumed;
+  t.assumed <- []
 
 let pp_lits ppf lits =
-  Fmt.pf ppf "(%a)" Fmt.(list ~sep:sp int) (List.map Lit.to_dimacs (Array.to_list lits))
+  Fmt.pf ppf "(%a)" Fmt.(array ~sep:(any " ") int) (Array.map Lit.to_dimacs lits)
 
-(* RUP test: assume the negation of every literal of [lits] and propagate;
-   the clause is implied iff this conflicts.  State is fully restored. *)
-let is_rup t lits =
-  Array.iter (fun l -> ensure_var t (Lit.var l)) lits;
-  t.conflicted
-  ||
-  let saved = t.trail_len in
-  let trivially = ref false in
-  Array.iter
-    (fun l ->
-      match value t l with
-      | 1 -> trivially := true (* satisfied at level 0: implied outright *)
-      | 0 -> if not !trivially then assign t (Lit.neg l)
-      | _ -> ())
-    lits;
-  let conflict = !trivially || propagate t in
-  undo_to t saved;
-  conflict
+(* Step [id], if it is an admitted clause not yet deleted. *)
+let clause t id =
+  if id < 0 || id >= t.steps || Bytes.get t.live id = '\000' then None
+  else Some (Proof.step t.proof id)
 
-let replay t step =
-  t.replayed <- t.replayed + 1;
-  match step with
-  | Proof.Input lits ->
-    add_clause_db t ~learnt:false lits;
-    Ok ()
-  | Proof.Add [||] ->
-    if t.conflicted then Ok ()
-    else Error "empty clause is not derivable by unit propagation"
-  | Proof.Add lits ->
-    if is_rup t lits then begin
-      add_clause_db t ~learnt:true lits;
-      Ok ()
-    end
-    else Error (Fmt.str "learnt clause %a is not RUP" pp_lits lits)
-  | Proof.Delete lits -> (
-    let key = canon lits in
-    match Hashtbl.find_opt t.index key with
-    | Some bucket -> (
-      match !bucket with
-      | id :: rest ->
-        t.clauses.(id).dead <- true;
-        bucket := rest;
-        Ok ()
-      | [] -> Error (Fmt.str "deletion of already-deleted clause %a" pp_lits lits))
-    | None -> Error (Fmt.str "deletion of unknown clause %a" pp_lits lits))
-
-let steps_replayed t = t.replayed
-
-(* Unsat verdict check: under the given assumptions, unit propagation over
-   the replayed database must conflict.  State is fully restored. *)
-let check_conflict t assumptions =
-  List.iter (fun a -> ensure_var t (Lit.var a)) assumptions;
-  if t.conflicted then Ok ()
-  else begin
-    let saved = t.trail_len in
-    let conflict = ref false in
-    List.iter
-      (fun a ->
-        if not !conflict then
-          match value t a with
-          | -1 -> conflict := true (* contradicts an established unit *)
-          | 0 -> assign t a
-          | _ -> ())
-      assumptions;
-    let conflict = !conflict || propagate t in
-    undo_to t saved;
-    if conflict then Ok ()
+(* Under the current values: [-1] if every literal of [c] is false, [l] if
+   every literal but [l] is, [-2] otherwise. *)
+let status t c =
+  let rec go i open_lit =
+    if i = Array.length c then open_lit
     else
-      Error
-        (Fmt.str "assumptions %a do not propagate to a conflict" pp_lits
-           (Array.of_list assumptions))
-  end
+      let l = c.(i) in
+      if holds t l then -2
+      else if holds t (Lit.neg l) || l = open_lit then go (i + 1) open_lit
+      else if open_lit = -1 then go (i + 1) l
+      else -2
+  in
+  go 0 (-1)
 
-(* Sat verdict check: the valuation must satisfy every input clause. *)
-let check_model t valuation =
-  let bad = ref None in
-  for i = 0 to t.n_clauses - 1 do
-    let c = t.clauses.(i) in
-    if (not c.learnt) && !bad = None && not (Array.exists valuation c.lits) then
-      bad := Some c.lits
+(* Resolve the cited clauses in order, making each forced literal true
+   with [assign]; [Ok true] at the first false clause. *)
+let resolve t ~assign ids =
+  let rec go i =
+    if i = Array.length ids then Ok false
+    else
+      match clause t ids.(i) with
+      | Some (Input c | Add c) -> (
+        match status t c with
+        | -1 -> Ok true
+        | -2 -> go (i + 1)
+        | l ->
+          assign t l;
+          go (i + 1))
+      | Some (Delete _) | None -> Error (Fmt.str "hint %d is not a live clause" ids.(i))
+  in
+  go 0
+
+(* Does assuming [lits] and resolving [ids] reach a conflict?  The values
+   are restored afterwards. *)
+let refutes t lits ids =
+  let clash = ref false in
+  List.iter
+    (fun l -> if holds t (Lit.neg l) then clash := true else if not (holds t l) then assume t l)
+    lits;
+  let r = if !clash then Ok true else resolve t ~assign:assume ids in
+  undo t;
+  r
+
+let replay t =
+  let errors = ref [] in
+  let fail fmt = Fmt.kstr (fun e -> errors := e :: !errors) fmt in
+  (* Level-0 units up to the [upto]th: each is permanent. *)
+  let units upto =
+    while t.units < upto do
+      let k = t.units in
+      t.units <- k + 1;
+      if not t.refuted then
+        match resolve t ~assign:set [| Proof.unit_reason t.proof k |] with
+        | Ok conflict -> t.refuted <- conflict
+        | Error e -> fail "level-0 unit %d: %s" k e
+    done
+  in
+  (* The hints of the next [Add] or [Delete], after the units before it. *)
+  let hints () =
+    let h = Proof.hints t.proof t.edits in
+    t.edits <- t.edits + 1;
+    units h.after_units;
+    h.ids
+  in
+  let n = Proof.length t.proof in
+  t.live <- reach t.live n;
+  while t.steps < n do
+    let i = t.steps in
+    (match Proof.step t.proof i with
+     | Input _ -> Bytes.set t.live i '\001'
+     | Add c -> (
+       let negation = Array.fold_right (fun l ls -> Lit.neg l :: ls) c [] in
+       let ids = hints () in
+       match if t.refuted then Ok true else refutes t negation ids with
+       | Ok true ->
+         Bytes.set t.live i '\001';
+         if c = [||] then t.refuted <- true
+       | Ok false -> fail "proof step %d: learnt clause %a is not implied by its hints" i pp_lits c
+       | Error e -> fail "proof step %d: learnt clause %a: %s" i pp_lits c e)
+     | Delete c -> (
+       match hints () with
+       | [| id |] when (match clause t id with Some (Add _) -> true | _ -> false) ->
+         Bytes.set t.live id '\000'
+       | _ -> fail "proof step %d: deletion of %a retires no live learnt clause" i pp_lits c));
+    t.steps <- i + 1
   done;
-  match !bad with
-  | None -> Ok ()
-  | Some lits -> Error (Fmt.str "model falsifies input clause %a" pp_lits lits)
+  units (Proof.n_units t.proof);
+  List.rev !errors
+
+let check_conflict t assumptions chain =
+  if t.refuted then Ok ()
+  else
+    match refutes t assumptions (Array.of_list chain) with
+    | Ok true -> Ok ()
+    | Ok false ->
+      Error
+        (Fmt.str "assumptions %a and their chain reach no conflict" pp_lits
+           (Array.of_list assumptions))
+    | Error e -> Error (Fmt.str "unsat chain: %s" e)
+
+let check_model t valuation =
+  let rec scan i =
+    if i = t.steps then Ok ()
+    else
+      match Proof.step t.proof i with
+      | Input c when not (Array.exists valuation c) ->
+        Error (Fmt.str "model falsifies input clause %a" pp_lits c)
+      | _ -> scan (i + 1)
+  in
+  scan 0
 
 (* --- one-shot entry points -------------------------------------------------- *)
 
-let replay_all t proof =
-  let err = ref None in
-  Proof.iter
-    (fun step ->
-      match replay t step with
-      | Ok () -> ()
-      | Error e -> if !err = None then err := Some e)
-    proof;
-  match !err with None -> Ok () | Some e -> Error e
+let one_shot proof check =
+  let t = create proof in
+  match replay t with
+  | e :: _ -> Error e
+  | [] -> Result.map (fun () -> Proof.length proof) (check t)
 
-let check_proof ?(assumptions = []) proof =
-  let t = create () in
-  match replay_all t proof with
-  | Error e -> Error e
-  | Ok () -> (
-    match check_conflict t assumptions with
-    | Ok () -> Ok (Proof.length proof)
-    | Error e -> Error e)
+let check_proof ?(assumptions = []) ?(chain = []) proof =
+  one_shot proof (fun t -> check_conflict t assumptions chain)
 
-let check_sat_model proof valuation =
-  let t = create () in
-  match replay_all t proof with
-  | Error e -> Error e
-  | Ok () -> (
-    match check_model t valuation with
-    | Ok () -> Ok (Proof.length proof)
-    | Error e -> Error e)
+let check_sat_model proof valuation = one_shot proof (fun t -> check_model t valuation)

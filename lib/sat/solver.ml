@@ -17,9 +17,11 @@ type clause = {
   mutable activity : float;
   mutable lbd : int;
   mutable dead : bool;
+  id : int; (* its step in the certificate trace; -1 when none was logged *)
 }
 
-let dummy_clause = { lits = [||]; learnt = false; activity = 0.; lbd = 0; dead = false }
+let dummy_clause =
+  { lits = [||]; learnt = false; activity = 0.; lbd = 0; dead = false; id = -1 }
 
 type result = Sat | Unsat | Unknown
 
@@ -89,6 +91,7 @@ type t = {
   mutable cla_inc : float;
   mutable model : bool array;
   mutable core : int list;
+  mutable chain : int list; (* clause ids behind [core]; see [unsat_chain] *)
   mutable assumptions : int array;
   (* statistics *)
   mutable n_decisions : int;
@@ -138,6 +141,7 @@ let create () =
         cla_inc = 1.0;
         model = [||];
         core = [];
+        chain = [];
         assumptions = [||];
         n_decisions = 0;
         n_conflicts = 0;
@@ -219,6 +223,13 @@ let value_lit t l =
   if Lit.is_neg l then -a else a
 
 let decision_level t = Vec.size t.trail_lim
+
+(* Hint for an assignment just made at level 0: clause [id] forced it (or,
+   with every literal false, refutes the clause set). *)
+let log_unit t id =
+  match t.proof with
+  | Some p when decision_level t = 0 -> Proof.log_unit p id
+  | _ -> ()
 
 let set_polarity t v b = t.polarity.(v) <- b
 
@@ -344,7 +355,10 @@ let propagate t =
                    t.qhead <- Vec.size t.trail;
                    raise (Conflict c)
                  end
-                 else unchecked_enqueue t c.lits.(0) c
+                 else begin
+                   unchecked_enqueue t c.lits.(0) c;
+                   log_unit t c.id
+                 end
                end
              end
            end
@@ -404,9 +418,7 @@ let add_clause t lits =
   (* Log the clause verbatim, before simplification: unit clauses are
      enqueued rather than stored, yet the checker must still see them as
      part of the certified formula. *)
-  (match t.proof with
-   | Some p -> Proof.log_input p a
-   | None -> ());
+  let id = match t.proof with Some p -> Proof.log_input p a | None -> -1 in
   if not t.ok then false
   else begin
     assert (decision_level t = 0);
@@ -414,18 +426,22 @@ let add_clause t lits =
     match simplify t a with
     | -1 -> true
     | 0 ->
+      (* every literal false at level 0: this clause refutes the set *)
+      log_unit t id;
       t.ok <- false;
       false
     | 1 ->
       unchecked_enqueue t a.(0) dummy_clause;
+      log_unit t id;
       (match propagate t with
        | None -> true
-       | Some _ ->
+       | Some confl ->
+         log_unit t confl.id;
          t.ok <- false;
          false)
     | n ->
       let lits = if n = Array.length a then a else Array.sub a 0 n in
-      let c = { lits; learnt = false; activity = 0.; lbd = 0; dead = false } in
+      let c = { lits; learnt = false; activity = 0.; lbd = 0; dead = false; id } in
       Vec.push t.clauses c;
       attach t c;
       true
@@ -435,6 +451,10 @@ let add_clause t lits =
 
 let analyze t confl =
   let learnt = ref [] in
+  let logging = Option.is_some t.proof in
+  (* Antecedent ids for the trace.  Reasons are met newest first, so the
+     consed list reads in trail order with the conflict clause last. *)
+  let hints = ref [] in
   let path_count = ref 0 in
   let p = ref (-1) (* literal, -1 = none yet *) in
   let index = ref (Vec.size t.trail - 1) in
@@ -443,6 +463,7 @@ let analyze t confl =
   let continue = ref true in
   while !continue do
     let c = !confl in
+    if logging then hints := c.id :: !hints;
     if c.learnt then cla_bump t c;
     let start = if !p = -1 then 0 else 1 in
     for k = start to Array.length c.lits - 1 do
@@ -473,7 +494,6 @@ let analyze t confl =
   done;
   let uip = Lit.neg !p in
   (* Conflict-clause minimisation: drop literals implied by the rest. *)
-  let learnt_arr = Array.of_list (uip :: !learnt) in
   let is_redundant l =
     let c = t.reason.(Lit.var l) in
     c != dummy_clause
@@ -482,9 +502,26 @@ let analyze t confl =
            Lit.var q = Lit.var l || t.seen.(Lit.var q) || t.level.(Lit.var q) = 0)
          c.lits
   in
-  let kept =
-    Array.to_list learnt_arr
-    |> List.filteri (fun i l -> i = 0 || not (is_redundant l))
+  let kept, dropped =
+    List.partition (fun l -> l = uip || not (is_redundant l)) (uip :: !learnt)
+  in
+  (* The reasons of dropped literals come first.  One may cite another
+     dropped literal, so each goes after the reasons it depends on. *)
+  let hints =
+    if (not logging) || dropped = [] then !hints
+    else begin
+      let pending = ref (List.map Lit.var dropped) and before = ref [] in
+      let rec cite v =
+        if List.mem v !pending then begin
+          pending := List.filter (fun u -> u <> v) !pending;
+          let r = t.reason.(v) in
+          Array.iter (fun q -> cite (Lit.var q)) r.lits;
+          before := r.id :: !before
+        end
+      in
+      List.iter (fun l -> cite (Lit.var l)) dropped;
+      List.rev_append !before !hints
+    end
   in
   (* Clear seen marks. *)
   List.iter (fun l -> t.seen.(Lit.var l) <- false) !learnt;
@@ -501,7 +538,7 @@ let analyze t confl =
     | _ :: rest ->
       List.fold_left (fun acc l -> max acc t.level.(Lit.var l)) 0 rest
   in
-  (kept, btlevel, lbd)
+  (kept, btlevel, lbd, hints)
 
 (* Put the literal with the highest level at position 1 (second watch). *)
 let order_second_watch t lits =
@@ -516,7 +553,7 @@ let order_second_watch t lits =
     lits.(!best) <- tmp
   end
 
-let record_learnt t lits lbd =
+let record_learnt t lits lbd hints =
   let lits =
     (* Test-only corruption: dropping a literal yields a stronger clause
        that is typically no longer RUP.  Positions 0 and 1 carry the
@@ -528,22 +565,24 @@ let record_learnt t lits lbd =
       List.filteri (fun i _ -> i < List.length lits - 1) lits
     | _ -> lits
   in
-  (match t.proof with
-   | Some p ->
-     let mute =
-       match t.unsound with
-       | Some (Mute_proof_step n) -> unsound_fires t n
-       | _ -> false
-     in
-     if not mute then Proof.log_add p (Array.of_list lits)
-   | None -> ());
+  (* A muted clause keeps id -1, so no hint can cite it as another step. *)
+  let id =
+    match t.proof with
+    | Some p -> (
+      match t.unsound with
+      | Some (Mute_proof_step n) when unsound_fires t n -> -1
+      | _ -> Proof.log_add p (Array.of_list lits) ~hints)
+    | None -> -1
+  in
   match lits with
   | [] -> t.ok <- false
-  | [ l ] -> unchecked_enqueue t l dummy_clause
+  | [ l ] ->
+    unchecked_enqueue t l dummy_clause;
+    log_unit t id
   | first :: _ ->
     let arr = Array.of_list lits in
     order_second_watch t arr;
-    let c = { lits = arr; learnt = true; activity = 0.; lbd; dead = false } in
+    let c = { lits = arr; learnt = true; activity = 0.; lbd; dead = false; id } in
     Vec.push t.learnts c;
     attach t c;
     cla_bump t c;
@@ -552,11 +591,13 @@ let record_learnt t lits lbd =
 (* --- final conflict over assumptions (unsat core) ----------------------- *)
 
 (* Core when the next assumption literal is already false: walk the
-   implication graph from that literal back to assumption decisions. *)
+   implication graph from that literal back to assumption decisions.  With
+   proof logging on, the reasons walked, in trail order, become the chain
+   that certifies the core. *)
 let analyze_final_lit t p =
   (* [p] is the trail literal contradicting the failed assumption [neg p];
      the core collects assumption literals as given by the caller. *)
-  let core = ref [ Lit.neg p ] in
+  let core = ref [ Lit.neg p ] and chain = ref [] in
   let v = Lit.var p in
   if t.level.(v) > 0 then begin
     t.seen.(v) <- true;
@@ -567,20 +608,22 @@ let analyze_final_lit t p =
       if t.seen.(w) then begin
         t.seen.(w) <- false;
         let r = t.reason.(w) in
-        if r == dummy_clause then begin
-          if w <> v then core := l :: !core
-        end
-        else
+        (* a decision here is an assumption, [p] itself included *)
+        if r == dummy_clause then core := l :: !core
+        else begin
+          if Option.is_some t.proof then chain := r.id :: !chain;
           Array.iter
             (fun q ->
               let u = Lit.var q in
               if u <> w && t.level.(u) > 0 then t.seen.(u) <- true)
             r.lits
+        end
       end
     done;
     t.seen.(v) <- false
   end;
-  !core
+  t.core <- !core;
+  t.chain <- !chain
 
 (* --- learnt clause DB reduction ----------------------------------------- *)
 
@@ -604,7 +647,7 @@ let reduce_db t =
     if (not (locked c)) && c.lbd > 2 then begin
       c.dead <- true;
       match t.proof with
-      | Some p -> Proof.log_delete p c.lits
+      | Some p -> Proof.log_delete p c.lits ~id:c.id
       | None -> ()
     end
   done;
@@ -664,19 +707,20 @@ let search t ~nof_conflicts =
         if decision_level t = 0 then begin
           t.ok <- false;
           t.core <- [];
+          t.chain <- [];
           (* A level-0 conflict refutes the clause set outright: finalize
              the certificate with the empty clause. *)
           (match t.proof with
-           | Some p -> Proof.log_add p [||]
+           | Some p -> ignore (Proof.log_add p [||] ~hints:[ confl.id ] : int)
            | None -> ());
           raise (Found_result Unsat)
         end;
-        let learnt, btlevel, lbd = analyze t confl in
+        let learnt, btlevel, lbd, hints = analyze t confl in
         (* Never backjump past the assumption levels we still rely on:
            literals below remain enqueued; the asserting literal's level is
            recomputed against the surviving trail. *)
         cancel_until t btlevel;
-        record_learnt t learnt lbd;
+        record_learnt t learnt lbd hints;
         var_decay_activity t;
         cla_decay_activity t
       | None ->
@@ -702,7 +746,7 @@ let search t ~nof_conflicts =
             (* Already true: open a dummy level so indices stay aligned. *)
             Vec.push t.trail_lim (Vec.size t.trail)
           | -1 ->
-            t.core <- analyze_final_lit t (Lit.neg p);
+            analyze_final_lit t (Lit.neg p);
             raise (Found_result Unsat)
           | _ ->
             Vec.push t.trail_lim (Vec.size t.trail);
@@ -806,6 +850,7 @@ let solve ?(assumptions = []) ?budget ?seed ?(polarity_mode = Phase_saved)
     invalid_arg "Solver.solve: assumption of an unallocated variable";
   if not t.ok then begin
     t.core <- [];
+    t.chain <- [];
     Unsat
   end
   else if
@@ -817,6 +862,7 @@ let solve ?(assumptions = []) ?budget ?seed ?(polarity_mode = Phase_saved)
        search never ran.  Scrub like a genuine budget exhaustion. *)
     t.model <- [||];
     t.core <- [];
+    t.chain <- [];
     Unknown
   end
   else begin
@@ -839,7 +885,8 @@ let solve ?(assumptions = []) ?budget ?seed ?(polarity_mode = Phase_saved)
        [Sat]/[Unsat] call. *)
     if r = Unknown then begin
       t.model <- [||];
-      t.core <- []
+      t.core <- [];
+      t.chain <- []
     end;
     r
   end
@@ -860,6 +907,7 @@ let lit_value t l =
 
 let model t = Array.copy t.model
 let unsat_core t = t.core
+let unsat_chain t = t.chain
 
 let pp_stats ppf t =
   Fmt.pf ppf "vars=%d clauses=%d learnts=%d decisions=%d conflicts=%d props=%d restarts=%d"

@@ -110,6 +110,14 @@ val model : t -> bool array
     [solve]. *)
 val unsat_core : t -> Lit.t list
 
+(** The certificate of the last [Unsat] answer's core: ids of trace
+    clauses that, resolved in order after assuming the core, each become
+    unit or false, the last one false (see {!Checker.check_conflict}).
+    Empty when proof logging is off, when the failed assumption is false
+    at level 0, and when the clause set itself is refuted (the trace then
+    carries the refutation). *)
+val unsat_chain : t -> int list
+
 (** [set_polarity t v b] sets the initial phase of variable [v]. *)
 val set_polarity : t -> int -> bool -> unit
 
@@ -117,9 +125,13 @@ val set_polarity : t -> int -> bool -> unit
 
     With proof logging enabled, the solver records a {!Proof} trace —
     original clauses, learnt clauses (each RUP w.r.t. the clauses before
-    it) and learnt-clause deletions; a decision-level-0 refutation ends
-    the trace with the empty clause.  The trace can be replayed by the
-    independent {!Checker} to certify verdicts. *)
+    it) and learnt-clause deletions; a refutation found by search ends the
+    trace with the empty clause.  Beside the steps it logs hints: every
+    stored clause carries the id of its step, so each learnt clause lists
+    the antecedents conflict analysis resolved, each deletion the id it
+    retires, and each level-0 assignment the clause that forced it.  The
+    trace can be replayed by the independent {!Checker} to certify
+    verdicts. *)
 
 (** Start recording a certificate trace.  Must be called on a fresh
     solver; raises [Invalid_argument] if any clause was already added. *)

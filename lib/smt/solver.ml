@@ -66,7 +66,6 @@ type t = {
   mutable retries : retry_entry list; (* newest first *)
   (* certification state ([checker] is [Some] iff created with ~certify) *)
   checker : Sat.Checker.t option;
-  mutable replay_cursor : int; (* trace steps already fed to the checker *)
   mutable n_checks : int;
   mutable certs : cert list; (* newest first *)
   mutable cert_failures : string list; (* newest first *)
@@ -105,8 +104,7 @@ let create ?(certify = false) () =
          escalation = None;
          any_retry_policy = false;
          retries = [];
-         checker = (if certify then Some (Sat.Checker.create ()) else None);
-         replay_cursor = 0;
+         checker = Option.map Sat.Checker.create (Sat.Solver.proof sat);
          n_checks = 0;
          certs = [];
          cert_failures = [];
@@ -245,10 +243,11 @@ let model_env t : Interp.env =
    model-checked twice: once at CNF level against every input clause of the
    trace, and once at term level by re-evaluating every live assertion (and
    this call's assumptions) under the extracted model via [Interp] — the
-   latter catches bit-blasting bugs the former cannot.  Unsat answers replay
-   the certificate trace through the independent checker and confirm the
-   conflict twice: under the full assumption set and again restricted to the
-   reported unsat core.  Unknown answers prove nothing and are exempt.
+   latter catches bit-blasting bugs the former cannot.  Every answer first
+   replays the trace suffix logged since the previous one; Unsat answers
+   then confirm the conflict twice, from the solver's answer chain: under
+   the full assumption set and again restricted to the reported unsat core.
+   Unknown answers prove nothing and are exempt.
    Failures are recorded (never raised): callers surface them as error[CERT]
    diagnostics. *)
 let certify_answer t ck ~lits ~assumption_terms answer =
@@ -265,13 +264,7 @@ let certify_answer t ck ~lits ~assumption_terms answer =
     | None -> assert false (* enabled at creation whenever [ck] exists *)
   in
   let failures_before = List.length t.cert_failures in
-  (* Feed trace steps produced since the last certified query. *)
-  while t.replay_cursor < Sat.Proof.length proof do
-    (match Sat.Checker.replay ck (Sat.Proof.step proof t.replay_cursor) with
-     | Ok () -> ()
-     | Error m -> fail "proof step %d: %s" t.replay_cursor m);
-    t.replay_cursor <- t.replay_cursor + 1
-  done;
+  List.iter (fail "%s") (Sat.Checker.replay ck);
   let record verdict =
     t.certs <-
       {
@@ -308,11 +301,12 @@ let certify_answer t ck ~lits ~assumption_terms answer =
       assumption_terms;
     record `Sat
   | Unsat names ->
-    (match Sat.Checker.check_conflict ck lits with
+    let chain = Sat.Solver.unsat_chain t.sat in
+    (match Sat.Checker.check_conflict ck lits chain with
      | Ok () -> ()
      | Error m -> fail "%s" m);
     let core = Sat.Solver.unsat_core t.sat in
-    (match Sat.Checker.check_conflict ck core with
+    (match Sat.Checker.check_conflict ck core chain with
      | Ok () -> ()
      | Error m ->
        fail "unsat core [%s] not confirmed: %s" (String.concat "; " names) m);

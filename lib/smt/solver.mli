@@ -22,9 +22,11 @@ exception Error of string
 
 (** With [~certify:true] the solver certifies every {!check} answer as it is
     produced: the underlying SAT solver records a DRUP-style proof trace
-    (see {!Sat.Proof}), and an independent unit-propagation checker
-    ({!Sat.Checker}) validates each verdict — models at both CNF and term
-    level for [Sat], proof replay plus unsat-core confirmation for [Unsat];
+    with hints beside it (see {!Sat.Proof}), and an independent checker
+    that replays those hints by unit resolution ({!Sat.Checker}) validates
+    each verdict — models at both CNF and term level for [Sat], proof
+    replay plus unsat-core confirmation from the solver's answer chain for
+    [Unsat];
     [Unknown] answers are exempt.  Certification never changes an answer:
     failures accumulate in {!cert_report} for the caller to surface (the
     llhsc pipeline turns them into [error[CERT]] diagnostics). *)

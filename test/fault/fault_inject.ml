@@ -192,7 +192,8 @@ let targets dir =
    `sat --certify --unsound KIND:N` makes the solver deliberately unsound
    (dropped learnt literals, flipped model bits, muted proof steps) and the
    contract is that certification catches every one — exit 1 with an
-   error[CERT] diagnostic, never a clean exit 0. *)
+   error[CERT] diagnostic, never a clean exit 0 — and that every line the
+   mutant prints on stderr is a whole diagnostic. *)
 let solver_mutations dir =
   let p f = Filename.concat dir f in
   List.concat_map
@@ -237,7 +238,14 @@ let run_solver_mutations binary sandbox ~failures ~total =
         run_cli binary [ "sat"; cnf; "--certify"; "--unsound"; spec ] ~stderr_file
       in
       let what = Filename.basename cnf ^ " " ^ spec in
+      let torn =
+        List.filter
+          (fun line -> line <> "" && not (String.starts_with ~prefix:"error[" line))
+          (String.split_on_char '\n' err)
+      in
       match status with
+      | Unix.WEXITED 1 when torn <> [] ->
+        bad what (Printf.sprintf "stderr line %S is not a diagnostic" (List.hd torn)) err
       | Unix.WEXITED 1 when contains err "[CERT]" -> ()
       | Unix.WEXITED 0 -> bad what "unsound verdict escaped certification (exit 0)" err
       | Unix.WEXITED 1 -> bad what "exit 1 but no [CERT] diagnostic on stderr" err

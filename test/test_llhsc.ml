@@ -127,6 +127,35 @@ let test_interrupt_conflict () =
   check_bool "both nodes mentioned" true
     (Test_util.contains f.Rep.message "/a@1000" && Test_util.contains f.Rep.message "/b@2000")
 
+(* A multi-cell specifier is quoted on one line: message text holds no
+   break hint, so a long finding is never wrapped into two report lines. *)
+let test_interrupt_clash_one_line () =
+  let src =
+    {|
+/dts-v1/;
+/ {
+    #address-cells = <1>; #size-cells = <1>;
+    gic: interrupt-controller@8000000 {
+        reg = <0x8000000 0x1000>;
+        interrupt-controller;
+        #interrupt-cells = <3>;
+    };
+    serial@9000000 { reg = <0x9000000 0x1000>; interrupt-parent = <&gic>; interrupts = <0 33 4>; };
+    serial@9001000 { reg = <0x9001000 0x1000>; interrupt-parent = <&gic>; interrupts = <0 33 4>; };
+};
+|}
+  in
+  let t = T.resolve_phandles (T.of_source ~file:"gic3.dts" src) in
+  let findings = Sem.check ~solver:(Smt.Solver.create ()) t in
+  match
+    List.filter (fun f -> Test_util.contains f.Rep.message "claimed by multiple") findings
+  with
+  | [ f ] ->
+    check_bool "cells quoted with spaces" true
+      (Test_util.contains f.Rep.message "interrupt 0 33 4 of controller");
+    check_bool "one line" false (String.contains (Fmt.str "%a" Rep.pp f) '\n')
+  | fs -> Alcotest.failf "want one clash, got %d findings" (List.length fs)
+
 let test_interrupts_distinct_parents_ok () =
   let src =
     {|
@@ -1275,6 +1304,7 @@ let () =
         [
           Alcotest.test_case "conflict" `Quick test_interrupt_conflict;
           Alcotest.test_case "distinct parents" `Quick test_interrupts_distinct_parents_ok;
+          Alcotest.test_case "3-cell clash on one line" `Quick test_interrupt_clash_one_line;
         ] );
       ( "alloc",
         [

@@ -477,6 +477,78 @@ let test_certify_catches_flipped_model_bit () =
   expect_error "flipped model bit"
     (Sat.Checker.check_sat_model (proof_of s) (fun l -> Sat.Solver.lit_value s l))
 
+(* Seeded random 3-SAT: [clauses] clauses of three distinct variables out
+   of [vars], each literal's sign a coin flip. *)
+let random_3sat ~seed ~vars ~clauses =
+  let rng = Random.State.make [| seed |] in
+  let rec pick acc =
+    if List.length acc = 3 then acc
+    else
+      let v = Random.State.int rng vars in
+      pick (if List.mem v acc then acc else v :: acc)
+  in
+  List.init clauses (fun _ ->
+      List.map (fun v -> Sat.Lit.make ~var:v ~negated:(Random.State.bool rng)) (pick []))
+
+(* Database reduction only starts past 1,000 live learnt clauses, so only
+   an instance this hard logs [Delete] steps.  Seed 14 is satisfiable and
+   seed 12 unsatisfiable; both traces delete about 500 clauses. *)
+let test_certify_deletions () =
+  let solve seed =
+    let clauses = random_3sat ~seed ~vars:130 ~clauses:554 in
+    let s, ok = Sat.Dimacs.load ~proof:true { Sat.Dimacs.num_vars = 130; clauses } in
+    check_sat "loads" true ok;
+    (s, Sat.Solver.solve s, proof_of s)
+  in
+  (* the ids the trace's deletions retire *)
+  let retired proof =
+    let ids = ref [] and edits = ref 0 in
+    Sat.Proof.iter
+      (function
+        | Sat.Proof.Input _ -> ()
+        | Sat.Proof.Add _ -> incr edits
+        | Sat.Proof.Delete _ ->
+          ids := (Sat.Proof.hints proof !edits).ids.(0) :: !ids;
+          incr edits)
+      proof;
+    !ids
+  in
+  let _, answer, proof = solve 12 in
+  check_sat "seed 12 unsat" true (answer = Unsat);
+  check_sat "seed 12 deletes" true (retired proof <> []);
+  check_result "hinted refutation" (Sat.Checker.check_proof proof);
+  check_result "RUP oracle refutation" (Rup_oracle.check_proof proof);
+  let s, answer, proof = solve 14 in
+  check_sat "seed 14 sat" true (answer = Sat);
+  let dead = retired proof in
+  check_sat "seed 14 deletes" true (dead <> []);
+  let model l = Sat.Solver.lit_value s l in
+  check_result "hinted model" (Sat.Checker.check_sat_model proof model);
+  check_result "RUP oracle model" (Rup_oracle.check_sat_model proof model);
+  (* Re-adding a learnt clause that cites itself is implied while it is
+     live, and rejected once a deletion has retired it. *)
+  let ck = Sat.Checker.create proof in
+  Alcotest.(check (list string)) "replays" [] (Sat.Checker.replay ck);
+  let readd id =
+    match Sat.Proof.step proof id with
+    | Sat.Proof.Add c ->
+      ignore (Sat.Proof.log_add proof c ~hints:[ id ] : int);
+      Sat.Checker.replay ck
+    | _ -> Alcotest.failf "step %d is not a learnt clause" id
+  in
+  let rec live_learnt i =
+    match Sat.Proof.step proof i with
+    | Sat.Proof.Add _ when not (List.mem i dead) -> i
+    | _ -> live_learnt (i + 1)
+  in
+  Alcotest.(check (list string)) "citing a live clause" [] (readd (live_learnt 0));
+  let d = List.hd dead in
+  match readd d with
+  | [ e ] ->
+    check_sat "names the retired hint" true
+      (Test_util.contains e (Printf.sprintf "hint %d is not a live clause" d))
+  | es -> Alcotest.failf "want one rejection, got [%s]" (String.concat "; " es)
+
 (* --- property: agreement with brute force -------------------------------- *)
 
 let brute_force_sat num_vars clauses =
@@ -608,6 +680,87 @@ let prop_verdicts_certify =
         |> Result.is_ok
       | Sat.Solver.Unsat -> Result.is_ok (Sat.Checker.check_proof proof)
       | Sat.Solver.Unknown -> false (* no budget installed: Unknown is a bug *))
+
+(* --- property: the hinted checker against the RUP oracle ----------------------- *)
+
+(* Rounds of clauses to add, each followed by a solve under assumptions.
+   Half the cases mix clause sizes, units included; the other half are
+   random 3-SAT, which makes the solver learn the long clauses that
+   minimisation and the drop-lit mutation act on. *)
+let gen_rounds =
+  let open QCheck.Gen in
+  int_range 1 50 >>= fun nv ->
+  oneofl [ int_range 1 4; return 3 ] >>= fun size ->
+  let lit = map2 (fun v negated -> Sat.Lit.make ~var:v ~negated) (int_range 0 (nv - 1)) bool in
+  let round = pair (list_size (int_range 0 (3 * nv)) (list_size size lit)) (list_size (int_range 0 3) lit) in
+  pair (return nv) (list_size (int_range 1 4) round)
+
+let print_rounds (nv, rounds) =
+  let lits ls = String.concat " " (List.map (fun l -> string_of_int (Sat.Lit.to_dimacs l)) ls) in
+  Printf.sprintf "%d vars: %s" nv
+    (String.concat " | "
+       (List.map
+          (fun (clauses, assumptions) ->
+            String.concat ", " (List.map lits clauses) ^ " ? " ^ lits assumptions)
+          rounds))
+
+(* Solve every round on one proof-logging solver and certify each answer
+   with both checkers, each fed the one growing trace.  Returns, per round,
+   whether the hinted checker and the oracle have accepted every step and
+   answer so far. *)
+let certify_rounds ?mutation (nv, rounds) =
+  let s = Sat.Solver.create () in
+  Sat.Solver.enable_proof s;
+  for _ = 1 to nv do
+    ignore (Sat.Solver.new_var s : int)
+  done;
+  Option.iter (Sat.Solver.inject_unsoundness s) mutation;
+  let proof = proof_of s in
+  let ck = Sat.Checker.create proof and oracle = Rup_oracle.create () in
+  let replayed = ref 0 and hinted = ref true and rup = ref true in
+  let pass ok r = ok := !ok && Result.is_ok r in
+  let round (clauses, assumptions) =
+    List.iter (fun c -> ignore (Sat.Solver.add_clause s c : bool)) clauses;
+    let answer = Sat.Solver.solve ~assumptions s in
+    if Sat.Checker.replay ck <> [] then hinted := false;
+    while !replayed < Sat.Proof.length proof do
+      pass rup (Rup_oracle.replay oracle (Sat.Proof.step proof !replayed));
+      incr replayed
+    done;
+    (match answer with
+     | Sat.Solver.Sat ->
+       let model = Sat.Solver.lit_value s in
+       pass hinted (Sat.Checker.check_model ck model);
+       pass rup (Rup_oracle.check_model oracle model)
+     | Sat.Solver.Unsat ->
+       let chain = Sat.Solver.unsat_chain s in
+       List.iter
+         (fun lits ->
+           pass hinted (Sat.Checker.check_conflict ck lits chain);
+           pass rup (Rup_oracle.check_conflict oracle lits))
+         [ assumptions; Sat.Solver.unsat_core s ]
+     | Sat.Solver.Unknown -> hinted := false);
+    (!hinted, !rup)
+  in
+  List.rev (List.fold_left (fun acc r -> round r :: acc) [] rounds)
+
+let prop_checkers_accept_honest_verdicts =
+  QCheck.Test.make ~count:400 ~name:"hinted checker and RUP oracle accept honest verdicts"
+    (QCheck.make ~print:print_rounds gen_rounds)
+    (fun g -> List.for_all (fun (hinted, rup) -> hinted && rup) (certify_rounds g))
+
+let prop_hinted_rejects_what_oracle_rejects =
+  let mutation =
+    QCheck.Gen.(
+      pair (int_range 1 4) (oneofl [ "drop-lit"; "mute-proof"; "flip-model" ])
+      |> map (fun (n, kind) -> Sat.Solver.unsound_of_string (Printf.sprintf "%s:%d" kind n)))
+  in
+  QCheck.Test.make ~count:600 ~name:"hinted checker rejects whatever the RUP oracle rejects"
+    (QCheck.make
+       ~print:(fun (_, g) -> print_rounds g)
+       QCheck.Gen.(pair mutation gen_rounds))
+    (fun (mutation, g) ->
+      List.for_all (fun (hinted, rup) -> rup || not hinted) (certify_rounds ~mutation g))
 
 let test_dpll_of_formula () =
   (* Tseitin into DPLL: (x0 <-> x1) & (x0 xor x2) & x0 forces x1, !x2. *)
@@ -752,6 +905,7 @@ let () =
             test_certify_catches_muted_proof_step;
           Alcotest.test_case "catches flipped model bit" `Quick
             test_certify_catches_flipped_model_bit;
+          Alcotest.test_case "trace with deletions" `Quick test_certify_deletions;
         ] );
       ( "properties",
         [
@@ -760,5 +914,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_dpll_agrees_with_cdcl;
           QCheck_alcotest.to_alcotest prop_dimacs_roundtrip;
           QCheck_alcotest.to_alcotest prop_verdicts_certify;
+          QCheck_alcotest.to_alcotest prop_checkers_accept_honest_verdicts;
+          QCheck_alcotest.to_alcotest prop_hinted_rejects_what_oracle_rejects;
         ] );
     ]
