@@ -1,16 +1,3 @@
-(* llhsc: the command line lives in [Cli].  A pipeline run allocates
-   0.4-2 M words, so OCaml's default 2 MiB nursery is mostly page faults
-   and resident memory; this process, its --jobs workers and the
-   daemon's forked jobs use 512 KiB instead, unless OCAMLRUNPARAM (or
-   CAMLRUNPARAM) sets [s] itself.  Resizing forces the runtime's first
-   collection (~1 ms), which a run that never fills the nursery, such as
-   --version or a small check, would otherwise not pay. *)
-let () =
-  let params =
-    match Sys.getenv_opt "OCAMLRUNPARAM" with
-    | Some p -> p
-    | None -> Option.value ~default:"" (Sys.getenv_opt "CAMLRUNPARAM")
-  in
-  if not (List.exists (String.starts_with ~prefix:"s") (String.split_on_char ',' params))
-  then Gc.set { (Gc.get ()) with minor_heap_size = 65536 };
-  exit (Cli.main Sys.argv)
+(* llhsc: the command line lives in [Cli]; start.c, the process entry,
+   sizes the nursery before the runtime starts. *)
+let () = exit (Cli.main Sys.argv)

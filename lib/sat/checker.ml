@@ -1,11 +1,12 @@
 (* Independent certificate checker: hinted (LRAT-style) replay.
 
-   The checker reads clause literals straight from the [Proof] trace and
-   keeps two pieces of state of its own: the value of every literal and
-   whether each step is a live clause.  It shares the literal encoding with
-   the solver (Lit) but none of its machinery — no watches, no occurrence
-   lists, no search — so a bug in the CDCL engine and a bug here would have
-   to coincide to let a wrong verdict through.
+   The checker reads clause literals and hints in place, from the [Proof]
+   trace's arenas, and keeps two pieces of state of its own: the value of
+   every literal and whether each step is a live clause.  It shares the
+   literal encoding with the solver (Lit) but none of its machinery — no
+   clause blocks, no watches, no occurrence lists, no search — so a bug in
+   the CDCL engine and a bug here would have to coincide to let a wrong
+   verdict through.
 
    Every deduction is one rule, [resolve]: a live clause whose literals
    are all false but one forces that one; a clause whose literals are all
@@ -65,55 +66,61 @@ let undo t =
 let pp_lits ppf lits =
   Fmt.pf ppf "(%a)" Fmt.(array ~sep:(any " ") int) (Array.map Lit.to_dimacs lits)
 
-(* Step [id], if it is an admitted clause not yet deleted. *)
-let clause t id =
-  if id < 0 || id >= t.steps || Bytes.get t.live id = '\000' then None
-  else Some (Proof.step t.proof id)
+(* The literals of step [i], for a message. *)
+let step_lits t i = match Proof.step t.proof i with Input c | Add c | Delete c -> c
 
-(* Under the current values: [-1] if every literal of [c] is false, [l] if
-   every literal but [l] is, [-2] otherwise. *)
-let status t c =
-  let rec go i open_lit =
-    if i = Array.length c then open_lit
+(* Is step [id] an admitted clause not yet deleted? *)
+let live t id = id >= 0 && id < t.steps && Bytes.get t.live id = '\001'
+
+(* Under the current values: [-1] if every literal of step [i] is false,
+   [l] if every literal but [l] is, [-2] otherwise. *)
+let status t i =
+  let p = t.proof in
+  let stop = Proof.stop p i in
+  let rec go k open_lit =
+    if k = stop then open_lit
     else
-      let l = c.(i) in
+      let l = Proof.lit p k in
       if holds t l then -2
-      else if holds t (Lit.neg l) || l = open_lit then go (i + 1) open_lit
-      else if open_lit = -1 then go (i + 1) l
+      else if holds t (Lit.neg l) || l = open_lit then go (k + 1) open_lit
+      else if open_lit = -1 then go (k + 1) l
       else -2
   in
-  go 0 (-1)
+  go (Proof.first p i) (-1)
 
-(* Resolve the cited clauses in order, making each forced literal true
-   with [assign]; [Ok true] at the first false clause. *)
-let resolve t ~assign ids =
-  let rec go i =
-    if i = Array.length ids then Ok false
+(* Resolve the [n] cited clauses [id 0 .. id (n - 1)] in order, making each
+   forced literal true with [assign]; [Ok true] at the first false clause. *)
+let resolve t ~assign n id =
+  let rec go k =
+    if k = n then Ok false
     else
-      match clause t ids.(i) with
-      | Some (Input c | Add c) -> (
+      let c = id k in
+      if not (live t c) then Error (Fmt.str "hint %d is not a live clause" c)
+      else
         match status t c with
         | -1 -> Ok true
-        | -2 -> go (i + 1)
+        | -2 -> go (k + 1)
         | l ->
           assign t l;
-          go (i + 1))
-      | Some (Delete _) | None -> Error (Fmt.str "hint %d is not a live clause" ids.(i))
+          go (k + 1)
   in
   go 0
 
-(* Does assuming [lits] and resolving [ids] reach a conflict?  The values
-   are restored afterwards. *)
-let refutes t lits ids =
+(* Does assuming the [m] literals [lit 0 .. lit (m - 1)] and resolving the
+   [n] clauses [id 0 .. id (n - 1)] reach a conflict?  The values are
+   restored afterwards. *)
+let refutes t m lit n id =
   let clash = ref false in
-  List.iter
-    (fun l -> if holds t (Lit.neg l) then clash := true else if not (holds t l) then assume t l)
-    lits;
-  let r = if !clash then Ok true else resolve t ~assign:assume ids in
+  for k = 0 to m - 1 do
+    let l = lit k in
+    if holds t (Lit.neg l) then clash := true else if not (holds t l) then assume t l
+  done;
+  let r = if !clash then Ok true else resolve t ~assign:assume n id in
   undo t;
   r
 
 let replay t =
+  let p = t.proof in
   let errors = ref [] in
   let fail fmt = Fmt.kstr (fun e -> errors := e :: !errors) fmt in
   (* Level-0 units up to the [upto]th: each is permanent. *)
@@ -122,62 +129,75 @@ let replay t =
       let k = t.units in
       t.units <- k + 1;
       if not t.refuted then
-        match resolve t ~assign:set [| Proof.unit_reason t.proof k |] with
+        match resolve t ~assign:set 1 (fun _ -> Proof.unit_reason p k) with
         | Ok conflict -> t.refuted <- conflict
         | Error e -> fail "level-0 unit %d: %s" k e
     done
   in
-  (* The hints of the next [Add] or [Delete], after the units before it. *)
-  let hints () =
-    let h = Proof.hints t.proof t.edits in
-    t.edits <- t.edits + 1;
-    units h.after_units;
-    h.ids
+  (* The next [Add] or [Delete], after the units before it. *)
+  let edit () =
+    let j = t.edits in
+    t.edits <- j + 1;
+    units (Proof.after_units p j);
+    j
   in
-  let n = Proof.length t.proof in
+  let n = Proof.length p in
   t.live <- reach t.live n;
   while t.steps < n do
     let i = t.steps in
-    (match Proof.step t.proof i with
-     | Input _ -> Bytes.set t.live i '\001'
-     | Add c -> (
-       let negation = Array.fold_right (fun l ls -> Lit.neg l :: ls) c [] in
-       let ids = hints () in
-       match if t.refuted then Ok true else refutes t negation ids with
+    (match Proof.kind p i with
+     | `Input -> Bytes.set t.live i '\001'
+     | `Add -> (
+       let j = edit () in
+       let first = Proof.first p i and stop = Proof.stop p i in
+       let negation k = Lit.neg (Proof.lit p (first + k)) in
+       match
+         if t.refuted then Ok true
+         else refutes t (stop - first) negation (Proof.n_hints p j) (Proof.hint p j)
+       with
        | Ok true ->
          Bytes.set t.live i '\001';
-         if c = [||] then t.refuted <- true
-       | Ok false -> fail "proof step %d: learnt clause %a is not implied by its hints" i pp_lits c
-       | Error e -> fail "proof step %d: learnt clause %a: %s" i pp_lits c e)
-     | Delete c -> (
-       match hints () with
-       | [| id |] when (match clause t id with Some (Add _) -> true | _ -> false) ->
-         Bytes.set t.live id '\000'
-       | _ -> fail "proof step %d: deletion of %a retires no live learnt clause" i pp_lits c));
+         if stop = first then t.refuted <- true
+       | Ok false ->
+         fail "proof step %d: learnt clause %a is not implied by its hints" i pp_lits
+           (step_lits t i)
+       | Error e -> fail "proof step %d: learnt clause %a: %s" i pp_lits (step_lits t i) e)
+     | `Delete ->
+       let j = edit () in
+       let retires id = live t id && Proof.kind p id = `Add in
+       if Proof.n_hints p j = 1 && retires (Proof.hint p j 0) then
+         Bytes.set t.live (Proof.hint p j 0) '\000'
+       else
+         fail "proof step %d: deletion of %a retires no live learnt clause" i pp_lits
+           (step_lits t i));
     t.steps <- i + 1
   done;
-  units (Proof.n_units t.proof);
+  units (Proof.n_units p);
   List.rev !errors
 
 let check_conflict t assumptions chain =
   if t.refuted then Ok ()
   else
-    match refutes t assumptions (Array.of_list chain) with
+    let assumptions = Array.of_list assumptions and chain = Array.of_list chain in
+    match
+      refutes t (Array.length assumptions) (Array.get assumptions) (Array.length chain)
+        (Array.get chain)
+    with
     | Ok true -> Ok ()
     | Ok false ->
-      Error
-        (Fmt.str "assumptions %a and their chain reach no conflict" pp_lits
-           (Array.of_list assumptions))
+      Error (Fmt.str "assumptions %a and their chain reach no conflict" pp_lits assumptions)
     | Error e -> Error (Fmt.str "unsat chain: %s" e)
 
 let check_model t valuation =
+  let p = t.proof in
+  let rec satisfied k stop =
+    k < stop && (valuation (Proof.lit p k) || satisfied (k + 1) stop)
+  in
   let rec scan i =
     if i = t.steps then Ok ()
-    else
-      match Proof.step t.proof i with
-      | Input c when not (Array.exists valuation c) ->
-        Error (Fmt.str "model falsifies input clause %a" pp_lits c)
-      | _ -> scan (i + 1)
+    else if Proof.kind p i = `Input && not (satisfied (Proof.first p i) (Proof.stop p i)) then
+      Error (Fmt.str "model falsifies input clause %a" pp_lits (step_lits t i))
+    else scan (i + 1)
   in
   scan 0
 

@@ -21,9 +21,12 @@
    ([units]).  Hints never change the steps, so [length] and [pp_drup]
    read the same with or without them.
 
-   Literal arrays are copied at logging time: the solver reorders clause
-   literals in place while maintaining watches, and the trace must pin the
-   clause as it was derived. *)
+   Storage is flat and append-only.  The literals of every step sit back
+   to back in one int arena, copied at logging time: the solver reorders
+   clause literals in place while maintaining watches, and the trace must
+   pin the clause as it was derived.  A step is one int, its start in the
+   arena and its kind; it ends where the next step starts.  The hint ids
+   of every [Add] and [Delete] share a second arena the same way. *)
 
 type step =
   | Input of Lit.t array
@@ -35,42 +38,109 @@ type hints = {
   ids : int array;
 }
 
-type t = {
-  steps : step Vec.t;
-  units : int Vec.t; (* reason ids of level-0 assignments, in order *)
-  hints : hints Vec.t; (* one per [Add] or [Delete] step, in order *)
+(* A growable int array: each arena and per-step table is one.  The
+   checker reads them for every literal it visits, so they are
+   monomorphic, unlike [Vec]. *)
+type ints = {
+  mutable data : int array;
+  mutable size : int;
 }
 
-let no_hints = { after_units = 0; ids = [||] }
+let ints capacity = { data = Array.make capacity 0; size = 0 }
+
+let push_int v x =
+  if v.size = Array.length v.data then begin
+    let data = Array.make (2 * v.size) 0 in
+    Array.blit v.data 0 data 0 v.size;
+    v.data <- data
+  end;
+  Array.unsafe_set v.data v.size x;
+  v.size <- v.size + 1
+
+let[@inline] get v i =
+  if i < 0 || i >= v.size then invalid_arg "Proof: index out of range";
+  Array.unsafe_get v.data i
+
+type t = {
+  lits : ints; (* the literals of every step, in step order *)
+  steps : ints; (* per step: its start in [lits] lsl 2 lor its kind *)
+  units : ints; (* reason ids of level-0 assignments, in order *)
+  edits : ints; (* per [Add] or [Delete]: units logged before it *)
+  edit_ids : ints; (* per [Add] or [Delete]: its start in [ids] *)
+  ids : ints; (* the hint ids of every [Add] and [Delete], in order *)
+}
+
+let input = 0
+let add = 1
+let delete = 2
 
 let create () =
-  { steps = Vec.create ~capacity:64 (Input [||]); units = Vec.create 0;
-    hints = Vec.create no_hints }
+  { lits = ints 256; steps = ints 64; units = ints 16; edits = ints 16;
+    edit_ids = ints 16; ids = ints 16 }
 
-let push t step =
-  Vec.push t.steps step;
-  Vec.size t.steps - 1
+let push t kind a ~pos ~len =
+  push_int t.steps ((t.lits.size lsl 2) lor kind);
+  for k = pos to pos + len - 1 do
+    push_int t.lits a.(k)
+  done;
+  t.steps.size - 1
 
-let log_input t lits = push t (Input (Array.copy lits))
+let push_hints t hints =
+  push_int t.edits t.units.size;
+  push_int t.edit_ids t.ids.size;
+  List.iter (push_int t.ids) hints
 
-let log_add t lits ~hints =
-  Vec.push t.hints { after_units = Vec.size t.units; ids = Array.of_list hints };
-  push t (Add (Array.copy lits))
+let log_input t a ~pos ~len = push t input a ~pos ~len
 
-let log_delete t lits ~id =
-  Vec.push t.hints { after_units = Vec.size t.units; ids = [| id |] };
-  ignore (push t (Delete (Array.copy lits)) : int)
+let log_add t a ~pos ~len ~hints =
+  push_hints t hints;
+  push t add a ~pos ~len
 
-let log_unit t id = Vec.push t.units id
-let length t = Vec.size t.steps
-let step t i = Vec.get t.steps i
-let iter f t = Vec.iter f t.steps
-let n_units t = Vec.size t.units
-let unit_reason t k = Vec.get t.units k
-let hints t j = Vec.get t.hints j
+let log_delete t a ~pos ~len ~id =
+  push_hints t [ id ];
+  ignore (push t delete a ~pos ~len : int)
+
+let log_unit t id = push_int t.units id
+let length t = t.steps.size
+let n_units t = t.units.size
+let unit_reason t k = get t.units k
+
+(* --- in-place reads ------------------------------------------------------- *)
+
+let kind t i = match get t.steps i land 3 with 0 -> `Input | 1 -> `Add | _ -> `Delete
+
+(* Where entry [i] of [starts] ends in an arena of [total] entries: where
+   the next entry starts, or at the arena's end. *)
+let[@inline] stop_of starts total i shift =
+  if i + 1 < starts.size then get starts (i + 1) lsr shift else total
+
+let[@inline] first t i = get t.steps i lsr 2
+let[@inline] stop t i = stop_of t.steps t.lits.size i 2
+let[@inline] lit t k = get t.lits k
+let after_units t j = get t.edits j
+let n_hints t j = stop_of t.edit_ids t.ids.size j 0 - get t.edit_ids j
+let[@inline] hint t j k = get t.ids (get t.edit_ids j + k)
+
+(* --- allocating accessors ------------------------------------------------- *)
+
+let step t i =
+  let first = first t i in
+  let c = Array.init (stop t i - first) (fun k -> lit t (first + k)) in
+  match kind t i with `Input -> Input c | `Add -> Add c | `Delete -> Delete c
+
+let iter f t =
+  for i = 0 to length t - 1 do
+    f (step t i)
+  done
+
+let hints t j = { after_units = after_units t j; ids = Array.init (n_hints t j) (hint t j) }
 
 let n_inputs t =
-  Vec.fold (fun n -> function Input _ -> n + 1 | Add _ | Delete _ -> n) 0 t.steps
+  let n = ref 0 in
+  for i = 0 to length t - 1 do
+    if kind t i = `Input then incr n
+  done;
+  !n
 
 (* DRUP-compatible text: inputs as comments (a DRUP file proper contains
    only additions and deletions; the formula lives in the CNF file). *)

@@ -1,8 +1,8 @@
 (* CDCL SAT solver (MiniSat lineage).
 
    Invariants worth keeping in mind while reading:
-   - [assigns.(v)] is 0 while v is unassigned, +1/-1 once assigned; the value
-     of a literal combines this with its sign.
+   - [assigns] holds one byte per variable: 0 while it is unassigned,
+     otherwise 1 plus the sign bit of its true literal ([lit_true]).
    - every non-unit clause is watched by its first two literals; propagation
      maintains "if a watched literal is false, the other watch is true or the
      clause is unit/conflicting".
@@ -11,17 +11,32 @@
    - learnt clauses are asserting: after [analyze], the learnt clause's first
      literal is the 1-UIP and becomes true upon backjumping. *)
 
-type clause = {
-  mutable lits : int array;
-  learnt : bool;
-  mutable activity : float;
-  mutable lbd : int;
-  mutable dead : bool;
-  id : int; (* its step in the certificate trace; -1 when none was logged *)
-}
+(* A clause is one int array, with no pointer in it: two header words, then
+   its literals.
 
-let dummy_clause =
-  { lits = [||]; learnt = false; activity = 0.; lbd = 0; dead = false; id = -1 }
+     [| id; info; lit0; lit1; ... |]
+
+   [id] is its step in the certificate trace (-1 when none was logged).
+   [info] packs, from the low bit: learnt, dead, the LBD (30 bits) and, for
+   a learnt clause, its slot in [cla_act], the learnt activities, which is
+   its index in [learnts].  The layout needs 63-bit ints. *)
+type clause = int array
+
+let hdr = 2
+let size (c : clause) = Array.length c - hdr
+let lit (c : clause) k = Array.unsafe_get c (hdr + k)
+let set_lit (c : clause) k l = Array.unsafe_set c (hdr + k) l
+let trace_id (c : clause) = c.(0)
+let is_learnt (c : clause) = c.(1) land 1 = 1
+let is_dead (c : clause) = c.(1) land 2 = 2
+let lbd (c : clause) = (c.(1) lsr 2) land 0x3fff_ffff
+let slot (c : clause) = c.(1) lsr 32
+let learnt_info ~lbd ~slot = (slot lsl 32) lor (lbd lsl 2) lor 1
+let kill (c : clause) = c.(1) <- c.(1) lor 2
+let set_slot (c : clause) i = c.(1) <- (c.(1) land 0xffff_ffff) lor (i lsl 32)
+
+(* The reason of a decision and of every unassigned variable. *)
+let dummy_clause : clause = [| -1; 0 |]
 
 type result = Sat | Unsat | Unknown
 
@@ -73,15 +88,17 @@ type polarity_mode =
 
 type t = {
   mutable ok : bool;
-  clauses : clause Vec.t;
+  mutable n_clauses : int;              (* problem clauses stored *)
   learnts : clause Vec.t;
-  mutable watches : clause Vec.t array; (* literal -> watching clauses *)
-  mutable assigns : int array;          (* var -> 0 | +1 | -1 *)
+  mutable cla_act : float array;        (* learnt slot -> clause activity *)
+  mutable watches : clause array array; (* literal -> watching clauses *)
+  mutable watched : int array;          (* literal -> length of its list *)
+  mutable assigns : Bytes.t;            (* var -> 0 | 1 + sign of true lit *)
   mutable level : int array;            (* var -> decision level *)
   mutable reason : clause array;        (* var -> implying clause or dummy *)
   mutable activity : float array;       (* var -> VSIDS activity *)
-  mutable polarity : bool array;        (* var -> saved phase *)
-  mutable seen : bool array;            (* var -> scratch mark for analyze *)
+  mutable polarity : Bytes.t;           (* var -> saved phase, 1 = true *)
+  mutable seen : Bytes.t;               (* var -> scratch mark for analyze *)
   order : Heap.t;
   trail : int Vec.t;                    (* literals, in assignment order *)
   trail_lim : int Vec.t;
@@ -123,15 +140,17 @@ let create () =
     lazy
       {
         ok = true;
-        clauses = Vec.create dummy_clause;
+        n_clauses = 0;
         learnts = Vec.create dummy_clause;
+        cla_act = [||];
         watches = [||];
-        assigns = [||];
+        watched = [||];
+        assigns = Bytes.empty;
         level = [||];
         reason = [||];
         activity = [||];
-        polarity = [||];
-        seen = [||];
+        polarity = Bytes.empty;
+        seen = Bytes.empty;
         order = Heap.create (fun v -> (Lazy.force t).activity.(v));
         trail = Vec.create 0;
         trail_lim = Vec.create 0;
@@ -162,33 +181,38 @@ let create () =
   Lazy.force t
 
 (* The watch list of every literal no clause watches yet.  [watch] gives a
-   literal its own list on first use, so nothing is ever pushed here. *)
-let no_watches : clause Vec.t = Vec.create ~capacity:1 dummy_clause
+   literal its own array on first use, so nothing is ever stored here. *)
+let no_watches : clause array = [||]
 
-(* The per-variable arrays share one capacity, [Array.length t.assigns]
-   ([t.watches] holds two entries per variable); [new_var] grows them all
-   together when the next variable would not fit. *)
+(* The per-variable tables share one capacity, [Array.length t.level]
+   ([t.watches] and [t.watched] hold two entries per variable); [new_var]
+   grows them all together when the next variable would not fit. *)
 let grow_vars t =
   let n = t.nvars in
   let cap = max 16 (2 * n) in
-  let extend a dummy =
-    let a' = Array.make cap dummy in
-    Array.blit a 0 a' 0 n;
+  (* [a] with [k] entries per variable *)
+  let extend ?(k = 1) a dummy =
+    let a' = Array.make (k * cap) dummy in
+    Array.blit a 0 a' 0 (k * n);
     a'
   in
-  t.assigns <- extend t.assigns 0;
+  let extend_bytes b =
+    let b' = Bytes.make cap '\000' in
+    Bytes.blit b 0 b' 0 n;
+    b'
+  in
+  t.assigns <- extend_bytes t.assigns;
   t.level <- extend t.level 0;
   t.reason <- extend t.reason dummy_clause;
   t.activity <- extend t.activity 0.;
-  t.polarity <- extend t.polarity false;
-  t.seen <- extend t.seen false;
-  let w = Array.make (2 * cap) no_watches in
-  Array.blit t.watches 0 w 0 (2 * n);
-  t.watches <- w
+  t.polarity <- extend_bytes t.polarity;
+  t.seen <- extend_bytes t.seen;
+  t.watches <- extend ~k:2 t.watches no_watches;
+  t.watched <- extend ~k:2 t.watched 0
 
 let new_var t =
   let v = t.nvars in
-  if v = Array.length t.assigns then grow_vars t;
+  if v = Array.length t.level then grow_vars t;
   t.nvars <- v + 1;
   Heap.insert t.order v;
   v
@@ -197,14 +221,14 @@ let new_var t =
 let allocated t l = Lit.var l < t.nvars
 
 let num_vars t = t.nvars
-let num_clauses t = Vec.size t.clauses
+let num_clauses t = t.n_clauses
 let num_conflicts t = t.n_conflicts
 
 (* --- certification hooks ------------------------------------------------- *)
 
 let enable_proof t =
   if
-    Vec.size t.clauses > 0 || Vec.size t.learnts > 0 || Vec.size t.trail > 0
+    t.n_clauses > 0 || Vec.size t.learnts > 0 || Vec.size t.trail > 0
     || not t.ok
   then invalid_arg "Solver.enable_proof: clauses already added";
   t.proof <- Some (Proof.create ())
@@ -217,10 +241,19 @@ let unsound_fires t n =
   t.unsound_tick <- t.unsound_tick + 1;
   t.unsound_tick mod max 1 n = 0
 
+(* The [assigns] byte of a variable whose literal [l] is true. *)
+let lit_true l = 1 + (l land 1)
+
 (* +1 literal true, -1 false, 0 unassigned *)
 let value_lit t l =
-  let a = t.assigns.(Lit.var l) in
-  if Lit.is_neg l then -a else a
+  match Char.code (Bytes.unsafe_get t.assigns (Lit.var l)) with
+  | 0 -> 0
+  | a -> if a = lit_true l then 1 else -1
+
+let unassigned t v = Bytes.unsafe_get t.assigns v = '\000'
+let seen t v = Bytes.unsafe_get t.seen v = '\001'
+let set_seen t v b = Bytes.unsafe_set t.seen v (if b then '\001' else '\000')
+let phase t v = Bytes.unsafe_get t.polarity v = '\001'
 
 let decision_level t = Vec.size t.trail_lim
 
@@ -231,7 +264,7 @@ let log_unit t id =
   | Some p when decision_level t = 0 -> Proof.log_unit p id
   | _ -> ()
 
-let set_polarity t v b = t.polarity.(v) <- b
+let set_polarity t v b = Bytes.set t.polarity v (if b then '\001' else '\000')
 
 (* --- VSIDS -------------------------------------------------------------- *)
 
@@ -249,9 +282,12 @@ let var_bump t v =
 let var_decay_activity t = t.var_inc <- t.var_inc *. t.var_decay_inv
 
 let cla_bump t (c : clause) =
-  c.activity <- c.activity +. t.cla_inc;
-  if c.activity > 1e20 then begin
-    Vec.iter (fun (c : clause) -> c.activity <- c.activity *. 1e-20) t.learnts;
+  let i = slot c in
+  t.cla_act.(i) <- t.cla_act.(i) +. t.cla_inc;
+  if t.cla_act.(i) > 1e20 then begin
+    for j = 0 to Vec.size t.learnts - 1 do
+      t.cla_act.(j) <- t.cla_act.(j) *. 1e-20
+    done;
     t.cla_inc <- t.cla_inc *. 1e-20
   end
 
@@ -259,27 +295,36 @@ let cla_decay_activity t = t.cla_inc <- t.cla_inc *. clause_decay
 
 (* --- assignment --------------------------------------------------------- *)
 
+(* A literal's first watch array has 2 slots; a full one doubles. *)
 let watch t l c =
+  let ws = t.watches.(l) and n = t.watched.(l) in
+  if n < Array.length ws then Array.unsafe_set ws n c
+  else begin
+    let ws' = Array.make (max 2 (2 * n)) dummy_clause in
+    Array.blit ws 0 ws' 0 n;
+    ws'.(n) <- c;
+    t.watches.(l) <- ws'
+  end;
+  t.watched.(l) <- n + 1
+
+(* Truncate literal [l]'s watch list to [n] entries. *)
+let shrink_watches t l n =
   let ws = t.watches.(l) in
-  if ws == no_watches then begin
-    let ws = Vec.create ~capacity:4 dummy_clause in
-    Vec.push ws c;
-    t.watches.(l) <- ws
-  end
-  else Vec.push ws c
+  Array.fill ws n (t.watched.(l) - n) dummy_clause;
+  t.watched.(l) <- n
 
 let attach t c =
   (* clause is watched by the negations of its first two literals *)
-  watch t (Lit.neg c.lits.(0)) c;
-  watch t (Lit.neg c.lits.(1)) c
+  watch t (Lit.neg (lit c 0)) c;
+  watch t (Lit.neg (lit c 1)) c
 
 let unchecked_enqueue t l reason =
   let v = Lit.var l in
-  assert (t.assigns.(v) = 0);
-  t.assigns.(v) <- (if Lit.is_neg l then -1 else 1);
+  assert (unassigned t v);
+  Bytes.unsafe_set t.assigns v (Char.unsafe_chr (lit_true l));
   t.level.(v) <- decision_level t;
   t.reason.(v) <- reason;
-  t.polarity.(v) <- Lit.is_pos l;
+  Bytes.unsafe_set t.polarity v (if Lit.is_pos l then '\001' else '\000');
   Vec.push t.trail l
 
 let cancel_until t lvl =
@@ -288,7 +333,7 @@ let cancel_until t lvl =
     for i = Vec.size t.trail - 1 downto bound do
       let l = Vec.get t.trail i in
       let v = Lit.var l in
-      t.assigns.(v) <- 0;
+      Bytes.unsafe_set t.assigns v '\000';
       t.reason.(v) <- dummy_clause;
       if not (Heap.in_heap t.order v) then Heap.insert t.order v
     done;
@@ -310,60 +355,60 @@ let propagate t =
       let ws = t.watches.(p) in
       (* Rebuild the watch list in place while visiting it. *)
       let i = ref 0 and j = ref 0 in
-      let n = Vec.size ws in
+      let n = t.watched.(p) in
       (try
          while !i < n do
-           let c = Vec.unsafe_get ws !i in
+           let c = Array.unsafe_get ws !i in
            incr i;
-           if c.dead then () (* dropped lazily *)
+           if is_dead c then () (* dropped lazily *)
            else begin
              let false_lit = Lit.neg p in
              (* Ensure the false literal is at position 1. *)
-             if c.lits.(0) = false_lit then begin
-               c.lits.(0) <- c.lits.(1);
-               c.lits.(1) <- false_lit
+             if lit c 0 = false_lit then begin
+               set_lit c 0 (lit c 1);
+               set_lit c 1 false_lit
              end;
-             if value_lit t c.lits.(0) = 1 then begin
+             if value_lit t (lit c 0) = 1 then begin
                (* Clause already satisfied: keep watching. *)
-               Vec.unsafe_set ws !j c;
+               Array.unsafe_set ws !j c;
                incr j
              end
              else begin
                (* Look for a new literal to watch. *)
-               let len = Array.length c.lits in
+               let len = size c in
                let k = ref 2 in
-               while !k < len && value_lit t c.lits.(!k) = -1 do
+               while !k < len && value_lit t (lit c !k) = -1 do
                  incr k
                done;
                if !k < len then begin
-                 c.lits.(1) <- c.lits.(!k);
-                 c.lits.(!k) <- false_lit;
-                 watch t (Lit.neg c.lits.(1)) c
+                 set_lit c 1 (lit c !k);
+                 set_lit c !k false_lit;
+                 watch t (Lit.neg (lit c 1)) c
                end
                else begin
                  (* Unit or conflicting. *)
-                 Vec.unsafe_set ws !j c;
+                 Array.unsafe_set ws !j c;
                  incr j;
-                 if value_lit t c.lits.(0) = -1 then begin
+                 if value_lit t (lit c 0) = -1 then begin
                    (* Conflict: copy the remaining watchers and abort. *)
                    while !i < n do
-                     Vec.unsafe_set ws !j (Vec.unsafe_get ws !i);
+                     Array.unsafe_set ws !j (Array.unsafe_get ws !i);
                      incr i;
                      incr j
                    done;
-                   Vec.shrink_to ws !j;
+                   shrink_watches t p !j;
                    t.qhead <- Vec.size t.trail;
                    raise (Conflict c)
                  end
                  else begin
-                   unchecked_enqueue t c.lits.(0) c;
-                   log_unit t c.id
+                   unchecked_enqueue t (lit c 0) c;
+                   log_unit t (trace_id c)
                  end
                end
              end
            end
          done;
-         Vec.shrink_to ws !j
+         shrink_watches t p !j
        with Conflict _ as e -> raise e)
     done;
     None
@@ -371,32 +416,37 @@ let propagate t =
 
 (* --- clause addition ---------------------------------------------------- *)
 
-(* Ascending, in place: insertion sort for the short clauses gates emit. *)
-let sort_lits a =
-  let n = Array.length a in
-  if n > 16 then Array.sort Lit.compare a
+(* The literals of [c] ascending, in place: insertion sort for the short
+   clauses gates emit. *)
+let sort_lits c =
+  let n = size c in
+  if n > 16 then begin
+    let a = Array.sub c hdr n in
+    Array.sort Lit.compare a;
+    Array.blit a 0 c hdr n
+  end
   else
     for i = 1 to n - 1 do
-      let x = a.(i) in
+      let x = lit c i in
       let j = ref (i - 1) in
-      while !j >= 0 && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
+      while !j >= 0 && lit c !j > x do
+        set_lit c (!j + 1) (lit c !j);
         decr j
       done;
-      a.(!j + 1) <- x
+      set_lit c (!j + 1) x
     done
 
-(* One pass over sorted literals: drop duplicates and literals false at
-   level 0, compacting the rest to the front of [a].  Returns how many
+(* One pass over the sorted literals of [c]: drop duplicates and literals
+   false at level 0, compacting the rest to the front.  Returns how many
    remain, or -1 for a clause that is already satisfied or a tautology
    (sorting puts [2v] and [2v+1] next to each other).  [-2] stands for "no
    previous literal": neither it nor its negation is a literal. *)
-let simplify t a =
-  let n = Array.length a in
+let simplify t c =
+  let n = size c in
   let rec go i j prev =
     if i = n then j
     else
-      let l = a.(i) in
+      let l = lit c i in
       if l = prev then go (i + 1) j prev
       else if l = Lit.neg prev then -1
       else
@@ -404,26 +454,33 @@ let simplify t a =
         | 1 -> -1
         | -1 -> go (i + 1) j l
         | _ ->
-          a.(j) <- l;
+          set_lit c j l;
           go (i + 1) (j + 1) l
   in
   go 0 0 (-2)
 
+(* A clause block holding [lits]; its header is filled in by the caller. *)
+let clause_of_list lits =
+  let c = Array.make (hdr + List.length lits) 0 in
+  List.iteri (set_lit c) lits;
+  c
+
 let add_clause t lits =
-  let a = Array.of_list lits in
-  for i = 0 to Array.length a - 1 do
-    if not (allocated t a.(i)) then
+  let c = clause_of_list lits in
+  let len = size c in
+  for k = 0 to len - 1 do
+    if not (allocated t (lit c k)) then
       invalid_arg "Solver.add_clause: literal of an unallocated variable"
   done;
   (* Log the clause verbatim, before simplification: unit clauses are
      enqueued rather than stored, yet the checker must still see them as
      part of the certified formula. *)
-  let id = match t.proof with Some p -> Proof.log_input p a | None -> -1 in
+  let id = match t.proof with Some p -> Proof.log_input p c ~pos:hdr ~len | None -> -1 in
   if not t.ok then false
   else begin
     assert (decision_level t = 0);
-    sort_lits a;
-    match simplify t a with
+    sort_lits c;
+    match simplify t c with
     | -1 -> true
     | 0 ->
       (* every literal false at level 0: this clause refutes the set *)
@@ -431,18 +488,20 @@ let add_clause t lits =
       t.ok <- false;
       false
     | 1 ->
-      unchecked_enqueue t a.(0) dummy_clause;
+      unchecked_enqueue t (lit c 0) dummy_clause;
       log_unit t id;
       (match propagate t with
        | None -> true
        | Some confl ->
-         log_unit t confl.id;
+         log_unit t (trace_id confl);
          t.ok <- false;
          false)
     | n ->
-      let lits = if n = Array.length a then a else Array.sub a 0 n in
-      let c = { lits; learnt = false; activity = 0.; lbd = 0; dead = false; id } in
-      Vec.push t.clauses c;
+      let c = if n = len then c else Array.sub c 0 (hdr + n) in
+      c.(0) <- id;
+      (* Problem clauses are never deleted: the two watch lists hold the
+         clause from here on, and the solver only counts it. *)
+      t.n_clauses <- t.n_clauses + 1;
       attach t c;
       true
   end
@@ -463,15 +522,15 @@ let analyze t confl =
   let continue = ref true in
   while !continue do
     let c = !confl in
-    if logging then hints := c.id :: !hints;
-    if c.learnt then cla_bump t c;
+    if logging then hints := trace_id c :: !hints;
+    if is_learnt c then cla_bump t c;
     let start = if !p = -1 then 0 else 1 in
-    for k = start to Array.length c.lits - 1 do
-      let q = c.lits.(k) in
+    for k = start to size c - 1 do
+      let q = lit c k in
       let v = Lit.var q in
-      if (not t.seen.(v)) && t.level.(v) > 0 then begin
+      if (not (seen t v)) && t.level.(v) > 0 then begin
         var_bump t v;
-        t.seen.(v) <- true;
+        set_seen t v true;
         if t.level.(v) >= decision_level t then incr path_count
         else begin
           learnt := q :: !learnt;
@@ -483,11 +542,11 @@ let analyze t confl =
     let rec next () =
       let l = Vec.get t.trail !index in
       decr index;
-      if t.seen.(Lit.var l) then l else next ()
+      if seen t (Lit.var l) then l else next ()
     in
     let l = next () in
     p := l;
-    t.seen.(Lit.var l) <- false;
+    set_seen t (Lit.var l) false;
     confl := t.reason.(Lit.var l);
     decr path_count;
     if !path_count <= 0 then continue := false
@@ -496,11 +555,14 @@ let analyze t confl =
   (* Conflict-clause minimisation: drop literals implied by the rest. *)
   let is_redundant l =
     let c = t.reason.(Lit.var l) in
-    c != dummy_clause
-    && Array.for_all
-         (fun q ->
-           Lit.var q = Lit.var l || t.seen.(Lit.var q) || t.level.(Lit.var q) = 0)
-         c.lits
+    let rec implied k =
+      k = size c
+      ||
+      let q = lit c k in
+      (Lit.var q = Lit.var l || seen t (Lit.var q) || t.level.(Lit.var q) = 0)
+      && implied (k + 1)
+    in
+    c != dummy_clause && implied 0
   in
   let kept, dropped =
     List.partition (fun l -> l = uip || not (is_redundant l)) (uip :: !learnt)
@@ -515,8 +577,10 @@ let analyze t confl =
         if List.mem v !pending then begin
           pending := List.filter (fun u -> u <> v) !pending;
           let r = t.reason.(v) in
-          Array.iter (fun q -> cite (Lit.var q)) r.lits;
-          before := r.id :: !before
+          for k = 0 to size r - 1 do
+            cite (Lit.var (lit r k))
+          done;
+          before := trace_id r :: !before
         end
       in
       List.iter (fun l -> cite (Lit.var l)) dropped;
@@ -524,8 +588,8 @@ let analyze t confl =
     end
   in
   (* Clear seen marks. *)
-  List.iter (fun l -> t.seen.(Lit.var l) <- false) !learnt;
-  t.seen.(Lit.var uip) <- false;
+  List.iter (fun l -> set_seen t (Lit.var l) false) !learnt;
+  set_seen t (Lit.var uip) false;
   (* LBD: number of distinct decision levels in the clause. *)
   let lbd =
     let levels = List.sort_uniq Int.compare (List.map (fun l -> t.level.(Lit.var l)) kept) in
@@ -541,16 +605,16 @@ let analyze t confl =
   (kept, btlevel, lbd, hints)
 
 (* Put the literal with the highest level at position 1 (second watch). *)
-let order_second_watch t lits =
-  let n = Array.length lits in
+let order_second_watch t c =
+  let n = size c in
   if n > 1 then begin
     let best = ref 1 in
     for k = 2 to n - 1 do
-      if t.level.(Lit.var lits.(k)) > t.level.(Lit.var lits.(!best)) then best := k
+      if t.level.(Lit.var (lit c k)) > t.level.(Lit.var (lit c !best)) then best := k
     done;
-    let tmp = lits.(1) in
-    lits.(1) <- lits.(!best);
-    lits.(!best) <- tmp
+    let tmp = lit c 1 in
+    set_lit c 1 (lit c !best);
+    set_lit c !best tmp
   end
 
 let record_learnt t lits lbd hints =
@@ -565,28 +629,36 @@ let record_learnt t lits lbd hints =
       List.filteri (fun i _ -> i < List.length lits - 1) lits
     | _ -> lits
   in
+  let c = clause_of_list lits in
   (* A muted clause keeps id -1, so no hint can cite it as another step. *)
   let id =
     match t.proof with
     | Some p -> (
       match t.unsound with
       | Some (Mute_proof_step n) when unsound_fires t n -> -1
-      | _ -> Proof.log_add p (Array.of_list lits) ~hints)
+      | _ -> Proof.log_add p c ~pos:hdr ~len:(size c) ~hints)
     | None -> -1
   in
-  match lits with
-  | [] -> t.ok <- false
-  | [ l ] ->
-    unchecked_enqueue t l dummy_clause;
+  match size c with
+  | 0 -> t.ok <- false
+  | 1 ->
+    unchecked_enqueue t (lit c 0) dummy_clause;
     log_unit t id
-  | first :: _ ->
-    let arr = Array.of_list lits in
-    order_second_watch t arr;
-    let c = { lits = arr; learnt = true; activity = 0.; lbd; dead = false; id } in
+  | _ ->
+    order_second_watch t c;
+    let i = Vec.size t.learnts in
+    if i = Array.length t.cla_act then begin
+      let a = Array.make (max 16 (2 * i)) 0. in
+      Array.blit t.cla_act 0 a 0 i;
+      t.cla_act <- a
+    end;
+    t.cla_act.(i) <- 0.;
+    c.(0) <- id;
+    c.(1) <- learnt_info ~lbd ~slot:i;
     Vec.push t.learnts c;
     attach t c;
     cla_bump t c;
-    unchecked_enqueue t first c
+    unchecked_enqueue t (lit c 0) c
 
 (* --- final conflict over assumptions (unsat core) ----------------------- *)
 
@@ -600,27 +672,26 @@ let analyze_final_lit t p =
   let core = ref [ Lit.neg p ] and chain = ref [] in
   let v = Lit.var p in
   if t.level.(v) > 0 then begin
-    t.seen.(v) <- true;
+    set_seen t v true;
     let bottom = Vec.get t.trail_lim 0 in
     for i = Vec.size t.trail - 1 downto bottom do
       let l = Vec.get t.trail i in
       let w = Lit.var l in
-      if t.seen.(w) then begin
-        t.seen.(w) <- false;
+      if seen t w then begin
+        set_seen t w false;
         let r = t.reason.(w) in
         (* a decision here is an assumption, [p] itself included *)
         if r == dummy_clause then core := l :: !core
         else begin
-          if Option.is_some t.proof then chain := r.id :: !chain;
-          Array.iter
-            (fun q ->
-              let u = Lit.var q in
-              if u <> w && t.level.(u) > 0 then t.seen.(u) <- true)
-            r.lits
+          if Option.is_some t.proof then chain := trace_id r :: !chain;
+          for k = 0 to size r - 1 do
+            let u = Lit.var (lit r k) in
+            if u <> w && t.level.(u) > 0 then set_seen t u true
+          done
         end
       end
     done;
-    t.seen.(v) <- false
+    set_seen t v false
   end;
   t.core <- !core;
   t.chain <- !chain
@@ -629,34 +700,54 @@ let analyze_final_lit t p =
 
 let reduce_db t =
   (* Keep clauses with low LBD or high activity; drop the worst half. *)
+  let act c = t.cla_act.(slot c) in
   Vec.sort
     (fun a b ->
-      match Int.compare a.lbd b.lbd with
-      | 0 -> Float.compare b.activity a.activity
+      match Int.compare (lbd a) (lbd b) with
+      | 0 -> Float.compare (act b) (act a)
       | c -> c)
     t.learnts;
   let n = Vec.size t.learnts in
   let keep = n / 2 in
   let locked c =
     (* A clause that is the reason of a current assignment must stay. *)
-    let l = c.lits.(0) in
+    let l = lit c 0 in
     value_lit t l = 1 && t.reason.(Lit.var l) == c
   in
   for i = keep to n - 1 do
     let c = Vec.get t.learnts i in
-    if (not (locked c)) && c.lbd > 2 then begin
-      c.dead <- true;
+    if (not (locked c)) && lbd c > 2 then begin
+      kill c;
       match t.proof with
-      | Some p -> Proof.log_delete p c.lits ~id:c.id
+      | Some p -> Proof.log_delete p c ~pos:hdr ~len:(size c) ~id:(trace_id c)
       | None -> ()
     end
   done;
-  Vec.filter_in_place (fun c -> not c.dead) t.learnts
+  Vec.filter_in_place (fun c -> not (is_dead c)) t.learnts;
+  (* The survivors' slots follow their new order in [learnts]. *)
+  let acts = Array.make (Array.length t.cla_act) 0. in
+  Vec.iteri
+    (fun i c ->
+      acts.(i) <- act c;
+      set_slot c i)
+    t.learnts;
+  t.cla_act <- acts
 (* dead clauses are skipped (and dropped) lazily by [propagate]'s rebuild;
    we additionally purge them from watch lists here to bound memory. *)
 
 let purge_watches t =
-  Array.iter (fun ws -> Vec.filter_in_place (fun c -> not c.dead) ws) t.watches
+  Array.iteri
+    (fun l ws ->
+      let j = ref 0 in
+      for i = 0 to t.watched.(l) - 1 do
+        let c = ws.(i) in
+        if not (is_dead c) then begin
+          ws.(!j) <- c;
+          incr j
+        end
+      done;
+      shrink_watches t l !j)
+    t.watches
 
 (* --- search -------------------------------------------------------------- *)
 
@@ -680,7 +771,7 @@ let pick_branch_var t =
     if Heap.is_empty t.order then None
     else
       let v = Heap.remove_max t.order in
-      if t.assigns.(v) = 0 then Some v else loop ()
+      if unassigned t v then Some v else loop ()
   in
   loop ()
 
@@ -711,7 +802,8 @@ let search t ~nof_conflicts =
           (* A level-0 conflict refutes the clause set outright: finalize
              the certificate with the empty clause. *)
           (match t.proof with
-           | Some p -> ignore (Proof.log_add p [||] ~hints:[ confl.id ] : int)
+           | Some p ->
+             ignore (Proof.log_add p [||] ~pos:0 ~len:0 ~hints:[ trace_id confl ] : int)
            | None -> ());
           raise (Found_result Unsat)
         end;
@@ -756,7 +848,7 @@ let search t ~nof_conflicts =
           match pick_branch_var t with
           | None ->
             (* Complete assignment: SAT. *)
-            t.model <- Array.init t.nvars (fun v -> t.assigns.(v) = 1);
+            t.model <- Array.init t.nvars (fun v -> value_lit t (Lit.of_var v) = 1);
             (match t.unsound with
              | Some (Flip_model_bit k) when t.nvars > 0 ->
                let v = abs k mod t.nvars in
@@ -765,7 +857,7 @@ let search t ~nof_conflicts =
             raise (Found_result Sat)
           | Some v ->
             t.n_decisions <- t.n_decisions + 1;
-            let l = Lit.make ~var:v ~negated:(not t.polarity.(v)) in
+            let l = Lit.make ~var:v ~negated:(not (phase t v)) in
             Vec.push t.trail_lim (Vec.size t.trail);
             unchecked_enqueue t l dummy_clause
         end
@@ -827,15 +919,15 @@ let apply_diversification t ~seed ~polarity_mode ~var_decay =
   (match seed with Some s -> reseed t s | None -> ());
   (match polarity_mode with
    | Phase_saved -> ()
-   | Phase_false -> Array.fill t.polarity 0 (Array.length t.polarity) false
-   | Phase_true -> Array.fill t.polarity 0 (Array.length t.polarity) true
+   | Phase_false -> Bytes.fill t.polarity 0 (Bytes.length t.polarity) '\000'
+   | Phase_true -> Bytes.fill t.polarity 0 (Bytes.length t.polarity) '\001'
    | Phase_inverted ->
      for v = 0 to t.nvars - 1 do
-       t.polarity.(v) <- not t.polarity.(v)
+       set_polarity t v (not (phase t v))
      done
    | Phase_random ->
      for v = 0 to t.nvars - 1 do
-       t.polarity.(v) <- rand_bool t
+       set_polarity t v (rand_bool t)
      done);
   (* Perturb the decision order: bump a seeded sample of variables so equal
      (or near-equal) activities break ties differently on this attempt. *)
@@ -869,7 +961,7 @@ let solve ?(assumptions = []) ?budget ?seed ?(polarity_mode = Phase_saved)
     apply_diversification t ~seed ~polarity_mode ~var_decay;
     set_budget_limits t budget;
     t.assumptions <- Array.of_list assumptions;
-    t.max_learnts <- max 1000. (float_of_int (Vec.size t.clauses) *. 0.3);
+    t.max_learnts <- max 1000. (float_of_int t.n_clauses *. 0.3);
     let rec loop restarts =
       let nof_conflicts = int_of_float (luby 2. restarts *. 100.) in
       match search t ~nof_conflicts with
@@ -911,5 +1003,5 @@ let unsat_chain t = t.chain
 
 let pp_stats ppf t =
   Fmt.pf ppf "vars=%d clauses=%d learnts=%d decisions=%d conflicts=%d props=%d restarts=%d"
-    t.nvars (Vec.size t.clauses) (Vec.size t.learnts) t.n_decisions t.n_conflicts
+    t.nvars t.n_clauses (Vec.size t.learnts) t.n_decisions t.n_conflicts
     t.n_propagations t.n_restarts

@@ -16,6 +16,19 @@ echo "# check: clean DTS passes"
   > "$TMP/check.out" || fail "check should pass"
 grep -q "all checks passed" "$TMP/check.out" || fail "expected 'all checks passed'"
 
+echo "# start: the nursery is sized before the runtime starts; a user's s wins"
+# v=0x400 prints the GC counters at exit.  llhsc's 64k-word nursery is
+# given before the runtime starts, so --version runs no collection; a
+# 4k-word nursery set through either variable makes a check collect.
+OCAMLRUNPARAM=v=0x400 "$LLHSC" --version > /dev/null 2> "$TMP/gc.err"
+grep -qx "minor_collections: 0" "$TMP/gc.err" || fail "--version ran a minor collection"
+grep -qx "major_collections: 0" "$TMP/gc.err" || fail "--version ran a major collection"
+OCAMLRUNPARAM=v=0x400,s=4k "$LLHSC" check "$FIXTURES/custom-sbc.dts" > /dev/null 2> "$TMP/gc.err"
+grep -q "^minor_collections: [1-9]" "$TMP/gc.err" || fail "OCAMLRUNPARAM s=4k was overridden"
+env -u OCAMLRUNPARAM CAMLRUNPARAM=v=0x400,s=4k "$LLHSC" check "$FIXTURES/custom-sbc.dts" \
+  > /dev/null 2> "$TMP/gc.err"
+grep -q "^minor_collections: [1-9]" "$TMP/gc.err" || fail "CAMLRUNPARAM s=4k was overridden"
+
 echo "# check --certify: report matches the golden byte for byte"
 # Run from the directory holding examples/ so the report names the DTS as
 # the golden does; the per-query trace-step counts pin the blasted CNF.

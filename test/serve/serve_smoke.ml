@@ -10,7 +10,9 @@
      - mid-flight SIGTERM: in-flight work answered, drain exits 0;
      - job children are forks of the daemon: they hold none of its
        sockets, count their fault schedule from the start like the
-       batch CLI, and the job root is a private fresh directory.
+       batch CLI, and the job root is a private fresh directory;
+     - the fleet backend (--dispatch): a served pipeline run by an
+       authenticated worker, then by the dispatcher's in-process sweep.
 
    Every accepted request must receive exactly one well-formed HTTP
    response.  Usage: serve_smoke.exe LLHSC_BINARY FIXTURES_DIR *)
@@ -652,6 +654,119 @@ let test_fault_state () =
    | _ -> fail "served stderr lacks the reassignment notice: %s" r.body);
   stop_daemon d
 
+(* A loopback port nothing listens on, for a dispatcher to claim. *)
+let free_port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      match Unix.getsockname fd with
+      | Unix.ADDR_INET (_, p) -> p
+      | _ -> fail "no port for the dispatch address")
+
+(* Reap [pid] within [secs] seconds and return its exit code. *)
+let reap ~secs what pid =
+  let t0 = Unix.gettimeofday () in
+  let rec go () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ ->
+      if Unix.gettimeofday () -. t0 > secs then fail "%s still running after %.0f s" what secs;
+      Unix.sleepf 0.05;
+      go ()
+    | _, status -> (
+      live := List.filter (( <> ) pid) !live;
+      match status with
+      | Unix.WEXITED c -> c
+      | Unix.WSIGNALED s | Unix.WSTOPPED s -> fail "%s died on signal %d" what s)
+  in
+  go ()
+
+let stderr_lines what r =
+  match Llhsc.Json.to_str_list (json_member r "stderr") with
+  | Some lines -> lines
+  | None -> fail "%s: stderr not a string list" what
+
+(* The fleet backend of a served pipeline.  The daemon gets one
+   --dispatch address and a secret file named relative to its own
+   directory; the job child, which runs in the job directory, turns
+   [pipeline ...] into [dispatch --listen ADDR --secret-file ABS ...].
+   One authenticated worker serves the first job's dispatcher and is
+   retired; the second job finds no worker and sweeps in-process.  Both
+   reports are the batch CLI's bytes. *)
+let test_dispatch () =
+  let dir = Filename.concat tmp_root "dispatch" in
+  Unix.mkdir dir 0o700;
+  let secret = Filename.concat dir "secret.txt" in
+  write_file secret "fleet secret\n";
+  let addr = Printf.sprintf "127.0.0.1:%d" (free_port ()) in
+  let cwd = Sys.getcwd () in
+  Unix.chdir dir;
+  let d =
+    Fun.protect
+      ~finally:(fun () -> Unix.chdir cwd)
+      (fun () ->
+        start_daemon
+          [ "--workers"; "1"; "--dispatch"; addr; "--dispatch-secret-file"; "secret.txt" ])
+  in
+  let ref_dir = pipeline_ref_dir () in
+  let cli_out, _, cli_rc = cli_run ~dir:ref_dir pipeline_cli_args in
+  if cli_rc <> 0 then fail "CLI pipeline rc=%d" cli_rc;
+
+  say "served pipeline on the fleet backend: an authenticated worker runs it";
+  let fd = connect d.port in
+  let body = pipeline_body ~jobs:1 in
+  send_all fd
+    (Printf.sprintf "POST /v1/pipeline HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s"
+       (String.length body) body);
+  (* The worker backs off until the job's dispatcher listens, well inside
+     the dispatcher's 2 s registration grace. *)
+  let log =
+    Unix.openfile (Filename.concat dir "worker.log") [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600
+  in
+  let worker =
+    Unix.create_process llhsc
+      [| llhsc; "worker"; "--connect"; addr; "--secret-file"; secret;
+         "--max-reconnects"; "40" |]
+      Unix.stdin log log
+  in
+  Unix.close log;
+  live := worker :: !live;
+  let r = parse_response (recv_all fd) in
+  Unix.close fd;
+  expect_status "fleet pipeline" 200 r;
+  if json_str r "report" <> cli_out then fail "fleet-served pipeline report differs from CLI";
+  let ready l = Llhsc.Util.contains l " ready" in
+  if not (List.exists ready (stderr_lines "fleet pipeline" r)) then
+    fail "no worker served the dispatcher: %s" r.body;
+  let code = reap ~secs:30. "worker" worker in
+  if code <> 0 then
+    fail "worker exited %d, want 0 (retired): %s" code
+      (read_file (Filename.concat dir "worker.log"));
+
+  say "no worker: the dispatcher's in-process sweep gives the same bytes";
+  let r = request d "POST" "/v1/pipeline" body in
+  expect_status "workerless fleet pipeline" 200 r;
+  if json_str r "report" <> cli_out then fail "in-process sweep report differs from the CLI";
+  if
+    not
+      (List.exists
+         (fun l -> Llhsc.Util.contains l "in-process")
+         (stderr_lines "workerless fleet pipeline" r))
+  then fail "the workerless dispatcher did not sweep in-process: %s" r.body;
+
+  say "/v1/stats counts both jobs on the fleet backend";
+  let stats = request d "GET" "/v1/stats" "" in
+  let get name =
+    match Llhsc.Json.to_int (json_member stats name) with
+    | Some i -> i
+    | None -> fail "stats %s not an int" name
+  in
+  if get "backend_fleet" <> 2 || get "backend_local" <> 0 then
+    fail "backend_fleet=%d backend_local=%d, want 2 and 0" (get "backend_fleet")
+      (get "backend_local");
+  stop_daemon d
+
 let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   test_functional ();
@@ -660,4 +775,5 @@ let () =
   test_drain ();
   test_isolation ();
   test_fault_state ();
+  test_dispatch ();
   print_endline "serve smoke: all scenarios passed"

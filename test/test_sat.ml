@@ -532,7 +532,7 @@ let test_certify_deletions () =
   let readd id =
     match Sat.Proof.step proof id with
     | Sat.Proof.Add c ->
-      ignore (Sat.Proof.log_add proof c ~hints:[ id ] : int);
+      ignore (Sat.Proof.log_add proof c ~pos:0 ~len:(Array.length c) ~hints:[ id ] : int);
       Sat.Checker.replay ck
     | _ -> Alcotest.failf "step %d is not a learnt clause" id
   in
@@ -548,6 +548,56 @@ let test_certify_deletions () =
     check_sat "names the retired hint" true
       (Test_util.contains e (Printf.sprintf "hint %d is not a live clause" d))
   | es -> Alcotest.failf "want one rejection, got [%s]" (String.concat "; " es)
+
+(* --- the search, pinned ---------------------------------------------------- *)
+
+let php_8_7 = "../examples/files/php-8-7.cnf"
+
+(* The clause store is one int block per clause, yet the search is the one
+   the record layout ran: the same watch order, propagation order and
+   [reduce_db] sort.  These runs reach [reduce_db] (the seeded 3-SAT
+   traces each delete about 500 learnt clauses, PHP(8,7) about 14,000),
+   so their trace, its length and the solver's counters pin all three.
+   The figures were recorded with the record layout. *)
+let test_search_pinned () =
+  let pin what cnf ~answer ~length ~drup ~stats =
+    let s, ok = Sat.Dimacs.load ~proof:true cnf in
+    check_sat (what ^ " loads") true ok;
+    check_sat (what ^ " answer") true (Sat.Solver.solve s = answer);
+    let proof = proof_of s in
+    Alcotest.(check int) (what ^ " trace length") length (Sat.Proof.length proof);
+    Alcotest.(check string) (what ^ " DRUP digest") drup
+      (Digest.to_hex (Digest.string (Fmt.str "%a" Sat.Proof.pp_drup proof)));
+    Alcotest.(check string) (what ^ " stats") stats (Fmt.str "%a" Sat.Solver.pp_stats s)
+  in
+  let random seed =
+    { Sat.Dimacs.num_vars = 130; clauses = random_3sat ~seed ~vars:130 ~clauses:554 }
+  in
+  pin "seed 12" (random 12) ~answer:Unsat ~length:2422 ~drup:"b2e0087839df281bea39be59eb987d23"
+    ~stats:
+      "vars=130 clauses=554 learnts=841 decisions=1607 conflicts=1359 props=38977 restarts=8";
+  pin "seed 14" (random 14) ~answer:Sat ~length:2097 ~drup:"3b4d7cc0511fdbe79d299c774af8f772"
+    ~stats:
+      "vars=130 clauses=554 learnts=531 decisions=1255 conflicts=1038 props=29268 restarts=6";
+  pin "PHP(8,7)" (Sat.Dimacs.parse_file php_8_7) ~answer:Unsat ~length:29917
+    ~drup:"2671cd6c36edd11ff68245329b8f4e13"
+    ~stats:
+      "vars=56 clauses=204 learnts=972 decisions=18603 conflicts=15347 props=213510 \
+       restarts=61"
+
+(* A stored clause is one pointer-free block: two header words and its
+   literals.  PHP(8,7) stores 204 clauses of 2.2 literals on average; the
+   whole solver then holds under 14 words per clause.  The record layout
+   (a 6-field record plus a literal array per clause, a [Vec] record per
+   watch list) held 4,000 words, 19.6 per clause. *)
+let test_clause_storage_flat () =
+  let s, ok = Sat.Dimacs.load (Sat.Dimacs.parse_file php_8_7) in
+  check_sat "loads" true ok;
+  let clauses = Sat.Solver.num_clauses s in
+  Alcotest.(check int) "every clause stored" 204 clauses;
+  let words = Obj.reachable_words (Obj.repr s) in
+  if words >= 14 * clauses then
+    Alcotest.failf "%d words for %d clauses: 14 or more per clause" words clauses
 
 (* --- property: agreement with brute force -------------------------------- *)
 
@@ -906,6 +956,11 @@ let () =
           Alcotest.test_case "catches flipped model bit" `Quick
             test_certify_catches_flipped_model_bit;
           Alcotest.test_case "trace with deletions" `Quick test_certify_deletions;
+        ] );
+      ( "storage",
+        [
+          Alcotest.test_case "search pinned" `Quick test_search_pinned;
+          Alcotest.test_case "clauses are flat blocks" `Quick test_clause_storage_flat;
         ] );
       ( "properties",
         [
