@@ -970,7 +970,8 @@ let dispatch_cmd =
     Arg.(value & opt (some string) None
          & info [ "port-file" ] ~docv:"FILE"
              ~doc:"Write the bound port to $(docv) once listening (workers \
-                   can poll it with their own --port-file).")
+                   can poll it with their own --port-file), and the line \
+                   $(b,closed) once every task is checked.")
   in
   let task_deadline =
     Arg.(value & opt (some float) None
@@ -1023,7 +1024,9 @@ let worker_cmd =
     Arg.(value & opt (some string) None
          & info [ "port-file" ] ~docv:"FILE"
              ~doc:"Poll the dispatcher's --port-file for the port instead \
-                   of naming it in --connect (connects to 127.0.0.1).")
+                   of naming it in --connect (connects to 127.0.0.1).  A \
+                   file that says $(b,closed) means the run is over: the \
+                   worker exits 0.")
   in
   let max_reconnects =
     Arg.(value & opt int 8

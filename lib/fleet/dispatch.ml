@@ -49,6 +49,8 @@ let addr_of host port =
 
 (* --- protocol messages ------------------------------------------------------ *)
 
+let closed_marker = "closed"
+
 let msg_setup spec hash =
   Json.to_string (Json.Obj [ ("setup", Spec.to_wire spec); ("hash", Json.Str hash) ])
 
@@ -266,9 +268,24 @@ let run cfg ~spec (tasks : Shard.task array) =
   in
   let results =
     Fun.protect ~finally:finish (fun () ->
-        Shard.supervise ~deadline:cfg.deadline ~listen:lfd ~spec:spec_hash
-          ~admit:(fun c -> Some (handshake c))
-          ~replace ~fresh:record_task st tasks)
+        let results =
+          Shard.supervise ~deadline:cfg.deadline ~listen:lfd ~spec:spec_hash
+            ~admit:(fun c -> Some (handshake c))
+            ~replace ~fresh:record_task st tasks
+        in
+        (* Every task is resolved: tell workers that have yet to connect.
+           The marker goes in before the listen socket closes, so a
+           worker refused from here on finds it.  An interrupted run
+           never gets here and keeps its port, which a --resume
+           successor takes over.  The marker is advisory: if it cannot
+           be written, a late worker backs off as it would without it. *)
+        if listening then
+          Option.iter
+            (fun path ->
+              try Llhsc.Durable.write_file ~path (closed_marker ^ "\n")
+              with Sys_error _ | Unix.Unix_error _ -> ())
+            cfg.port_file;
+        results)
   in
   if !auth_rejected > 0 then
     notice "auth: rejected %d connection attempt(s)" !auth_rejected;

@@ -38,6 +38,12 @@
     A dispatcher that cannot bind its listen address degrades straight
     to the in-process sweep instead of failing the run.
 
+    When every task is resolved, the dispatcher replaces its [port_file]
+    with the line {!closed_marker}, so a worker that arrives after the run
+    retires instead of reconnecting until its budget runs out.  A run cut
+    short by a signal leaves the port in place for a [--resume]
+    successor.
+
     All supervision notices go to stderr; stdout is untouched (the
     pipeline report must stay byte-identical to [--jobs 1]). *)
 
@@ -47,7 +53,9 @@ type config = {
   min_workers : int;  (** degrade to in-process below this floor *)
   wait_workers : float;  (** registration grace before the floor applies *)
   deadline : float;  (** per-task lease, seconds *)
-  port_file : string option;  (** write the bound port here *)
+  port_file : string option;
+      (** write the bound port here, and {!closed_marker} once every task
+          is resolved *)
   secret : string option;  (** require the HMAC handshake ([--secret-file]) *)
   task_journal : string option;  (** journal per-task results here *)
   resume : bool;  (** replay a matching task journal before dispatching *)
@@ -59,3 +67,6 @@ type config = {
     [tasks], with [spec.skip] naming the journal-replayed products. *)
 val run :
   config -> spec:Spec.t -> Llhsc.Shard.task array -> Llhsc.Shard.result option array
+
+(** The port file's content, less its newline, once the run is over. *)
+val closed_marker : string

@@ -9,9 +9,11 @@
 
    Connection loss is survived, not fatal: exponential-backoff reconnect,
    bounded by [max_reconnects] consecutive failures (a completed
-   handshake resets the counter).  A [retire] message is the one clean
-   exit (code 0); exhausting reconnects exits 1 so a supervisor can tell
-   "fleet finished without me" from "I was told to go".
+   handshake resets the counter).  A [retire] message is a clean exit
+   (code 0), and so is a port file that says the dispatcher finished, read
+   at start or after a refused connect; exhausting reconnects exits 1 so
+   a supervisor can tell "fleet finished without me" from "I was told to
+   go".
 
    Once the handshake is done, leased tasks run in {!Shard.serve}, the
    same task loop a forked local worker runs, with the same six fault
@@ -39,13 +41,22 @@ let notice fmt =
 
 exception Retired
 
+(* The dispatcher's port file holds {!Dispatch.closed_marker}: its run is
+   over. *)
+exception Finished
+
+(* The port in [path], [None] while it is missing or half-written.
+   Raises [Finished] on the closed marker. *)
 let read_port_file path =
   match open_in path with
   | exception Sys_error _ -> None
   | ic ->
-    let r = try int_of_string_opt (String.trim (input_line ic)) with _ -> None in
+    let line = try Some (String.trim (input_line ic)) with _ -> None in
     close_in ic;
-    r
+    match line with
+    | Some l when l = Dispatch.closed_marker -> raise Finished
+    | Some l -> int_of_string_opt l
+    | None -> None
 
 (* The dispatcher writes the port file after binding, often a few ms
    after this worker starts: poll it every 2 ms for up to 10 s, so a
@@ -81,6 +92,12 @@ let connect cfg =
     (try Unix.connect fd (Unix.ADDR_INET (ip, port))
      with e ->
        (try Unix.close fd with Unix.Unix_error _ -> ());
+       (* Refused: the dispatcher may have finished since the port was
+          read. *)
+       (match (e, cfg.port, cfg.port_file) with
+        | Unix.Unix_error (Unix.ECONNREFUSED, _, _), None, Some path ->
+          ignore (read_port_file path : int option)
+        | _ -> ());
        raise e);
     (try Unix.setsockopt fd Unix.TCP_NODELAY true
      with Unix.Unix_error _ -> ());
@@ -234,6 +251,10 @@ let run cfg =
         | handshaken -> if handshaken then failures := 0 else incr failures
         | exception Retired ->
           notice "retired by dispatcher";
+          code := 0;
+          again := false
+        | exception Finished ->
+          notice "dispatcher finished; nothing to do";
           code := 0;
           again := false
         | exception Shard.Dropped ->

@@ -39,6 +39,8 @@ type config = {
 val backoff_delay : seed:int -> attempt:int -> float
 
 (** Serve until retired.  Returns the process exit code: 0 after a
-    [retire] message, 1 when the reconnect budget is exhausted or no
+    [retire] message or when the [port_file] holds
+    {!Dispatch.closed_marker} (at start or after a refused connect), 1
+    when the reconnect budget is exhausted or no
     dispatcher port could be resolved. *)
 val run : config -> int

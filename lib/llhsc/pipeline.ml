@@ -11,7 +11,8 @@
 
    The check phase is sliced into independent tasks — fixed-size chunks of
    a product's syntactic obligations plus one semantic task per product —
-   and every task runs on a fresh solver instance.  [?jobs] dispatches the
+   and every task starts from a fresh solver's state (its SAT tables may
+   be a released solver's, cleared).  [?jobs] dispatches the
    task list across a supervised pool of forked workers (see {!Shard}:
    leases, deadlines, reassignment, respawn, rlimit guards); because the
    slicing, the per-task solvers and the canonical merge order are all
@@ -182,7 +183,8 @@ let plan_all ~exclusive ~budget ~certify ~retry ~unsound ~inputs_hash ~resume
       incr n_tasks
     in
     (* Wrap a checking thunk as one task: fresh solver, local isolation,
-       result assembled from that solver's own reports. *)
+       result assembled from that solver's own reports.  The solver is
+       then released, so the next task's solver reuses its tables. *)
     let checking_task ~name f =
       add_task
         { Shard.owner = name;
@@ -197,6 +199,7 @@ let plan_all ~exclusive ~budget ~certify ~retry ~unsound ~inputs_hash ~resume
           in
           let rr = Smt.Solver.retry_report solver in
           let cr = Smt.Solver.cert_report solver in
+          Smt.Solver.release solver;
           { Shard.product = name;
             findings;
             errors = List.rev !task_errors;
@@ -472,6 +475,7 @@ let run ?(exclusive = []) ?budget ?(certify = false) ?retry ?unsound
         in
         let rr = Smt.Solver.retry_report solver in
         let cr = Smt.Solver.cert_report solver in
+        Smt.Solver.release solver;
         let r =
           absorb
             { Shard.product = "partition";

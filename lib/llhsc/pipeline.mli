@@ -1,9 +1,9 @@
 (** The end-to-end llhsc workflow (Fig. 2): allocation, delta application
     per product, then a check phase sliced into independent tasks (chunks
-    of syntactic obligations + one semantic task per product), each on a
-    fresh solver instance, optionally sharded across forked workers
-    ([?jobs]); the cross-VM partition check runs in the parent after the
-    merge barrier. *)
+    of syntactic obligations + one semantic task per product), each
+    starting from a fresh solver's state, optionally sharded across
+    forked workers ([?jobs]); the cross-VM partition check runs in the
+    parent after the merge barrier. *)
 
 type product = {
   name : string;           (** "vm1", ..., "platform" *)

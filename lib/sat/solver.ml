@@ -99,14 +99,17 @@ type t = {
   mutable activity : float array;       (* var -> VSIDS activity *)
   mutable polarity : Bytes.t;           (* var -> saved phase, 1 = true *)
   mutable seen : Bytes.t;               (* var -> scratch mark for analyze *)
-  order : Heap.t;
+  mutable model : Bytes.t;              (* var -> value in the last model *)
+  order : Heap.t;                       (* reads [activity] *)
   trail : int Vec.t;                    (* literals, in assignment order *)
   trail_lim : int Vec.t;
   mutable qhead : int;
   mutable nvars : int;
   mutable var_inc : float;
   mutable cla_inc : float;
-  mutable model : bool array;
+  mutable model_vars : int; (* variables [model] covers; 0 = no model *)
+  mutable lits : int array; (* [add_clause]'s literals, handed to [add_lits] *)
+  mutable scratch : int array; (* [add_lits] sorts and simplifies here *)
   mutable core : int list;
   mutable chain : int list; (* clause ids behind [core]; see [unsat_chain] *)
   mutable assumptions : int array;
@@ -130,63 +133,95 @@ type t = {
   (* restart diversification (reset by every [solve] call) *)
   mutable rng : int64;               (* xorshift64* state, seeded per call *)
   mutable var_decay_inv : float;     (* 1 / VSIDS decay factor *)
+  mutable released : bool;           (* the tables went back to [spare] *)
 }
 
 let default_var_decay = 0.95
 let clause_decay = 1. /. 0.999
 
+(* The per-variable tables.  They share one capacity, [Array.length level]
+   ([watches] and [watched] hold two entries per variable), and [order]
+   reads [activity]. *)
+type tables = {
+  t_assigns : Bytes.t;
+  t_level : int array;
+  t_reason : clause array;
+  t_activity : float array;
+  t_polarity : Bytes.t;
+  t_seen : Bytes.t;
+  t_model : Bytes.t;
+  t_watches : clause array array;
+  t_watched : int array;
+  t_order : Heap.t;
+}
+
+(* Tables that [release] cleared, kept for the next [create] in this
+   domain. *)
+let spare : tables option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
 let create () =
-  let rec t =
-    lazy
-      {
-        ok = true;
-        n_clauses = 0;
-        learnts = Vec.create dummy_clause;
-        cla_act = [||];
-        watches = [||];
-        watched = [||];
-        assigns = Bytes.empty;
-        level = [||];
-        reason = [||];
-        activity = [||];
-        polarity = Bytes.empty;
-        seen = Bytes.empty;
-        order = Heap.create (fun v -> (Lazy.force t).activity.(v));
-        trail = Vec.create 0;
-        trail_lim = Vec.create 0;
-        qhead = 0;
-        nvars = 0;
-        var_inc = 1.0;
-        cla_inc = 1.0;
-        model = [||];
-        core = [];
-        chain = [];
-        assumptions = [||];
-        n_decisions = 0;
-        n_conflicts = 0;
-        n_propagations = 0;
-        n_restarts = 0;
-        max_learnts = 0.;
-        lim_conflicts = max_int;
-        lim_decisions = max_int;
-        lim_propagations = max_int;
-        lim_deadline = infinity;
-        proof = None;
-        unsound = None;
-        unsound_tick = 0;
-        rng = 0x9E3779B97F4A7C15L;
-        var_decay_inv = 1. /. default_var_decay;
-      }
+  let tb =
+    match Domain.DLS.get spare with
+    | Some tb ->
+      Domain.DLS.set spare None;
+      tb
+    | None ->
+      { t_assigns = Bytes.empty; t_level = [||]; t_reason = [||]; t_activity = [||];
+        t_polarity = Bytes.empty; t_seen = Bytes.empty; t_model = Bytes.empty;
+        t_watches = [||]; t_watched = [||]; t_order = Heap.create [||] }
   in
-  Lazy.force t
+  {
+    ok = true;
+    n_clauses = 0;
+    learnts = Vec.create dummy_clause;
+    cla_act = [||];
+    watches = tb.t_watches;
+    watched = tb.t_watched;
+    assigns = tb.t_assigns;
+    level = tb.t_level;
+    reason = tb.t_reason;
+    activity = tb.t_activity;
+    polarity = tb.t_polarity;
+    seen = tb.t_seen;
+    model = tb.t_model;
+    order = tb.t_order;
+    trail = Vec.create 0;
+    trail_lim = Vec.create 0;
+    qhead = 0;
+    nvars = 0;
+    var_inc = 1.0;
+    cla_inc = 1.0;
+    model_vars = 0;
+    lits = [||];
+    scratch = [||];
+    core = [];
+    chain = [];
+    assumptions = [||];
+    n_decisions = 0;
+    n_conflicts = 0;
+    n_propagations = 0;
+    n_restarts = 0;
+    max_learnts = 0.;
+    lim_conflicts = max_int;
+    lim_decisions = max_int;
+    lim_propagations = max_int;
+    lim_deadline = infinity;
+    proof = None;
+    unsound = None;
+    unsound_tick = 0;
+    rng = 0x9E3779B97F4A7C15L;
+    var_decay_inv = 1. /. default_var_decay;
+    released = false;
+  }
+
+let live t = if t.released then invalid_arg "Solver: the solver was released"
 
 (* The watch list of every literal no clause watches yet.  [watch] gives a
    literal its own array on first use, so nothing is ever stored here. *)
 let no_watches : clause array = [||]
 
-(* The per-variable tables share one capacity, [Array.length t.level]
-   ([t.watches] and [t.watched] hold two entries per variable); [new_var]
-   grows them all together when the next variable would not fit. *)
+(* [new_var] grows every per-variable table together when the next variable
+   would not fit.  The new tables are all built before any is installed. *)
 let grow_vars t =
   let n = t.nvars in
   let cap = max 16 (2 * n) in
@@ -201,16 +236,28 @@ let grow_vars t =
     Bytes.blit b 0 b' 0 n;
     b'
   in
-  t.assigns <- extend_bytes t.assigns;
-  t.level <- extend t.level 0;
-  t.reason <- extend t.reason dummy_clause;
-  t.activity <- extend t.activity 0.;
-  t.polarity <- extend_bytes t.polarity;
-  t.seen <- extend_bytes t.seen;
-  t.watches <- extend ~k:2 t.watches no_watches;
-  t.watched <- extend ~k:2 t.watched 0
+  let assigns = extend_bytes t.assigns
+  and level = extend t.level 0
+  and reason = extend t.reason dummy_clause
+  and activity = extend t.activity 0.
+  and polarity = extend_bytes t.polarity
+  and seen = extend_bytes t.seen
+  and model = extend_bytes t.model
+  and watches = extend ~k:2 t.watches no_watches
+  and watched = extend ~k:2 t.watched 0 in
+  t.assigns <- assigns;
+  t.level <- level;
+  t.reason <- reason;
+  t.activity <- activity;
+  t.polarity <- polarity;
+  t.seen <- seen;
+  t.model <- model;
+  t.watches <- watches;
+  t.watched <- watched;
+  Heap.set_scores t.order activity
 
 let new_var t =
+  live t;
   let v = t.nvars in
   if v = Array.length t.level then grow_vars t;
   t.nvars <- v + 1;
@@ -227,6 +274,7 @@ let num_conflicts t = t.n_conflicts
 (* --- certification hooks ------------------------------------------------- *)
 
 let enable_proof t =
+  live t;
   if
     t.n_clauses > 0 || Vec.size t.learnts > 0 || Vec.size t.trail > 0
     || not t.ok
@@ -234,7 +282,9 @@ let enable_proof t =
   t.proof <- Some (Proof.create ())
 
 let proof t = t.proof
-let inject_unsoundness t m = t.unsound <- Some m
+let inject_unsoundness t m =
+  live t;
+  t.unsound <- Some m
 
 (* Fires every [n]th opportunity for the given mutation kind. *)
 let unsound_fires t n =
@@ -264,7 +314,9 @@ let log_unit t id =
   | Some p when decision_level t = 0 -> Proof.log_unit p id
   | _ -> ()
 
-let set_polarity t v b = Bytes.set t.polarity v (if b then '\001' else '\000')
+let set_polarity t v b =
+  live t;
+  Bytes.set t.polarity v (if b then '\001' else '\000')
 
 (* --- VSIDS -------------------------------------------------------------- *)
 
@@ -416,48 +468,67 @@ let propagate t =
 
 (* --- clause addition ---------------------------------------------------- *)
 
-(* The literals of [c] ascending, in place: insertion sort for the short
-   clauses gates emit. *)
-let sort_lits c =
-  let n = size c in
+(* Sift [a.(i)] down the max-heap [a.(0) .. a.(n - 1)]. *)
+let rec sift (a : int array) n i =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let m = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
+    if a.(m) > a.(i) then begin
+      let x = a.(i) in
+      a.(i) <- a.(m);
+      a.(m) <- x;
+      sift a n m
+    end
+  end
+
+(* [a.(0) .. a.(n - 1)] ascending, in place: insertion sort for the short
+   clauses gates emit, heap sort for longer ones. *)
+let sort_lits (a : int array) n =
   if n > 16 then begin
-    let a = Array.sub c hdr n in
-    Array.sort Lit.compare a;
-    Array.blit a 0 c hdr n
+    for i = (n / 2) - 1 downto 0 do
+      sift a n i
+    done;
+    for k = n - 1 downto 1 do
+      let x = a.(0) in
+      a.(0) <- a.(k);
+      a.(k) <- x;
+      sift a k 0
+    done
   end
   else
     for i = 1 to n - 1 do
-      let x = lit c i in
+      let x = a.(i) in
       let j = ref (i - 1) in
-      while !j >= 0 && lit c !j > x do
-        set_lit c (!j + 1) (lit c !j);
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
         decr j
       done;
-      set_lit c (!j + 1) x
+      a.(!j + 1) <- x
     done
 
-(* One pass over the sorted literals of [c]: drop duplicates and literals
-   false at level 0, compacting the rest to the front.  Returns how many
-   remain, or -1 for a clause that is already satisfied or a tautology
-   (sorting puts [2v] and [2v+1] next to each other).  [-2] stands for "no
-   previous literal": neither it nor its negation is a literal. *)
-let simplify t c =
-  let n = size c in
-  let rec go i j prev =
-    if i = n then j
-    else
-      let l = lit c i in
-      if l = prev then go (i + 1) j prev
-      else if l = Lit.neg prev then -1
+(* One pass over the sorted literals [a.(0) .. a.(n - 1)]: drop duplicates
+   and literals false at level 0, compacting the rest to the front.
+   Returns how many remain, or -1 for a clause that is already satisfied or
+   a tautology (sorting puts [2v] and [2v+1] next to each other).  [-2]
+   stands for "no previous literal": neither it nor its negation is a
+   literal. *)
+let simplify t (a : int array) n =
+  let i = ref 0 and j = ref 0 and prev = ref (-2) and sat = ref false in
+  while (not !sat) && !i < n do
+    let l = a.(!i) in
+    incr i;
+    if l <> !prev then
+      if l = Lit.neg !prev then sat := true
       else
         match value_lit t l with
-        | 1 -> -1
-        | -1 -> go (i + 1) j l
+        | 1 -> sat := true
+        | -1 -> prev := l
         | _ ->
-          set_lit c j l;
-          go (i + 1) (j + 1) l
-  in
-  go 0 0 (-2)
+          a.(!j) <- l;
+          incr j;
+          prev := l
+  done;
+  if !sat then -1 else !j
 
 (* A clause block holding [lits]; its header is filled in by the caller. *)
 let clause_of_list lits =
@@ -465,22 +536,25 @@ let clause_of_list lits =
   List.iteri (set_lit c) lits;
   c
 
-let add_clause t lits =
-  let c = clause_of_list lits in
-  let len = size c in
+let add_lits t buf len =
+  live t;
+  if len < 0 || len > Array.length buf then invalid_arg "Solver.add_lits: bad length";
   for k = 0 to len - 1 do
-    if not (allocated t (lit c k)) then
+    if not (allocated t buf.(k)) then
       invalid_arg "Solver.add_clause: literal of an unallocated variable"
   done;
   (* Log the clause verbatim, before simplification: unit clauses are
      enqueued rather than stored, yet the checker must still see them as
      part of the certified formula. *)
-  let id = match t.proof with Some p -> Proof.log_input p c ~pos:hdr ~len | None -> -1 in
+  let id = match t.proof with Some p -> Proof.log_input p buf ~pos:0 ~len | None -> -1 in
   if not t.ok then false
   else begin
     assert (decision_level t = 0);
-    sort_lits c;
-    match simplify t c with
+    if Array.length t.scratch < len then t.scratch <- Array.make (max 16 (2 * len)) 0;
+    let a = t.scratch in
+    Array.blit buf 0 a 0 len;
+    sort_lits a len;
+    match simplify t a len with
     | -1 -> true
     | 0 ->
       (* every literal false at level 0: this clause refutes the set *)
@@ -488,7 +562,7 @@ let add_clause t lits =
       t.ok <- false;
       false
     | 1 ->
-      unchecked_enqueue t (lit c 0) dummy_clause;
+      unchecked_enqueue t a.(0) dummy_clause;
       log_unit t id;
       (match propagate t with
        | None -> true
@@ -497,14 +571,29 @@ let add_clause t lits =
          t.ok <- false;
          false)
     | n ->
-      let c = if n = len then c else Array.sub c 0 (hdr + n) in
+      let c = Array.make (hdr + n) 0 in
       c.(0) <- id;
+      Array.blit a 0 c hdr n;
       (* Problem clauses are never deleted: the two watch lists hold the
          clause from here on, and the solver only counts it. *)
       t.n_clauses <- t.n_clauses + 1;
       attach t c;
       true
   end
+
+(* [lits] from position [i] on, into [a] *)
+let rec fill_lits a i = function
+  | [] -> ()
+  | l :: rest ->
+    a.(i) <- l;
+    fill_lits a (i + 1) rest
+
+let add_clause t lits =
+  live t;
+  let len = List.length lits in
+  if Array.length t.lits < len then t.lits <- Array.make (max 16 (2 * len)) 0;
+  fill_lits t.lits 0 lits;
+  add_lits t t.lits len
 
 (* --- conflict analysis (first UIP) -------------------------------------- *)
 
@@ -736,18 +825,18 @@ let reduce_db t =
    we additionally purge them from watch lists here to bound memory. *)
 
 let purge_watches t =
-  Array.iteri
-    (fun l ws ->
-      let j = ref 0 in
-      for i = 0 to t.watched.(l) - 1 do
-        let c = ws.(i) in
-        if not (is_dead c) then begin
-          ws.(!j) <- c;
-          incr j
-        end
-      done;
-      shrink_watches t l !j)
-    t.watches
+  for l = 0 to (2 * t.nvars) - 1 do
+    let ws = t.watches.(l) in
+    let j = ref 0 in
+    for i = 0 to t.watched.(l) - 1 do
+      let c = ws.(i) in
+      if not (is_dead c) then begin
+        ws.(!j) <- c;
+        incr j
+      end
+    done;
+    shrink_watches t l !j
+  done
 
 (* --- search -------------------------------------------------------------- *)
 
@@ -848,11 +937,17 @@ let search t ~nof_conflicts =
           match pick_branch_var t with
           | None ->
             (* Complete assignment: SAT. *)
-            t.model <- Array.init t.nvars (fun v -> value_lit t (Lit.of_var v) = 1);
+            (* The positive literal of [v] is true iff its [assigns] byte
+               is 1. *)
+            for v = 0 to t.nvars - 1 do
+              Bytes.unsafe_set t.model v
+                (if Bytes.unsafe_get t.assigns v = '\001' then '\001' else '\000')
+            done;
+            t.model_vars <- t.nvars;
             (match t.unsound with
              | Some (Flip_model_bit k) when t.nvars > 0 ->
                let v = abs k mod t.nvars in
-               t.model.(v) <- not t.model.(v)
+               Bytes.set t.model v (if Bytes.get t.model v = '\001' then '\000' else '\001')
              | _ -> ());
             raise (Found_result Sat)
           | Some v ->
@@ -919,8 +1014,8 @@ let apply_diversification t ~seed ~polarity_mode ~var_decay =
   (match seed with Some s -> reseed t s | None -> ());
   (match polarity_mode with
    | Phase_saved -> ()
-   | Phase_false -> Bytes.fill t.polarity 0 (Bytes.length t.polarity) '\000'
-   | Phase_true -> Bytes.fill t.polarity 0 (Bytes.length t.polarity) '\001'
+   | Phase_false -> Bytes.fill t.polarity 0 t.nvars '\000'
+   | Phase_true -> Bytes.fill t.polarity 0 t.nvars '\001'
    | Phase_inverted ->
      for v = 0 to t.nvars - 1 do
        set_polarity t v (not (phase t v))
@@ -938,6 +1033,7 @@ let apply_diversification t ~seed ~polarity_mode ~var_decay =
 
 let solve ?(assumptions = []) ?budget ?seed ?(polarity_mode = Phase_saved)
     ?var_decay t =
+  live t;
   if not (List.for_all (allocated t) assumptions) then
     invalid_arg "Solver.solve: assumption of an unallocated variable";
   if not t.ok then begin
@@ -952,7 +1048,7 @@ let solve ?(assumptions = []) ?budget ?seed ?(polarity_mode = Phase_saved)
   then begin
     (* Test-only fault: report an inconclusive verdict even though the
        search never ran.  Scrub like a genuine budget exhaustion. *)
-    t.model <- [||];
+    t.model_vars <- 0;
     t.core <- [];
     t.chain <- [];
     Unknown
@@ -976,7 +1072,7 @@ let solve ?(assumptions = []) ?budget ?seed ?(polarity_mode = Phase_saved)
        caller cannot accidentally read state left over from an earlier
        [Sat]/[Unsat] call. *)
     if r = Unknown then begin
-      t.model <- [||];
+      t.model_vars <- 0;
       t.core <- [];
       t.chain <- []
     end;
@@ -991,13 +1087,50 @@ let solve ?(assumptions = []) ?budget ?seed ?(polarity_mode = Phase_saved)
    number of satisfied assumptions, so the standard machinery suffices. *)
 
 let value t v =
-  if v >= Array.length t.model then false else t.model.(v)
+  live t;
+  v < t.model_vars && Bytes.get t.model v = '\001'
 
 let lit_value t l =
   let b = value t (Lit.var l) in
   if Lit.is_neg l then not b else b
 
-let model t = Array.copy t.model
+let model t =
+  live t;
+  Array.init t.model_vars (fun v -> Bytes.get t.model v = '\001')
+
+(* Clear what the search wrote to the tables, whether it finished or was
+   cut short, and offer them to the next [create].  Entries past [nvars]
+   were never written.  Each literal's watch array is dropped: kept, it
+   would grow to the longest list any solver ever gave that literal.  The
+   spare keeps the larger of two offers. *)
+let release t =
+  live t;
+  t.released <- true;
+  let n = t.nvars in
+  Bytes.fill t.assigns 0 n '\000';
+  Array.fill t.level 0 n 0;
+  Array.fill t.reason 0 n dummy_clause;
+  Array.fill t.activity 0 n 0.;
+  Bytes.fill t.polarity 0 n '\000';
+  Bytes.fill t.seen 0 n '\000';
+  for l = 0 to (2 * n) - 1 do
+    t.watches.(l) <- no_watches;
+    t.watched.(l) <- 0
+  done;
+  (* The heap adopts the activity table again, in case an exception cut
+     [grow_vars] short between the two. *)
+  Heap.set_scores t.order t.activity;
+  Heap.clear t.order n;
+  match Domain.DLS.get spare with
+  | Some kept when Array.length kept.t_level >= Array.length t.level -> ()
+  | _ ->
+    Domain.DLS.set spare
+      (Some
+         { t_assigns = t.assigns; t_level = t.level; t_reason = t.reason;
+           t_activity = t.activity; t_polarity = t.polarity; t_seen = t.seen;
+           t_model = t.model; t_watches = t.watches; t_watched = t.watched;
+           t_order = t.order })
+
 let unsat_core t = t.core
 let unsat_chain t = t.chain
 

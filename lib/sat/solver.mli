@@ -37,7 +37,19 @@ val budget :
   unit ->
   budget
 
+(** A solver with no variable and no clause.  It takes the tables of the
+    last solver {!release}d in this domain, if any, so it does not regrow
+    them; either way it starts from the same state. *)
 val create : unit -> t
+
+(** [release t] ends [t]'s life: it clears the per-variable tables [t]
+    used and hands them to the next {!create} in the same domain.  It
+    works whether [t]'s last call returned or was cut short by an
+    exception.  A released solver raises [Invalid_argument] when it is
+    used again; {!num_vars}, {!num_clauses}, {!num_conflicts},
+    {!pp_stats}, {!proof}, {!unsat_core} and {!unsat_chain} stay
+    readable. *)
+val release : t -> unit
 
 (** [new_var t] allocates a fresh variable and returns it (0-based). *)
 val new_var : t -> int
@@ -51,12 +63,23 @@ val num_clauses : t -> int
 (** Number of conflicts encountered since creation (a work measure). *)
 val num_conflicts : t -> int
 
+(** The current decision level: 0 whenever no call is running, above 0
+    only inside a search (or in a solver whose search an exception cut
+    short). *)
+val decision_level : t -> int
+
 (** [add_clause t lits] adds a clause over literals built with {!Lit}.
     Returns [false] iff the clause system became trivially unsatisfiable
     (at decision level 0).  Variables must have been allocated: a literal
     of any other variable raises [Invalid_argument], and the clause is
     neither logged nor added. *)
 val add_clause : t -> Lit.t list -> bool
+
+(** [add_lits t buf len] adds the clause [buf.(0) .. buf.(len - 1)], exactly
+    as {!add_clause} adds the list of those literals.  [buf] is only read,
+    so a caller can reuse it for the next clause; copying and simplifying
+    the clause allocates nothing but its stored block. *)
+val add_lits : t -> Lit.t array -> int -> bool
 
 (** Initial phase policy for one [solve] call — the polarity each variable
     is first tried with.  [Phase_saved] (the default) keeps the phases saved
@@ -101,7 +124,9 @@ val value : t -> int -> bool
 (** Value of a literal in the most recent [Sat] model. *)
 val lit_value : t -> Lit.t -> bool
 
-(** The most recent model as an array indexed by variable. *)
+(** The most recent model as a fresh array indexed by variable.  The
+    solver itself keeps its models in one byte buffer that each [Sat]
+    answer overwrites. *)
 val model : t -> bool array
 
 (** Subset of the assumptions sufficient for the last [Unsat] answer,

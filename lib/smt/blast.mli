@@ -18,8 +18,13 @@ type ctx = {
   bv_vars : (string, Sat.Lit.t array) Hashtbl.t;
   enum_vars : (string, string * Sat.Lit.t array) Hashtbl.t; (** name -> sort, bits *)
   pred_vars : (string, Sat.Lit.t) Hashtbl.t; (** key: "name(v1,...,vk)" *)
+  pred_insts : (string, string list * Sat.Lit.t array) Hashtbl.t;
+      (** name -> argument sorts, every instance of [pred_vars] in tuple
+          order (the first argument varies slowest) *)
   enum_universe : string -> string array;
   sort_of : Term.t -> Term.sort;
+  mutable clause : Sat.Lit.t array;
+      (** the one buffer every clause is handed to the solver in *)
 }
 
 val create :

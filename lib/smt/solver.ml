@@ -69,6 +69,7 @@ type t = {
   mutable n_checks : int;
   mutable certs : cert list; (* newest first *)
   mutable cert_failures : string list; (* newest first *)
+  mutable released : bool;
 }
 
 let enum_sorts t name =
@@ -108,11 +109,15 @@ let create ?(certify = false) () =
          n_checks = 0;
          certs = [];
          cert_failures = [];
+         released = false;
        })
   in
   Lazy.force t
 
 let certifying t = t.checker <> None
+let release t =
+  Sat.Solver.release t.sat;
+  t.released <- true
 let inject_unsoundness t m = Sat.Solver.inject_unsoundness t.sat m
 
 let cert_report t =
@@ -148,6 +153,8 @@ let check_bool_sort t term =
   | s -> error "assertion has sort %a, expected Bool" Term.pp_sort s
 
 let blast_checked t term =
+  (* The blaster's [Invalid_argument]s are sort errors; this one is not. *)
+  if t.released then invalid_arg "Solver: the solver was released";
   check_bool_sort t term;
   try Blast.blast_bool t.ctx term
   with Invalid_argument msg -> error "%s" msg

@@ -34,6 +34,13 @@ val create : ?certify:bool -> unit -> t
 
 val certifying : t -> bool
 
+(** [release t] ends [t]'s life once its answers and reports have been
+    read: the SAT tables it used go, cleared, to the next {!create} in the
+    same domain (see {!Sat.Solver.release}).  Any later use of [t] that
+    reaches the SAT solver raises [Invalid_argument]; {!cert_report} and
+    {!retry_report} stay readable. *)
+val release : t -> unit
+
 (** [declare_enum t name universe] declares a finite sort.  Redeclaring with
     a different universe raises {!Error}; redeclaring identically is a
     no-op.  The universe must be non-empty and duplicate-free. *)

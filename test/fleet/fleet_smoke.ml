@@ -287,6 +287,35 @@ let () =
   let err = check ~name:"no-workers" ~base r in
   expect_notice ~name:"no-workers" err "in-process";
 
+  (* A worker that arrives after the run is over: the dispatcher left the
+     closed marker in its port file, so the worker exits 0 at once instead
+     of backing off through its reconnect budget. *)
+  let r = fleet ~name:"late-worker" ~workers:[ [] ] () in
+  ignore (check ~name:"late-worker" ~base r);
+  let dir = Filename.concat tmp_root "late-worker" in
+  let late_err = Filename.concat dir "late.err" in
+  let t0 = Unix.gettimeofday () in
+  let late =
+    spawn ~out:(Filename.concat dir "late.out") ~err:late_err
+      [ "worker"; "--port-file"; Filename.concat dir "port"; "--max-reconnects"; "3" ]
+  in
+  let rec await () =
+    match Unix.waitpid [ Unix.WNOHANG ] late with
+    | 0, _ when Unix.gettimeofday () -. t0 < 1. ->
+      Unix.sleepf 0.01;
+      await ()
+    | 0, _ ->
+      (try Unix.kill late Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] late);
+      fail "late-worker: the worker was still running 1 s after it started:\n%s"
+        (read_file late_err)
+    | _, Unix.WEXITED 0 -> ()
+    | _, _ -> fail "late-worker: the worker failed:\n%s" (read_file late_err)
+  in
+  await ();
+  if not (contains_line ~needle:"llhsc worker: dispatcher finished; nothing to do" late_err)
+  then fail "late-worker: the worker did not say the run was over:\n%s" (read_file late_err);
+
   (* Certify + retry flags must ship to workers and survive a worker
      loss byte-identically. *)
   let cert_flags = [ "--certify"; "--retry"; "2" ] in

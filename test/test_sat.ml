@@ -559,31 +559,111 @@ let php_8_7 = "../examples/files/php-8-7.cnf"
    traces each delete about 500 learnt clauses, PHP(8,7) about 14,000),
    so their trace, its length and the solver's counters pin all three.
    The figures were recorded with the record layout. *)
-let test_search_pinned () =
-  let pin what cnf ~answer ~length ~drup ~stats =
-    let s, ok = Sat.Dimacs.load ~proof:true cnf in
-    check_sat (what ^ " loads") true ok;
-    check_sat (what ^ " answer") true (Sat.Solver.solve s = answer);
-    let proof = proof_of s in
-    Alcotest.(check int) (what ^ " trace length") length (Sat.Proof.length proof);
-    Alcotest.(check string) (what ^ " DRUP digest") drup
-      (Digest.to_hex (Digest.string (Fmt.str "%a" Sat.Proof.pp_drup proof)));
-    Alcotest.(check string) (what ^ " stats") stats (Fmt.str "%a" Sat.Solver.pp_stats s)
-  in
-  let random seed =
-    { Sat.Dimacs.num_vars = 130; clauses = random_3sat ~seed ~vars:130 ~clauses:554 }
-  in
-  pin "seed 12" (random 12) ~answer:Unsat ~length:2422 ~drup:"b2e0087839df281bea39be59eb987d23"
-    ~stats:
-      "vars=130 clauses=554 learnts=841 decisions=1607 conflicts=1359 props=38977 restarts=8";
-  pin "seed 14" (random 14) ~answer:Sat ~length:2097 ~drup:"3b4d7cc0511fdbe79d299c774af8f772"
-    ~stats:
-      "vars=130 clauses=554 learnts=531 decisions=1255 conflicts=1038 props=29268 restarts=6";
-  pin "PHP(8,7)" (Sat.Dimacs.parse_file php_8_7) ~answer:Unsat ~length:29917
-    ~drup:"2671cd6c36edd11ff68245329b8f4e13"
-    ~stats:
+let random_cnf seed =
+  { Sat.Dimacs.num_vars = 130; clauses = random_3sat ~seed ~vars:130 ~clauses:554 }
+
+let pins =
+  [ ( "seed 12", (fun () -> random_cnf 12), Sat.Solver.Unsat, 2422,
+      "b2e0087839df281bea39be59eb987d23",
+      "vars=130 clauses=554 learnts=841 decisions=1607 conflicts=1359 props=38977 restarts=8" );
+    ( "seed 14", (fun () -> random_cnf 14), Sat.Solver.Sat, 2097,
+      "3b4d7cc0511fdbe79d299c774af8f772",
+      "vars=130 clauses=554 learnts=531 decisions=1255 conflicts=1038 props=29268 restarts=6" );
+    ( "PHP(8,7)", (fun () -> Sat.Dimacs.parse_file php_8_7), Sat.Solver.Unsat, 29917,
+      "2671cd6c36edd11ff68245329b8f4e13",
       "vars=56 clauses=204 learnts=972 decisions=18603 conflicts=15347 props=213510 \
-       restarts=61"
+       restarts=61" ) ]
+
+let check_pin ?(prefix = "") (what, cnf, answer, length, drup, stats) =
+  let what = prefix ^ what in
+  let s, ok = Sat.Dimacs.load ~proof:true (cnf ()) in
+  check_sat (what ^ " loads") true ok;
+  check_sat (what ^ " answer") true (Sat.Solver.solve s = answer);
+  let proof = proof_of s in
+  Alcotest.(check int) (what ^ " trace length") length (Sat.Proof.length proof);
+  Alcotest.(check string) (what ^ " DRUP digest") drup
+    (Digest.to_hex (Digest.string (Fmt.str "%a" Sat.Proof.pp_drup proof)));
+  Alcotest.(check string) (what ^ " stats") stats (Fmt.str "%a" Sat.Solver.pp_stats s)
+
+let test_search_pinned () = List.iter check_pin pins
+
+(* A search cut short by an exception, at a decision level above 0: a
+   timer raises once [s] has met 100 conflicts.  Seeded random 3-SAT at the
+   threshold ratio, with more variables than any pin, runs long enough for
+   that; a seed whose search ends first, or is cut at level 0, is skipped. *)
+exception Cut
+
+let cut_mid_search () =
+  let rec attempt seed =
+    if seed > 40 then Alcotest.fail "no search was cut at a decision level above 0";
+    let s, _ =
+      Sat.Dimacs.load
+        { Sat.Dimacs.num_vars = 200; clauses = random_3sat ~seed ~vars:200 ~clauses:852 }
+    in
+    let stop = { Unix.it_interval = 0.; it_value = 0. } and fired = ref false in
+    let previous =
+      Sys.signal Sys.sigalrm
+        (Sys.Signal_handle
+           (fun _ ->
+             if (not !fired) && Sat.Solver.num_conflicts s >= 100 then begin
+               fired := true;
+               raise Cut
+             end))
+    in
+    ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.001; it_value = 0.001 });
+    let cut = match Sat.Solver.solve s with _ -> false | exception Cut -> true in
+    ignore (Unix.setitimer Unix.ITIMER_REAL stop);
+    (* A signal already on its way reaches the handler above, which now
+       ignores it, before the old one is back. *)
+    Unix.sleepf 0.002;
+    Sys.set_signal Sys.sigalrm previous;
+    if cut && Sat.Solver.decision_level s > 0 then s else attempt (seed + 1)
+  in
+  attempt 1
+
+(* A task that raised: it solved, then handed the solver a literal of a
+   variable it never allocated. *)
+let raised_task () =
+  let s, _ = Sat.Dimacs.load (random_cnf 14) in
+  ignore (Sat.Solver.solve ~polarity_mode:Sat.Solver.Phase_true s : Sat.Solver.result);
+  (match Sat.Solver.add_clause s [ lit 4000 ] with
+   | _ -> Alcotest.fail "an unallocated literal must raise"
+   | exception Invalid_argument _ -> ());
+  s
+
+(* [Solver.release] hands a solver's tables to the next [create].  The
+   solver built on them must search exactly as a fresh one: every pin
+   again, each on a solver created right after releasing one that was cut
+   mid-search or whose task raised. *)
+let test_reused_solver_fresh () =
+  List.iter
+    (fun (how, ended) ->
+      List.iter
+        (fun pin ->
+          Sat.Solver.release (ended ());
+          check_pin ~prefix:(how ^ ", then ") pin)
+        pins)
+    [ ("cut mid-search", cut_mid_search); ("raised", raised_task) ]
+
+(* A released solver refuses every further use. *)
+let test_released_solver_raises () =
+  let s, v = fresh_solver 3 in
+  ignore (Sat.Solver.add_clause s [ lit v.(0); nlit v.(1) ] : bool);
+  check_sat "sat" true (Sat.Solver.solve s = Sat);
+  Sat.Solver.release s;
+  let refuses what f =
+    match f () with
+    | () -> Alcotest.failf "%s on a released solver must raise" what
+    | exception Invalid_argument _ -> ()
+  in
+  refuses "new_var" (fun () -> ignore (Sat.Solver.new_var s : int));
+  refuses "add_clause" (fun () -> ignore (Sat.Solver.add_clause s [ lit v.(2) ] : bool));
+  refuses "add_lits" (fun () -> ignore (Sat.Solver.add_lits s [| lit v.(2) |] 1 : bool));
+  refuses "solve" (fun () -> ignore (Sat.Solver.solve s : Sat.Solver.result));
+  refuses "value" (fun () -> ignore (Sat.Solver.value s v.(0) : bool));
+  refuses "model" (fun () -> ignore (Sat.Solver.model s : bool array));
+  refuses "release" (fun () -> Sat.Solver.release s);
+  Alcotest.(check int) "statistics stay readable" 3 (Sat.Solver.num_vars s)
 
 (* A stored clause is one pointer-free block: two header words and its
    literals.  PHP(8,7) stores 204 clauses of 2.2 literals on average; the
@@ -812,6 +892,92 @@ let prop_hinted_rejects_what_oracle_rejects =
     (fun (mutation, g) ->
       List.for_all (fun (hinted, rup) -> rup || not hinted) (certify_rounds ~mutation g))
 
+(* --- property: the buffered clause hand-off ---------------------------------- *)
+
+(* Clause lists over a few variables, so duplicates, tautologies and
+   units are common; the units make later literals false at level 0. *)
+let gen_clause_lists =
+  let open QCheck.Gen in
+  int_range 1 6 >>= fun nv ->
+  let lit = map2 (fun v negated -> Sat.Lit.make ~var:v ~negated) (int_range 0 (nv - 1)) bool in
+  pair (return nv) (list_size (int_range 0 25) (list_size (int_range 0 6) lit))
+
+(* [add_lits] from one reused buffer, its unused tail full of junk,
+   against [add_clause]: the same return values, trace and counters. *)
+let prop_add_lits_is_add_clause =
+  QCheck.Test.make ~count:500 ~name:"add_lits and add_clause give the same trace"
+    (QCheck.make
+       ~print:(fun (nv, cs) ->
+         Printf.sprintf "%d vars: %s" nv
+           (String.concat ", "
+              (List.map
+                 (fun c -> String.concat " " (List.map (fun l -> string_of_int (Sat.Lit.to_dimacs l)) c))
+                 cs)))
+       gen_clause_lists)
+    (fun (nv, clauses) ->
+      let run add =
+        let s, _ = fresh_solver 0 in
+        Sat.Solver.enable_proof s;
+        for _ = 1 to nv do
+          ignore (Sat.Solver.new_var s : int)
+        done;
+        let oks = List.map (add s) clauses in
+        let answer = Sat.Solver.solve s in
+        ( oks,
+          answer,
+          Digest.to_hex (Digest.string (Fmt.str "%a" Sat.Proof.pp_drup (proof_of s))),
+          Fmt.str "%a" Sat.Solver.pp_stats s )
+      in
+      let buf = Array.make 8 (lit 0) in
+      let add_lits s c =
+        Array.fill buf 0 (Array.length buf) (nlit (nv - 1));
+        List.iteri (fun i l -> buf.(i) <- l) c;
+        Sat.Solver.add_lits s buf (List.length c)
+      in
+      run Sat.Solver.add_clause = run add_lits)
+
+(* --- property: the heap against the closure heap -------------------------------- *)
+
+type heap_op = Insert of int | Bump of int * float | Remove
+
+(* Scores drawn from a few values, so ties are the rule. *)
+let gen_heap_ops =
+  let open QCheck.Gen in
+  let var = int_range 0 15 in
+  list_size (int_range 0 120)
+    (frequency
+       [ (4, map (fun v -> Insert v) var);
+         (3, map2 (fun v d -> Bump (v, d)) var (oneofl [ 0.; 1.; 2.; 0.5 ]));
+         (3, return Remove) ])
+
+let prop_heap_matches_oracle =
+  QCheck.Test.make ~count:1000 ~name:"heap removes in the closure heap's order"
+    (QCheck.make gen_heap_ops)
+    (fun ops ->
+      let scores = Array.make 16 0. in
+      let h = Sat.Heap.create scores and o = Heap_oracle.create (fun v -> scores.(v)) in
+      let same = ref true in
+      let remove () =
+        if Sat.Heap.is_empty h <> Heap_oracle.is_empty o then same := false
+        else if not (Sat.Heap.is_empty h) then
+          if Sat.Heap.remove_max h <> Heap_oracle.remove_max o then same := false
+      in
+      List.iter
+        (function
+          | Insert v ->
+            Sat.Heap.insert h v;
+            Heap_oracle.insert o v
+          | Bump (v, d) ->
+            scores.(v) <- scores.(v) +. d;
+            Sat.Heap.decrease h v;
+            Heap_oracle.decrease o v
+          | Remove -> remove ())
+        ops;
+      while !same && not (Sat.Heap.is_empty h && Heap_oracle.is_empty o) do
+        remove ()
+      done;
+      !same)
+
 let test_dpll_of_formula () =
   (* Tseitin into DPLL: (x0 <-> x1) & (x0 xor x2) & x0 forces x1, !x2. *)
   let open Sat.Formula in
@@ -861,7 +1027,7 @@ let test_vec_operations () =
 
 let test_heap_ordering () =
   let scores = Array.make 16 0.0 in
-  let h = Sat.Heap.create (fun v -> scores.(v)) in
+  let h = Sat.Heap.create scores in
   List.iter
     (fun (v, s) ->
       scores.(v) <- s;
@@ -961,6 +1127,8 @@ let () =
         [
           Alcotest.test_case "search pinned" `Quick test_search_pinned;
           Alcotest.test_case "clauses are flat blocks" `Quick test_clause_storage_flat;
+          Alcotest.test_case "a reused solver is fresh" `Quick test_reused_solver_fresh;
+          Alcotest.test_case "a released solver raises" `Quick test_released_solver_raises;
         ] );
       ( "properties",
         [
@@ -971,5 +1139,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_verdicts_certify;
           QCheck_alcotest.to_alcotest prop_checkers_accept_honest_verdicts;
           QCheck_alcotest.to_alcotest prop_hinted_rejects_what_oracle_rejects;
+          QCheck_alcotest.to_alcotest prop_add_lits_is_add_clause;
+          QCheck_alcotest.to_alcotest prop_heap_matches_oracle;
         ] );
     ]

@@ -251,6 +251,25 @@ let test_model_unavailable () =
     Alcotest.fail "expected model error"
   with S.Error _ -> ()
 
+(* A released solver's reports stay readable; every use that reaches the
+   SAT solver raises. *)
+let test_released_solver () =
+  let s = S.create ~certify:true () in
+  let x = T.bv_var "x" ~width:8 in
+  S.assert_ s (T.ult x (T.bv_of_int ~width:8 3));
+  check_bool "sat" true (is_sat (S.check s));
+  S.release s;
+  Alcotest.(check int) "certified before release" 1
+    (List.length (S.cert_report s).S.certs);
+  let refuses what f =
+    match f () with
+    | () -> Alcotest.failf "%s on a released solver must raise" what
+    | exception Invalid_argument _ -> ()
+  in
+  refuses "check" (fun () -> ignore (S.check s : S.answer));
+  refuses "model" (fun () -> ignore (S.get_bv s x : int64));
+  refuses "assert" (fun () -> S.assert_ s (T.eq x (T.bv_of_int ~width:8 9)))
+
 (* --- certification ------------------------------------------------------------ *)
 
 let test_certify_mixed_queries () =
@@ -736,6 +755,32 @@ let test_cnf_checker_shapes () =
     ("a5180b17e318863579898f8598785dc1", 2884, 8447, "sat unsat unsat")
     (cnf_digest [ shapes; pigeons; not_multiple ])
 
+(* Predicates applied to enum constants, and equalities of two constants.
+   [P] is first grounded on a constant and later on a variable; [Q] first
+   on variables and later on constants, in both argument orders and
+   mixed with a variable.  Grounding numbers every instance of a
+   predicate in one go, so the order of first use pins the numbering. *)
+let test_cnf_constant_predicates () =
+  let prop v = T.enum ~sort:"props" v and status v = T.enum ~sort:"status" v in
+  let x = T.enum_var "x" ~sort:"props" and y = T.enum_var "y" ~sort:"status" in
+  let p a = T.pred "P" [ a ] and q a b = T.pred "Q" [ a; b ] in
+  let terms =
+    [ p (prop "reg");
+      T.not_ (p (prop "status"));
+      T.implies (p x) (T.or_ [ T.eq x (prop "reg"); T.eq x (prop "clocks") ]);
+      q x y;
+      T.not_ (q (prop "reg") (status "okay"));
+      T.implies (q (prop "clocks") y) (T.eq y (status "reserved"));
+      q (prop "interrupts") (status "disabled");
+      T.or_ [ T.eq (prop "reg") (prop "status"); T.eq (status "okay") (status "okay") ];
+      T.not_ (T.eq (status "okay") (status "disabled"));
+    ]
+  in
+  let clash = [ q (prop "reg") (status "okay"); p (prop "reg") ] in
+  check_cnf "constant predicates"
+    ("ad7eccd7c3ef5b0a202b592666ef81ee", 133, 331, "sat unsat")
+    (cnf_digest [ terms; clash @ terms ])
+
 (* Seeded terms over gen_term's grammar.  A local xorshift drives the
    choices, so the terms do not depend on the generator internals of
    QCheck or Stdlib.Random, which differ between library versions. *)
@@ -852,6 +897,7 @@ let () =
         [
           Alcotest.test_case "sort errors" `Quick test_sort_errors;
           Alcotest.test_case "model unavailable" `Quick test_model_unavailable;
+          Alcotest.test_case "released solver" `Quick test_released_solver;
         ] );
       ( "certification",
         [
@@ -883,5 +929,6 @@ let () =
         [
           Alcotest.test_case "checker shapes" `Quick test_cnf_checker_shapes;
           Alcotest.test_case "seeded terms" `Quick test_cnf_seeded_terms;
+          Alcotest.test_case "constant predicates" `Quick test_cnf_constant_predicates;
         ] );
     ]
