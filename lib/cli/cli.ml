@@ -445,6 +445,9 @@ let cmd_dispatch listen min_workers wait_workers port_file secret_file
     failwith (Printf.sprintf "--min-workers wants a count >= 0, got %d" min_workers);
   if wait_workers < 0. then
     failwith (Printf.sprintf "--wait-workers wants seconds >= 0, got %g" wait_workers);
+  (* Before planning, which can take a while: the closed marker of an
+     earlier run on this path must not retire this run's workers. *)
+  Option.iter Fleet.Dispatch.clear_port_file port_file;
   (* A remote lease must always expire eventually — a partitioned worker
      holds its tasks until then — so unlike the local pool there is a
      hard default. *)
@@ -971,7 +974,8 @@ let dispatch_cmd =
          & info [ "port-file" ] ~docv:"FILE"
              ~doc:"Write the bound port to $(docv) once listening (workers \
                    can poll it with their own --port-file), and the line \
-                   $(b,closed) once every task is checked.")
+                   $(b,closed) once every task is checked.  A file an \
+                   earlier run left there is deleted at start.")
   in
   let task_deadline =
     Arg.(value & opt (some float) None
@@ -1025,8 +1029,8 @@ let worker_cmd =
          & info [ "port-file" ] ~docv:"FILE"
              ~doc:"Poll the dispatcher's --port-file for the port instead \
                    of naming it in --connect (connects to 127.0.0.1).  A \
-                   file that says $(b,closed) means the run is over: the \
-                   worker exits 0.")
+                   file that says $(b,closed) for a quarter second means \
+                   the run is over: the worker exits 0.")
   in
   let max_reconnects =
     Arg.(value & opt int 8

@@ -51,6 +51,8 @@ let addr_of host port =
 
 let closed_marker = "closed"
 
+let clear_port_file path = try Sys.remove path with Sys_error _ -> ()
+
 let msg_setup spec hash =
   Json.to_string (Json.Obj [ ("setup", Spec.to_wire spec); ("hash", Json.Str hash) ])
 

@@ -42,7 +42,8 @@
     with the line {!closed_marker}, so a worker that arrives after the run
     retires instead of reconnecting until its budget runs out.  A run cut
     short by a signal leaves the port in place for a [--resume]
-    successor.
+    successor.  The marker belongs to one run: a dispatcher deletes its
+    port file before it plans ({!clear_port_file}).
 
     All supervision notices go to stderr; stdout is untouched (the
     pipeline report must stay byte-identical to [--jobs 1]). *)
@@ -70,3 +71,8 @@ val run :
 
 (** The port file's content, less its newline, once the run is over. *)
 val closed_marker : string
+
+(** Delete a port file an earlier run left, if any.  The dispatcher
+    command calls it first, so that a worker started beside it never
+    takes an earlier run's {!closed_marker} for this run's. *)
+val clear_port_file : string -> unit

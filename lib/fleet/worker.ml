@@ -10,10 +10,10 @@
    Connection loss is survived, not fatal: exponential-backoff reconnect,
    bounded by [max_reconnects] consecutive failures (a completed
    handshake resets the counter).  A [retire] message is a clean exit
-   (code 0), and so is a port file that says the dispatcher finished, read
-   at start or after a refused connect; exhausting reconnects exits 1 so
-   a supervisor can tell "fleet finished without me" from "I was told to
-   go".
+   (code 0), and so is a port file that says the dispatcher finished,
+   read while resolving the port or after a refused connect; exhausting
+   reconnects exits 1 so a supervisor can tell "fleet finished without me"
+   from "I was told to go".
 
    Once the handshake is done, leased tasks run in {!Shard.serve}, the
    same task loop a forked local worker runs, with the same six fault
@@ -45,36 +45,50 @@ exception Retired
    over. *)
 exception Finished
 
-(* The port in [path], [None] while it is missing or half-written.
-   Raises [Finished] on the closed marker. *)
+type port_file =
+  | Port of int
+  | Closed (* {!Dispatch.closed_marker} *)
+  | Unreadable (* missing or half-written *)
+
 let read_port_file path =
   match open_in path with
-  | exception Sys_error _ -> None
-  | ic ->
+  | exception Sys_error _ -> Unreadable
+  | ic -> (
     let line = try Some (String.trim (input_line ic)) with _ -> None in
     close_in ic;
     match line with
-    | Some l when l = Dispatch.closed_marker -> raise Finished
-    | Some l -> int_of_string_opt l
-    | None -> None
+    | Some l when l = Dispatch.closed_marker -> Closed
+    | Some l -> ( match int_of_string_opt l with Some p -> Port p | None -> Unreadable)
+    | None -> Unreadable)
 
 (* The dispatcher writes the port file after binding, often a few ms
    after this worker starts: poll it every 2 ms for up to 10 s, so a
-   worker started beside its dispatcher connects as soon as it can. *)
+   worker started beside its dispatcher connects as soon as it can.  A
+   closed marker counts once it has stood for [closed_grace] seconds: a
+   dispatcher deletes its port file as it starts, so an earlier run's
+   marker is gone by then if the next run started beside this worker. *)
+let closed_grace = 0.25
+
 let resolve_port cfg =
   match (cfg.port, cfg.port_file) with
   | Some p, _ -> Some p
   | None, Some path ->
     let give_up = Unix.gettimeofday () +. 10. in
-    let rec wait () =
+    let rec wait closed_since =
+      let now = Unix.gettimeofday () in
       match read_port_file path with
-      | Some p -> Some p
-      | None when Unix.gettimeofday () < give_up ->
+      | Port p -> Some p
+      | Closed ->
+        let since = Option.value closed_since ~default:now in
+        if now -. since >= closed_grace then raise Finished;
         Unix.sleepf 0.002;
-        wait ()
-      | None -> None
+        wait (Some since)
+      | Unreadable when now < give_up ->
+        Unix.sleepf 0.002;
+        wait None
+      | Unreadable -> None
     in
-    wait ()
+    wait None
   | None, None -> None
 
 let connect cfg =
@@ -96,7 +110,7 @@ let connect cfg =
           read. *)
        (match (e, cfg.port, cfg.port_file) with
         | Unix.Unix_error (Unix.ECONNREFUSED, _, _), None, Some path ->
-          ignore (read_port_file path : int option)
+          if read_port_file path = Closed then raise Finished
         | _ -> ());
        raise e);
     (try Unix.setsockopt fd Unix.TCP_NODELAY true

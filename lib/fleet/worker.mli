@@ -40,7 +40,7 @@ val backoff_delay : seed:int -> attempt:int -> float
 
 (** Serve until retired.  Returns the process exit code: 0 after a
     [retire] message or when the [port_file] holds
-    {!Dispatch.closed_marker} (at start or after a refused connect), 1
-    when the reconnect budget is exhausted or no
-    dispatcher port could be resolved. *)
+    {!Dispatch.closed_marker} (for a quarter second while the port is
+    resolved, or after a refused connect), 1 when the reconnect budget is
+    exhausted or no dispatcher port could be resolved. *)
 val run : config -> int

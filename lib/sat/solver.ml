@@ -108,8 +108,6 @@ type t = {
   mutable var_inc : float;
   mutable cla_inc : float;
   mutable model_vars : int; (* variables [model] covers; 0 = no model *)
-  mutable lits : int array; (* [add_clause]'s literals, handed to [add_lits] *)
-  mutable scratch : int array; (* [add_lits] sorts and simplifies here *)
   mutable core : int list;
   mutable chain : int list; (* clause ids behind [core]; see [unsat_chain] *)
   mutable assumptions : int array;
@@ -192,8 +190,6 @@ let create () =
     var_inc = 1.0;
     cla_inc = 1.0;
     model_vars = 0;
-    lits = [||];
-    scratch = [||];
     core = [];
     chain = [];
     assumptions = [||];
@@ -255,6 +251,12 @@ let grow_vars t =
   t.watches <- watches;
   t.watched <- watched;
   Heap.set_scores t.order activity
+
+(* The capacity [grow_vars] gives a solver that never reused tables at
+   [n] variables.  A reused table is at least as large. *)
+let fresh_capacity n =
+  let rec go c = if c >= n then c else go (2 * c) in
+  if n = 0 then 0 else go 16
 
 let new_var t =
   live t;
@@ -468,67 +470,48 @@ let propagate t =
 
 (* --- clause addition ---------------------------------------------------- *)
 
-(* Sift [a.(i)] down the max-heap [a.(0) .. a.(n - 1)]. *)
-let rec sift (a : int array) n i =
-  let l = (2 * i) + 1 in
-  if l < n then begin
-    let m = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
-    if a.(m) > a.(i) then begin
-      let x = a.(i) in
-      a.(i) <- a.(m);
-      a.(m) <- x;
-      sift a n m
-    end
-  end
-
-(* [a.(0) .. a.(n - 1)] ascending, in place: insertion sort for the short
-   clauses gates emit, heap sort for longer ones. *)
-let sort_lits (a : int array) n =
+(* The literals of [c] ascending, in place: insertion sort for the short
+   clauses gates emit. *)
+let sort_lits c =
+  let n = size c in
   if n > 16 then begin
-    for i = (n / 2) - 1 downto 0 do
-      sift a n i
-    done;
-    for k = n - 1 downto 1 do
-      let x = a.(0) in
-      a.(0) <- a.(k);
-      a.(k) <- x;
-      sift a k 0
-    done
+    let a = Array.sub c hdr n in
+    Array.sort Lit.compare a;
+    Array.blit a 0 c hdr n
   end
   else
     for i = 1 to n - 1 do
-      let x = a.(i) in
+      let x = lit c i in
       let j = ref (i - 1) in
-      while !j >= 0 && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
+      while !j >= 0 && lit c !j > x do
+        set_lit c (!j + 1) (lit c !j);
         decr j
       done;
-      a.(!j + 1) <- x
+      set_lit c (!j + 1) x
     done
 
-(* One pass over the sorted literals [a.(0) .. a.(n - 1)]: drop duplicates
-   and literals false at level 0, compacting the rest to the front.
-   Returns how many remain, or -1 for a clause that is already satisfied or
-   a tautology (sorting puts [2v] and [2v+1] next to each other).  [-2]
-   stands for "no previous literal": neither it nor its negation is a
-   literal. *)
-let simplify t (a : int array) n =
-  let i = ref 0 and j = ref 0 and prev = ref (-2) and sat = ref false in
-  while (not !sat) && !i < n do
-    let l = a.(!i) in
-    incr i;
-    if l <> !prev then
-      if l = Lit.neg !prev then sat := true
+(* One pass over the sorted literals of [c]: drop duplicates and literals
+   false at level 0, compacting the rest to the front.  Returns how many
+   remain, or -1 for a clause that is already satisfied or a tautology
+   (sorting puts [2v] and [2v+1] next to each other).  [-2] stands for "no
+   previous literal": neither it nor its negation is a literal. *)
+let simplify t c =
+  let n = size c in
+  let rec go i j prev =
+    if i = n then j
+    else
+      let l = lit c i in
+      if l = prev then go (i + 1) j prev
+      else if l = Lit.neg prev then -1
       else
         match value_lit t l with
-        | 1 -> sat := true
-        | -1 -> prev := l
+        | 1 -> -1
+        | -1 -> go (i + 1) j l
         | _ ->
-          a.(!j) <- l;
-          incr j;
-          prev := l
-  done;
-  if !sat then -1 else !j
+          set_lit c j l;
+          go (i + 1) (j + 1) l
+  in
+  go 0 0 (-2)
 
 (* A clause block holding [lits]; its header is filled in by the caller. *)
 let clause_of_list lits =
@@ -536,25 +519,23 @@ let clause_of_list lits =
   List.iteri (set_lit c) lits;
   c
 
-let add_lits t buf len =
+let add_clause t lits =
   live t;
-  if len < 0 || len > Array.length buf then invalid_arg "Solver.add_lits: bad length";
+  let c = clause_of_list lits in
+  let len = size c in
   for k = 0 to len - 1 do
-    if not (allocated t buf.(k)) then
+    if not (allocated t (lit c k)) then
       invalid_arg "Solver.add_clause: literal of an unallocated variable"
   done;
   (* Log the clause verbatim, before simplification: unit clauses are
      enqueued rather than stored, yet the checker must still see them as
      part of the certified formula. *)
-  let id = match t.proof with Some p -> Proof.log_input p buf ~pos:0 ~len | None -> -1 in
+  let id = match t.proof with Some p -> Proof.log_input p c ~pos:hdr ~len | None -> -1 in
   if not t.ok then false
   else begin
     assert (decision_level t = 0);
-    if Array.length t.scratch < len then t.scratch <- Array.make (max 16 (2 * len)) 0;
-    let a = t.scratch in
-    Array.blit buf 0 a 0 len;
-    sort_lits a len;
-    match simplify t a len with
+    sort_lits c;
+    match simplify t c with
     | -1 -> true
     | 0 ->
       (* every literal false at level 0: this clause refutes the set *)
@@ -562,7 +543,7 @@ let add_lits t buf len =
       t.ok <- false;
       false
     | 1 ->
-      unchecked_enqueue t a.(0) dummy_clause;
+      unchecked_enqueue t (lit c 0) dummy_clause;
       log_unit t id;
       (match propagate t with
        | None -> true
@@ -571,29 +552,14 @@ let add_lits t buf len =
          t.ok <- false;
          false)
     | n ->
-      let c = Array.make (hdr + n) 0 in
+      let c = if n = len then c else Array.sub c 0 (hdr + n) in
       c.(0) <- id;
-      Array.blit a 0 c hdr n;
       (* Problem clauses are never deleted: the two watch lists hold the
          clause from here on, and the solver only counts it. *)
       t.n_clauses <- t.n_clauses + 1;
       attach t c;
       true
   end
-
-(* [lits] from position [i] on, into [a] *)
-let rec fill_lits a i = function
-  | [] -> ()
-  | l :: rest ->
-    a.(i) <- l;
-    fill_lits a (i + 1) rest
-
-let add_clause t lits =
-  live t;
-  let len = List.length lits in
-  if Array.length t.lits < len then t.lits <- Array.make (max 16 (2 * len)) 0;
-  fill_lits t.lits 0 lits;
-  add_lits t t.lits len
 
 (* --- conflict analysis (first UIP) -------------------------------------- *)
 
@@ -1014,8 +980,11 @@ let apply_diversification t ~seed ~polarity_mode ~var_decay =
   (match seed with Some s -> reseed t s | None -> ());
   (match polarity_mode with
    | Phase_saved -> ()
-   | Phase_false -> Bytes.fill t.polarity 0 t.nvars '\000'
-   | Phase_true -> Bytes.fill t.polarity 0 t.nvars '\001'
+   (* Every slot of a solver that never reused tables, allocated or not:
+      a variable allocated later within that capacity starts in this
+      phase. *)
+   | Phase_false -> Bytes.fill t.polarity 0 (fresh_capacity t.nvars) '\000'
+   | Phase_true -> Bytes.fill t.polarity 0 (fresh_capacity t.nvars) '\001'
    | Phase_inverted ->
      for v = 0 to t.nvars - 1 do
        set_polarity t v (not (phase t v))
@@ -1100,7 +1069,8 @@ let model t =
 
 (* Clear what the search wrote to the tables, whether it finished or was
    cut short, and offer them to the next [create].  Entries past [nvars]
-   were never written.  Each literal's watch array is dropped: kept, it
+   were never written, but for the phases [Phase_true] set up to
+   [fresh_capacity].  Each literal's watch array is dropped: kept, it
    would grow to the longest list any solver ever gave that literal.  The
    spare keeps the larger of two offers. *)
 let release t =
@@ -1111,7 +1081,7 @@ let release t =
   Array.fill t.level 0 n 0;
   Array.fill t.reason 0 n dummy_clause;
   Array.fill t.activity 0 n 0.;
-  Bytes.fill t.polarity 0 n '\000';
+  Bytes.fill t.polarity 0 (fresh_capacity n) '\000';
   Bytes.fill t.seen 0 n '\000';
   for l = 0 to (2 * n) - 1 do
     t.watches.(l) <- no_watches;

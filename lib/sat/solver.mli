@@ -75,12 +75,6 @@ val decision_level : t -> int
     neither logged nor added. *)
 val add_clause : t -> Lit.t list -> bool
 
-(** [add_lits t buf len] adds the clause [buf.(0) .. buf.(len - 1)], exactly
-    as {!add_clause} adds the list of those literals.  [buf] is only read,
-    so a caller can reuse it for the next clause; copying and simplifying
-    the clause allocates nothing but its stored block. *)
-val add_lits : t -> Lit.t array -> int -> bool
-
 (** Initial phase policy for one [solve] call — the polarity each variable
     is first tried with.  [Phase_saved] (the default) keeps the phases saved
     by earlier search; the other modes diversify a restarted attempt so it

@@ -24,122 +24,59 @@ type ctx = {
   pred_insts : (string, string list * L.t array) Hashtbl.t;
   enum_universe : string -> string array; (* resolved by the Solver layer *)
   sort_of : Term.t -> Term.sort;
-  mutable clause : L.t array; (* the clause being emitted *)
 }
-
-(* --- clause emission --------------------------------------------------------
-
-   Every clause reaches the solver through [ctx.clause], one reused buffer,
-   and [Sat.Solver.add_lits]: the fixed-arity emitters fill it directly, so
-   no clause is built as a list. *)
-
-let emit ctx n = ignore (S.add_lits ctx.sat ctx.clause n : bool)
-
-let add1 ctx a =
-  ctx.clause.(0) <- a;
-  emit ctx 1
-
-let add2 ctx a b =
-  ctx.clause.(0) <- a;
-  ctx.clause.(1) <- b;
-  emit ctx 2
-
-let add3 ctx a b c =
-  ctx.clause.(0) <- a;
-  ctx.clause.(1) <- b;
-  ctx.clause.(2) <- c;
-  emit ctx 3
-
-let add4 ctx a b c d =
-  ctx.clause.(0) <- a;
-  ctx.clause.(1) <- b;
-  ctx.clause.(2) <- c;
-  ctx.clause.(3) <- d;
-  emit ctx 4
-
-(* The clause [head; ls.(0); ..; ls.(n - 1)], each [ls.(i)] negated when
-   [negate]. *)
-let add_head ctx head ~negate ls n =
-  if Array.length ctx.clause <= n then ctx.clause <- Array.make (2 * (n + 1)) 0;
-  ctx.clause.(0) <- head;
-  for i = 0 to n - 1 do
-    ctx.clause.(i + 1) <- (if negate then L.neg ls.(i) else ls.(i))
-  done;
-  emit ctx (n + 1)
 
 let create ~sat ~enum_universe ~sort_of =
   let v = S.new_var sat in
-  let ctx =
-    {
-      sat;
-      true_lit = L.of_var v;
-      bool_memo = Hashtbl.create 256;
-      bv_memo = Hashtbl.create 256;
-      bool_vars = Hashtbl.create 64;
-      bv_vars = Hashtbl.create 64;
-      enum_vars = Hashtbl.create 64;
-      pred_vars = Hashtbl.create 64;
-      pred_insts = Hashtbl.create 64;
-      enum_universe;
-      sort_of;
-      clause = Array.make 16 0;
-    }
-  in
-  add1 ctx ctx.true_lit;
-  ctx
+  let true_lit = L.of_var v in
+  ignore (S.add_clause sat [ true_lit ] : bool);
+  {
+    sat;
+    true_lit;
+    bool_memo = Hashtbl.create 256;
+    bv_memo = Hashtbl.create 256;
+    bool_vars = Hashtbl.create 64;
+    bv_vars = Hashtbl.create 64;
+    enum_vars = Hashtbl.create 64;
+    pred_vars = Hashtbl.create 64;
+    pred_insts = Hashtbl.create 64;
+    enum_universe;
+    sort_of;
+  }
 
 let false_lit ctx = L.neg ctx.true_lit
 let fresh ctx = L.of_var (S.new_var ctx.sat)
+let add ctx lits = ignore (S.add_clause ctx.sat lits : bool)
 
 (* --- gates ---------------------------------------------------------------- *)
 
 let mk_not l = L.neg l
 
-(* Leave out of [ls] every literal equal to [unit], compacting the rest at
-   the front in order.  Returns how many remain, or -1 if [zero] is among
-   them. *)
-let drop_units ls ~unit ~zero =
-  let n = ref 0 and absorbed = ref false in
-  for i = 0 to Array.length ls - 1 do
-    let l = ls.(i) in
-    if L.equal l zero then absorbed := true
-    else if not (L.equal l unit) then begin
-      ls.(!n) <- l;
-      incr n
-    end
-  done;
-  if !absorbed then -1 else !n
+let mk_and ctx ls =
+  let ls = List.filter (fun l -> not (L.equal l ctx.true_lit)) ls in
+  if List.exists (fun l -> L.equal l (false_lit ctx)) ls then false_lit ctx
+  else
+    match ls with
+    | [] -> ctx.true_lit
+    | [ l ] -> l
+    | _ ->
+      let r = fresh ctx in
+      List.iter (fun l -> add ctx [ L.neg r; l ]) ls;
+      add ctx (r :: List.map L.neg ls);
+      r
 
-(* The conjunction of [ls], which it overwrites. *)
-let and_lits ctx ls =
-  match drop_units ls ~unit:ctx.true_lit ~zero:(false_lit ctx) with
-  | -1 -> false_lit ctx
-  | 0 -> ctx.true_lit
-  | 1 -> ls.(0)
-  | n ->
-    let r = fresh ctx in
-    for i = 0 to n - 1 do
-      add2 ctx (L.neg r) ls.(i)
-    done;
-    add_head ctx r ~negate:true ls n;
-    r
-
-(* The disjunction of [ls], which it overwrites. *)
-let or_lits ctx ls =
-  match drop_units ls ~unit:(false_lit ctx) ~zero:ctx.true_lit with
-  | -1 -> ctx.true_lit
-  | 0 -> false_lit ctx
-  | 1 -> ls.(0)
-  | n ->
-    let r = fresh ctx in
-    for i = 0 to n - 1 do
-      add2 ctx r (L.neg ls.(i))
-    done;
-    add_head ctx (L.neg r) ~negate:false ls n;
-    r
-
-let mk_and ctx ls = and_lits ctx (Array.of_list ls)
-let mk_or ctx ls = or_lits ctx (Array.of_list ls)
+let mk_or ctx ls =
+  let ls = List.filter (fun l -> not (L.equal l (false_lit ctx))) ls in
+  if List.exists (fun l -> L.equal l ctx.true_lit) ls then ctx.true_lit
+  else
+    match ls with
+    | [] -> false_lit ctx
+    | [ l ] -> l
+    | _ ->
+      let r = fresh ctx in
+      List.iter (fun l -> add ctx [ r; L.neg l ]) ls;
+      add ctx (L.neg r :: ls);
+      r
 
 (* Two- and three-input forms of [mk_and]/[mk_or] for the circuits below:
    the same constant folding, and the same fresh variable and clauses in the
@@ -151,9 +88,9 @@ let and2 ctx a b =
   else if L.equal b ctx.true_lit then a
   else begin
     let r = fresh ctx in
-    add2 ctx (L.neg r) a;
-    add2 ctx (L.neg r) b;
-    add3 ctx r (L.neg a) (L.neg b);
+    add ctx [ L.neg r; a ];
+    add ctx [ L.neg r; b ];
+    add ctx [ r; L.neg a; L.neg b ];
     r
   end
 
@@ -164,9 +101,9 @@ let or2 ctx a b =
   else if L.equal b (false_lit ctx) then a
   else begin
     let r = fresh ctx in
-    add2 ctx r (L.neg a);
-    add2 ctx r (L.neg b);
-    add3 ctx (L.neg r) a b;
+    add ctx [ r; L.neg a ];
+    add ctx [ r; L.neg b ];
+    add ctx [ L.neg r; a; b ];
     r
   end
 
@@ -178,10 +115,10 @@ let or3 ctx a b c =
   else if L.equal c f then or2 ctx a b
   else begin
     let r = fresh ctx in
-    add2 ctx r (L.neg a);
-    add2 ctx r (L.neg b);
-    add2 ctx r (L.neg c);
-    add4 ctx (L.neg r) a b c;
+    add ctx [ r; L.neg a ];
+    add ctx [ r; L.neg b ];
+    add ctx [ r; L.neg c ];
+    add ctx [ L.neg r; a; b; c ];
     r
   end
 
@@ -192,10 +129,10 @@ let mk_xor ctx a b =
   else if L.equal b ctx.true_lit then mk_not a
   else begin
     let r = fresh ctx in
-    add3 ctx (L.neg r) a b;
-    add3 ctx (L.neg r) (L.neg a) (L.neg b);
-    add3 ctx r (L.neg a) b;
-    add3 ctx r a (L.neg b);
+    add ctx [ L.neg r; a; b ];
+    add ctx [ L.neg r; L.neg a; L.neg b ];
+    add ctx [ r; L.neg a; b ];
+    add ctx [ r; a; L.neg b ];
     r
   end
 
@@ -208,10 +145,10 @@ let mk_mux ctx c a b =
   else if L.equal c (false_lit ctx) then b
   else begin
     let r = fresh ctx in
-    add3 ctx (L.neg c) (L.neg r) a;
-    add3 ctx (L.neg c) r (L.neg a);
-    add3 ctx c (L.neg r) b;
-    add3 ctx c r (L.neg b);
+    add ctx [ L.neg c; L.neg r; a ];
+    add ctx [ L.neg c; r; L.neg a ];
+    add ctx [ c; L.neg r; b ];
+    add ctx [ c; r; L.neg b ];
     r
   end
 
@@ -276,7 +213,11 @@ let bv_mul ctx a b =
 (* Equality of a bit-vector with a small integer constant. *)
 let bv_eq_const ctx a k =
   let w = Array.length a in
-  and_lits ctx (Array.init w (fun i -> if k land (1 lsl i) <> 0 then a.(i) else mk_not a.(i)))
+  let bits =
+    List.init w (fun i ->
+        if k land (1 lsl i) <> 0 then a.(i) else mk_not a.(i))
+  in
+  mk_and ctx bits
 
 (* Shift by a (possibly symbolic) amount: mux over all in-range constant
    amounts; out-of-range amounts yield zero, matching SMT-LIB semantics for
@@ -293,12 +234,7 @@ let bv_shift ctx ~left a b =
       mk_or ctx !picks)
 
 let bv_eq ctx a b =
-  let w = Array.length a in
-  let iffs = Array.make w 0 in
-  for i = 0 to w - 1 do
-    iffs.(i) <- mk_iff ctx a.(i) b.(i)
-  done;
-  and_lits ctx iffs
+  mk_and ctx (List.init (Array.length a) (fun i -> mk_iff ctx a.(i) b.(i)))
 
 let bv_ult ctx a b =
   let w = Array.length a in
@@ -344,9 +280,9 @@ let enum_index ctx sort value =
    universes: one instance variable per tuple, named in [pred_vars] by
    "name(v1,...,vk)".  Tuples go in lexicographic order of universe
    indices, the first argument varying slowest.  The first grounding of a
-   predicate creates all its instances, so that order numbers them; the
-   instances are then kept in [pred_insts] and later groundings index
-   them. *)
+   predicate creates all its instances, so that order numbers them.  An
+   application to constants looks its instance up in [pred_insts], an
+   array built from those names on the first such application. *)
 
 (* Every index tuple over universes of the given sizes, in tuple order. *)
 let rec index_tuples = function
@@ -480,30 +416,18 @@ let rec blast_bool ctx (t : Term.t) : L.t =
    arguments' match with the tuple's constants. *)
 and ground ctx name sorts args =
   let arg_bits = List.map (blast_bv ctx) args in
-  let known =
-    match Hashtbl.find_opt ctx.pred_insts name with
-    | Some (sorts', insts) when sorts' = sorts -> Some insts
-    | _ -> None
-  in
   let sizes = List.map (fun s -> Array.length (ctx.enum_universe s)) sorts in
   let cases =
-    List.mapi
-      (fun k idx ->
+    List.map
+      (fun idx ->
         let matches =
           List.map2
             (fun bits i -> bv_eq ctx bits (bv_const ctx ~width:(Array.length bits) (Int64.of_int i)))
             arg_bits idx
         in
-        let inst =
-          match known with
-          | Some insts -> insts.(k)
-          | None -> instance_lit ctx name (value_names ctx sorts idx)
-        in
-        mk_and ctx (inst :: matches))
+        mk_and ctx (instance_lit ctx name (value_names ctx sorts idx) :: matches))
       (index_tuples sizes)
   in
-  (* The first grounding has now created every instance. *)
-  if known = None then ignore (instances ctx name sorts : L.t array);
   mk_or ctx cases
 
 and blast_bv ctx (t : Term.t) : L.t array =
@@ -562,7 +486,7 @@ and blast_bv ctx (t : Term.t) : L.t array =
               universe exactly fills the width). *)
            if n < 1 lsl width then begin
              let bound = bv_const ctx ~width (Int64.of_int n) in
-             add1 ctx (bv_ult ctx bits bound)
+             add ctx [ bv_ult ctx bits bound ]
            end;
            bits)
       | Ite (c, a, b) -> bv_mux ctx (blast_bool ctx c) (blast_bv ctx a) (blast_bv ctx b)

@@ -23,8 +23,6 @@ type ctx = {
           order (the first argument varies slowest) *)
   enum_universe : string -> string array;
   sort_of : Term.t -> Term.sort;
-  mutable clause : Sat.Lit.t array;
-      (** the one buffer every clause is handed to the solver in *)
 }
 
 val create :

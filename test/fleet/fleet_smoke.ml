@@ -8,6 +8,8 @@
        reconnect, and send duplicate results;
      - a fleet that loses every worker (and one that never had any),
        finishing via the in-process fallback with exit 0;
+     - a worker that arrives after the run, and one started beside a
+       second run on the same port file;
      - --certify/--retry and --journal/--resume variants.
 
    Every schedule must exit 0 with a report byte-identical to the
@@ -288,8 +290,9 @@ let () =
   expect_notice ~name:"no-workers" err "in-process";
 
   (* A worker that arrives after the run is over: the dispatcher left the
-     closed marker in its port file, so the worker exits 0 at once instead
-     of backing off through its reconnect budget. *)
+     closed marker in its port file, so the worker exits 0 within a
+     quarter second instead of backing off through its reconnect
+     budget. *)
   let r = fleet ~name:"late-worker" ~workers:[ [] ] () in
   ignore (check ~name:"late-worker" ~base r);
   let dir = Filename.concat tmp_root "late-worker" in
@@ -315,6 +318,32 @@ let () =
   await ();
   if not (contains_line ~needle:"llhsc worker: dispatcher finished; nothing to do" late_err)
   then fail "late-worker: the worker did not say the run was over:\n%s" (read_file late_err);
+
+  (* A second run on the same port file, its worker started beside its
+     dispatcher rather than after the port is written: the closed marker
+     belongs to the first run, so the worker must join the second. *)
+  let name = "port-file-reuse" in
+  say "schedule: %s" name;
+  let pf = Filename.concat dir "port" in
+  if read_port pf <> "closed" then fail "%s: the first run left %S, not closed" name (read_port pf);
+  let out = Filename.concat dir "reuse.out" and err = Filename.concat dir "reuse.err" in
+  let w_err = Filename.concat dir "reuse-w.err" in
+  let dpid =
+    spawn ~out ~err
+      (("dispatch" :: "--listen" :: "127.0.0.1:0" :: "--port-file" :: pf
+        :: "--wait-workers" :: "3" :: pipeline_args))
+  in
+  let wpid =
+    spawn ~out:(Filename.concat dir "reuse-w.out") ~err:w_err
+      [ "worker"; "--port-file"; pf; "--max-reconnects"; "3" ]
+  in
+  let err = check ~name ~base (wait_exit ~what:"dispatcher" dpid, out, err, []) in
+  expect_notice ~name err "ready";
+  if contains_line ~needle:"in-process" err then
+    fail "%s: the dispatcher finished without its worker:\n%s" name (read_file err);
+  (match wait_exit ~what:"worker" wpid with
+   | 0 when contains_line ~needle:"retired by dispatcher" w_err -> ()
+   | c -> fail "%s: the worker exited %d without being retired:\n%s" name c (read_file w_err));
 
   (* Certify + retry flags must ship to workers and survive a worker
      loss byte-identically. *)

@@ -645,6 +645,56 @@ let test_reused_solver_fresh () =
         pins)
     [ ("cut mid-search", cut_mid_search); ("raised", raised_task) ]
 
+(* [Phase_true] sets the phase of every slot a solver that never reused
+   tables would hold (16, doubling), so a variable allocated after the
+   solve starts true within that capacity and false beyond it.  Forty
+   variables (capacity 64) are solved under [Phase_true], then twenty
+   more, in clauses of their own, with saved phases.  The figures were
+   recorded before tables were reused.  The same run on reused, larger
+   tables must match them, and releasing the solver must clear the phases
+   it set past its 60 variables. *)
+let test_phase_true_then_grow () =
+  let run how =
+    let s = Sat.Solver.create () in
+    Sat.Solver.enable_proof s;
+    let add shift c =
+      let c =
+        List.map
+          (fun l -> Sat.Lit.make ~var:(Sat.Lit.var l + shift) ~negated:(Sat.Lit.is_neg l))
+          c
+      in
+      ignore (Sat.Solver.add_clause s c : bool)
+    in
+    for _ = 1 to 40 do
+      ignore (Sat.Solver.new_var s : int)
+    done;
+    List.iter (add 0) (random_3sat ~seed:5 ~vars:40 ~clauses:120);
+    check_sat (how ^ " first answer") true
+      (Sat.Solver.solve ~polarity_mode:Sat.Solver.Phase_true s = Sat);
+    for _ = 1 to 20 do
+      ignore (Sat.Solver.new_var s : int)
+    done;
+    List.iter (add 40) (random_3sat ~seed:8 ~vars:20 ~clauses:84);
+    check_sat (how ^ " second answer") true (Sat.Solver.solve s = Sat);
+    let proof = proof_of s in
+    Alcotest.(check int) (how ^ " trace length") 218 (Sat.Proof.length proof);
+    Alcotest.(check string) (how ^ " DRUP digest") "f21288116077d7bab8cb1be922d4bbce"
+      (Digest.to_hex (Digest.string (Fmt.str "%a" Sat.Proof.pp_drup proof)));
+    Alcotest.(check string) (how ^ " stats")
+      "vars=60 clauses=204 learnts=13 decisions=55 conflicts=14 props=209 restarts=0"
+      (Fmt.str "%a" Sat.Solver.pp_stats s);
+    s
+  in
+  Sat.Solver.release (run "fresh");
+  (* With no clauses, every decision takes the saved phase: false on a
+     fresh solver. *)
+  let s, _ = fresh_solver 64 in
+  check_sat "released after Phase_true, then sat" true (Sat.Solver.solve s = Sat);
+  check_sat "every phase cleared" true (Array.for_all not (Sat.Solver.model s));
+  Sat.Solver.release s;
+  Sat.Solver.release (raised_task ());
+  ignore (run "reused" : Sat.Solver.t)
+
 (* A released solver refuses every further use. *)
 let test_released_solver_raises () =
   let s, v = fresh_solver 3 in
@@ -658,7 +708,6 @@ let test_released_solver_raises () =
   in
   refuses "new_var" (fun () -> ignore (Sat.Solver.new_var s : int));
   refuses "add_clause" (fun () -> ignore (Sat.Solver.add_clause s [ lit v.(2) ] : bool));
-  refuses "add_lits" (fun () -> ignore (Sat.Solver.add_lits s [| lit v.(2) |] 1 : bool));
   refuses "solve" (fun () -> ignore (Sat.Solver.solve s : Sat.Solver.result));
   refuses "value" (fun () -> ignore (Sat.Solver.value s v.(0) : bool));
   refuses "model" (fun () -> ignore (Sat.Solver.model s : bool array));
@@ -892,50 +941,6 @@ let prop_hinted_rejects_what_oracle_rejects =
     (fun (mutation, g) ->
       List.for_all (fun (hinted, rup) -> rup || not hinted) (certify_rounds ~mutation g))
 
-(* --- property: the buffered clause hand-off ---------------------------------- *)
-
-(* Clause lists over a few variables, so duplicates, tautologies and
-   units are common; the units make later literals false at level 0. *)
-let gen_clause_lists =
-  let open QCheck.Gen in
-  int_range 1 6 >>= fun nv ->
-  let lit = map2 (fun v negated -> Sat.Lit.make ~var:v ~negated) (int_range 0 (nv - 1)) bool in
-  pair (return nv) (list_size (int_range 0 25) (list_size (int_range 0 6) lit))
-
-(* [add_lits] from one reused buffer, its unused tail full of junk,
-   against [add_clause]: the same return values, trace and counters. *)
-let prop_add_lits_is_add_clause =
-  QCheck.Test.make ~count:500 ~name:"add_lits and add_clause give the same trace"
-    (QCheck.make
-       ~print:(fun (nv, cs) ->
-         Printf.sprintf "%d vars: %s" nv
-           (String.concat ", "
-              (List.map
-                 (fun c -> String.concat " " (List.map (fun l -> string_of_int (Sat.Lit.to_dimacs l)) c))
-                 cs)))
-       gen_clause_lists)
-    (fun (nv, clauses) ->
-      let run add =
-        let s, _ = fresh_solver 0 in
-        Sat.Solver.enable_proof s;
-        for _ = 1 to nv do
-          ignore (Sat.Solver.new_var s : int)
-        done;
-        let oks = List.map (add s) clauses in
-        let answer = Sat.Solver.solve s in
-        ( oks,
-          answer,
-          Digest.to_hex (Digest.string (Fmt.str "%a" Sat.Proof.pp_drup (proof_of s))),
-          Fmt.str "%a" Sat.Solver.pp_stats s )
-      in
-      let buf = Array.make 8 (lit 0) in
-      let add_lits s c =
-        Array.fill buf 0 (Array.length buf) (nlit (nv - 1));
-        List.iteri (fun i l -> buf.(i) <- l) c;
-        Sat.Solver.add_lits s buf (List.length c)
-      in
-      run Sat.Solver.add_clause = run add_lits)
-
 (* --- property: the heap against the closure heap -------------------------------- *)
 
 type heap_op = Insert of int | Bump of int * float | Remove
@@ -1129,6 +1134,8 @@ let () =
           Alcotest.test_case "clauses are flat blocks" `Quick test_clause_storage_flat;
           Alcotest.test_case "a reused solver is fresh" `Quick test_reused_solver_fresh;
           Alcotest.test_case "a released solver raises" `Quick test_released_solver_raises;
+          Alcotest.test_case "Phase_true covers the fresh capacity" `Quick
+            test_phase_true_then_grow;
         ] );
       ( "properties",
         [
@@ -1139,7 +1146,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_verdicts_certify;
           QCheck_alcotest.to_alcotest prop_checkers_accept_honest_verdicts;
           QCheck_alcotest.to_alcotest prop_hinted_rejects_what_oracle_rejects;
-          QCheck_alcotest.to_alcotest prop_add_lits_is_add_clause;
           QCheck_alcotest.to_alcotest prop_heap_matches_oracle;
         ] );
     ]
