@@ -695,7 +695,8 @@ let write_supervision_json path =
 (* ------------------------------------------------------------------ *)
 
 (* The daemon column: request latency through the full HTTP + forked job
-   path on a healthy run, and the shed behaviour under a burst at 2x
+   path (the request decoded in memory, checked by the CLI's own code in
+   a fork of the daemon) on a healthy run, and the shed behaviour under a burst at 2x
    capacity.  The daemon is the real binary on an ephemeral port; the
    client is a minimal blocking HTTP/1.1 writer (one request per
    connection, matching the daemon's contract). *)
@@ -812,7 +813,7 @@ let write_serve_json path =
   Llhsc.Durable.with_file ~path (fun oc ->
   Printf.fprintf oc
     {|{
-  "workload": "llhsc serve, POST /v1/check (a forked job child running the CLI entry per request)",
+  "workload": "llhsc serve, POST /v1/check (a forked job child checking each decoded request body in memory)",
   "workers": %d,
   "queue": %d,
   "requests": %d,

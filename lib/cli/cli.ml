@@ -9,9 +9,9 @@
      demo      run the paper's running example end to end
 
    Every command returns its status code instead of ending the process:
-   a served job child runs [main] inside a fork of the daemon, where
-   ending the process early would run the daemon's [at_exit] handlers
-   and skip the child's own flush. *)
+   a served job child runs this code ([run_served]) inside a fork of the
+   daemon, where ending the process early would run the daemon's
+   [at_exit] handlers and skip the child's own flush. *)
 
 let read_file = Llhsc.Util.read_file
 
@@ -28,23 +28,10 @@ exception Interrupted of int
 (* Multi-error loading: report every syntax/merge error in the file, not
    just the first. *)
 let load_tree path =
-  match
-    Devicetree.Tree.of_source_diags ~loader:(Llhsc.Util.include_loader path) ~file:path
-      (read_file path)
-  with
-  | Ok tree -> tree
-  | Error errs -> raise (Diag.Errors (List.map Diag.parse_error errs))
-
-(* The .yaml/.yml files of a --schemas directory, in name order. *)
-let schema_files = function
-  | None -> []
-  | Some dir ->
-    Sys.readdir dir |> Array.to_list |> List.sort String.compare
-    |> List.filter (fun f -> Filename.check_suffix f ".yaml" || Filename.check_suffix f ".yml")
-    |> List.map (Filename.concat dir)
+  Fleet.Spec.parse_tree ~loader:(Llhsc.Util.include_loader path) ~file:path (read_file path)
 
 let load_schemas dir =
-  List.map (fun f -> Schema.Binding.of_string (read_file f)) (schema_files dir)
+  List.map (fun f -> Schema.Binding.of_string (read_file f)) (Fleet.Spec.schema_files dir)
 
 let print_findings findings =
   List.iter (fun f -> Fmt.pr "%a@." Llhsc.Report.pp f) findings
@@ -78,10 +65,9 @@ let print_cert_failures (r : Smt.Solver.cert_report) =
     (fun msg -> Fmt.epr "%a@." Diag.pp (Diag.make ~code:"CERT" "%s" msg))
     r.Smt.Solver.failures
 
-let cmd_check dts_path schema_dir semantic_only syntactic_only certify =
-  handle_errors @@ fun () ->
-  let tree = load_tree dts_path in
-  let schemas = load_schemas schema_dir in
+(* What `check` runs once it has read its file, and a served /v1/check on
+   the request body. *)
+let check_tree ~file tree schemas semantic_only syntactic_only certify =
   let solver = Smt.Solver.create ~certify () in
   let syntactic =
     if semantic_only || schemas = [] then []
@@ -89,7 +75,7 @@ let cmd_check dts_path schema_dir semantic_only syntactic_only certify =
   in
   let semantic = if syntactic_only then [] else Llhsc.Semantic.check ~solver tree in
   let findings = syntactic @ semantic in
-  if findings = [] then Fmt.pr "%s: all checks passed@." dts_path
+  if findings = [] then Fmt.pr "%s: all checks passed@." file
   else print_findings findings;
   if certify then begin
     let r = Smt.Solver.cert_report solver in
@@ -98,6 +84,11 @@ let cmd_check dts_path schema_dir semantic_only syntactic_only certify =
     if r.Smt.Solver.failures <> [] then 1 else exit_of_findings findings
   end
   else exit_of_findings findings
+
+let cmd_check dts_path schema_dir semantic_only syntactic_only certify =
+  handle_errors @@ fun () ->
+  let tree = load_tree dts_path in
+  check_tree ~file:dts_path tree (load_schemas schema_dir) semantic_only syntactic_only certify
 
 (* --- products -------------------------------------------------------------------- *)
 
@@ -137,15 +128,7 @@ let cmd_products fm_path count_only show_dead show_anomalies =
 
 let cmd_analyze deltas_paths fm_path =
   handle_errors @@ fun () ->
-  let deltas =
-    let all =
-      List.concat_map
-        (fun f -> Delta.Parse.parse ~validate_refs:false ~file:f (read_file f))
-        deltas_paths
-    in
-    Delta.Parse.validate all;
-    all
-  in
+  let deltas = Delta.Parse.parse_files (List.map (fun f -> (f, read_file f)) deltas_paths) in
   let model = Featuremodel.Parse.parse (read_file fm_path) in
   let r = Delta.Analysis.analyze ~model deltas in
   Fmt.pr "%a" Delta.Analysis.pp r;
@@ -230,62 +213,66 @@ let check_limits mem_limit cpu_limit =
     failwith (Printf.sprintf "--cpu-limit wants a positive second count, got %d" c)
   | _ -> ()
 
-(* The per-task lease of `pipeline` and `dispatch`.  Without an explicit
-   --task-deadline, derive one from the per-query solver timeout: a
-   lease covers a whole task (at most a chunk of obligations), so give
-   it a generous multiple plus slack.  [None] when neither flag is
-   given. *)
-let task_deadline_of task_deadline timeout =
-  match (task_deadline, timeout) with
-  | Some d, _ when d <= 0. ->
+let check_deadline = function
+  | Some d when d <= 0. ->
     failwith (Printf.sprintf "--task-deadline wants a positive duration, got %g" d)
+  | _ -> ()
+
+(* A run's per-task lease: the pool's own, else one derived from the
+   per-query solver timeout — a lease covers a whole task (at most a
+   chunk of obligations), so a generous multiple plus slack — else none:
+   supervision must never kill a legitimately slow unbudgeted run. *)
+let task_lease (pool : Fleet.Spec.pool) (spec : Fleet.Spec.t) =
+  match (pool.task_deadline, spec.solver_timeout) with
   | (Some _ as d), _ -> d
   | None, Some t -> Some ((t *. 32.) +. 10.)
   | None, None -> None
 
 (* The checked products' DTS plus the Bao platform.c and config.c, into
-   [dir]; [wrote path] runs after each file commits. *)
-let write_artifacts ~wrote dir outcome =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let products = outcome.Llhsc.Pipeline.products in
-  let emit name contents =
-    let path = Filename.concat dir name in
-    write_file path contents;
-    wrote path
-  in
-  List.iter
-    (fun p ->
-      emit (p.Llhsc.Pipeline.name ^ ".dts")
-        (Devicetree.Printer.to_string p.Llhsc.Pipeline.tree))
-    products;
-  (match List.find_opt (fun p -> p.Llhsc.Pipeline.name = "platform") products with
-   | Some platform ->
-     emit "platform.c" (Bao.Platform.to_c (Bao.Platform.of_tree platform.Llhsc.Pipeline.tree))
-   | None -> ());
-  let vm_products = List.filter (fun p -> p.Llhsc.Pipeline.name <> "platform") products in
-  emit "config.c"
-    (Bao.Config.to_c
-       (Bao.Config.of_vm_trees
-          (List.map (fun p -> (p.Llhsc.Pipeline.name, p.Llhsc.Pipeline.tree)) vm_products)))
+   [dir], if the run passed its checks; [wrote path] runs after each file
+   commits, [finished dir] after the last. *)
+let write_artifacts ?(wrote = ignore) ?(finished = ignore) dir outcome =
+  if not (Llhsc.Pipeline.ok outcome) then Fmt.pr "checks failed; not writing artifacts@."
+  else begin
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    let products = outcome.Llhsc.Pipeline.products in
+    let emit name contents =
+      let path = Filename.concat dir name in
+      write_file path contents;
+      wrote path
+    in
+    List.iter
+      (fun p ->
+        emit (p.Llhsc.Pipeline.name ^ ".dts")
+          (Devicetree.Printer.to_string p.Llhsc.Pipeline.tree))
+      products;
+    (match List.find_opt (fun p -> p.Llhsc.Pipeline.name = "platform") products with
+     | Some platform ->
+       emit "platform.c" (Bao.Platform.to_c (Bao.Platform.of_tree platform.Llhsc.Pipeline.tree))
+     | None -> ());
+    let vm_products = List.filter (fun p -> p.Llhsc.Pipeline.name <> "platform") products in
+    emit "config.c"
+      (Bao.Config.to_c
+         (Bao.Config.of_vm_trees
+            (List.map (fun p -> (p.Llhsc.Pipeline.name, p.Llhsc.Pipeline.tree)) vm_products)));
+    finished dir
+  end
 
-let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features exclusive
-    out_dir max_conflicts timeout certify retry journal_path resume unsound jobs
-    task_deadline max_respawns mem_limit cpu_limit =
-  handle_errors @@ fun () ->
-  if jobs < 0 then
-    failwith
-      (Printf.sprintf "--jobs wants a worker count >= 0 (0 = auto-detect), got %d" jobs);
-  if max_respawns < 0 then
-    failwith (Printf.sprintf "--max-respawns wants a count >= 0, got %d" max_respawns);
-  (* No deadline at all when neither flag is given: supervision must
-     never kill a legitimately slow unbudgeted run. *)
-  let task_deadline = task_deadline_of task_deadline timeout in
-  check_limits mem_limit cpu_limit;
-  let spec, pipeline =
-    Fleet.Spec.load ~core:core_path ~deltas:deltas_path ~model:fm_path
-      ~schemas:(schema_files schema_dir) ~vms:vm_features ~exclusive ~certify
-      ~retry ~max_conflicts ~solver_timeout:timeout ~unsound
-  in
+(* `pipeline` and `dispatch`'s --out-dir: each artifact announced. *)
+let out_dir_artifacts out_dir outcome =
+  Option.iter (fun dir -> write_artifacts ~wrote:(Fmt.pr "wrote %s@.") dir outcome) out_dir
+
+(* The fleet in place of the local pool: workers get the spec the run was
+   loaded from, with the products replayed from the journal as its skip
+   list. *)
+let fleet cfg spec ~skip tasks = Fleet.Dispatch.run cfg ~spec:{ spec with Fleet.Spec.skip } tasks
+
+(* Run a loaded spec and print its report: the one runner behind `pipeline`,
+   `dispatch`, `build` and served pipeline jobs, so journal, resume,
+   report rendering and status codes are shared.  [runner], applied to
+   the spec, replaces the local pool; [out] runs on the outcome after the
+   report. *)
+let run_spec ?runner ?journal ?(resume = false) ?(out = ignore) pool (spec, pipeline) =
   (* The run spec holds every byte the parser read, /include/d files
      too, and every verdict-affecting flag: its digest is threaded into
      every journal record's content hash, so --resume re-checks when any
@@ -294,7 +281,7 @@ let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features ex
   let resume_entries =
     if not resume then []
     else
-      match journal_path with
+      match journal with
       | Some path ->
         (* Quiet fsck first: surface (on stderr, never in the report) why
            a journal will not be trusted, instead of silently re-checking
@@ -317,9 +304,7 @@ let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features ex
         Llhsc.Journal.load ~path ~inputs_hash
       | None -> failwith "--resume requires --journal FILE"
   in
-  let sink =
-    Option.map (fun path -> Llhsc.Journal.open_ ~path ~inputs_hash) journal_path
-  in
+  let sink = Option.map (fun path -> Llhsc.Journal.open_ ~path ~inputs_hash) journal in
   (* Make an interrupted run journal-clean: the handler raises, the
      journal is flushed/closed, and the run ends with the conventional
      128+signal code.  Records are individually fsync'd, so everything
@@ -336,14 +321,15 @@ let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features ex
   in
   match
     pipeline
-      (Llhsc.Pipeline.run ~inputs_hash ?journal:sink ~resume:resume_entries ~jobs
-         ?task_deadline ~max_respawns ?mem_limit ?cpu_limit
+      (Llhsc.Pipeline.run ~inputs_hash ?journal:sink ~resume:resume_entries
+         ~jobs:pool.Fleet.Spec.jobs ?task_deadline:(task_lease pool spec)
+         ~max_respawns:pool.max_respawns ?mem_limit:pool.mem_limit ?cpu_limit:pool.cpu_limit
          ?runner:(Option.map (fun runner -> runner spec) runner))
   with
   | exception Interrupted s ->
     restore ();
     Option.iter Llhsc.Journal.close sink;
-    (match journal_path with
+    (match journal with
      | Some path ->
        Fmt.epr "interrupted by signal %d: journal %s synced; rerun with --resume@." s path
      | None -> Fmt.epr "interrupted by signal %d@." s);
@@ -359,12 +345,24 @@ let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features ex
     | rs -> Fmt.epr "resume: replayed from journal: %s@." (String.concat ", " rs)
   end;
   Fmt.pr "%a" Llhsc.Pipeline.pp_outcome outcome;
-  (match out_dir with
-   | Some dir when Llhsc.Pipeline.ok outcome ->
-     write_artifacts ~wrote:(Fmt.pr "wrote %s@.") dir outcome
-   | Some _ -> Fmt.pr "checks failed; not writing artifacts@."
-   | None -> ());
+  out outcome;
   exit_of_outcome outcome
+
+(* [load] reads and parses the inputs the flags name (see [spec_term]),
+   after every flag check. *)
+let cmd_pipeline load out_dir journal resume jobs task_deadline max_respawns mem_limit
+    cpu_limit =
+  handle_errors @@ fun () ->
+  if jobs < 0 then
+    failwith
+      (Printf.sprintf "--jobs wants a worker count >= 0 (0 = auto-detect), got %d" jobs);
+  if max_respawns < 0 then
+    failwith (Printf.sprintf "--max-respawns wants a count >= 0, got %d" max_respawns);
+  check_deadline task_deadline;
+  check_limits mem_limit cpu_limit;
+  run_spec ?journal ~resume ~out:(out_dir_artifacts out_dir)
+    { Fleet.Spec.jobs; task_deadline; max_respawns; mem_limit; cpu_limit }
+    (load ())
 
 (* --- journal maintenance ----------------------------------------------------------- *)
 
@@ -434,10 +432,8 @@ let read_secret_file path =
   if s = "" then failwith (Printf.sprintf "secret file %s is empty" path);
   s
 
-let cmd_dispatch listen min_workers wait_workers port_file secret_file
-    core_path deltas_path fm_path schema_dir vm_features
-    exclusive out_dir max_conflicts timeout certify retry journal_path resume
-    unsound task_deadline =
+let cmd_dispatch listen min_workers wait_workers port_file secret_file load out_dir
+    journal resume task_deadline =
   handle_errors @@ fun () ->
   let host, port = parse_hostport "--listen" listen in
   let secret = Option.map read_secret_file secret_file in
@@ -448,30 +444,24 @@ let cmd_dispatch listen min_workers wait_workers port_file secret_file
   (* Before planning, which can take a while: the closed marker of an
      earlier run on this path must not retire this run's workers. *)
   Option.iter Fleet.Dispatch.clear_port_file port_file;
+  check_deadline task_deadline;
+  let pool = { Fleet.Spec.default_pool with task_deadline } in
+  let spec, pipeline = load () in
   (* A remote lease must always expire eventually — a partitioned worker
      holds its tasks until then — so unlike the local pool there is a
      hard default. *)
-  let deadline = Option.value ~default:60. (task_deadline_of task_deadline timeout) in
   let cfg =
-    { Fleet.Dispatch.host; port; min_workers; wait_workers; deadline;
+    { Fleet.Dispatch.host; port; min_workers; wait_workers;
+      deadline = Option.value ~default:60. (task_lease pool spec);
       port_file; secret;
       (* The task journal rides next to the product journal: the
          product journal replays finished products on --resume, the
          task journal replays finished tasks of the interrupted sweep. *)
-      task_journal = Option.map (fun p -> p ^ ".tasks") journal_path;
+      task_journal = Option.map (fun p -> p ^ ".tasks") journal;
       resume }
   in
-  (* Workers get the spec `pipeline` built, with the products replayed
-     from the journal as its skip list. *)
-  let runner spec ~skip tasks =
-    Fleet.Dispatch.run cfg ~spec:{ spec with Fleet.Spec.skip } tasks
-  in
-  (* Same driver as `pipeline`, with the fleet in place of the local
-     pool: spec, journal, resume, report rendering and status codes are
-     shared, and the local-pool knobs are fixed to their no-op values. *)
-  cmd_pipeline ~runner core_path deltas_path fm_path schema_dir vm_features
-    exclusive out_dir max_conflicts timeout certify retry journal_path resume
-    unsound 1 None 8 None None
+  run_spec ~runner:(fleet cfg) ?journal ~resume ~out:(out_dir_artifacts out_dir) pool
+    (spec, pipeline)
 
 let cmd_worker connect port_file max_reconnects mem_limit cpu_limit secret_file
     =
@@ -495,7 +485,31 @@ let cmd_worker connect port_file max_reconnects mem_limit cpu_limit secret_file
 
 (* --- serve ------------------------------------------------------------------------ *)
 
-let cmd_serve entry host port workers queue tenant_quota request_deadline
+(* What a served job child runs on its job: a /v1/check body goes through
+   `check`'s code with no /include/ to resolve, a /v1/pipeline spec
+   through the spec runner.  A claimed --dispatch address makes the child
+   that run's fleet dispatcher, configured as `dispatch` defaults would
+   configure it, with a short registration grace. *)
+let run_served secret_file = function
+  | Serve.Server.Check { file; text; certify; semantic_only; syntactic_only } ->
+    handle_errors @@ fun () ->
+    let tree = Fleet.Spec.parse_tree ~loader:(fun _ -> None) ~file text in
+    check_tree ~file tree [] semantic_only syntactic_only certify
+  | Serve.Server.Pipeline { spec; pool; dispatch } ->
+    handle_errors @@ fun () ->
+    let runner =
+      Option.map
+        (fun (host, port) ->
+          fleet
+            { Fleet.Dispatch.host; port; min_workers = 1; wait_workers = 2.;
+              deadline = Option.value ~default:60. (task_lease pool spec);
+              port_file = None; secret = Option.map read_secret_file secret_file;
+              task_journal = None; resume = false })
+        dispatch
+    in
+    run_spec ?runner pool (spec, Fleet.Spec.pipeline spec)
+
+let cmd_serve host port workers queue tenant_quota request_deadline
     read_timeout write_timeout max_body max_header retry_after max_request_jobs
     dispatch dispatch_secret_file verbose =
   handle_errors @@ fun () ->
@@ -533,11 +547,10 @@ let cmd_serve entry host port workers queue tenant_quota request_deadline
   (match dispatch_secret_file with
    | Some p -> ignore (read_secret_file p) (* fail fast, before the first job *)
    | None -> ());
-  Serve.Server.run ~entry
+  Serve.Server.run ~run:(run_served dispatch_secret_file)
     { Serve.Server.host; port; workers; queue; tenant_quota; request_deadline;
       read_timeout; write_timeout; max_body_bytes = max_body;
-      max_header_bytes = max_header; retry_after; max_request_jobs; dispatch;
-      dispatch_secret_file; verbose }
+      max_header_bytes = max_header; retry_after; max_request_jobs; dispatch; verbose }
 
 (* --- dtb -------------------------------------------------------------------------- *)
 
@@ -579,84 +592,16 @@ let cmd_diff a_path b_path =
 
 (* --- build (project file) ----------------------------------------------------------- *)
 
-(* Project file (YAML):
-     core: board.dts
-     deltas: [board.deltas, extra.deltas]
-     model: board.fm
-     schemas: schemas          # directory
-     exclusive: [cpus]
-     vms:
-       - name: vm1
-         features: [memory, cpu@0]
-     output: out               # optional artifact directory
-     jobs: 4                   # optional check-phase worker processes (0 = auto-detect cores)
-   Paths are relative to the project file. *)
-let cmd_build project_path =
+(* The run a project file describes (see [Fleet.Spec.of_project]). *)
+let cmd_build project =
   handle_errors @@ fun () ->
-  let dir = Filename.dirname project_path in
-  let resolve p = if Filename.is_relative p then Filename.concat dir p else p in
-  let y = Schema.Yaml_lite.parse (read_file project_path) in
-  let str_field name =
-    match Option.bind (Schema.Yaml_lite.find name y) Schema.Yaml_lite.as_string with
-    | Some s -> s
-    | None -> failwith (Printf.sprintf "project file: missing %S" name)
+  let spec, pool, output, pipeline = Fleet.Spec.of_project project in
+  let out outcome =
+    Option.iter
+      (fun dir -> write_artifacts ~finished:(Fmt.pr "artifacts written to %s@.") dir outcome)
+      output
   in
-  let str_list name =
-    match Schema.Yaml_lite.find name y with
-    | Some (Schema.Yaml_lite.List items) ->
-      List.filter_map Schema.Yaml_lite.as_string items
-    | Some (Schema.Yaml_lite.Str s) -> [ s ]
-    | _ -> []
-  in
-  let core = load_tree (resolve (str_field "core")) in
-  let deltas =
-    let files = match str_list "deltas" with [] -> failwith "project file: missing deltas" | fs -> fs in
-    let all =
-      List.concat_map
-        (fun f -> Delta.Parse.parse ~validate_refs:false ~file:f (read_file (resolve f)))
-        files
-    in
-    Delta.Parse.validate all;
-    all
-  in
-  let model = Featuremodel.Parse.parse (read_file (resolve (str_field "model"))) in
-  let schemas =
-    match Option.bind (Schema.Yaml_lite.find "schemas" y) Schema.Yaml_lite.as_string with
-    | Some d -> load_schemas (Some (resolve d))
-    | None -> []
-  in
-  let vms =
-    match Schema.Yaml_lite.find "vms" y with
-    | Some (Schema.Yaml_lite.List items) ->
-      List.map
-        (fun item ->
-          match Schema.Yaml_lite.find "features" item with
-          | Some (Schema.Yaml_lite.List fs) -> List.filter_map Schema.Yaml_lite.as_string fs
-          | _ -> failwith "project file: vm entry missing features")
-        items
-    | _ -> failwith "project file: missing vms"
-  in
-  let exclusive = str_list "exclusive" in
-  let jobs =
-    (* 0 = auto-detect online cores, mirroring --jobs 0. *)
-    match Option.bind (Schema.Yaml_lite.find "jobs" y) Schema.Yaml_lite.as_int with
-    | Some n when Int64.compare n 0L >= 0 -> Int64.to_int n
-    | Some n -> failwith (Printf.sprintf "project file: jobs must be >= 0, got %Ld" n)
-    | None -> 1
-  in
-  let outcome =
-    Llhsc.Pipeline.run ~exclusive ~jobs ~model ~core ~deltas
-      ~schemas_for:(fun _ -> schemas) ~vm_requests:vms ()
-  in
-  Fmt.pr "%a" Llhsc.Pipeline.pp_outcome outcome;
-  (match Option.bind (Schema.Yaml_lite.find "output" y) Schema.Yaml_lite.as_string with
-   | Some out when Llhsc.Pipeline.ok outcome ->
-     let out = resolve out in
-     write_artifacts ~wrote:ignore out outcome;
-     Fmt.pr "artifacts written to %s@." out
-   | Some _ -> Fmt.pr "checks failed; not writing artifacts@."
-   | None -> ());
-  exit_of_outcome outcome
+  run_spec ~out pool (spec, pipeline)
 
 (* --- overlay ---------------------------------------------------------------------- *)
 
@@ -897,6 +842,18 @@ let pl_unsound =
                  force-unknown:N) to exercise certification and \
                  escalation paths.")
 
+(* The run spec `pipeline` and `dispatch` load from their shared flags,
+   as a thunk their own flag checks run before. *)
+let spec_term =
+  let load core deltas model schema_dir vms exclusive max_conflicts solver_timeout certify
+      retry unsound () =
+    Fleet.Spec.load ~core ~deltas ~model ~schemas:(Fleet.Spec.schema_files schema_dir) ~vms
+      ~exclusive ~certify ~retry ~max_conflicts ~solver_timeout ~unsound
+  in
+  Term.(
+    const load $ pl_core $ pl_deltas $ pl_fm $ schema_dir_arg $ pl_vms $ pl_exclusive
+    $ pl_max_conflicts $ pl_timeout $ certify_arg $ pl_retry $ pl_unsound)
+
 let pipeline_cmd =
   let jobs =
     Arg.(value & opt int 1
@@ -942,10 +899,8 @@ let pipeline_cmd =
   in
   Cmd.v
     (Cmd.info "pipeline" ~doc:"Run the full llhsc workflow (Fig. 2)")
-    Term.(const (cmd_pipeline ?runner:None) $ pl_core $ pl_deltas $ pl_fm $ schema_dir_arg $ pl_vms
-          $ pl_exclusive $ pl_out $ pl_max_conflicts $ pl_timeout $ certify_arg
-          $ pl_retry $ pl_journal $ pl_resume $ pl_unsound
-          $ jobs $ task_deadline $ max_respawns $ mem_limit $ cpu_limit)
+    Term.(const cmd_pipeline $ spec_term $ pl_out $ pl_journal $ pl_resume $ jobs
+          $ task_deadline $ max_respawns $ mem_limit $ cpu_limit)
 
 let dispatch_cmd =
   let listen =
@@ -1012,11 +967,8 @@ let dispatch_cmd =
                duplicated results.  If the fleet shrinks below \
                --min-workers, remaining tasks finish in-process — a run \
                that loses every worker still completes." ])
-    Term.(const cmd_dispatch $ listen $ min_workers $ wait_workers
-          $ port_file $ secret_file $ pl_core $ pl_deltas
-          $ pl_fm $ schema_dir_arg $ pl_vms
-          $ pl_exclusive $ pl_out $ pl_max_conflicts $ pl_timeout $ certify_arg
-          $ pl_retry $ pl_journal $ pl_resume $ pl_unsound $ task_deadline)
+    Term.(const cmd_dispatch $ listen $ min_workers $ wait_workers $ port_file
+          $ secret_file $ spec_term $ pl_out $ pl_journal $ pl_resume $ task_deadline)
 
 let worker_cmd =
   let connect =
@@ -1122,9 +1074,7 @@ let sat_cmd =
     (Cmd.info "sat" ~doc:"Solve a DIMACS CNF file (optionally certifying the verdict)")
     Term.(const cmd_sat $ cnf $ certify_arg $ unsound)
 
-(* [entry] is what each admitted job runs in its forked child: this
-   whole command line, [main] below. *)
-let serve_cmd ~entry =
+let serve_cmd =
   let host =
     Arg.(value & opt string Serve.Server.default_config.Serve.Server.host
          & info [ "host" ] ~docv:"ADDR" ~doc:"Bind address.")
@@ -1137,8 +1087,8 @@ let serve_cmd ~entry =
     Arg.(value & opt int Serve.Server.default_config.Serve.Server.workers
          & info [ "workers" ] ~docv:"N"
              ~doc:"Maximum concurrently running check jobs.  Each job is a \
-                   forked child running this command line, so a crashed or \
-                   hung check never takes the daemon down.")
+                   forked child running the batch command's code, so a \
+                   crashed or hung check never takes the daemon down.")
   in
   let queue =
     Arg.(value & opt int Serve.Server.default_config.Serve.Server.queue
@@ -1203,8 +1153,8 @@ let serve_cmd ~entry =
          & info [ "dispatch" ] ~docv:"HOST:PORT[,...]"
              ~doc:"Fleet backend: a comma-separated pool of listen \
                    addresses.  Each running pipeline job claims a free \
-                   address and is spawned as $(b,llhsc dispatch --listen) \
-                   on it, so operator-run $(b,llhsc worker) processes \
+                   address and runs as a $(b,dispatch) listening on it, \
+                   so operator-run $(b,llhsc worker) processes \
                    pointed at the pool execute the tasks.  With no free \
                    address the job falls back to the local fork pool, and \
                    a dispatcher that finds no worker (or cannot bind) \
@@ -1215,8 +1165,8 @@ let serve_cmd ~entry =
   let dispatch_secret_file =
     Arg.(value & opt (some string) None
          & info [ "dispatch-secret-file" ] ~docv:"FILE"
-             ~doc:"Shared fleet secret passed to each spawned dispatcher \
-                   as --secret-file; workers must authenticate before \
+             ~doc:"Shared fleet secret of each job's dispatcher, as its \
+                   --secret-file; workers must authenticate before \
                    receiving any work.")
   in
   let verbose =
@@ -1231,12 +1181,14 @@ let serve_cmd ~entry =
                parameters) and POST /v1/pipeline (JSON body shipping the \
                core DTS, delta modules, feature model, schemas and VM \
                selections inline), plus GET /healthz, /readyz and \
-               /v1/stats.  Each admitted request runs the batch command \
-               line in a forked child of the daemon, in a private working \
-               directory, so served verdicts are byte-identical to the \
-               batch CLI on the same inputs.  SIGTERM drains gracefully: stop accepting, answer \
-               every admitted request, then end with status 0." ])
-    Term.(const (cmd_serve entry) $ host $ port $ workers $ queue $ tenant_quota
+               /v1/stats.  Each admitted request is decoded in memory and \
+               run by the batch command's code in a forked child of the \
+               daemon, so served verdicts are byte-identical to the batch \
+               CLI on the same inputs; an /include/ resolves among the \
+               request's shipped files only.  SIGTERM drains gracefully: \
+               stop accepting, answer every admitted request, then end \
+               with status 0." ])
+    Term.(const cmd_serve $ host $ port $ workers $ queue $ tenant_quota
           $ request_deadline $ read_timeout $ write_timeout $ max_body $ max_header
           $ retry_after $ max_request_jobs $ dispatch $ dispatch_secret_file $ verbose)
 
@@ -1274,7 +1226,7 @@ let demo_cmd =
 
 (* A malformed fault schedule would silently run with no fault, so it
    stops every subcommand before any work. *)
-let rec main argv =
+let main argv =
   match Llhsc.Fault.check () with
   | Error msg ->
     Fmt.epr "%a@." Diag.pp (Diag.make ~code:"FAULT" "%s" msg);
@@ -1286,5 +1238,5 @@ let rec main argv =
             ~doc:"DeviceTree syntax and semantic checker for static-partitioning hypervisors")
          [ check_cmd; products_cmd; configure_cmd; analyze_cmd; generate_cmd;
            pipeline_cmd; dispatch_cmd; worker_cmd; build_cmd; dtb_cmd; diff_cmd;
-           overlay_cmd; smt2_cmd; sat_cmd; serve_cmd ~entry:main; journal_cmd;
+           overlay_cmd; smt2_cmd; sat_cmd; serve_cmd; journal_cmd;
            demo_cmd ])

@@ -187,3 +187,10 @@ let parse ?(validate_refs = true) ~file src =
   let deltas = List.rev !deltas in
   if validate_refs then validate deltas;
   deltas
+
+let parse_files files =
+  let deltas =
+    List.concat_map (fun (file, src) -> parse ~validate_refs:false ~file src) files
+  in
+  validate deltas;
+  deltas

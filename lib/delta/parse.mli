@@ -20,3 +20,7 @@ val parse : ?validate_refs:bool -> file:string -> string -> Lang.t list
 
 (** Referential validation of a (possibly multi-file) delta set. *)
 val validate : Lang.t list -> unit
+
+(** A delta set spread over files, given as [(file, source)] in order:
+    each parsed under its own name, then validated as one set. *)
+val parse_files : (string * string) list -> Lang.t list

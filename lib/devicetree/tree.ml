@@ -229,19 +229,26 @@ let merge_at t ~path (ast : Ast.node) =
 
 (* --- building from AST -------------------------------------------------------------- *)
 
-let rec process_toplevels ~loader root = function
+(* dtc's bound on include nesting: anything deeper is a cycle, and a
+   cycle would otherwise never end.  A file included twice side by side
+   nests no deeper. *)
+let max_include_depth = 200
+
+let rec process_toplevels ?(depth = 0) ~loader root = function
   | [] -> root
   | item :: rest ->
     let root =
       match item with
       | Ast.Version_tag -> root
       | Ast.Memreserve _ -> root
+      | Ast.Include (_, loc) when depth >= max_include_depth ->
+        error loc "includes nested too deeply"
       | Ast.Include (file, loc) -> begin
         match loader file with
         | None -> error loc "cannot resolve /include/ %S" file
         | Some src ->
           let ast = Parser.parse ~file src in
-          process_toplevels ~loader root ast
+          process_toplevels ~depth:(depth + 1) ~loader root ast
       end
       | Ast.Root node -> merge_node root node
       | Ast.Ref_node (label, node) -> begin
@@ -255,7 +262,7 @@ let rec process_toplevels ~loader root = function
         | Some (path, _) -> remove_node root ~path
       end
     in
-    process_toplevels ~loader root rest
+    process_toplevels ~depth ~loader root rest
 
 let of_ast ?(loader = fun _ -> None) ast = process_toplevels ~loader empty ast
 
@@ -272,27 +279,30 @@ let of_source_diags ?(loader = fun _ -> None) ~file src =
     List.iter (fun (msg, loc) -> note msg loc) es;
     ast
   in
-  let rec go root = function
+  let rec go depth root = function
     | [] -> root
     | item :: rest ->
       let root =
         try
           match item with
+          | Ast.Include (_, loc) when depth >= max_include_depth ->
+            note "includes nested too deeply" loc;
+            root
           | Ast.Include (file, loc) -> begin
             match loader file with
             | None ->
               note (Fmt.str "cannot resolve /include/ %S" file) loc;
               root
-            | Some src -> go root (parse_one ~file src)
+            | Some src -> go (depth + 1) root (parse_one ~file src)
           end
           | item -> process_toplevels ~loader root [ item ]
         with Error (msg, loc) ->
           note msg loc;
           root
       in
-      go root rest
+      go depth root rest
   in
-  let root = go empty (parse_one ~file src) in
+  let root = go 0 empty (parse_one ~file src) in
   match !errs with [] -> Ok root | errs -> Result.Error errs
 
 let memreserves_of_ast ast =

@@ -1,17 +1,19 @@
 (* The one description of a pipeline run: every raw input byte and
    verdict-affecting flag, as one JSON value.
 
-   [load] builds it from the files the parser actually read, and
-   [parse] turns it back into [Pipeline] arguments: the CLI runs
-   [Pipeline.run] on those, and a fleet worker's [build] runs
-   [Pipeline.plan_tasks] on the same arguments rebuilt from the shipped
-   texts (same file-name strings, so diagnostic locations match
-   byte-for-byte).  Planning is deterministic in these inputs plus
-   [skip], so dispatcher and workers agree on the task array — index [i]
-   means the same closure everywhere — and [hash] (a digest of the
-   canonical JSON rendering) is the proof of that agreement: it rides on
-   every task message and result, and a mismatch means the peer planned
-   a different run.  The product journal keys on the same digest. *)
+   Three front doors build it: [load] from the files the parser actually
+   read (`pipeline`, `dispatch`), [of_project] from a project file
+   (`build`) and [of_request] from a served /v1/pipeline body.  [parse]
+   turns it into [Pipeline] arguments: the CLI's spec runner applies them
+   to [Pipeline.run], and a fleet worker's [build] applies the same
+   arguments, rebuilt from the shipped texts (same file-name strings, so
+   diagnostic locations match byte-for-byte), to [Pipeline.plan_tasks].
+   Planning is deterministic in these inputs plus [skip], so dispatcher
+   and workers agree on the task array — index [i] means the same
+   closure everywhere — and [hash] (a digest of the canonical JSON
+   rendering) is the proof of that agreement: it rides on every task
+   message and result, and a mismatch means the peer planned a different
+   run.  The product journal keys on the same digest. *)
 
 module Json = Llhsc.Json
 module Pipeline = Llhsc.Pipeline
@@ -33,6 +35,17 @@ type t = {
   unsound : string option;
   skip : string list; (* products the dispatcher replayed from its journal *)
 }
+
+type pool = {
+  jobs : int;
+  task_deadline : float option;
+  max_respawns : int;
+  mem_limit : int option;
+  cpu_limit : int option;
+}
+
+let default_pool =
+  { jobs = 1; task_deadline = None; max_respawns = 8; mem_limit = None; cpu_limit = None }
 
 (* --- JSON ------------------------------------------------------------------- *)
 
@@ -148,16 +161,18 @@ type 'a pipeline =
   unit ->
   'a
 
+let parse_tree ~loader ~file text =
+  match Devicetree.Tree.of_source_diags ~loader ~file text with
+  | Ok tree -> tree
+  | Error errs -> raise (Diag.Errors (List.map Diag.parse_error errs))
+
 (* The texts parse now, in the CLI's order; the flags decode only once
    the result meets its [Pipeline] function, so whatever the caller does
-   in between (the CLI opens its journal) still comes first. *)
-let parse ~loader s : 'a pipeline -> 'a =
-  let core =
-    match Devicetree.Tree.of_source_diags ~loader ~file:s.core.file s.core.text with
-    | Ok tree -> tree
-    | Error errs -> raise (Diag.Errors (List.map Diag.parse_error errs))
-  in
-  let deltas = Delta.Parse.parse ~file:s.deltas.file s.deltas.text in
+   in between (the CLI opens its journal) still comes first.  [deltas]
+   are the delta files, each under its own name. *)
+let parse ~loader ~deltas s : 'a pipeline -> 'a =
+  let core = parse_tree ~loader ~file:s.core.file s.core.text in
+  let deltas = Delta.Parse.parse_files (List.map (fun d -> (d.file, d.text)) deltas) in
   let model = Featuremodel.Parse.parse s.model in
   let schemas = List.map Schema.Binding.of_string s.schemas in
   fun f ->
@@ -168,11 +183,21 @@ let parse ~loader s : 'a pipeline -> 'a =
       ?unsound:(Option.map Sat.Solver.unsound_of_string s.unsound)
       ~model ~core ~deltas ~schemas_for:(fun _ -> schemas) ~vm_requests:s.vms ()
 
-let load ~core ~deltas ~model ~schemas ~vms ~exclusive ~certify ~retry
+(* Includes resolve by their literal name against the shipped file set:
+   the key [load] recorded them under, so resolution cannot diverge. *)
+let pipeline s =
+  parse ~loader:(fun name -> List.assoc_opt name s.files) ~deltas:[ s.deltas ] s
+
+(* [deltas] pairs each delta file's name in diagnostics with its path.
+   The record holds one delta input, so several files are recorded in
+   order, joined by newlines, under the first one's name: the digest
+   covers every byte, and the returned arguments parse each file under
+   its own name. *)
+let of_files ~core ~deltas ~model ~schemas ~vms ~exclusive ~certify ~retry
     ~max_conflicts ~solver_timeout ~unsound =
   let read = Llhsc.Util.read_file in
   let core = { file = core; text = read core } in
-  let deltas = { file = deltas; text = read deltas } in
+  let delta_inputs = List.map (fun (file, path) -> { file; text = read path }) deltas in
   let model = read model in
   let schemas = List.map read schemas in
   (* Each /include/d file is recorded under its literal name, the key a
@@ -187,22 +212,171 @@ let load ~core ~deltas ~model ~schemas ~vms ~exclusive ~certify ~retry
       Option.iter (fun text -> files := (name, text) :: !files) text;
       text
   in
+  let deltas =
+    { file = (List.hd delta_inputs).file;
+      text = String.concat "\n" (List.map (fun d -> d.text) delta_inputs) }
+  in
   let spec =
     { core; deltas; model; schemas; files = []; vms; exclusive; certify; retry;
       max_conflicts; solver_timeout; unsound; skip = [] }
   in
-  let pipeline = parse ~loader spec in
+  let pipeline = parse ~loader ~deltas:delta_inputs spec in
   ({ spec with files = List.rev !files }, pipeline)
+
+let load ~core ~deltas = of_files ~core ~deltas:[ (deltas, deltas) ]
+
+let schema_files = function
+  | None -> []
+  | Some dir ->
+    Sys.readdir dir |> Array.to_list |> List.sort String.compare
+    |> List.filter (fun f -> Filename.check_suffix f ".yaml" || Filename.check_suffix f ".yml")
+    |> List.map (Filename.concat dir)
+
+(* --- the project file ---------------------------------------------------------- *)
+
+(* Project file (YAML):
+     core: board.dts
+     deltas: [board.deltas, extra.deltas]
+     model: board.fm
+     schemas: schemas          # directory
+     exclusive: [cpus]
+     vms:
+       - name: vm1
+         features: [memory, cpu@0]
+     output: out               # optional artifact directory
+     jobs: 4                   # optional check-phase worker processes (0 = auto-detect cores)
+   Paths are relative to the project file; delta files keep the names
+   written there. *)
+let of_project path =
+  let module Y = Schema.Yaml_lite in
+  let dir = Filename.dirname path in
+  let resolve p = if Filename.is_relative p then Filename.concat dir p else p in
+  let y = Y.parse (Llhsc.Util.read_file path) in
+  let str name = Option.bind (Y.find name y) Y.as_string in
+  let field name =
+    match str name with
+    | Some s -> resolve s
+    | None -> failwith (Printf.sprintf "project file: missing %S" name)
+  in
+  let str_list name =
+    match Y.find name y with
+    | Some (Y.List items) -> List.filter_map Y.as_string items
+    | Some (Y.Str s) -> [ s ]
+    | _ -> []
+  in
+  let core = field "core" in
+  let deltas =
+    match str_list "deltas" with
+    | [] -> failwith "project file: missing deltas"
+    | fs -> List.map (fun f -> (f, resolve f)) fs
+  in
+  let model = field "model" in
+  let vms =
+    match Y.find "vms" y with
+    | Some (Y.List items) ->
+      List.map
+        (fun item ->
+          match Y.find "features" item with
+          | Some (Y.List fs) -> List.filter_map Y.as_string fs
+          | _ -> failwith "project file: vm entry missing features")
+        items
+    | _ -> failwith "project file: missing vms"
+  in
+  let jobs =
+    (* 0 = auto-detect online cores, mirroring --jobs 0. *)
+    match Option.bind (Y.find "jobs" y) Y.as_int with
+    | Some n when Int64.compare n 0L >= 0 -> Int64.to_int n
+    | Some n -> failwith (Printf.sprintf "project file: jobs must be >= 0, got %Ld" n)
+    | None -> 1
+  in
+  let spec, pipeline =
+    of_files ~core ~deltas ~model
+      ~schemas:(schema_files (Option.map resolve (str "schemas")))
+      ~vms ~exclusive:(str_list "exclusive") ~certify:false ~retry:None
+      ~max_conflicts:None ~solver_timeout:None ~unsound:None
+  in
+  (spec, { default_pool with jobs }, Option.map resolve (str "output"), pipeline)
+
+(* --- the served request ---------------------------------------------------------- *)
+
+let safe_name name =
+  name <> ""
+  && String.length name <= 64
+  && name.[0] <> '.'
+  && String.for_all
+       (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-' -> true | _ -> false)
+       name
+
+(* The names a job's report shows are the ones a served job always saw:
+   core.dts, board.deltas, the [files] entries.  Schemas are named only to
+   be ordered. *)
+let of_request ~max_jobs body =
+  let ( let* ) = Result.bind in
+  let* body = Result.map_error (fun msg -> "request body: " ^ msg) (Json.parse body) in
+  let str name = Option.bind (Json.member name body) Json.to_str in
+  let positive name =
+    match Option.bind (Json.member name body) Json.to_int with
+    | Some n when n > 0 -> Some n
+    | _ -> None
+  in
+  let* core, deltas, model =
+    match (str "core", str "deltas", str "model") with
+    | Some c, Some d, Some m -> Ok (c, d, m)
+    | _ -> Error "missing \"core\"/\"deltas\"/\"model\" inputs"
+  in
+  let* vms =
+    let items = Option.value ~default:[] (Option.bind (Json.member "vms" body) Json.to_list) in
+    let vms = List.filter_map Json.to_str_list items in
+    if vms <> [] && List.length vms = List.length items then Ok vms
+    else Error "missing or malformed \"vms\" (want a non-empty list of feature lists)"
+  in
+  (* An object of name -> contents, every name [ok] and distinct. *)
+  let named what ok =
+    match Json.member (what ^ "s") body with
+    | None -> Ok []
+    | Some (Json.Obj fields) ->
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | (name, Json.Str text) :: rest when ok name && not (List.mem_assoc name acc) ->
+          go ((name, text) :: acc) rest
+        | (name, _) :: _ -> Error (Printf.sprintf "bad %s entry %S" what name)
+      in
+      go [] fields
+    | Some _ -> Error (Printf.sprintf "malformed \"%ss\" (want an object of file -> contents)" what)
+  in
+  let* schemas =
+    named "schema" (fun n ->
+        safe_name n && (Filename.check_suffix n ".yaml" || Filename.check_suffix n ".yml"))
+  in
+  let* files =
+    named "file" (fun n ->
+        safe_name n && not (List.mem n [ "core.dts"; "board.deltas"; "board.fm"; "schemas" ]))
+  in
+  let jobs =
+    match positive "jobs" with Some n when n > 1 -> min n (max 1 max_jobs) | _ -> 1
+  in
+  Ok
+    ( { core = { file = "core.dts"; text = core };
+        deltas = { file = "board.deltas"; text = deltas };
+        model;
+        schemas = List.map snd (List.sort (fun (a, _) (b, _) -> String.compare a b) schemas);
+        files;
+        vms;
+        exclusive =
+          Option.value ~default:[] (Option.bind (Json.member "exclusive" body) Json.to_str_list);
+        certify =
+          Option.value ~default:false (Option.bind (Json.member "certify" body) Json.to_bool);
+        retry = positive "retry";
+        max_conflicts = positive "max_conflicts";
+        solver_timeout = Option.map float_of_int (positive "solver_timeout");
+        unsound = None;
+        skip = [] },
+      { default_pool with jobs; mem_limit = positive "mem_limit"; cpu_limit = positive "cpu_limit" } )
 
 (* --- replanning -------------------------------------------------------------- *)
 
-(* Includes resolve by their literal name against the shipped file set:
-   the key [load] recorded them under, so resolution cannot diverge. *)
 let build s =
-  match
-    parse ~loader:(fun name -> List.assoc_opt name s.files) s
-      (Pipeline.plan_tasks ~skip:s.skip)
-  with
+  match pipeline s (Pipeline.plan_tasks ~skip:s.skip) with
   | tasks -> Ok tasks
   | exception e -> (
     match Diag.of_exn e with

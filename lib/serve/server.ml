@@ -1,10 +1,10 @@
 (* The serve daemon event loop.  See the .mli for the robustness
    contract.  Shape: one nonblocking select loop owns the listen socket,
    every client connection, a signal self-pipe, and the stdout/stderr
-   pipes of every running job child.  All checking work happens in job
-   children (fork + setsid + a call of the CLI entry), so the loop's only
-   blocking operations are tiny file writes at admission time; a hung or
-   crashed check can never stall the front door.
+   pipes of every running job child.  Admission decodes a request into a
+   typed job in memory; all checking work happens in job children (fork
+   + setsid + a call of the CLI's job runner), so the loop never blocks
+   on a check and a hung or crashed one can never stall the front door.
 
    Supervision mirrors the Shard pool's lease machinery one level up:
    a running job holds a lease (started now, expiring at now +
@@ -27,7 +27,6 @@ type config = {
   retry_after : int;
   max_request_jobs : int;
   dispatch : (string * int) list;
-  dispatch_secret_file : string option;
   verbose : bool;
 }
 
@@ -45,7 +44,6 @@ let default_config =
     retry_after = 1;
     max_request_jobs = 4;
     dispatch = [];
-    dispatch_secret_file = None;
     verbose = false }
 
 let now () = Unix.gettimeofday ()
@@ -55,24 +53,6 @@ let retry_eintr = Llhsc.Util.retry_eintr
    at once, and bytes of child output it will buffer per job. *)
 let max_connections = 1024
 let max_job_output = 64 * 1024 * 1024
-
-(* --- tiny fs helpers --------------------------------------------------------- *)
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error _ -> ()
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (try Sys.readdir path with _ -> [||]);
-    (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-
-(* Job inputs are plain exclusive-create writes, not Durable's
-   temp-file/fsync/rename commits: the job directory is private, the
-   child starts only after every write has returned, and the directory is
-   removed when the job ends, so a torn or lost file can never be read. *)
-let write_new path contents =
-  Out_channel.with_open_gen [ Open_wronly; Open_creat; Open_excl; Open_binary ] 0o600
-    path (fun oc -> output_string oc contents)
 
 (* --- responses --------------------------------------------------------------- *)
 
@@ -94,13 +74,25 @@ let shed_headers retry_after =
 
 (* --- jobs -------------------------------------------------------------------- *)
 
+type work =
+  | Check of {
+      file : string;
+      text : string;
+      certify : bool;
+      semantic_only : bool;
+      syntactic_only : bool;
+    }
+  | Pipeline of {
+      spec : Fleet.Spec.t;
+      pool : Fleet.Spec.pool;
+      dispatch : (string * int) option;
+    }
+
 type job = {
   id : int;
   tenant : string;
   mutable conn_fd : Unix.file_descr option; (* None once the client is gone *)
-  dir : string;
-  mutable argv : string array;              (* rewritten at start for fleet jobs *)
-  mutable fleet_addr : (string * int) option; (* claimed dispatch listen address *)
+  mutable work : work;                      (* given its dispatch address at start *)
   delay_ms : int;                           (* test hook, see .mli *)
   mutable cancelled : bool;                 (* client vanished while queued *)
   mutable tenant_released : bool;
@@ -136,149 +128,40 @@ type stats = {
   mutable backend_local : int;  (* pipeline jobs run by the local fork pool *)
 }
 
-(* --- request-to-argv preparation --------------------------------------------- *)
-
-(* Everything written under a job's working directory uses a vetted
-   relative file name: the request can pick what the report calls its
-   inputs (so served reports diff clean against the batch CLI run in the
-   same directory) but can never escape the job dir. *)
-let safe_name name =
-  name <> ""
-  && String.length name <= 64
-  && name.[0] <> '.'
-  && String.for_all
-       (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-' -> true | _ -> false)
-       name
+(* --- request decoding ---------------------------------------------------------- *)
 
 let truthy = function Some ("1" | "true" | "yes") -> true | _ -> false
 
 (* POST /v1/check: the body is the DTS source itself; query parameters
-   carry the CLI flags.  Returns the argv tail (after the binary name)
-   plus the files to materialise. *)
+   carry the CLI flags, and X-Llhsc-Filename what the report calls the
+   file (so a served report diffs clean against the batch CLI). *)
 let prepare_check req params =
-  let fname =
-    match Http.header req "x-llhsc-filename" with
-    | Some n -> n
-    | None -> "request.dts"
-  in
-  if not (safe_name fname) then
+  let file = Option.value ~default:"request.dts" (Http.header req "x-llhsc-filename") in
+  if not (Fleet.Spec.safe_name file) then
     Error (resp 400 (error_body ~code:"HTTP" "bad X-Llhsc-Filename"))
   else
-    let flag name arg = if truthy (List.assoc_opt name params) then [ arg ] else [] in
-    let argv =
-      [ "check"; fname ]
-      @ flag "certify" "--certify"
-      @ flag "semantic-only" "--semantic-only"
-      @ flag "syntactic-only" "--syntactic-only"
-    in
-    Ok (argv, [ (fname, req.Http.body) ])
+    let flag name = truthy (List.assoc_opt name params) in
+    Ok
+      (Check
+         { file; text = req.Http.body; certify = flag "certify";
+           semantic_only = flag "semantic-only"; syntactic_only = flag "syntactic-only" })
 
 (* POST /v1/pipeline: the body is a JSON object shipping every input file
-   inline plus the run's flags.  Parsed with the hardened Json.parse, so
-   hostile nesting/garbage surfaces as an error[PARSE]-coded 400. *)
+   inline plus the run's flags, decoded into the run's spec.  Parsed with
+   the hardened Json.parse, so hostile nesting/garbage surfaces as an
+   error[PARSE]-coded 400. *)
 let prepare_pipeline cfg req =
-  let reject reason = Error (resp 400 (error_body ~code:"PARSE" reason)) in
-  match Json.parse req.Http.body with
-  | Error msg -> reject ("request body: " ^ msg)
-  | Ok body ->
-    let str name = Option.bind (Json.member name body) Json.to_str in
-    let int name = Option.bind (Json.member name body) Json.to_int in
-    let bool name =
-      Option.value ~default:false
-        (Option.bind (Json.member name body) Json.to_bool)
-    in
-    (match (str "core", str "deltas", str "model") with
-     | Some core, Some deltas, Some model -> (
-       let vms =
-         match Option.bind (Json.member "vms" body) Json.to_list with
-         | Some items ->
-           let parsed = List.filter_map Json.to_str_list items in
-           if List.length parsed = List.length items && parsed <> [] then Some parsed
-           else None
-         | None -> None
-       in
-       match vms with
-       | None -> reject "missing or malformed \"vms\" (want a non-empty list of feature lists)"
-       | Some vms -> (
-         let exclusive =
-           Option.value ~default:[]
-             (Option.bind (Json.member "exclusive" body) Json.to_str_list)
-         in
-         let schemas =
-           match Json.member "schemas" body with
-           | None -> Ok []
-           | Some (Json.Obj fields) ->
-             let rec go acc = function
-               | [] -> Ok (List.rev acc)
-               | (name, Json.Str contents) :: rest
-                 when safe_name name
-                      && (Filename.check_suffix name ".yaml"
-                         || Filename.check_suffix name ".yml") ->
-                 go ((Filename.concat "schemas" name, contents) :: acc) rest
-               | (name, _) :: _ ->
-                 Error (Printf.sprintf "bad schema entry %S" name)
-             in
-             go [] fields
-           | Some _ -> Error "malformed \"schemas\" (want an object of file -> contents)"
-         in
-         (* Auxiliary inputs (e.g. a .dtsi the core /include/s), shipped
-            inline like the schemas and written next to core.dts. *)
-         let reserved = [ "core.dts"; "board.deltas"; "board.fm"; "schemas" ] in
-         let extra_files =
-           match Json.member "files" body with
-           | None -> Ok []
-           | Some (Json.Obj fields) ->
-             let rec go acc = function
-               | [] -> Ok (List.rev acc)
-               | (name, Json.Str contents) :: rest
-                 when safe_name name && not (List.mem name reserved) ->
-                 go ((name, contents) :: acc) rest
-               | (name, _) :: _ -> Error (Printf.sprintf "bad file entry %S" name)
-             in
-             go [] fields
-           | Some _ -> Error "malformed \"files\" (want an object of file -> contents)"
-         in
-         match (schemas, extra_files) with
-         | Error reason, _ | _, Error reason -> reject reason
-         | Ok schema_files, Ok extra_files ->
-           let jobs =
-             match int "jobs" with
-             | Some n when n > 1 -> min n (max 1 cfg.max_request_jobs)
-             | _ -> 1
-           in
-           let opt_int name arg =
-             match int name with Some n when n > 0 -> [ arg; string_of_int n ] | _ -> []
-           in
-           let argv =
-             [ "pipeline"; "--core"; "core.dts"; "--deltas"; "board.deltas";
-               "--model"; "board.fm" ]
-             @ (if schema_files = [] then [] else [ "--schemas"; "schemas" ])
-             @ List.concat_map (fun fs -> [ "--vm"; String.concat "," fs ]) vms
-             @ (if exclusive = [] then [] else [ "--exclusive"; String.concat "," exclusive ])
-             @ (if bool "certify" then [ "--certify" ] else [])
-             @ opt_int "retry" "--retry"
-             @ opt_int "max_conflicts" "--max-conflicts"
-             @ opt_int "solver_timeout" "--solver-timeout"
-             @ opt_int "mem_limit" "--mem-limit"
-             @ opt_int "cpu_limit" "--cpu-limit"
-             @ (if jobs > 1 then [ "--jobs"; string_of_int jobs ] else [])
-             @
-             (* A sharded job inherits the request lease as its shard-task
-                deadline: the same machinery, one level down. *)
-             (match (cfg.request_deadline, jobs > 1) with
-              | Some d, true -> [ "--task-deadline"; Printf.sprintf "%g" d ]
-              | _ -> [])
-           in
-           let files =
-             [ ("core.dts", core); ("board.deltas", deltas); ("board.fm", model) ]
-             @ extra_files @ schema_files
-           in
-           Ok (argv, files)))
-     | _ -> reject "missing \"core\"/\"deltas\"/\"model\" inputs")
+  match Fleet.Spec.of_request ~max_jobs:cfg.max_request_jobs req.Http.body with
+  | Error reason -> Error (resp 400 (error_body ~code:"PARSE" reason))
+  | Ok (spec, pool) ->
+    (* A sharded job inherits the request lease as its shard-task
+       deadline: the same machinery, one level down. *)
+    let task_deadline = if pool.Fleet.Spec.jobs > 1 then cfg.request_deadline else None in
+    Ok (Pipeline { spec; pool = { pool with task_deadline }; dispatch = None })
 
 (* --- the daemon -------------------------------------------------------------- *)
 
-let run ~entry cfg =
+let run ~run cfg =
   let test_hooks = Sys.getenv_opt "LLHSC_SERVE_TEST_HOOKS" = Some "1" in
   let limits =
     { Http.max_header_bytes = cfg.max_header_bytes;
@@ -332,9 +215,6 @@ let run ~entry cfg =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> cfg.port
   in
-  (* Per-run working directory for job inputs: a fresh, unguessable 0700
-     name, never a directory someone else created first. *)
-  let work_root = Filename.temp_dir ~perms:0o700 "llhsc-serve-" "" in
   Printf.printf "llhsc serve: listening on %s:%d (workers=%d queue=%d quota=%d)\n"
     cfg.host bound_port cfg.workers cfg.queue cfg.tenant_quota;
   flush stdout;
@@ -356,14 +236,13 @@ let run ~entry cfg =
   in
   (* --- fleet backend --- *)
   (* [--dispatch] reserves each listed listen address for one running
-     pipeline job at a time and rewrites that job's argv from
-     [pipeline ...] to [dispatch --listen HOST:PORT ...]: the child
-     becomes a fleet dispatcher serving the operator's long-lived
-     workers.  Every fleet degradation (no worker inside the grace,
-     address already bound, workers lost mid-run) collapses to the
-     dispatcher's own in-process sweep, so the verdict bytes never
+     pipeline job at a time and hands it to that job: the child runs its
+     spec as a fleet dispatcher on the address, serving the operator's
+     long-lived workers.  Every fleet degradation (no worker inside the
+     grace, address already bound, workers lost mid-run) collapses to
+     the dispatcher's own in-process sweep, so the verdict bytes never
      depend on the fleet being healthy.  When all addresses are claimed
-     the job keeps its plain pipeline argv (local fork pool). *)
+     the job runs on the local fork pool. *)
   let free_addrs = ref cfg.dispatch in
   let claim_addr () =
     match !free_addrs with
@@ -373,35 +252,9 @@ let run ~entry cfg =
       Some a
   in
   let release_addr (job : job) =
-    match job.fleet_addr with
-    | None -> ()
-    | Some a ->
-      job.fleet_addr <- None;
-      free_addrs := a :: !free_addrs
-  in
-  let fleet_argv argv (host, port) =
-    (* Strip the fork-pool-only flags [dispatch] does not take. *)
-    let rec strip = function
-      | [] -> []
-      | ("--jobs" | "--mem-limit" | "--cpu-limit") :: _ :: rest -> strip rest
-      | a :: rest -> a :: strip rest
-    in
-    match Array.to_list argv with
-    | "pipeline" :: rest ->
-      let secret =
-        match cfg.dispatch_secret_file with
-        | None -> []
-        | Some p ->
-          (* The child runs from inside the job directory. *)
-          let p = if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p in
-          [ "--secret-file"; p ]
-      in
-      Array.of_list
-        ("dispatch" :: "--listen"
-         :: Printf.sprintf "%s:%d" host port
-         :: "--wait-workers" :: "2"
-         :: (secret @ strip rest))
-    | _ -> argv
+    match job.work with
+    | Pipeline { dispatch = Some a; _ } -> free_addrs := a :: !free_addrs
+    | _ -> ()
   in
   let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> () in
   let listen_closed = ref false in
@@ -422,17 +275,18 @@ let run ~entry cfg =
   in
   (* --- job lifecycle --- *)
   let start_job (job : job) =
-    if Array.length job.argv > 0 && job.argv.(0) = "pipeline" then
-      (match claim_addr () with
-       | Some (h, p) ->
-         job.fleet_addr <- Some (h, p);
+    (match job.work with
+     | Check _ -> ()
+     | Pipeline p -> (
+       match claim_addr () with
+       | Some (h, port) ->
          stats.backend_fleet <- stats.backend_fleet + 1;
-         job.argv <- fleet_argv job.argv (h, p);
-         note "job %d: fleet backend at %s:%d" job.id h p
+         job.work <- Pipeline { p with dispatch = Some (h, port) };
+         note "job %d: fleet backend at %s:%d" job.id h port
        | None ->
          stats.backend_local <- stats.backend_local + 1;
          if cfg.dispatch <> [] then
-           note "job %d: all dispatch addresses busy; local backend" job.id);
+           note "job %d: all dispatch addresses busy; local backend" job.id));
     let out_r, out_w = Unix.pipe () in
     let err_r, err_w = Unix.pipe () in
     Unix.set_close_on_exec out_r;
@@ -449,11 +303,9 @@ let run ~entry cfg =
           keep it open past the daemon's close), and fault counters at
           zero.  Then its own session (=> own process group: a lease kill
           takes the job's whole tree, shard workers included), the hooks,
-          stdio rewired, and the CLI entry, run from inside the job
-          directory so every path in the report is relative —
-          byte-identical to a batch CLI run in the same directory.  It
-          leaves through [_exit]: the daemon's [at_exit] handlers must
-          not run in it. *)
+          stdio rewired, and the job runner on the decoded job, the code
+          the batch CLI runs on the same inputs.  It leaves through
+          [_exit]: the daemon's [at_exit] handlers must not run in it. *)
        let code =
          try
            List.iter
@@ -472,12 +324,11 @@ let run ~entry cfg =
            if Llhsc.Fault.fires Llhsc.Fault.Kill_job job.id then Llhsc.Fault.kill_self ();
            if Llhsc.Fault.fires Llhsc.Fault.Hang_job job.id then Unix.sleep 3600;
            if job.delay_ms > 0 then Unix.sleepf (float_of_int job.delay_ms /. 1000.);
-           Unix.chdir job.dir;
            Unix.dup2 null Unix.stdin;
            Unix.dup2 out_w Unix.stdout;
            Unix.dup2 err_w Unix.stderr;
            List.iter close_fd [ null; out_w; err_w ];
-           entry (Array.append [| Sys.executable_name |] job.argv)
+           run job.work
          with _ -> 127
        in
        (try Llhsc.Util.flush_std () with Sys_error _ -> ());
@@ -547,7 +398,6 @@ let run ~entry cfg =
     job.err_fd <- None;
     tenant_release job;
     release_addr job;
-    rm_rf job.dir;
     match job.conn_fd with
     | None -> () (* client vanished; verdict dropped *)
     | Some fd -> (
@@ -559,14 +409,8 @@ let run ~entry cfg =
   let rec schedule () =
     if Hashtbl.length running < cfg.workers && not (Queue.is_empty pending) then begin
       let job = Queue.pop pending in
-      if job.cancelled then begin
-        rm_rf job.dir;
-        schedule ()
-      end
-      else begin
-        start_job job;
-        schedule ()
-      end
+      if not job.cancelled then start_job job;
+      schedule ()
     end
   in
   (* Client connection went away: release everything it owned. *)
@@ -634,51 +478,28 @@ let run ~entry cfg =
         | Error r ->
           stats.refused <- stats.refused + 1;
           respond conn r
-        | Ok (argv, files) -> (
+        | Ok work ->
           let id = !next_job_id in
           incr next_job_id;
-          let dir = Filename.concat work_root (Printf.sprintf "job-%d" id) in
-          match
-            Unix.mkdir dir 0o700;
-            List.iter
-              (fun (name, contents) ->
-                let path = Filename.concat dir name in
-                let parent = Filename.dirname path in
-                if not (Sys.file_exists parent) then Unix.mkdir parent 0o700;
-                write_new path contents)
-              files
-          with
-          | exception e ->
-            rm_rf dir;
-            stats.refused <- stats.refused + 1;
-            respond conn
-              (resp 500
-                 (error_body ~code:"WORKER"
-                    ("failed to materialise request inputs: " ^ Printexc.to_string e)))
-          | () ->
-            let delay_ms =
-              if test_hooks then
-                Option.value ~default:0
-                  (Option.bind
-                     (Http.header req "x-llhsc-test-delay-ms")
-                     int_of_string_opt)
-              else 0
-            in
-            let job =
-              { id; tenant; conn_fd = Some conn.fd; dir;
-                argv = Array.of_list argv; fleet_addr = None;
-                delay_ms; cancelled = false;
-                tenant_released = false; pid = 0; out_fd = None; err_fd = None;
-                out_buf = Buffer.create 1024; err_buf = Buffer.create 256;
-                lease_expiry = infinity; timed_out = false;
-                output_overflow = false }
-            in
-            tenant_take tenant;
-            stats.accepted <- stats.accepted + 1;
-            Queue.push job pending;
-            conn.phase <- Waiting id;
-            conn.deadline <- infinity;
-            schedule ())
+          let delay_ms =
+            if test_hooks then
+              Option.value ~default:0
+                (Option.bind (Http.header req "x-llhsc-test-delay-ms") int_of_string_opt)
+            else 0
+          in
+          let job =
+            { id; tenant; conn_fd = Some conn.fd; work; delay_ms; cancelled = false;
+              tenant_released = false; pid = 0; out_fd = None; err_fd = None;
+              out_buf = Buffer.create 1024; err_buf = Buffer.create 256;
+              lease_expiry = infinity; timed_out = false;
+              output_overflow = false }
+          in
+          tenant_take tenant;
+          stats.accepted <- stats.accepted + 1;
+          Queue.push job pending;
+          conn.phase <- Waiting id;
+          conn.deadline <- infinity;
+          schedule ()
       end
   in
   let stats_body () =
@@ -831,12 +652,9 @@ let run ~entry cfg =
     Hashtbl.iter
       (fun _ j ->
         kill_job j;
-        (try ignore (retry_eintr (fun () -> Unix.waitpid [] j.pid))
-         with Unix.Unix_error _ -> ());
-        rm_rf j.dir)
+        try ignore (retry_eintr (fun () -> Unix.waitpid [] j.pid))
+        with Unix.Unix_error _ -> ())
       running;
-    Queue.iter (fun (j : job) -> rm_rf j.dir) pending;
-    rm_rf work_root;
     close_fd sig_r;
     close_fd sig_w;
     Sys.set_signal Sys.sigterm prev_term;

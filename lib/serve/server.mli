@@ -2,17 +2,18 @@
     checking daemon over the batch pipeline.
 
     One select-driven event loop owns every socket; checking work never
-    runs in the daemon process.  Each admitted request becomes a {e job}:
-    a fresh working directory holding the request's input files, plus a
-    forked child (its own session/process group) that calls the CLI
-    entry on those files — the same code path, byte for byte, as the
-    batch CLI, so a served verdict can be diffed against
-    [llhsc check]/[llhsc pipeline] on the same inputs.  The child is a
-    fork of the daemon, not an exec: before the entry runs it closes
-    every descriptor the daemon owns, resets the signals the daemon
-    catches to their defaults and zeroes the fault counters
-    ({!Llhsc.Fault.reset}); it flushes its output and leaves through
-    [Unix._exit].  Pipeline jobs may
+    runs in the daemon process.  Each admitted request is decoded in
+    memory into a {e job} ({!work}), and a forked child (its own
+    session/process group) hands it to the CLI's job runner — the code
+    the batch CLI runs once it has read its files, so a served verdict
+    can be diffed against [llhsc check]/[llhsc pipeline] on the same
+    inputs.  No request byte touches the file system: a job's
+    [/include/]s resolve among the files its request shipped and nowhere
+    else.  The child is a fork of the daemon, not an exec: before the
+    runner starts it closes every descriptor the daemon owns, resets the
+    signals the daemon catches to their defaults and zeroes the fault
+    counters ({!Llhsc.Fault.reset}); it flushes its output and leaves
+    through [Unix._exit].  Pipeline jobs may
     fan out onto the supervised {!Llhsc.Shard} pool inside the child
     ([jobs] in the request body, clamped by [max_request_jobs]).
 
@@ -55,31 +56,45 @@ type config = {
   max_request_jobs : int;     (** clamp on the request body's [jobs] field *)
   dispatch : (string * int) list;
       (** fleet listen addresses ([--dispatch HOST:PORT,...]): each is
-          reserved by at most one running pipeline job at a time, whose
-          argv is rewritten to [llhsc dispatch --listen HOST:PORT ...]
-          so operator-run workers execute the tasks.  Fleet trouble —
+          reserved by at most one running pipeline job at a time, which
+          gets it as {!work}'s [dispatch] and runs as a fleet dispatcher
+          listening there, so operator-run workers execute the tasks.
+          Fleet trouble —
           no worker inside the registration grace, address already
           bound, workers lost mid-run — degrades to the dispatcher's
           in-process sweep; with no free address the job runs the plain
           local fork pool.  [/v1/stats] counts both backends. *)
-  dispatch_secret_file : string option;
-      (** passed through as the spawned dispatcher's [--secret-file] *)
   verbose : bool;             (** supervision notices on stderr *)
 }
 
 val default_config : config
 
+(** What a job runs, decoded from its request at admission. *)
+type work =
+  | Check of {
+      file : string;  (** [X-Llhsc-Filename], default [request.dts] *)
+      text : string;  (** the request body *)
+      certify : bool;
+      semantic_only : bool;
+      syntactic_only : bool;
+    }  (** [POST /v1/check]: the body checked as [llhsc check] checks a file *)
+  | Pipeline of {
+      spec : Fleet.Spec.t;
+      pool : Fleet.Spec.pool;
+          (** [jobs] clamped by [max_request_jobs]; a job with [jobs > 1]
+              gets [request_deadline] as its task lease *)
+      dispatch : (string * int) option;
+          (** the claimed [--dispatch] address, [None] for the local pool *)
+    }  (** [POST /v1/pipeline] ({!Fleet.Spec.of_request}) *)
+
 (** Run the daemon until a drain signal completes; returns the process
-    exit code (0 on a clean drain).  [entry] is the command line each
-    job child runs: it gets the job's argv behind [Sys.executable_name]
-    and returns the child's exit code.  Prints one
+    exit code (0 on a clean drain).  [run] is what each job child runs
+    on its job; it returns the child's exit code.  Prints one
     ["llhsc serve: listening on HOST:PORT ..."] line on stdout once the
-    socket is bound and the private job root (a fresh 0700 directory
-    under [TMPDIR], removed on drain) exists; test harnesses parse it
-    for the ephemeral port.
+    socket is bound; test harnesses parse it for the ephemeral port.
 
     Test hook: when the environment variable [LLHSC_SERVE_TEST_HOOKS=1]
     is set, the [X-Llhsc-Test-Delay-Ms] request header makes the job
-    child sleep before the entry runs — deterministic queue saturation
+    child sleep before the runner starts — deterministic queue saturation
     and deadline overruns for the smoke harness, inert in production. *)
-val run : entry:(string array -> int) -> config -> int
+val run : run:(work -> int) -> config -> int

@@ -72,8 +72,7 @@ type t = {
   mutable released : bool;
 }
 
-let enum_sorts t name =
-  Hashtbl.find_opt t.enums name |> Option.map Array.to_list
+let enum_sorts t name = Hashtbl.find_opt t.enums name
 
 let create ?(certify = false) () =
   let sat = Sat.Solver.create () in

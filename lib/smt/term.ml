@@ -205,7 +205,7 @@ let sort_of ~enum_sorts term =
       (match enum_sorts sort with
        | None -> sort_error "unknown enum sort %s" sort
        | Some universe ->
-         if not (List.mem value universe) then
+         if not (Array.mem value universe) then
            sort_error "%S is not a member of enum sort %s" value sort;
          Enum sort)
     | Enum_var (_, sort) ->

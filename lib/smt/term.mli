@@ -93,7 +93,7 @@ exception Sort_error of string
 (** [sort_of ~enum_sorts t] computes the sort, raising {!Sort_error} on
     ill-sorted terms.  [enum_sorts] resolves enum sort universes (used to
     check that enum constants belong to their sort). *)
-val sort_of : enum_sorts:(string -> string list option) -> t -> sort
+val sort_of : enum_sorts:(string -> string array option) -> t -> sort
 
 val pp_sort : Format.formatter -> sort -> unit
 

@@ -146,6 +146,20 @@ for f in vm1.dts vm2.dts platform.dts platform.c config.c; do
     || fail "build artifact $f differs from pipeline --out-dir"
 done
 
+echo "# build: a project listing two delta files reports as the one-file project"
+# d1 and d2 come after d3, which the second file declares: the set is
+# validated as one.
+mkdir "$TMP/split"
+cp -R "$FIXTURES/." "$TMP/split/"
+sed -n '1,20p' "$FIXTURES/custom-sbc.deltas" > "$TMP/split/veth.deltas"
+sed -n '21,$p' "$FIXTURES/custom-sbc.deltas" > "$TMP/split/board.deltas"
+sed 's/^  - custom-sbc.deltas$/  - veth.deltas\n  - board.deltas/' \
+  "$TMP/split/custom-sbc.proj.yaml" > "$TMP/split/split.proj.yaml"
+grep -q "^  - board.deltas" "$TMP/split/split.proj.yaml" || fail "split project not written"
+"$LLHSC" build "$TMP/split/custom-sbc.proj.yaml" > "$TMP/one.out" || fail "one-file build should pass"
+"$LLHSC" build "$TMP/split/split.proj.yaml" > "$TMP/two.out" || fail "two-file build should pass"
+cmp "$TMP/one.out" "$TMP/two.out" || fail "two delta files report differently from one"
+
 echo "# configure with propagation"
 "$LLHSC" configure "$FIXTURES/custom-sbc.fm" -d veth0 > "$TMP/conf.out" || fail "configure should pass"
 grep -Eq "cpu@0 +forced" "$TMP/conf.out" || fail "cpu@0 should be forced"
@@ -256,6 +270,16 @@ run_journaled_pipeline --resume > "$TMP/journal2.out" 2> "$TMP/resume.err" \
   || fail "resumed pipeline should pass"
 cmp -s "$TMP/journal1.out" "$TMP/journal2.out" || fail "resumed report differs from original"
 grep -q "resume: replayed from journal" "$TMP/resume.err" || fail "expected resume status on stderr"
+
+echo "# check: an include cycle stops at the nesting bound, exit 2"
+printf '/dts-v1/;\n/include/ "self.dts"\n' > "$TMP/self.dts"
+set +e
+"$LLHSC" check "$TMP/self.dts" > /dev/null 2> "$TMP/self.err"
+rc=$?
+set -e
+[ "$rc" -eq 2 ] || fail "a self include should exit 2 (got $rc)"
+grep -q "^error\[DT-PARSE\]: .*self.dts:2:1: includes nested too deeply" "$TMP/self.err" \
+  || fail "expected one nesting error at the include: $(cat "$TMP/self.err")"
 
 echo "# journal + resume: an edited /include/d file is re-checked, not replayed"
 mkdir "$TMP/incl"

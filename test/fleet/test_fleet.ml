@@ -588,6 +588,82 @@ let test_spec_digest_follows_includes () =
   Alcotest.(check string) "an unrelated .dtsi next to the core does not" edited
     (Fleet.Spec.hash (load ()))
 
+(* --- the served request --------------------------------------------------------- *)
+
+let request_body fields =
+  let module Q = Llhsc.Quad_rv64 in
+  Json.to_string
+    (Json.Obj
+       ([ ("core", Json.Str Q.core_dts); ("deltas", Json.Str Q.deltas_src);
+          ("model", Json.Str Q.feature_model_src);
+          ("vms", Json.List [ Json.List [ Json.Str "memory" ] ]) ]
+       @ fields))
+
+(* A body decodes to the names a served job always reported, schemas in
+   file-name order and the pool clamped; a core's /include/ resolves among
+   the shipped files only. *)
+let test_request_decodes () =
+  match
+    Fleet.Spec.of_request ~max_jobs:4
+      (request_body
+         [ ("schemas", Json.Obj [ ("b.yaml", Json.Str "B"); ("a.yml", Json.Str "A") ]);
+           ("files", Json.Obj [ ("x.dtsi", Json.Str "/ { x = <1>; };\n") ]);
+           ("retry", Json.Int 3); ("max_conflicts", Json.Int 0); ("solver_timeout", Json.Int 5);
+           ("jobs", Json.Int 9); ("mem_limit", Json.Int (-1)); ("cpu_limit", Json.Int 7) ])
+  with
+  | Error e -> Alcotest.failf "refused: %s" e
+  | Ok (spec, pool) ->
+    Alcotest.(check (list string)) "names" [ "core.dts"; "board.deltas" ]
+      [ spec.Fleet.Spec.core.file; spec.deltas.file ];
+    Alcotest.(check (list string)) "schemas in name order" [ "A"; "B" ] spec.schemas;
+    Alcotest.(check bool) "flags" true
+      (spec.retry = Some 3 && spec.max_conflicts = None && spec.solver_timeout = Some 5.);
+    Alcotest.(check bool) "pool" true
+      (pool.Fleet.Spec.jobs = 4 && pool.mem_limit = None && pool.cpu_limit = Some 7);
+    let with_core core =
+      { spec with Fleet.Spec.core = { spec.core with text = core }; schemas = [] }
+    in
+    let resolves name =
+      match Fleet.Spec.build (with_core ("/dts-v1/;\n/include/ \"" ^ name ^ "\"\n")) with
+      | Ok _ -> true
+      | Error e when contains e "cannot resolve /include/" -> false
+      | Error e -> Alcotest.failf "include %s: %s" name e
+    in
+    Alcotest.(check (list bool)) "includes resolve among files only" [ true; false; false; false ]
+      (List.map resolves [ "x.dtsi"; "./x.dtsi"; "board.deltas"; "../x.dtsi" ])
+
+let test_request_refusals () =
+  let refusal fields =
+    match Fleet.Spec.of_request ~max_jobs:4 (request_body fields) with
+    | Ok _ -> "accepted"
+    | Error e -> e
+  in
+  Alcotest.(check (list string)) "the 400 PARSE reasons"
+    [ "bad schema entry \"x.txt\""; "bad schema entry \"a.yaml\"";
+      "malformed \"schemas\" (want an object of file -> contents)";
+      "bad file entry \"core.dts\""; "bad file entry \"../x\"";
+      "malformed \"files\" (want an object of file -> contents)";
+      "bad schema entry \"..yaml\"" ]
+    [ refusal [ ("schemas", Json.Obj [ ("x.txt", Json.Str "") ]) ];
+      refusal [ ("schemas", Json.Obj [ ("a.yaml", Json.Str ""); ("a.yaml", Json.Str "") ]) ];
+      refusal [ ("schemas", Json.List []) ];
+      refusal [ ("files", Json.Obj [ ("core.dts", Json.Str "") ]) ];
+      refusal [ ("files", Json.Obj [ ("../x", Json.Str "") ]) ];
+      refusal [ ("files", Json.Str "") ];
+      refusal
+        [ ("schemas", Json.Obj [ ("..yaml", Json.Str "") ]);
+          ("files", Json.Obj [ ("core.dts", Json.Str "") ]) ] ];
+  let whole body =
+    match Fleet.Spec.of_request ~max_jobs:4 body with Ok _ -> "accepted" | Error e -> e
+  in
+  Alcotest.(check (list string)) "bodies"
+    [ "missing \"core\"/\"deltas\"/\"model\" inputs";
+      "missing or malformed \"vms\" (want a non-empty list of feature lists)" ]
+    [ whole "{\"core\": \"x\"}";
+      whole "{\"core\": \"x\", \"deltas\": \"\", \"model\": \"\", \"vms\": [[\"a\"], 1]}" ];
+  Alcotest.(check bool) "bad JSON" true
+    (contains (whole "{ not json") "request body: ")
+
 let () =
   Alcotest.run "fleet"
     [
@@ -622,5 +698,7 @@ let () =
           Alcotest.test_case "includes under literal names" `Quick
             test_spec_records_includes;
           Alcotest.test_case "digest follows includes only" `Quick
-            test_spec_digest_follows_includes ] );
+            test_spec_digest_follows_includes;
+          Alcotest.test_case "a served request decodes" `Quick test_request_decodes;
+          Alcotest.test_case "a served request's refusals" `Quick test_request_refusals ] );
     ]

@@ -9,8 +9,9 @@
      - seeded job kills and hangs (500 / 504), client disconnects;
      - mid-flight SIGTERM: in-flight work answered, drain exits 0;
      - job children are forks of the daemon: they hold none of its
-       sockets, count their fault schedule from the start like the
-       batch CLI, and the job root is a private fresh directory;
+       sockets and count their fault schedule from the start like the
+       batch CLI; the daemon writes no file, and a request's /include/
+       reaches none outside what it shipped;
      - the fleet backend (--dispatch): a served pipeline run by an
        authenticated worker, then by the dispatcher's in-process sweep.
 
@@ -217,6 +218,11 @@ let expect_code what want (r : resp) =
 let expect_retry_after what (r : resp) =
   if not (List.mem_assoc "retry-after" r.headers) then
     fail "%s: shed response lacks Retry-After" what
+
+let stderr_lines what r =
+  match Llhsc.Json.to_str_list (json_member r "stderr") with
+  | Some lines -> lines
+  | None -> fail "%s: stderr not a string list" what
 
 (* --- batch-CLI reference runs ------------------------------------------------ *)
 
@@ -428,6 +434,37 @@ let test_functional () =
   in
   expect_status "path traversal filename" 400 r;
 
+  say "an /include/ that climbs out of the request resolves nowhere";
+  let outside = Filename.concat tmp_root "outside.txt" in
+  let secret = Printf.sprintf "secret_token_%d" (Unix.getpid ()) in
+  write_file outside (secret ^ ":\n");
+  let climb =
+    String.concat "" (List.init 40 (fun _ -> "../"))
+    ^ String.sub outside 1 (String.length outside - 1)
+  in
+  let include_line = Printf.sprintf "/include/ \"%s\"\n" climb in
+  let escapes what r =
+    expect_status what 200 r;
+    (match Llhsc.Json.to_int (json_member r "exit") with
+     | Some 2 -> ()
+     | _ -> fail "%s: want exit 2: %s" what r.body);
+    if not (List.exists (fun l -> Llhsc.Util.contains l "cannot resolve /include/")
+              (stderr_lines what r))
+    then fail "%s: no unresolved-include error: %s" what r.body;
+    if Llhsc.Util.contains r.body secret then fail "%s: the response holds %s" what outside
+  in
+  escapes "check include escape" (request d "POST" "/v1/check" ("/dts-v1/;\n" ^ include_line));
+  let fx name = read_file (Filename.concat fixtures name) in
+  escapes "pipeline include escape"
+    (request d "POST" "/v1/pipeline"
+       (Llhsc.Json.to_string
+          (Llhsc.Json.Obj
+             [ ("core", Str (include_line ^ fx "custom-sbc.dts"));
+               ("deltas", Str (fx "custom-sbc.deltas"));
+               ("model", Str (fx "custom-sbc.fm"));
+               ("files", Obj [ ("cpus.dtsi", Str (fx "cpus.dtsi")) ]);
+               ("vms", List [ List [ Str "memory" ] ]) ])));
+
   expect_status "healthz after hostile barrage" 200 (request d "GET" "/healthz" "");
   stop_daemon d
 
@@ -579,8 +616,8 @@ let can_rebind port =
    then sleeps 3 s in the test hook.  B's job must answer and B's socket
    reach EOF long before that, and after SIGTERM the port must bind
    again while A still sleeps: a child that kept B's socket or the
-   listen socket fails one of the two.  The job root lives in the
-   daemon's TMPDIR as one fresh 0700 directory, gone after the drain. *)
+   listen socket fails one of the two.  Jobs run from memory: the
+   daemon's TMPDIR stays empty while it runs and after the drain. *)
 let test_isolation () =
   let tmpdir = Filename.concat tmp_root "tmpdir" in
   Unix.mkdir tmpdir 0o700;
@@ -589,13 +626,13 @@ let test_isolation () =
       ~env:[ "LLHSC_SERVE_TEST_HOOKS=1"; "TMPDIR=" ^ tmpdir ]
       [ "--workers"; "2" ]
   in
-  say "the job root is one fresh 0700 directory in TMPDIR";
-  (match Sys.readdir tmpdir with
-   | [| name |] ->
-     let st = Unix.lstat (Filename.concat tmpdir name) in
-     if st.Unix.st_kind <> Unix.S_DIR || st.Unix.st_perm land 0o777 <> 0o700 then
-       fail "job root %s is not a 0700 directory (mode %o)" name st.Unix.st_perm
-   | entries -> fail "TMPDIR holds %d entries, want 1" (Array.length entries));
+  let tmpdir_empty what =
+    match Sys.readdir tmpdir with
+    | [||] -> ()
+    | entries -> fail "TMPDIR not empty %s: %s" what (String.concat " " (Array.to_list entries))
+  in
+  say "TMPDIR stays empty while the daemon runs";
+  tmpdir_empty "after start";
 
   say "a running job holds no other client's socket";
   let b = connect d.port in
@@ -613,6 +650,7 @@ let test_isolation () =
   if json_str rb "status" <> "clean" then fail "second client: not clean: %s" rb.body;
   if waited >= 3.0 then
     fail "second client saw EOF after %.2f s: the delayed job holds its socket" waited;
+  tmpdir_empty "while a job runs";
 
   say "after SIGTERM the port binds again while a job still runs";
   Unix.kill d.pid Sys.sigterm;
@@ -624,8 +662,7 @@ let test_isolation () =
   expect_status "delayed job during drain" 200 ra;
   await_drain d;
   if not (can_rebind d.port) then fail "port %d not bindable after drain" d.port;
-  if Sys.readdir tmpdir <> [||] then
-    fail "TMPDIR not empty after drain: %s" (String.concat " " (Array.to_list (Sys.readdir tmpdir)))
+  tmpdir_empty "after the drain"
 
 (* The fault schedule reaches a served job as it reaches the batch CLI:
    the job child zeroes the daemon's counters, and the worker kinds fire
@@ -682,15 +719,10 @@ let reap ~secs what pid =
   in
   go ()
 
-let stderr_lines what r =
-  match Llhsc.Json.to_str_list (json_member r "stderr") with
-  | Some lines -> lines
-  | None -> fail "%s: stderr not a string list" what
-
 (* The fleet backend of a served pipeline.  The daemon gets one
    --dispatch address and a secret file named relative to its own
-   directory; the job child, which runs in the job directory, turns
-   [pipeline ...] into [dispatch --listen ADDR --secret-file ABS ...].
+   directory; the job child, which runs in that directory too, runs the
+   job's spec as a dispatcher listening on ADDR and reads the secret.
    One authenticated worker serves the first job's dispatcher and is
    retired; the second job finds no worker and sweeps in-process.  Both
    reports are the batch CLI's bytes. *)

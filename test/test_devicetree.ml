@@ -94,6 +94,42 @@ let test_missing_include () =
     Alcotest.fail "expected include error"
   with T.Error (msg, _) -> check_bool "mentions file" true (Test_util.contains msg "nope")
 
+(* An include cycle stops at the nesting bound with one error at the
+   include that crosses it; a file included twice side by side is no
+   cycle.  The loader gives up after 1,000 loads, so an unbounded cycle
+   fails here instead of hanging. *)
+let test_include_cycles () =
+  let loader files =
+    let loads = ref 0 in
+    fun name ->
+      incr loads;
+      if !loads > 1000 then failwith "include loader: over 1000 loads";
+      List.assoc_opt name files
+  in
+  let cyclic what ~file files =
+    match T.of_source_diags ~loader:(loader files) ~file (List.assoc file files) with
+    | Ok _ -> Alcotest.failf "%s: parsed" what
+    | Error errs ->
+      Alcotest.(check (list string)) what [ "includes nested too deeply" ] (List.map fst errs);
+      (match T.of_source ~loader:(loader files) ~file (List.assoc file files) with
+       | _ -> Alcotest.failf "%s: of_source parsed" what
+       | exception T.Error (msg, _) -> check_str (what ^ " (of_source)") "includes nested too deeply" msg)
+  in
+  cyclic "self include" ~file:"self.dts" [ ("self.dts", "/include/ \"self.dts\"\n") ];
+  cyclic "A -> B -> A" ~file:"a.dts"
+    [ ("a.dts", "/dts-v1/;\n/include/ \"b.dtsi\"\n"); ("b.dtsi", "/include/ \"a.dts\"\n") ];
+  let diamond =
+    [ ("top.dts", "/dts-v1/;\n/include/ \"l.dtsi\"\n/include/ \"r.dtsi\"\n/ { top; };\n");
+      ("l.dtsi", "/include/ \"d.dtsi\"\n/ { l; };\n");
+      ("r.dtsi", "/include/ \"d.dtsi\"\n/ { r; };\n");
+      ("d.dtsi", "/ { d; };\n") ]
+  in
+  match T.of_source_diags ~loader:(loader diamond) ~file:"top.dts" (List.assoc "top.dts" diamond) with
+  | Error errs -> Alcotest.failf "diamond: %s" (String.concat "; " (List.map fst errs))
+  | Ok t ->
+    Alcotest.(check (list string)) "diamond props" [ "d"; "l"; "r"; "top" ]
+      (List.sort compare (List.map (fun p -> p.T.p_name) t.T.props))
+
 (* --- merge semantics ------------------------------------------------------------ *)
 
 let test_merge_repeated_nodes () =
@@ -879,6 +915,7 @@ let () =
           Alcotest.test_case "running example" `Quick test_parse_running_example;
           Alcotest.test_case "labels" `Quick test_parse_labels;
           Alcotest.test_case "missing include" `Quick test_missing_include;
+          Alcotest.test_case "include cycles" `Quick test_include_cycles;
           Alcotest.test_case "expressions in cells" `Quick test_expressions_in_cells;
           Alcotest.test_case "strings and bytes" `Quick test_strings_and_bytes;
           Alcotest.test_case "/bits/ widths" `Quick test_bits_directive;

@@ -670,7 +670,9 @@ let cnf_digest groups =
   let sat = Sat.Solver.create () in
   Sat.Solver.enable_proof sat;
   let enum_universe s = Array.of_list (List.assoc s cnf_enum_sorts) in
-  let sort_of = T.sort_of ~enum_sorts:(fun s -> List.assoc_opt s cnf_enum_sorts) in
+  let sort_of =
+    T.sort_of ~enum_sorts:(fun s -> Option.map Array.of_list (List.assoc_opt s cnf_enum_sorts))
+  in
   let ctx = Smt.Blast.create ~sat ~enum_universe ~sort_of in
   let guard term =
     let l = Smt.Blast.blast_bool ctx term in
