@@ -54,6 +54,18 @@ let handle_errors f =
       2
     | None -> raise e)
 
+(* Cmdliner's report of an exception that no command maps to a
+   diagnostic, and its status.  [main] runs cmdliner without its own
+   catch and a served job under this one, so both end alike. *)
+let internal_errors f =
+  try f () with
+  | e ->
+    let bt = Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ()) in
+    let bt = if bt = "" then bt else String.sub bt 0 (String.length bt - 1) in
+    Fmt.epr "llhsc: @[internal error, uncaught exception:@\n%a@]@." Fmt.lines
+      (Printexc.to_string e ^ "\n" ^ bt);
+    125
+
 (* --- check ----------------------------------------------------------------------- *)
 
 (* Print certification failures as error[CERT] diagnostics.  They count as
@@ -432,6 +444,26 @@ let read_secret_file path =
   if s = "" then failwith (Printf.sprintf "secret file %s is empty" path);
   s
 
+let default_min_workers = 1
+
+(* A remote lease must always expire eventually — a partitioned worker
+   holds its tasks until then — so unlike the local pool there is a
+   hard default. *)
+let default_remote_lease = 60.
+
+(* The fleet a run dispatches to: `dispatch`'s flags, or the serve
+   bridge's few settings and `dispatch`'s defaults. *)
+let dispatch_config ?(min_workers = default_min_workers) ~wait_workers ?port_file ?secret
+    ?journal ?(resume = false) (host, port) pool spec =
+  { Fleet.Dispatch.host; port; min_workers; wait_workers;
+    deadline = Option.value ~default:default_remote_lease (task_lease pool spec);
+    port_file; secret;
+    (* The task journal rides next to the product journal: the product
+       journal replays finished products on --resume, the task journal
+       replays finished tasks of the interrupted sweep. *)
+    task_journal = Option.map (fun p -> p ^ ".tasks") journal;
+    resume }
+
 let cmd_dispatch listen min_workers wait_workers port_file secret_file load out_dir
     journal resume task_deadline =
   handle_errors @@ fun () ->
@@ -447,18 +479,9 @@ let cmd_dispatch listen min_workers wait_workers port_file secret_file load out_
   check_deadline task_deadline;
   let pool = { Fleet.Spec.default_pool with task_deadline } in
   let spec, pipeline = load () in
-  (* A remote lease must always expire eventually — a partitioned worker
-     holds its tasks until then — so unlike the local pool there is a
-     hard default. *)
   let cfg =
-    { Fleet.Dispatch.host; port; min_workers; wait_workers;
-      deadline = Option.value ~default:60. (task_lease pool spec);
-      port_file; secret;
-      (* The task journal rides next to the product journal: the
-         product journal replays finished products on --resume, the
-         task journal replays finished tasks of the interrupted sweep. *)
-      task_journal = Option.map (fun p -> p ^ ".tasks") journal;
-      resume }
+    dispatch_config ~min_workers ~wait_workers ?port_file ?secret ?journal ~resume
+      (host, port) pool spec
   in
   run_spec ~runner:(fleet cfg) ?journal ~resume ~out:(out_dir_artifacts out_dir) pool
     (spec, pipeline)
@@ -489,22 +512,23 @@ let cmd_worker connect port_file max_reconnects mem_limit cpu_limit secret_file
    `check`'s code with no /include/ to resolve, a /v1/pipeline spec
    through the spec runner.  A claimed --dispatch address makes the child
    that run's fleet dispatcher, configured as `dispatch` defaults would
-   configure it, with a short registration grace. *)
-let run_served secret_file = function
+   configure it, with a short registration grace.  An exception no
+   diagnostic covers ends it as it ends the batch command. *)
+let run_served secret_file work =
+  internal_errors @@ fun () ->
+  handle_errors @@ fun () ->
+  match work with
   | Serve.Server.Check { file; text; certify; semantic_only; syntactic_only } ->
-    handle_errors @@ fun () ->
     let tree = Fleet.Spec.parse_tree ~loader:(fun _ -> None) ~file text in
     check_tree ~file tree [] semantic_only syntactic_only certify
   | Serve.Server.Pipeline { spec; pool; dispatch } ->
-    handle_errors @@ fun () ->
     let runner =
       Option.map
-        (fun (host, port) ->
+        (fun addr ->
           fleet
-            { Fleet.Dispatch.host; port; min_workers = 1; wait_workers = 2.;
-              deadline = Option.value ~default:60. (task_lease pool spec);
-              port_file = None; secret = Option.map read_secret_file secret_file;
-              task_journal = None; resume = false })
+            (dispatch_config ~wait_workers:2.
+               ?secret:(Option.map read_secret_file secret_file)
+               addr pool spec))
         dispatch
     in
     run_spec ?runner pool (spec, Fleet.Spec.pipeline spec)
@@ -910,7 +934,7 @@ let dispatch_cmd =
                    ephemeral port; see --port-file).")
   in
   let min_workers =
-    Arg.(value & opt int 1
+    Arg.(value & opt int default_min_workers
          & info [ "min-workers" ] ~docv:"N"
              ~doc:"Degradation floor: when fewer than $(docv) workers are \
                    connected (after the --wait-workers grace), remaining \
@@ -935,11 +959,12 @@ let dispatch_cmd =
   let task_deadline =
     Arg.(value & opt (some float) None
          & info [ "task-deadline" ] ~docv:"SECONDS"
-             ~doc:"Per-task lease: a worker whose task outlives $(docv) \
-                   seconds is presumed hung or partitioned, its connection \
-                   dropped and its tasks reassigned.  Defaults to 32 x \
-                   --solver-timeout + 10s, else 60s — remote leases always \
-                   expire.")
+             ~doc:(Printf.sprintf
+                     "Per-task lease: a worker whose task outlives $(docv) \
+                      seconds is presumed hung or partitioned, its connection \
+                      dropped and its tasks reassigned.  Defaults to 32 x \
+                      --solver-timeout + 10s, else %gs — remote leases always \
+                      expire." default_remote_lease))
   in
   let secret_file =
     Arg.(value & opt (some string) None
@@ -1232,7 +1257,8 @@ let main argv =
     Fmt.epr "%a@." Diag.pp (Diag.make ~code:"FAULT" "%s" msg);
     2
   | Ok () ->
-    Cmd.eval' ~argv
+    internal_errors @@ fun () ->
+    Cmd.eval' ~catch:false ~argv
       (Cmd.group
          (Cmd.info "llhsc" ~version:"1.0.0"
             ~doc:"DeviceTree syntax and semantic checker for static-partitioning hypervisors")

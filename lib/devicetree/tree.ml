@@ -270,15 +270,18 @@ let of_source ?loader ~file src = of_ast ?loader (Parser.parse ~file src)
 
 (* Multi-error loading: parse with recovery, then process each top-level
    item in isolation, so every syntax error and every semantic merge error
-   in the file (and its includes) is reported in one run. *)
+   in the file (and its includes) is reported in one run.  Only the
+   nesting bound is fatal, as in dtc: a cycle entered twice per level
+   would otherwise double its work at each one. *)
 let of_source_diags ?(loader = fun _ -> None) ~file src =
   let errs = ref [] in
-  let note msg loc = errs := !errs @ [ (msg, loc) ] in
+  let note msg loc = errs := (msg, loc) :: !errs in
   let parse_one ~file src =
     let ast, es = Parser.parse_partial ~file src in
     List.iter (fun (msg, loc) -> note msg loc) es;
     ast
   in
+  let exception Too_deep in
   let rec go depth root = function
     | [] -> root
     | item :: rest ->
@@ -287,7 +290,7 @@ let of_source_diags ?(loader = fun _ -> None) ~file src =
           match item with
           | Ast.Include (_, loc) when depth >= max_include_depth ->
             note "includes nested too deeply" loc;
-            root
+            raise Too_deep
           | Ast.Include (file, loc) -> begin
             match loader file with
             | None ->
@@ -302,8 +305,10 @@ let of_source_diags ?(loader = fun _ -> None) ~file src =
       in
       go depth root rest
   in
-  let root = go 0 empty (parse_one ~file src) in
-  match !errs with [] -> Ok root | errs -> Result.Error errs
+  let root = try Some (go 0 empty (parse_one ~file src)) with Too_deep -> None in
+  match (root, List.rev !errs) with
+  | Some root, [] -> Ok root
+  | _, errs -> Result.Error errs
 
 let memreserves_of_ast ast =
   List.filter_map (function Ast.Memreserve (a, s) -> Some (a, s) | _ -> None) ast

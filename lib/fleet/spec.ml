@@ -184,9 +184,11 @@ let parse ~loader ~deltas s : 'a pipeline -> 'a =
       ~model ~core ~deltas ~schemas_for:(fun _ -> schemas) ~vm_requests:s.vms ()
 
 (* Includes resolve by their literal name against the shipped file set:
-   the key [load] recorded them under, so resolution cannot diverge. *)
+   the key [load] recorded them under, so resolution cannot diverge.  A
+   name's first entry wins. *)
 let pipeline s =
-  parse ~loader:(fun name -> List.assoc_opt name s.files) ~deltas:[ s.deltas ] s
+  let files = Hashtbl.of_seq (List.to_seq (List.rev s.files)) in
+  parse ~loader:(Hashtbl.find_opt files) ~deltas:[ s.deltas ] s
 
 (* [deltas] pairs each delta file's name in diagnostics with its path.
    The record holds one delta input, so several files are recorded in
@@ -330,14 +332,18 @@ let of_request ~max_jobs body =
     if vms <> [] && List.length vms = List.length items then Ok vms
     else Error "missing or malformed \"vms\" (want a non-empty list of feature lists)"
   in
-  (* An object of name -> contents, every name [ok] and distinct. *)
+  (* An object of name -> contents, every name [ok] and distinct.  The
+     daemon decodes in its one loop, so the check is linear in the
+     entries, and seeded so that no chosen names collide. *)
   let named what ok =
     match Json.member (what ^ "s") body with
     | None -> Ok []
     | Some (Json.Obj fields) ->
+      let seen = Hashtbl.create ~random:true 16 in
       let rec go acc = function
         | [] -> Ok (List.rev acc)
-        | (name, Json.Str text) :: rest when ok name && not (List.mem_assoc name acc) ->
+        | (name, Json.Str text) :: rest when ok name && not (Hashtbl.mem seen name) ->
+          Hashtbl.add seen name ();
           go ((name, text) :: acc) rest
         | (name, _) :: _ -> Error (Printf.sprintf "bad %s entry %S" what name)
       in

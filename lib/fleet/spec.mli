@@ -119,7 +119,11 @@ val schema_files : string option -> string list
     the output keep the resolved path as their name, each delta file the
     name written in the project.  [deltas:] may list several files:
     each parses under its own name, and the spec's one delta input holds
-    their texts joined by newlines under the first one's name.  Raises
+    their texts joined by newlines under the first one's name.  Such a
+    spec no longer describes its run, so it must not be shipped,
+    journaled or rebuilt: {!pipeline} and {!build} would parse the
+    joined text under the first name, and two splits of the same bytes
+    share a {!hash}.  Only the returned function runs it.  Raises
     [Failure] on a missing or malformed key, and as {!load} does. *)
 val of_project : string -> t * pool * string option * ('a pipeline -> 'a)
 

@@ -54,9 +54,9 @@
     dup-result-worker    Shard worker task loop   task index.  Send the result
                                                   twice.
     kill-job             serve job child          job id, from 0.  SIGKILL before
-                                                  the command line runs.
+                                                  the job runs.
     hang-job             serve job child          job id.  Sleep an hour before
-                                                  the command line runs.
+                                                  the job runs.
     v}
 
     The worker kinds fire only in worker processes ([--jobs N > 1] or

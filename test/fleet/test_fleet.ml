@@ -664,6 +664,24 @@ let test_request_refusals () =
   Alcotest.(check bool) "bad JSON" true
     (contains (whole "{ not json") "request body: ")
 
+(* The daemon decodes every body in its one loop, so decoding is linear
+   in the entries: 50,000 distinct names decode, and a duplicate after
+   them is refused, within a CPU-time bound a quadratic scan misses by
+   far. *)
+let test_request_many_entries () =
+  let n = 50_000 in
+  let files = List.init n (fun i -> (Printf.sprintf "f%05d.dtsi" i, Json.Str "")) in
+  let decode files = Fleet.Spec.of_request ~max_jobs:4 (request_body [ ("files", Json.Obj files) ]) in
+  let t0 = Sys.time () in
+  (match decode files with
+   | Ok (spec, _) -> Alcotest.(check int) "every entry" n (List.length spec.Fleet.Spec.files)
+   | Error e -> Alcotest.failf "refused: %s" e);
+  (match decode (files @ [ ("f00000.dtsi", Json.Str "") ]) with
+   | Ok _ -> Alcotest.fail "a duplicate was accepted"
+   | Error e -> Alcotest.(check string) "duplicate" "bad file entry \"f00000.dtsi\"" e);
+  let cpu = Sys.time () -. t0 in
+  if cpu > 2. then Alcotest.failf "decoding took %.1f s of CPU" cpu
+
 let () =
   Alcotest.run "fleet"
     [
@@ -700,5 +718,7 @@ let () =
           Alcotest.test_case "digest follows includes only" `Quick
             test_spec_digest_follows_includes;
           Alcotest.test_case "a served request decodes" `Quick test_request_decodes;
-          Alcotest.test_case "a served request's refusals" `Quick test_request_refusals ] );
+          Alcotest.test_case "a served request's refusals" `Quick test_request_refusals;
+          Alcotest.test_case "a served request of many entries" `Quick
+            test_request_many_entries ] );
     ]

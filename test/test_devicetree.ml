@@ -95,9 +95,10 @@ let test_missing_include () =
   with T.Error (msg, _) -> check_bool "mentions file" true (Test_util.contains msg "nope")
 
 (* An include cycle stops at the nesting bound with one error at the
-   include that crosses it; a file included twice side by side is no
-   cycle.  The loader gives up after 1,000 loads, so an unbounded cycle
-   fails here instead of hanging. *)
+   include that crosses it, even a file that includes itself twice; a
+   file included twice side by side is no cycle.  The loader gives up
+   after 1,000 loads, so an unbounded cycle fails here instead of
+   hanging. *)
 let test_include_cycles () =
   let loader files =
     let loads = ref 0 in
@@ -116,6 +117,8 @@ let test_include_cycles () =
        | exception T.Error (msg, _) -> check_str (what ^ " (of_source)") "includes nested too deeply" msg)
   in
   cyclic "self include" ~file:"self.dts" [ ("self.dts", "/include/ \"self.dts\"\n") ];
+  cyclic "double self include" ~file:"x.dtsi"
+    [ ("x.dtsi", "/include/ \"x.dtsi\"\n/include/ \"x.dtsi\"\n") ];
   cyclic "A -> B -> A" ~file:"a.dts"
     [ ("a.dts", "/dts-v1/;\n/include/ \"b.dtsi\"\n"); ("b.dtsi", "/include/ \"a.dts\"\n") ];
   let diamond =
