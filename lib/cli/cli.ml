@@ -27,8 +27,10 @@ exception Interrupted of int
 
 (* Multi-error loading: report every syntax/merge error in the file, not
    just the first. *)
-let load_tree path =
-  Fleet.Spec.parse_tree ~loader:(Llhsc.Util.include_loader path) ~file:path (read_file path)
+let parse_tree path text =
+  Fleet.Spec.parse_tree ~loader:(Llhsc.Util.include_loader path) ~file:path text
+
+let load_tree path = parse_tree path (read_file path)
 
 let load_schemas dir =
   List.map (fun f -> Schema.Binding.of_string (read_file f)) (Fleet.Spec.schema_files dir)
@@ -594,10 +596,13 @@ let cmd_dtb input output decompile =
       0
   end
   else begin
+    (* The tree loads as [check] loads it, so its errors read alike; the
+       reservations come from a second parse of the now clean text. *)
     let src = read_file input in
-    let ast = Devicetree.Parser.parse ~file:input src in
-    let memreserves = Devicetree.Tree.memreserves_of_ast ast in
-    let tree = Devicetree.Tree.of_ast ~loader:(Llhsc.Util.include_loader input) ast in
+    let tree = parse_tree input src in
+    let memreserves =
+      Devicetree.Tree.memreserves_of_ast (Devicetree.Parser.parse ~file:input src)
+    in
     let blob = Devicetree.Fdt.encode ~memreserves tree in
     let out = match output with Some p -> p | None -> Filename.remove_extension input ^ ".dtb" in
     write_file out blob;

@@ -234,21 +234,31 @@ let merge_at t ~path (ast : Ast.node) =
    nests no deeper. *)
 let max_include_depth = 200
 
-let rec process_toplevels ?(depth = 0) ~loader root = function
+(* The bound on the includes one tree expands in all, which dtc lacks.
+   Nesting alone does not bound the work: a chain of files that each
+   include the next one twice doubles it at every level. *)
+let max_includes = 1000
+
+let too_deep = "includes nested too deeply"
+let too_many = Printf.sprintf "more than %d includes in one tree" max_includes
+
+(* [includes] counts the expansions of the whole tree so far. *)
+let rec process_toplevels ~depth ~includes ~loader root = function
   | [] -> root
   | item :: rest ->
     let root =
       match item with
       | Ast.Version_tag -> root
       | Ast.Memreserve _ -> root
-      | Ast.Include (_, loc) when depth >= max_include_depth ->
-        error loc "includes nested too deeply"
+      | Ast.Include (_, loc) when depth >= max_include_depth -> error loc "%s" too_deep
+      | Ast.Include (_, loc) when !includes >= max_includes -> error loc "%s" too_many
       | Ast.Include (file, loc) -> begin
+        incr includes;
         match loader file with
         | None -> error loc "cannot resolve /include/ %S" file
         | Some src ->
           let ast = Parser.parse ~file src in
-          process_toplevels ~depth:(depth + 1) ~loader root ast
+          process_toplevels ~depth:(depth + 1) ~includes ~loader root ast
       end
       | Ast.Root node -> merge_node root node
       | Ast.Ref_node (label, node) -> begin
@@ -262,50 +272,55 @@ let rec process_toplevels ?(depth = 0) ~loader root = function
         | Some (path, _) -> remove_node root ~path
       end
     in
-    process_toplevels ~depth ~loader root rest
+    process_toplevels ~depth ~includes ~loader root rest
 
-let of_ast ?(loader = fun _ -> None) ast = process_toplevels ~loader empty ast
+let of_ast ?(loader = fun _ -> None) ast =
+  process_toplevels ~depth:0 ~includes:(ref 0) ~loader empty ast
 
 let of_source ?loader ~file src = of_ast ?loader (Parser.parse ~file src)
 
 (* Multi-error loading: parse with recovery, then process each top-level
    item in isolation, so every syntax error and every semantic merge error
-   in the file (and its includes) is reported in one run.  Only the
-   nesting bound is fatal, as in dtc: a cycle entered twice per level
-   would otherwise double its work at each one. *)
+   in the file (and its includes) is reported in one run.  Only the two
+   include bounds are fatal, as dtc's nesting bound is: a cycle entered
+   twice per level would otherwise double its work at each one. *)
 let of_source_diags ?(loader = fun _ -> None) ~file src =
-  let errs = ref [] in
+  let errs = ref [] and includes = ref 0 in
   let note msg loc = errs := (msg, loc) :: !errs in
   let parse_one ~file src =
     let ast, es = Parser.parse_partial ~file src in
     List.iter (fun (msg, loc) -> note msg loc) es;
     ast
   in
-  let exception Too_deep in
+  let exception Fatal in
+  let fatal msg loc =
+    note msg loc;
+    raise Fatal
+  in
   let rec go depth root = function
     | [] -> root
     | item :: rest ->
       let root =
         try
           match item with
-          | Ast.Include (_, loc) when depth >= max_include_depth ->
-            note "includes nested too deeply" loc;
-            raise Too_deep
+          | Ast.Include (_, loc) when depth >= max_include_depth -> fatal too_deep loc
+          | Ast.Include (_, loc) when !includes >= max_includes -> fatal too_many loc
           | Ast.Include (file, loc) -> begin
+            incr includes;
             match loader file with
             | None ->
               note (Fmt.str "cannot resolve /include/ %S" file) loc;
               root
             | Some src -> go (depth + 1) root (parse_one ~file src)
           end
-          | item -> process_toplevels ~loader root [ item ]
+          | item -> process_toplevels ~depth ~includes ~loader root [ item ]
         with Error (msg, loc) ->
           note msg loc;
           root
       in
       go depth root rest
   in
-  let root = try Some (go 0 empty (parse_one ~file src)) with Too_deep -> None in
+  let root = try Some (go 0 empty (parse_one ~file src)) with Fatal -> None in
   match (root, List.rev !errs) with
   | Some root, [] -> Ok root
   | _, errs -> Result.Error errs

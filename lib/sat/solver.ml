@@ -9,7 +9,12 @@
    - [trail] records assignments in order; [trail_lim.(d)] is the trail height
      at the moment decision level d+1 was opened.
    - learnt clauses are asserting: after [analyze], the learnt clause's first
-     literal is the 1-UIP and becomes true upon backjumping. *)
+     literal is the 1-UIP and becomes true upon backjumping.
+
+   Literal arithmetic is written out in place: [l lsr 1] is [Lit.var l],
+   [l lxor 1] is [Lit.neg l] and [l land 1 = 0] is [Lit.is_pos l].  dune's
+   default profile compiles every library [-opaque], so a call into [Lit]
+   would stay a call in the hot loops below.  [Lit] is the public API. *)
 
 (* A clause is one int array, with no pointer in it: two header words, then
    its literals.
@@ -37,6 +42,23 @@ let set_slot (c : clause) i = c.(1) <- (c.(1) land 0xffff_ffff) lor (i lsl 32)
 
 (* The reason of a decision and of every unassigned variable. *)
 let dummy_clause : clause = [| -1; 0 |]
+
+(* A stack of ints, for the trail and its level marks.  Its array is known
+   to hold ints, so a push is a plain store and a truncation only moves
+   [size], where a polymorphic [Vec] pays [caml_modify] for both. *)
+type stack = { mutable items : int array; mutable size : int }
+
+let stack () = { items = Array.make 16 0; size = 0 }
+
+let push s x =
+  let n = s.size in
+  if n = Array.length s.items then begin
+    let a = Array.make (2 * n) 0 in
+    Array.blit s.items 0 a 0 n;
+    s.items <- a
+  end;
+  Array.unsafe_set s.items n x;
+  s.size <- n + 1
 
 type result = Sat | Unsat | Unknown
 
@@ -101,8 +123,8 @@ type t = {
   mutable seen : Bytes.t;               (* var -> scratch mark for analyze *)
   mutable model : Bytes.t;              (* var -> value in the last model *)
   order : Heap.t;                       (* reads [activity] *)
-  trail : int Vec.t;                    (* literals, in assignment order *)
-  trail_lim : int Vec.t;
+  trail : stack;                        (* literals, in assignment order *)
+  trail_lim : stack;
   mutable qhead : int;
   mutable nvars : int;
   mutable var_inc : float;
@@ -183,8 +205,8 @@ let create () =
     seen = tb.t_seen;
     model = tb.t_model;
     order = tb.t_order;
-    trail = Vec.create 0;
-    trail_lim = Vec.create 0;
+    trail = stack ();
+    trail_lim = stack ();
     qhead = 0;
     nvars = 0;
     var_inc = 1.0;
@@ -267,7 +289,7 @@ let new_var t =
   v
 
 (* Negative literals decode to huge variables, so this also rejects them. *)
-let allocated t l = Lit.var l < t.nvars
+let allocated t l = l lsr 1 < t.nvars
 
 let num_vars t = t.nvars
 let num_clauses t = t.n_clauses
@@ -278,7 +300,7 @@ let num_conflicts t = t.n_conflicts
 let enable_proof t =
   live t;
   if
-    t.n_clauses > 0 || Vec.size t.learnts > 0 || Vec.size t.trail > 0
+    t.n_clauses > 0 || Vec.size t.learnts > 0 || t.trail.size > 0
     || not t.ok
   then invalid_arg "Solver.enable_proof: clauses already added";
   t.proof <- Some (Proof.create ())
@@ -298,7 +320,7 @@ let lit_true l = 1 + (l land 1)
 
 (* +1 literal true, -1 false, 0 unassigned *)
 let value_lit t l =
-  match Char.code (Bytes.unsafe_get t.assigns (Lit.var l)) with
+  match Char.code (Bytes.unsafe_get t.assigns (l lsr 1)) with
   | 0 -> 0
   | a -> if a = lit_true l then 1 else -1
 
@@ -307,7 +329,7 @@ let seen t v = Bytes.unsafe_get t.seen v = '\001'
 let set_seen t v b = Bytes.unsafe_set t.seen v (if b then '\001' else '\000')
 let phase t v = Bytes.unsafe_get t.polarity v = '\001'
 
-let decision_level t = Vec.size t.trail_lim
+let decision_level t = t.trail_lim.size
 
 (* Hint for an assignment just made at level 0: clause [id] forced it (or,
    with every literal false, refutes the clause set). *)
@@ -349,51 +371,55 @@ let cla_decay_activity t = t.cla_inc <- t.cla_inc *. clause_decay
 
 (* --- assignment --------------------------------------------------------- *)
 
-(* A literal's first watch array has 2 slots; a full one doubles. *)
+(* A literal's first watch array has 2 slots, written as a literal rather
+   than through [Array.make]; a full one doubles. *)
 let watch t l c =
   let ws = t.watches.(l) and n = t.watched.(l) in
   if n < Array.length ws then Array.unsafe_set ws n c
+  else if n = 0 then t.watches.(l) <- [| c; dummy_clause |]
   else begin
-    let ws' = Array.make (max 2 (2 * n)) dummy_clause in
+    let ws' = Array.make (2 * n) dummy_clause in
     Array.blit ws 0 ws' 0 n;
     ws'.(n) <- c;
     t.watches.(l) <- ws'
   end;
   t.watched.(l) <- n + 1
 
-(* Truncate literal [l]'s watch list to [n] entries. *)
+(* Truncate literal [l]'s watch list to [n] entries.  Most visits keep
+   every watcher, and then there is nothing to clear. *)
 let shrink_watches t l n =
-  let ws = t.watches.(l) in
-  Array.fill ws n (t.watched.(l) - n) dummy_clause;
-  t.watched.(l) <- n
+  let m = t.watched.(l) in
+  if n < m then begin
+    Array.fill t.watches.(l) n (m - n) dummy_clause;
+    t.watched.(l) <- n
+  end
 
 let attach t c =
   (* clause is watched by the negations of its first two literals *)
-  watch t (Lit.neg (lit c 0)) c;
-  watch t (Lit.neg (lit c 1)) c
+  watch t (lit c 0 lxor 1) c;
+  watch t (lit c 1 lxor 1) c
 
 let unchecked_enqueue t l reason =
-  let v = Lit.var l in
+  let v = l lsr 1 in
   assert (unassigned t v);
   Bytes.unsafe_set t.assigns v (Char.unsafe_chr (lit_true l));
   t.level.(v) <- decision_level t;
   t.reason.(v) <- reason;
-  Bytes.unsafe_set t.polarity v (if Lit.is_pos l then '\001' else '\000');
-  Vec.push t.trail l
+  Bytes.unsafe_set t.polarity v (if l land 1 = 0 then '\001' else '\000');
+  push t.trail l
 
 let cancel_until t lvl =
   if decision_level t > lvl then begin
-    let bound = Vec.get t.trail_lim lvl in
-    for i = Vec.size t.trail - 1 downto bound do
-      let l = Vec.get t.trail i in
-      let v = Lit.var l in
+    let bound = t.trail_lim.items.(lvl) and trail = t.trail.items in
+    for i = t.trail.size - 1 downto bound do
+      let v = Array.unsafe_get trail i lsr 1 in
       Bytes.unsafe_set t.assigns v '\000';
       t.reason.(v) <- dummy_clause;
       if not (Heap.in_heap t.order v) then Heap.insert t.order v
     done;
     t.qhead <- bound;
-    Vec.shrink_to t.trail bound;
-    Vec.shrink_to t.trail_lim lvl
+    t.trail.size <- bound;
+    t.trail_lim.size <- lvl
   end
 
 (* --- propagation -------------------------------------------------------- *)
@@ -402,8 +428,8 @@ exception Conflict of clause
 
 let propagate t =
   try
-    while t.qhead < Vec.size t.trail do
-      let p = Vec.get t.trail t.qhead in
+    while t.qhead < t.trail.size do
+      let p = Array.unsafe_get t.trail.items t.qhead in
       t.qhead <- t.qhead + 1;
       t.n_propagations <- t.n_propagations + 1;
       let ws = t.watches.(p) in
@@ -416,7 +442,7 @@ let propagate t =
            incr i;
            if is_dead c then () (* dropped lazily *)
            else begin
-             let false_lit = Lit.neg p in
+             let false_lit = p lxor 1 in
              (* Ensure the false literal is at position 1. *)
              if lit c 0 = false_lit then begin
                set_lit c 0 (lit c 1);
@@ -437,7 +463,7 @@ let propagate t =
                if !k < len then begin
                  set_lit c 1 (lit c !k);
                  set_lit c !k false_lit;
-                 watch t (Lit.neg (lit c 1)) c
+                 watch t (lit c 1 lxor 1) c
                end
                else begin
                  (* Unit or conflicting. *)
@@ -451,7 +477,7 @@ let propagate t =
                      incr j
                    done;
                    shrink_watches t p !j;
-                   t.qhead <- Vec.size t.trail;
+                   t.qhead <- t.trail.size;
                    raise (Conflict c)
                  end
                  else begin
@@ -476,7 +502,7 @@ let sort_lits c =
   let n = size c in
   if n > 16 then begin
     let a = Array.sub c hdr n in
-    Array.sort Lit.compare a;
+    Array.sort Int.compare a;
     Array.blit a 0 c hdr n
   end
   else
@@ -502,7 +528,7 @@ let simplify t c =
     else
       let l = lit c i in
       if l = prev then go (i + 1) j prev
-      else if l = Lit.neg prev then -1
+      else if l = prev lxor 1 then -1
       else
         match value_lit t l with
         | 1 -> -1
@@ -571,7 +597,7 @@ let analyze t confl =
   let hints = ref [] in
   let path_count = ref 0 in
   let p = ref (-1) (* literal, -1 = none yet *) in
-  let index = ref (Vec.size t.trail - 1) in
+  let index = ref (t.trail.size - 1) in
   let btlevel = ref 0 in
   let confl = ref confl in
   let continue = ref true in
@@ -582,7 +608,7 @@ let analyze t confl =
     let start = if !p = -1 then 0 else 1 in
     for k = start to size c - 1 do
       let q = lit c k in
-      let v = Lit.var q in
+      let v = q lsr 1 in
       if (not (seen t v)) && t.level.(v) > 0 then begin
         var_bump t v;
         set_seen t v true;
@@ -595,26 +621,26 @@ let analyze t confl =
     done;
     (* Select next literal on the trail to expand. *)
     let rec next () =
-      let l = Vec.get t.trail !index in
+      let l = Array.unsafe_get t.trail.items !index in
       decr index;
-      if seen t (Lit.var l) then l else next ()
+      if seen t (l lsr 1) then l else next ()
     in
     let l = next () in
     p := l;
-    set_seen t (Lit.var l) false;
-    confl := t.reason.(Lit.var l);
+    set_seen t (l lsr 1) false;
+    confl := t.reason.(l lsr 1);
     decr path_count;
     if !path_count <= 0 then continue := false
   done;
-  let uip = Lit.neg !p in
+  let uip = !p lxor 1 in
   (* Conflict-clause minimisation: drop literals implied by the rest. *)
   let is_redundant l =
-    let c = t.reason.(Lit.var l) in
+    let c = t.reason.(l lsr 1) in
     let rec implied k =
       k = size c
       ||
-      let q = lit c k in
-      (Lit.var q = Lit.var l || seen t (Lit.var q) || t.level.(Lit.var q) = 0)
+      let u = lit c k lsr 1 in
+      (u = l lsr 1 || seen t u || t.level.(u) = 0)
       && implied (k + 1)
     in
     c != dummy_clause && implied 0
@@ -627,27 +653,27 @@ let analyze t confl =
   let hints =
     if (not logging) || dropped = [] then !hints
     else begin
-      let pending = ref (List.map Lit.var dropped) and before = ref [] in
+      let pending = ref (List.map (fun l -> l lsr 1) dropped) and before = ref [] in
       let rec cite v =
         if List.mem v !pending then begin
           pending := List.filter (fun u -> u <> v) !pending;
           let r = t.reason.(v) in
           for k = 0 to size r - 1 do
-            cite (Lit.var (lit r k))
+            cite (lit r k lsr 1)
           done;
           before := trace_id r :: !before
         end
       in
-      List.iter (fun l -> cite (Lit.var l)) dropped;
+      List.iter (fun l -> cite (l lsr 1)) dropped;
       List.rev_append !before !hints
     end
   in
   (* Clear seen marks. *)
-  List.iter (fun l -> set_seen t (Lit.var l) false) !learnt;
-  set_seen t (Lit.var uip) false;
+  List.iter (fun l -> set_seen t (l lsr 1) false) !learnt;
+  set_seen t (uip lsr 1) false;
   (* LBD: number of distinct decision levels in the clause. *)
   let lbd =
-    let levels = List.sort_uniq Int.compare (List.map (fun l -> t.level.(Lit.var l)) kept) in
+    let levels = List.sort_uniq Int.compare (List.map (fun l -> t.level.(l lsr 1)) kept) in
     List.length levels
   in
   (* Recompute backtrack level on the kept clause. *)
@@ -655,7 +681,7 @@ let analyze t confl =
     match kept with
     | [] | [ _ ] -> 0
     | _ :: rest ->
-      List.fold_left (fun acc l -> max acc t.level.(Lit.var l)) 0 rest
+      List.fold_left (fun acc l -> max acc t.level.(l lsr 1)) 0 rest
   in
   (kept, btlevel, lbd, hints)
 
@@ -665,7 +691,7 @@ let order_second_watch t c =
   if n > 1 then begin
     let best = ref 1 in
     for k = 2 to n - 1 do
-      if t.level.(Lit.var (lit c k)) > t.level.(Lit.var (lit c !best)) then best := k
+      if t.level.(lit c k lsr 1) > t.level.(lit c !best lsr 1) then best := k
     done;
     let tmp = lit c 1 in
     set_lit c 1 (lit c !best);
@@ -724,14 +750,14 @@ let record_learnt t lits lbd hints =
 let analyze_final_lit t p =
   (* [p] is the trail literal contradicting the failed assumption [neg p];
      the core collects assumption literals as given by the caller. *)
-  let core = ref [ Lit.neg p ] and chain = ref [] in
-  let v = Lit.var p in
+  let core = ref [ p lxor 1 ] and chain = ref [] in
+  let v = p lsr 1 in
   if t.level.(v) > 0 then begin
     set_seen t v true;
-    let bottom = Vec.get t.trail_lim 0 in
-    for i = Vec.size t.trail - 1 downto bottom do
-      let l = Vec.get t.trail i in
-      let w = Lit.var l in
+    let bottom = t.trail_lim.items.(0) in
+    for i = t.trail.size - 1 downto bottom do
+      let l = t.trail.items.(i) in
+      let w = l lsr 1 in
       if seen t w then begin
         set_seen t w false;
         let r = t.reason.(w) in
@@ -740,7 +766,7 @@ let analyze_final_lit t p =
         else begin
           if Option.is_some t.proof then chain := trace_id r :: !chain;
           for k = 0 to size r - 1 do
-            let u = Lit.var (lit r k) in
+            let u = lit r k lsr 1 in
             if u <> w && t.level.(u) > 0 then set_seen t u true
           done
         end
@@ -767,7 +793,7 @@ let reduce_db t =
   let locked c =
     (* A clause that is the reason of a current assignment must stay. *)
     let l = lit c 0 in
-    value_lit t l = 1 && t.reason.(Lit.var l) == c
+    value_lit t l = 1 && t.reason.(l lsr 1) == c
   in
   for i = keep to n - 1 do
     let c = Vec.get t.learnts i in
@@ -878,7 +904,7 @@ let search t ~nof_conflicts =
           raise Exit
         end;
         if
-          float_of_int (Vec.size t.learnts) -. float_of_int (Vec.size t.trail)
+          float_of_int (Vec.size t.learnts) -. float_of_int t.trail.size
           >= t.max_learnts
         then begin
           reduce_db t;
@@ -891,12 +917,12 @@ let search t ~nof_conflicts =
           match value_lit t p with
           | 1 ->
             (* Already true: open a dummy level so indices stay aligned. *)
-            Vec.push t.trail_lim (Vec.size t.trail)
+            push t.trail_lim t.trail.size
           | -1 ->
-            analyze_final_lit t (Lit.neg p);
+            analyze_final_lit t (p lxor 1);
             raise (Found_result Unsat)
           | _ ->
-            Vec.push t.trail_lim (Vec.size t.trail);
+            push t.trail_lim t.trail.size;
             unchecked_enqueue t p dummy_clause
         end
         else begin
@@ -918,8 +944,8 @@ let search t ~nof_conflicts =
             raise (Found_result Sat)
           | Some v ->
             t.n_decisions <- t.n_decisions + 1;
-            let l = Lit.make ~var:v ~negated:(not (phase t v)) in
-            Vec.push t.trail_lim (Vec.size t.trail);
+            let l = (v lsl 1) lor (if phase t v then 0 else 1) in
+            push t.trail_lim t.trail.size;
             unchecked_enqueue t l dummy_clause
         end
     done;
@@ -1060,8 +1086,8 @@ let value t v =
   v < t.model_vars && Bytes.get t.model v = '\001'
 
 let lit_value t l =
-  let b = value t (Lit.var l) in
-  if Lit.is_neg l then not b else b
+  let b = value t (l lsr 1) in
+  if l land 1 = 1 then not b else b
 
 let model t =
   live t;

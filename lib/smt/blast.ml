@@ -12,6 +12,11 @@
 module S = Sat.Solver
 module L = Sat.Lit
 
+(* Literal arithmetic is written out here, not called from [Sat.Lit]: dune's
+   default profile compiles every library [-opaque], so [L.neg] and
+   [L.equal] would stay calls on every gate.  A literal is [2v] or [2v+1]:
+   [mk_not] flips the low bit, and literals compare with [=]. *)
+
 type ctx = {
   sat : S.t;
   true_lit : L.t;
@@ -28,7 +33,7 @@ type ctx = {
 
 let create ~sat ~enum_universe ~sort_of =
   let v = S.new_var sat in
-  let true_lit = L.of_var v in
+  let true_lit = v lsl 1 in
   ignore (S.add_clause sat [ true_lit ] : bool);
   {
     sat;
@@ -44,38 +49,38 @@ let create ~sat ~enum_universe ~sort_of =
     sort_of;
   }
 
-let false_lit ctx = L.neg ctx.true_lit
-let fresh ctx = L.of_var (S.new_var ctx.sat)
+let false_lit ctx = ctx.true_lit lxor 1
+let fresh ctx = S.new_var ctx.sat lsl 1
 let add ctx lits = ignore (S.add_clause ctx.sat lits : bool)
 
 (* --- gates ---------------------------------------------------------------- *)
 
-let mk_not l = L.neg l
+let mk_not (l : L.t) = l lxor 1
 
 let mk_and ctx ls =
-  let ls = List.filter (fun l -> not (L.equal l ctx.true_lit)) ls in
-  if List.exists (fun l -> L.equal l (false_lit ctx)) ls then false_lit ctx
+  let ls = List.filter (fun l -> l <> ctx.true_lit) ls in
+  if List.exists (fun l -> l = false_lit ctx) ls then false_lit ctx
   else
     match ls with
     | [] -> ctx.true_lit
     | [ l ] -> l
     | _ ->
       let r = fresh ctx in
-      List.iter (fun l -> add ctx [ L.neg r; l ]) ls;
-      add ctx (r :: List.map L.neg ls);
+      List.iter (fun l -> add ctx [ mk_not r; l ]) ls;
+      add ctx (r :: List.map mk_not ls);
       r
 
 let mk_or ctx ls =
-  let ls = List.filter (fun l -> not (L.equal l (false_lit ctx))) ls in
-  if List.exists (fun l -> L.equal l ctx.true_lit) ls then ctx.true_lit
+  let ls = List.filter (fun l -> l <> false_lit ctx) ls in
+  if List.exists (fun l -> l = ctx.true_lit) ls then ctx.true_lit
   else
     match ls with
     | [] -> false_lit ctx
     | [ l ] -> l
     | _ ->
       let r = fresh ctx in
-      List.iter (fun l -> add ctx [ r; L.neg l ]) ls;
-      add ctx (L.neg r :: ls);
+      List.iter (fun l -> add ctx [ r; mk_not l ]) ls;
+      add ctx (mk_not r :: ls);
       r
 
 (* Two- and three-input forms of [mk_and]/[mk_or] for the circuits below:
@@ -83,56 +88,56 @@ let mk_or ctx ls =
    same order, without building lists of inputs. *)
 let and2 ctx a b =
   let f = false_lit ctx in
-  if L.equal a f || L.equal b f then f
-  else if L.equal a ctx.true_lit then b
-  else if L.equal b ctx.true_lit then a
+  if a = f || b = f then f
+  else if a = ctx.true_lit then b
+  else if b = ctx.true_lit then a
   else begin
     let r = fresh ctx in
-    add ctx [ L.neg r; a ];
-    add ctx [ L.neg r; b ];
-    add ctx [ r; L.neg a; L.neg b ];
+    add ctx [ mk_not r; a ];
+    add ctx [ mk_not r; b ];
+    add ctx [ r; mk_not a; mk_not b ];
     r
   end
 
 let or2 ctx a b =
   let t = ctx.true_lit in
-  if L.equal a t || L.equal b t then t
-  else if L.equal a (false_lit ctx) then b
-  else if L.equal b (false_lit ctx) then a
+  if a = t || b = t then t
+  else if a = false_lit ctx then b
+  else if b = false_lit ctx then a
   else begin
     let r = fresh ctx in
-    add ctx [ r; L.neg a ];
-    add ctx [ r; L.neg b ];
-    add ctx [ L.neg r; a; b ];
+    add ctx [ r; mk_not a ];
+    add ctx [ r; mk_not b ];
+    add ctx [ mk_not r; a; b ];
     r
   end
 
 let or3 ctx a b c =
   let t = ctx.true_lit and f = false_lit ctx in
-  if L.equal a t || L.equal b t || L.equal c t then t
-  else if L.equal a f then or2 ctx b c
-  else if L.equal b f then or2 ctx a c
-  else if L.equal c f then or2 ctx a b
+  if a = t || b = t || c = t then t
+  else if a = f then or2 ctx b c
+  else if b = f then or2 ctx a c
+  else if c = f then or2 ctx a b
   else begin
     let r = fresh ctx in
-    add ctx [ r; L.neg a ];
-    add ctx [ r; L.neg b ];
-    add ctx [ r; L.neg c ];
-    add ctx [ L.neg r; a; b; c ];
+    add ctx [ r; mk_not a ];
+    add ctx [ r; mk_not b ];
+    add ctx [ r; mk_not c ];
+    add ctx [ mk_not r; a; b; c ];
     r
   end
 
 let mk_xor ctx a b =
-  if L.equal a (false_lit ctx) then b
-  else if L.equal b (false_lit ctx) then a
-  else if L.equal a ctx.true_lit then mk_not b
-  else if L.equal b ctx.true_lit then mk_not a
+  if a = false_lit ctx then b
+  else if b = false_lit ctx then a
+  else if a = ctx.true_lit then mk_not b
+  else if b = ctx.true_lit then mk_not a
   else begin
     let r = fresh ctx in
-    add ctx [ L.neg r; a; b ];
-    add ctx [ L.neg r; L.neg a; L.neg b ];
-    add ctx [ r; L.neg a; b ];
-    add ctx [ r; a; L.neg b ];
+    add ctx [ mk_not r; a; b ];
+    add ctx [ mk_not r; mk_not a; mk_not b ];
+    add ctx [ r; mk_not a; b ];
+    add ctx [ r; a; mk_not b ];
     r
   end
 
@@ -140,15 +145,15 @@ let mk_iff ctx a b = mk_not (mk_xor ctx a b)
 
 (* mux: if c then a else b *)
 let mk_mux ctx c a b =
-  if L.equal a b then a
-  else if L.equal c ctx.true_lit then a
-  else if L.equal c (false_lit ctx) then b
+  if a = b then a
+  else if c = ctx.true_lit then a
+  else if c = false_lit ctx then b
   else begin
     let r = fresh ctx in
-    add ctx [ L.neg c; L.neg r; a ];
-    add ctx [ L.neg c; r; L.neg a ];
-    add ctx [ c; L.neg r; b ];
-    add ctx [ c; r; L.neg b ];
+    add ctx [ mk_not c; mk_not r; a ];
+    add ctx [ mk_not c; r; mk_not a ];
+    add ctx [ c; mk_not r; b ];
+    add ctx [ c; r; mk_not b ];
     r
   end
 
@@ -169,13 +174,13 @@ let bv_const ctx ~width value =
       if Int64.logand (Int64.shift_right_logical value i) 1L = 1L then ctx.true_lit
       else false_lit ctx)
 
-let all_false ctx a = Array.for_all (fun l -> L.equal l (false_lit ctx)) a
+let all_false ctx a = Array.for_all (fun l -> l = false_lit ctx) a
 
 (* Adding zero with no carry in: every full adder would fold to (x, false)
    without a fresh variable or a clause, so return the other operand. *)
 let ripple_add ctx a b cin =
-  if L.equal cin (false_lit ctx) && all_false ctx b then a
-  else if L.equal cin (false_lit ctx) && all_false ctx a then b
+  if cin = false_lit ctx && all_false ctx b then a
+  else if cin = false_lit ctx && all_false ctx a then b
   else begin
     let w = Array.length a in
     let out = Array.make w cin in
@@ -201,7 +206,7 @@ let bv_mul ctx a b =
   let w = Array.length a in
   let acc = ref (bv_const ctx ~width:w 0L) in
   for i = 0 to w - 1 do
-    if not (L.equal b.(i) (false_lit ctx)) then begin
+    if b.(i) <> false_lit ctx then begin
       let partial =
         Array.init w (fun j -> if j < i then false_lit ctx else and2 ctx a.(j - i) b.(i))
       in

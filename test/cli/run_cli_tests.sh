@@ -283,6 +283,44 @@ set -e
   && grep -q "^error\[DT-PARSE\]: .*self.dts:2:1: includes nested too deeply" "$TMP/self.err" \
   || fail "expected one nesting error at the include: $(cat "$TMP/self.err")"
 
+echo "# check: a doubling include chain stops at the bound on includes, exit 2"
+# Each of 30 levels includes the next one twice: 2^31 - 2 expansions
+# without the bound, which ends the run after 1000 of them.
+mkdir "$TMP/chain"
+printf '/dts-v1/;\n/include/ "c1.dtsi"\n/include/ "c1.dtsi"\n' > "$TMP/chain/top.dts"
+i=1
+while [ "$i" -lt 30 ]; do
+  printf '/include/ "c%d.dtsi"\n/include/ "c%d.dtsi"\n' $((i + 1)) $((i + 1)) \
+    > "$TMP/chain/c$i.dtsi"
+  i=$((i + 1))
+done
+printf '/ { leaf; };\n' > "$TMP/chain/c30.dtsi"
+set +e
+"$LLHSC" check "$TMP/chain/top.dts" > /dev/null 2> "$TMP/chain.err"
+rc=$?
+set -e
+[ "$rc" -eq 2 ] || fail "a doubling include chain should exit 2 (got $rc)"
+[ "$(wc -l < "$TMP/chain.err")" -eq 1 ] \
+  && grep -q "^error\[DT-PARSE\]: .*\.dtsi:[0-9]*:1: more than 1000 includes in one tree" \
+    "$TMP/chain.err" \
+  || fail "expected one error at the bound on includes: $(cat "$TMP/chain.err")"
+
+echo "# dtb: include errors read as check's, error[DT-PARSE], exit 2"
+printf '/dts-v1/;\n/include/ "nope.dtsi"\n/ { };\n' > "$TMP/missing.dts"
+for case in "self.dts:2:1: includes nested too deeply" \
+  "missing.dts:2:1: cannot resolve /include/ \"nope.dtsi\""; do
+  file=${case%%:*}
+  set +e
+  "$LLHSC" dtb "$TMP/$file" -o "$TMP/out.dtb" > /dev/null 2> "$TMP/dtb.err"
+  rc=$?
+  set -e
+  [ "$rc" -eq 2 ] || fail "dtb $file should exit 2 (got $rc)"
+  [ "$(wc -l < "$TMP/dtb.err")" -eq 1 ] \
+    && grep -q "^error\[DT-PARSE\]: .*$case\$" "$TMP/dtb.err" \
+    || fail "dtb $file: expected error[DT-PARSE]: $case, got $(cat "$TMP/dtb.err")"
+  [ ! -e "$TMP/out.dtb" ] || fail "dtb $file wrote a blob"
+done
+
 echo "# journal + resume: an edited /include/d file is re-checked, not replayed"
 mkdir "$TMP/incl"
 cp -R "$FIXTURES/." "$TMP/incl/"

@@ -11,7 +11,7 @@
      - job children are forks of the daemon: they hold none of its
        sockets and count their fault schedule from the start like the
        batch CLI; the daemon writes no file, and a request's /include/
-       reaches none outside what it shipped;
+       reaches none outside what it shipped, nor expands without bound;
      - the fleet backend (--dispatch): a served pipeline run by an
        authenticated worker, then by the dispatcher's in-process sweep.
 
@@ -468,6 +468,51 @@ let test_functional () =
   expect_status "healthz after hostile barrage" 200 (request d "GET" "/healthz" "");
   stop_daemon d
 
+(* A /v1/pipeline body whose [files] hold a chain of 30 files, each
+   including the next one twice, would expand 2^31 - 2 includes.  The
+   bound on a tree's includes ends the job at once with one error, and the
+   daemon then serves a small check as usual.  The request deadline only
+   keeps an unbounded expansion from outliving the harness. *)
+let test_include_chain () =
+  say "a doubling /include/ chain in a pipeline's files stops at the bound";
+  let d = start_daemon [ "--workers"; "2"; "--request-deadline"; "10" ] in
+  let twice i =
+    let line = Printf.sprintf "/include/ \"c%d.dtsi\"\n" i in
+    line ^ line
+  in
+  let files =
+    List.init 30 (fun i ->
+        let text = if i = 29 then "/ { leaf; };\n" else twice (i + 2) in
+        (Printf.sprintf "c%d.dtsi" (i + 1), Llhsc.Json.Str text))
+  in
+  let fx name = read_file (Filename.concat fixtures name) in
+  let body =
+    Llhsc.Json.to_string
+      (Llhsc.Json.Obj
+         [ ("core", Str ("/dts-v1/;\n" ^ twice 1));
+           ("deltas", Str (fx "custom-sbc.deltas"));
+           ("model", Str (fx "custom-sbc.fm"));
+           ("files", Obj files);
+           ("vms", List [ List [ Str "memory" ] ]) ])
+  in
+  let t0 = Unix.gettimeofday () in
+  let r = request d "POST" "/v1/pipeline" body in
+  let took = Unix.gettimeofday () -. t0 in
+  expect_status "include chain" 200 r;
+  (match Llhsc.Json.to_int (json_member r "exit") with
+   | Some 2 -> ()
+   | _ -> fail "include chain: want exit 2: %s" r.body);
+  (match stderr_lines "include chain" r with
+   | [ line ]
+     when Llhsc.Util.contains line "error[DT-PARSE]: "
+          && Llhsc.Util.contains line "more than 1000 includes in one tree" -> ()
+   | lines -> fail "include chain: want one bound error, got %S" (String.concat "\n" lines));
+  if took > 5. then fail "include chain: answered after %.1f s, want under 5 s" took;
+  let r = request d "POST" "/v1/check" good_dts in
+  expect_status "check after the chain" 200 r;
+  if json_str r "status" <> "clean" then fail "check after the chain: not clean: %s" r.body;
+  stop_daemon d
+
 let test_overload () =
   let d =
     start_daemon
@@ -802,6 +847,7 @@ let test_dispatch () =
 let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   test_functional ();
+  test_include_chain ();
   test_overload ();
   test_faults ();
   test_drain ();

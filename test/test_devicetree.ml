@@ -94,6 +94,34 @@ let test_missing_include () =
     Alcotest.fail "expected include error"
   with T.Error (msg, _) -> check_bool "mentions file" true (Test_util.contains msg "nope")
 
+(* A chain in which every file includes the next one twice doubles the
+   work at each level: 30 levels nest only 30 deep but would expand
+   2^31 - 2 includes.  The expansions of the whole tree stop at the bound,
+   1,000, with one error.  The loader fails once called past it, so an
+   unbounded expansion fails here instead of hanging. *)
+let test_include_doubling () =
+  let files =
+    ("top.dts", "/dts-v1/;\n/include/ \"c1.dtsi\"\n/include/ \"c1.dtsi\"\n")
+    :: ("c30.dtsi", "/ { leaf; };\n")
+    :: List.init 29 (fun i ->
+           let next = Printf.sprintf "/include/ \"c%d.dtsi\"\n" (i + 2) in
+           (Printf.sprintf "c%d.dtsi" (i + 1), next ^ next))
+  in
+  let loads = ref 0 in
+  let loader name =
+    incr loads;
+    if !loads > 1001 then failwith "include loader: over 1001 loads";
+    List.assoc_opt name files
+  in
+  let want = "more than 1000 includes in one tree" and src = List.assoc "top.dts" files in
+  (match T.of_source_diags ~loader ~file:"top.dts" src with
+   | Ok _ -> Alcotest.fail "the chain parsed"
+   | Error errs -> Alcotest.(check (list string)) "one error" [ want ] (List.map fst errs));
+  loads := 0;
+  match T.of_source ~loader ~file:"top.dts" src with
+  | _ -> Alcotest.fail "of_source parsed"
+  | exception T.Error (msg, _) -> check_str "of_source" want msg
+
 (* An include cycle stops at the nesting bound with one error at the
    include that crosses it, even a file that includes itself twice; a
    file included twice side by side is no cycle.  The loader gives up
@@ -919,6 +947,7 @@ let () =
           Alcotest.test_case "labels" `Quick test_parse_labels;
           Alcotest.test_case "missing include" `Quick test_missing_include;
           Alcotest.test_case "include cycles" `Quick test_include_cycles;
+          Alcotest.test_case "include doubling chain" `Quick test_include_doubling;
           Alcotest.test_case "expressions in cells" `Quick test_expressions_in_cells;
           Alcotest.test_case "strings and bytes" `Quick test_strings_and_bytes;
           Alcotest.test_case "/bits/ widths" `Quick test_bits_directive;

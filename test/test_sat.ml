@@ -695,6 +695,76 @@ let test_phase_true_then_grow () =
   Sat.Solver.release (raised_task ());
   ignore (run "reused" : Sat.Solver.t)
 
+(* An incremental search: seeded 3-SAT clauses added in rounds, each round
+   solved under the assumptions [d; t; f].  [d] is a seeded literal, [t] is
+   true at level 0, so its assumption level opens empty, and [f] assumes a
+   seeded variable false.  Conflicts backjump over these levels and the
+   later rounds fail on an assumption, so each round's answer and core, the
+   trace and the counters pin the trail and its level marks.  Seed 1
+   reaches [reduce_db]; in seed 5's round 11, [d] is false at level 0, so
+   the core is [d] alone.  The figures were recorded before the trail
+   became one int stack. *)
+let incremental_pins =
+  let sat n = List.init n (fun _ -> "sat") in
+  [ ( 1, 150, 100,
+      sat 5
+      @ [ "unsat -143 -22"; "unsat -85 -18"; "unsat -57 -75"; "unsat -150 -139";
+          "unsat -10 -93" ],
+      4953, "c577b334a1355b376648788095e48682",
+      "vars=151 clauses=1000 learnts=912 decisions=3213 conflicts=2432 props=75939 \
+       restarts=14" );
+    ( 5, 100, 60,
+      sat 6
+      @ [ "unsat 98 -61"; "unsat -32 -64"; "unsat -5 -70"; "unsat 21 -83"; "unsat 79";
+          "unsat 24 -80" ],
+      996, "d73486ca8cbcbcbde70f870520bb93f7",
+      "vars=101 clauses=719 learnts=274 decisions=675 conflicts=275 props=6842 restarts=1" ) ]
+
+let check_incremental how (seed, vars, per_round, answers, length, drup, stats) =
+  let what = Printf.sprintf "%s seed %d" how seed in
+  let s, _ = fresh_solver (vars + 1) in
+  Sat.Solver.enable_proof s;
+  let t = lit vars in
+  ignore (Sat.Solver.add_clause s [ t ] : bool);
+  let clauses = random_3sat ~seed ~vars ~clauses:(per_round * List.length answers) in
+  let rng = Random.State.make [| seed; 1 |] in
+  let round r =
+    List.iteri
+      (fun i c -> if i / per_round = r then ignore (Sat.Solver.add_clause s c : bool))
+      clauses;
+    let d = Sat.Lit.make ~var:(Random.State.int rng vars) ~negated:(Random.State.bool rng) in
+    let f = nlit (Random.State.int rng vars) in
+    match Sat.Solver.solve ~assumptions:[ d; t; f ] s with
+    | Sat -> "sat"
+    | Unsat ->
+      String.concat " "
+        ("unsat"
+        :: List.map (fun l -> string_of_int (Sat.Lit.to_dimacs l)) (Sat.Solver.unsat_core s))
+    | Unknown -> "unknown"
+  in
+  Alcotest.(check (list string)) (what ^ " answers and cores") answers
+    (List.init (List.length answers) round);
+  let proof = proof_of s in
+  Alcotest.(check int) (what ^ " trace length") length (Sat.Proof.length proof);
+  Alcotest.(check string) (what ^ " DRUP digest") drup
+    (Digest.to_hex (Digest.string (Fmt.str "%a" Sat.Proof.pp_drup proof)));
+  Alcotest.(check string) (what ^ " stats") stats (Fmt.str "%a" Sat.Solver.pp_stats s)
+
+(* The incremental pins on fresh tables (a first [create] takes any spare
+   ones), then on tables released by a solver cut mid-search and by one
+   whose task raised. *)
+let test_incremental_pinned () =
+  ignore (Sat.Solver.create () : Sat.Solver.t);
+  List.iter (check_incremental "fresh,") incremental_pins;
+  List.iter
+    (fun (how, ended) ->
+      List.iter
+        (fun pin ->
+          Sat.Solver.release (ended ());
+          check_incremental (how ^ ", then") pin)
+        incremental_pins)
+    [ ("cut mid-search", cut_mid_search); ("raised", raised_task) ]
+
 (* A released solver refuses every further use. *)
 let test_released_solver_raises () =
   let s, v = fresh_solver 3 in
@@ -1131,6 +1201,7 @@ let () =
       ( "storage",
         [
           Alcotest.test_case "search pinned" `Quick test_search_pinned;
+          Alcotest.test_case "incremental search pinned" `Quick test_incremental_pinned;
           Alcotest.test_case "clauses are flat blocks" `Quick test_clause_storage_flat;
           Alcotest.test_case "a reused solver is fresh" `Quick test_reused_solver_fresh;
           Alcotest.test_case "a released solver raises" `Quick test_released_solver_raises;
