@@ -279,7 +279,8 @@ let out_dir_artifacts out_dir outcome =
 (* The fleet in place of the local pool: workers get the spec the run was
    loaded from, with the products replayed from the journal as its skip
    list. *)
-let fleet cfg spec ~skip tasks = Fleet.Dispatch.run cfg ~spec:{ spec with Fleet.Spec.skip } tasks
+let fleet cfg spec ~skip ~fresh tasks =
+  Fleet.Dispatch.run cfg ~spec:{ spec with Fleet.Spec.skip } ~fresh tasks
 
 (* Run a loaded spec and print its report: the one runner behind `pipeline`,
    `dispatch`, `build` and served pipeline jobs, so journal, resume,
@@ -456,15 +457,10 @@ let default_remote_lease = 60.
 (* The fleet a run dispatches to: `dispatch`'s flags, or the serve
    bridge's few settings and `dispatch`'s defaults. *)
 let dispatch_config ?(min_workers = default_min_workers) ~wait_workers ?port_file ?secret
-    ?journal ?(resume = false) (host, port) pool spec =
+    (host, port) pool spec =
   { Fleet.Dispatch.host; port; min_workers; wait_workers;
     deadline = Option.value ~default:default_remote_lease (task_lease pool spec);
-    port_file; secret;
-    (* The task journal rides next to the product journal: the product
-       journal replays finished products on --resume, the task journal
-       replays finished tasks of the interrupted sweep. *)
-    task_journal = Option.map (fun p -> p ^ ".tasks") journal;
-    resume }
+    port_file; secret }
 
 let cmd_dispatch listen min_workers wait_workers port_file secret_file load out_dir
     journal resume task_deadline =
@@ -482,8 +478,7 @@ let cmd_dispatch listen min_workers wait_workers port_file secret_file load out_
   let pool = { Fleet.Spec.default_pool with task_deadline } in
   let spec, pipeline = load () in
   let cfg =
-    dispatch_config ~min_workers ~wait_workers ?port_file ?secret ?journal ~resume
-      (host, port) pool spec
+    dispatch_config ~min_workers ~wait_workers ?port_file ?secret (host, port) pool spec
   in
   run_spec ~runner:(fleet cfg) ?journal ~resume ~out:(out_dir_artifacts out_dir) pool
     (spec, pipeline)
@@ -850,10 +845,11 @@ let pl_retry =
 
 let pl_journal =
   Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE"
-         ~doc:"Crash-safe journal: append one fsync'd JSONL record per \
-               completed product to $(docv), keyed by a content hash of \
-               the run's inputs.  A killed run loses at most the product \
-               being checked.")
+         ~doc:"Crash-safe journal: append one fsync'd JSONL record to \
+               $(docv) as each product finishes, keyed by a content hash \
+               of the run's inputs.  A killed run loses at most the \
+               product being checked, or at --jobs N and in a fleet the \
+               products in flight.")
 
 let pl_resume =
   Arg.(value & flag

@@ -12,8 +12,7 @@
      worker floor: when the live fleet falls below [min_workers] after
      the registration grace, the loop gives up and the in-process sweep
      finishes the run — a run that loses ALL its workers still merges to
-     the same bytes;
-   - the fsync'd task journal, appended for every fresh result. *)
+     the same bytes. *)
 
 module Json = Llhsc.Json
 module Shard = Llhsc.Shard
@@ -28,8 +27,6 @@ type config = {
   deadline : float; (* per-task lease, seconds *)
   port_file : string option; (* write the bound port here (for tests) *)
   secret : string option; (* require the HMAC handshake (--secret-file) *)
-  task_journal : string option; (* journal per-task results here *)
-  resume : bool; (* replay a matching task journal before dispatching *)
 }
 
 let notice fmt =
@@ -56,35 +53,9 @@ let clear_port_file path = try Sys.remove path with Sys_error _ -> ()
 let msg_setup spec hash =
   Json.to_string (Json.Obj [ ("setup", Spec.to_wire spec); ("hash", Json.Str hash) ])
 
-(* --- task journal -----------------------------------------------------------
-
-   Crash recovery for the dispatcher itself: every task result that wins
-   the first-wins merge is appended to {!Llhsc.Journal}'s task journal,
-   bound to the spec hash and task count, so a journal from a different
-   run (or from a resumed run whose product-journal skip set changed the
-   task array) is started over rather than replaying results onto the
-   wrong indices.  [dispatch --resume] preloads matching records through
-   {!Supervise.resolve}, which removes those tasks from the pending
-   queue; a reconnecting worker that completes the same task later
-   merges as a harmless duplicate.  Only the record codec lives here. *)
-
-let task_record i r = Json.Obj [ ("task", Json.Int i); ("r", Shard.result_to_json r) ]
-
-(* A record is replayed only onto a task index of this run whose owner
-   produced it. *)
-let task_of_record (tasks : Shard.task array) j =
-  match
-    ( Option.bind (Json.member "task" j) Json.to_int,
-      Option.bind (Json.member "r" j) Shard.result_of_json )
-  with
-  | Some i, Some r
-    when i >= 0 && i < Array.length tasks && r.Shard.product = tasks.(i).Shard.owner ->
-    Some (i, r)
-  | _ -> None
-
 (* --- run -------------------------------------------------------------------- *)
 
-let run cfg ~spec (tasks : Shard.task array) =
+let run cfg ~spec ~fresh (tasks : Shard.task array) =
   let n = Array.length tasks in
   let st : Shard.result Supervise.t = Supervise.create n in
   let spec_hash = Spec.hash spec in
@@ -93,32 +64,6 @@ let run cfg ~spec (tasks : Shard.task array) =
      the rejected-connection count surfaced in the final stats line. *)
   let seen_nonces : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let auth_rejected = ref 0 in
-
-  (* Task journal: preload completed results on --resume, then append
-     every fresh result.  Preloaded tasks leave the pending queue before
-     any worker connects, so they are never dispatched again.  A reused
-     journal may hold a task twice; only the first copy counts. *)
-  let binding = Printf.sprintf "%s/%d" spec_hash n in
-  Option.iter
-    (fun path ->
-      if cfg.resume then
-        let replayed =
-          List.filter_map (task_of_record tasks)
-            (Llhsc.Journal.(bodies Tasks) ~path ~binding)
-          |> List.filter (fun (i, r) -> Supervise.resolve st i r = `Fresh)
-        in
-        if replayed <> [] then
-          notice "resume: replayed %d task result(s) from %s"
-            (List.length replayed) path)
-    cfg.task_journal;
-  let journal =
-    Option.map
-      (fun path -> (path, Llhsc.Journal.(open_json Tasks) ~path ~binding))
-      cfg.task_journal
-  in
-  let record_task i r =
-    Option.iter (fun (_, sink) -> Llhsc.Journal.append sink (task_record i r)) journal
-  in
 
   (* The handshake a fresh connection must complete before it may hold
      a lease.  Authentication failures are counted and surfaced
@@ -253,27 +198,14 @@ let run cfg ~spec (tasks : Shard.task array) =
     end
     else true
   in
-  let finish () =
-    (try Unix.close lfd with Unix.Unix_error _ -> ());
-    (* Journaling is fail-operational: the merge and the report do not
-       depend on the journal, so a degraded one is reported, not fatal. *)
-    Option.iter
-      (fun (path, sink) ->
-        Llhsc.Journal.close sink;
-        Option.iter
-          (notice
-             "warning[JOURNAL] task journal %s: %s; journaling disabled for \
-              the rest of the run"
-             path)
-          (Llhsc.Journal.degradation sink))
-      journal
-  in
   let results =
-    Fun.protect ~finally:finish (fun () ->
+    Fun.protect
+      ~finally:(fun () -> try Unix.close lfd with Unix.Unix_error _ -> ())
+      (fun () ->
         let results =
           Shard.supervise ~deadline:cfg.deadline ~listen:lfd ~spec:spec_hash
             ~admit:(fun c -> Some (handshake c))
-            ~replace ~fresh:record_task st tasks
+            ~replace ~fresh st tasks
         in
         (* Every task is resolved: tell workers that have yet to connect.
            The marker goes in before the listen socket closes, so a

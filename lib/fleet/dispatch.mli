@@ -4,8 +4,8 @@
     ({!Llhsc.Shard.supervise}).
 
     On top of that loop the dispatcher adds only its listen socket, the
-    handshake, the worker floor and the task journal.  Workers connect
-    and handshake (hello -> setup -> ready).  Every setup ships the whole
+    handshake and the worker floor.  Workers connect and handshake
+    (hello -> setup -> ready).  Every setup ships the whole
     {!Spec}; the ready message must echo the spec hash and task count,
     so a worker that planned a different run is rejected before it can
     contribute a result.  A connection refused during its handshake is
@@ -28,12 +28,6 @@
     replayed hellos are dropped with a [notice[AUTH]] and counted, and
     all post-handshake frames carry session-keyed MACs so a mid-stream
     injector is handled as a dead worker (see DESIGN.md "fleet trust").
-
-    With [task_journal] set, every merged task result is appended to a
-    task journal ({!Llhsc.Journal}: the product journal's open policy,
-    checksums, fsync and degradation); [resume] preloads a matching
-    journal through the first-wins merge so a crashed dispatcher's
-    successor re-runs only what is missing.
 
     A dispatcher that cannot bind its listen address degrades straight
     to the in-process sweep instead of failing the run.
@@ -58,16 +52,21 @@ type config = {
       (** write the bound port here, and {!closed_marker} once every task
           is resolved *)
   secret : string option;  (** require the HMAC handshake ([--secret-file]) *)
-  task_journal : string option;  (** journal per-task results here *)
-  resume : bool;  (** replay a matching task journal before dispatching *)
 }
 
-(** [run cfg ~spec tasks] — serve [tasks] to the fleet and return one
-    result per index ([None] only for a task that failed remotely and
-    in the local sweep).  [spec] must describe the same run that planned
-    [tasks], with [spec.skip] naming the journal-replayed products. *)
+(** [run cfg ~spec ~fresh tasks] — serve [tasks] to the fleet and return
+    one result per index ([None] only for a task that failed remotely
+    and in the local sweep).  Each task's winning result goes to [fresh]
+    once, as it arrives, which is how the pipeline journals a product
+    the moment its last task returns.  [spec] must describe the same
+    run that planned [tasks], with [spec.skip] naming the
+    journal-replayed products. *)
 val run :
-  config -> spec:Spec.t -> Llhsc.Shard.task array -> Llhsc.Shard.result option array
+  config ->
+  spec:Spec.t ->
+  fresh:(int -> Llhsc.Shard.result -> unit) ->
+  Llhsc.Shard.task array ->
+  Llhsc.Shard.result option array
 
 (** The port file's content, less its newline, once the run is over. *)
 val closed_marker : string

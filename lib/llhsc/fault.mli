@@ -31,9 +31,9 @@
                                                   the rename.
     erofs                Durable open for write   opens, from 1.  Raises Sys_error
                                                   "Read-only file system".
-    kill-mid-record      Journal append           records of the process over every
-                                                  journal, from 1.  Half the record,
-                                                  no newline, then SIGKILL.
+    kill-mid-record      Journal append           journal records of the process,
+                                                  from 1.  Half the record, no
+                                                  newline, then SIGKILL.
     kill-after-records   Journal append           the same records.  SIGKILL once
                                                   record n is fsync'd.
     term-after-records   Journal append           the same records.  SIGTERM once

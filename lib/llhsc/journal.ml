@@ -1,37 +1,31 @@
-(* Append-only JSONL journals for crash-safe runs.  See the .mli for the
-   format contract and the open policy.  The file is split in two: a
-   core over JSON bodies that both journals use (header binding, line
-   checksums, fail-operational degradation, fault hooks, verified
-   bodies), and the pipeline's product entries on top.  The important
-   invariants live in [append]: one complete line per record, fsync'd
-   before control returns, so the window a SIGKILL can lose is exactly
-   one in-flight record. *)
+(* The append-only JSONL journal of crash-safe runs.  See the .mli for
+   the format contract and the open policy.  A core over JSON bodies
+   (header binding, line checksums, fail-operational degradation, fault
+   hooks) comes first, the pipeline's product entries on top.  The
+   important invariants live in [append]: one complete line per record,
+   fsync'd before control returns, so the window a SIGKILL can lose is
+   exactly one in-flight record. *)
 
 (* --- core: a journal of JSON bodies ----------------------------------------- *)
 
-type journal = Products | Tasks
-
 let version = 1
+let tag = "llhsc-journal"
 
-(* The header's first key names the journal, so neither journal's file
-   ever reads as the other's. *)
-let tag = function Products -> "llhsc-journal" | Tasks -> "llhsc-tasks"
+let header binding =
+  Json.Obj [ (tag, Json.Int version); ("inputs", Json.Str binding) ]
 
-let header journal binding =
-  Json.Obj [ (tag journal, Json.Int version); ("inputs", Json.Str binding) ]
-
-(* [Some binding] when [line] is a current-version header of [journal]. *)
-let binding_of journal line =
+(* [Some binding] when [line] is a current-version header. *)
+let binding_of line =
   match Json.parse line with
   | Ok (Json.Obj [ (t, Json.Int v); ("inputs", Json.Str b) ])
-    when t = tag journal && v = version ->
+    when t = tag && v = version ->
     Some b
   | _ -> None
 
-(* Any version, any binding: the file is some run's [journal]. *)
-let is_header_of journal line =
+(* Any version, any binding: the file is some run's journal. *)
+let is_header line =
   match Json.parse line with
-  | Ok (Json.Obj ((t, _) :: _)) -> t = tag journal
+  | Ok (Json.Obj ((t, _) :: _)) -> t = tag
   | _ -> false
 
 (* A record line is "<json>\t<crc32 of json, 8 lowercase hex digits>".
@@ -122,7 +116,7 @@ let degradation sink = sink.degraded
 (* The open policy, read from the file itself.  The file is only opened
    for writing once it is known to be a journal, so a refused file is
    never touched. *)
-let open_json journal ~path ~binding =
+let open_ ~path ~inputs_hash =
   let policy =
     match In_channel.with_open_bin path In_channel.input_all with
     | exception Sys_error _ when not (Sys.file_exists path) -> `Start_over
@@ -131,9 +125,9 @@ let open_json journal ~path ~binding =
       let lines = lines_of s in
       let first = List.hd lines in
       if marked lines then `Start_over
-      else if binding_of journal first = Some binding then
+      else if binding_of first = Some inputs_hash then
         `Append (s.[String.length s - 1] <> '\n')
-      else if is_header_of journal first then `Start_over
+      else if is_header first then `Start_over
       else raise (Sys_error (path ^ ": not an llhsc journal; refusing to overwrite it"))
   in
   let oc = Durable.open_for_append ~truncate:(policy = `Start_over) path in
@@ -148,7 +142,7 @@ let open_json journal ~path ~binding =
      (* fsync failure PROPAGATES from [Durable.sync]; a failed header
         degrades the sink instead of failing the run. *)
      try
-       Durable.out_string oc (Json.to_string (header journal binding) ^ "\n");
+       Durable.out_string oc (Json.to_string (header inputs_hash) ^ "\n");
        Durable.sync oc
      with (Unix.Unix_error _ | Sys_error _) as e -> degrade sink (reason_of_exn e)));
   sink
@@ -156,8 +150,8 @@ let open_json journal ~path ~binding =
 (* The fault harness simulates a crash at a seeded point by having the
    journal SIGKILL its own process: either right after the n-th record
    lands (clean cut between lines) or halfway through writing it (torn
-   final line, which readers must skip).  Records are counted across
-   every sink of the process. *)
+   final line, which readers must skip).  Records are counted per
+   process. *)
 let appended = Fault.counter ()
 
 let append sink body =
@@ -192,13 +186,6 @@ let append sink body =
    loses nothing durable: after a degradation the channel may hold the
    tail of a failed write whose flush would raise again. *)
 let close sink = close_out_noerr sink.oc
-
-let bodies journal ~path ~binding =
-  match read_lines path with
-  | Some (first :: rest)
-    when binding_of journal first = Some binding && not (marked rest) ->
-    bodies_of rest
-  | _ -> []
 
 (* --- the product journal -------------------------------------------------- *)
 
@@ -321,7 +308,6 @@ let entry_of_json j =
 
 (* --- writing and loading entries ------------------------------------------ *)
 
-let open_ ~path ~inputs_hash = open_json Products ~path ~binding:inputs_hash
 let record sink entry = append sink (entry_to_json entry)
 
 (* Last record wins per (kind, name): a resumed run appends fresher
@@ -340,8 +326,14 @@ let last_wins bodies =
     bodies;
   List.rev_map (fun key -> Hashtbl.find tbl key) !order
 
+(* Nothing from a marked journal: it stopped being complete at an
+   unknowable point. *)
 let load ~path ~inputs_hash =
-  last_wins (bodies Products ~path ~binding:inputs_hash)
+  match read_lines path with
+  | Some (first :: rest)
+    when binding_of first = Some inputs_hash && not (marked rest) ->
+    last_wins (bodies_of rest)
+  | _ -> []
 
 let find entries kind name =
   List.find_opt (fun e -> e.kind = kind && e.name = name) entries
@@ -360,7 +352,7 @@ type fsck_report = {
 
 let fsck_issues r = r.torn > 0 || r.invalid > 0 || r.degraded_reason <> None
 
-(* Split a product journal into (header verdict, record lines).  [None]
+(* Split a journal into (header verdict, record lines).  [None]
    when the file is missing or unreadable. *)
 let scan path =
   match read_lines path with
@@ -368,7 +360,7 @@ let scan path =
   | Some [] -> Some (`Missing, [])
   | Some (first :: rest) ->
     Some
-      ( (match binding_of Products first with Some ih -> `Ok ih | None -> `Bad),
+      ( (match binding_of first with Some ih -> `Ok ih | None -> `Bad),
         rest )
 
 let fsck ~path =
@@ -410,7 +402,7 @@ let compact ~path =
   | Some (`Ok ih, rest) ->
     let entries = last_wins (bodies_of rest) in
     let buf = Buffer.create 4096 in
-    Buffer.add_string buf (Json.to_string (header Products ih));
+    Buffer.add_string buf (Json.to_string (header ih));
     Buffer.add_char buf '\n';
     List.iter
       (fun e ->

@@ -1,24 +1,21 @@
-(** Crash-safe journals: append-only JSONL files with one fsync'd record
-    per completed unit of work, enabling [--resume] to skip work that
-    already concluded before a crash.  This module is the only code that
-    reads or writes a journal file.  It serves both journals llhsc keeps:
-    the pipeline's product journal ([--journal FILE], one {!entry} per
-    product) and the fleet dispatcher's task journal ([FILE.tasks], one
-    merged task result per line).
+(** The crash-safe journal: an append-only JSONL file with one fsync'd
+    record per finished product, and one for the partition check,
+    enabling [--resume] to skip work that already concluded before a
+    crash.  This module is the only code that reads or writes a journal
+    file ([--journal FILE] of [pipeline] and [dispatch]).
 
     File layout: the first line is a header naming the journal, its
-    format version and a {e binding} — a hash of everything the run's
-    records depend on.  Every following line is one record, written as
-    ["<json>\t<crc32 of json, 8 hex digits>"]; the per-line checksum
-    catches corrupt-but-still-parseable lines that a JSON parse failure
-    cannot.  Each record is written, flushed and [fsync]'d before the
-    writer moves on, so a SIGKILL at any point loses at most the record
-    being written.  Readers skip a truncated final line and lines whose
-    checksum does not verify, and accept checksum-less lines written by
-    older versions.
+    format version and a {e binding}: the run's inputs hash, which every
+    record's content hash covers.  Every following line is one
+    record, written as ["<json>\t<crc32 of json, 8 hex digits>"]; the
+    per-line checksum catches corrupt-but-still-parseable lines that a
+    JSON parse failure cannot.  Each record is written, flushed and
+    [fsync]'d before the writer moves on, so a SIGKILL at any point
+    loses at most the record being written.  Readers skip a truncated
+    final line and lines whose checksum does not verify, and accept
+    checksum-less lines written by older versions.
 
-    {b Open policy.}  Both journals open the same way, decided by what
-    the file holds, never by a flag:
+    {b Open policy}, decided by what the file holds, never by a flag:
     - missing or empty: write a fresh header;
     - a header binding this run and no degradation marker: append (a
       torn final line left by a crash is terminated first, so the next
@@ -26,15 +23,8 @@
     - a journal of another run — another binding, another format
       version, or a degradation marker anywhere: start over with a
       fresh header;
-    - anything else (a non-empty file that is not this kind of journal):
-      refuse with [Sys_error], leaving the file untouched. *)
-
-(** The two journals.  Each header names its journal, so neither file
-    ever reads as the other: {!fsck} and {!compact} refuse a task
-    journal, and [compact] can never drop task records. *)
-type journal =
-  | Products  (** the pipeline's product journal *)
-  | Tasks  (** the fleet dispatcher's task journal *)
+    - anything else (a non-empty file that is not a journal): refuse
+      with [Sys_error], leaving the file untouched. *)
 
 (** {1 Product entries} *)
 
@@ -90,55 +80,45 @@ val finding_of_json : Json.t -> Report.finding option
 
 type sink
 
-(** [open_json journal ~path ~binding] applies the open policy above.
-    Raises [Sys_error] on unwritable paths (including {!Durable}'s
-    injected [erofs@n] fault) and on a file that is not a journal.  A
-    header write/fsync failure does not raise: the sink opens already
-    degraded (see {!degradation}). *)
-val open_json : journal -> path:string -> binding:string -> sink
-
-(** The product journal: [open_json Products ~binding:inputs_hash]. *)
+(** [open_ ~path ~inputs_hash] applies the open policy above, binding
+    the journal to [inputs_hash].  Raises [Sys_error] on unwritable
+    paths (including {!Durable}'s injected [erofs@n] fault) and on a
+    file that is not a journal.  A header write/fsync failure does not
+    raise: the sink opens already degraded (see {!degradation}). *)
 val open_ : path:string -> inputs_hash:string -> sink
 
-(** Append one record: a single checksummed JSON line, flushed and
+(** Append one {!entry}: a single checksummed JSON line, flushed and
     fsync'd before returning.  The record kinds of the [LLHSC_FAULT]
-    schedule ({!Fault}) fire here, counting records across every sink of
-    the process: [kill-after-records@n] and [kill-mid-record@n] simulate
-    a SIGKILL after, or halfway through writing, the n-th record, and
+    schedule ({!Fault}) fire here, counting the records of the process:
+    [kill-after-records@n] and [kill-mid-record@n] simulate a SIGKILL
+    after, or halfway through writing, the n-th record, and
     [term-after-records@n] raises SIGTERM in-process after it, exercising
-    the graceful-interrupt path of the CLI and the dispatcher.
+    the graceful-interrupt path of [pipeline] and [dispatch].
 
     Fail-operational on disk errors: if the write or its fsync fails
     (ENOSPC, EIO, ...), the sink degrades instead of raising — a
     best-effort marker record is appended so no reader trusts the file
-    again, every later [append] is a no-op, and {!degradation} reports
+    again, every later [record] is a no-op, and {!degradation} reports
     the reason so the caller can surface a [warning[JOURNAL]].  A record
     is never reported durable when its fsync failed. *)
-val append : sink -> Json.t -> unit
-
-(** [append] of one product {!entry}. *)
 val record : sink -> entry -> unit
 
 (** [Some reason] once a journal write or fsync has failed; the run
     carries on unjournaled and must report the degradation loudly. *)
 val degradation : sink -> string option
 
-(** Never raises: every record was already fsync'd by [append]. *)
+(** Never raises: every record was already fsync'd by {!record}. *)
 val close : sink -> unit
 
 (** {1 Loading} *)
 
-(** [bodies journal ~path ~binding] — the verified record bodies, in file
-    order, of a journal whose header binds [binding].  [[]] when the file
-    is missing, unreadable, bound to another run, or carries a
-    degradation marker: the journal stopped being complete at an
-    unknowable point, and {!compact} is the explicit operator path that
-    re-blesses a product journal's surviving entries.  Torn and
-    checksum-failing lines are skipped. *)
-val bodies : journal -> path:string -> binding:string -> Json.t list
-
-(** The product journal's {!bodies} as entries.  Later records win over
-    earlier ones with the same (kind, name). *)
+(** The verified entries of a journal whose header binds [inputs_hash].
+    Later records win over earlier ones with the same (kind, name).
+    [[]] when the file is missing, unreadable, bound to another run, or
+    carries a degradation marker: the journal stopped being complete at
+    an unknowable point, and {!compact} is the explicit operator path
+    that re-blesses its surviving entries.  Torn and checksum-failing
+    lines are skipped. *)
 val load : path:string -> inputs_hash:string -> entry list
 
 (** Lookup in a loaded journal. *)
@@ -146,7 +126,7 @@ val find : entry list -> kind -> string -> entry option
 
 (** {1 fsck / compact}
 
-    Offline integrity checking and recovery of a product journal,
+    Offline integrity checking and recovery of a journal,
     exposed by the [llhsc journal] subcommand and run (quietly) before
     every [--resume]. *)
 

@@ -121,12 +121,27 @@ let retry_of = function
   | Some n when n >= 2 -> Some (Smt.Escalation.ladder ~attempts:n ())
   | Some n -> failwith (Printf.sprintf "--retry wants at least 2 attempts, got %d" n)
 
-let fresh_solver ~certify ~budget ~retry ~unsound () =
-  let s = Smt.Solver.create ~certify () in
-  Smt.Solver.set_budget s budget;
-  Smt.Solver.set_escalation s retry;
-  Option.iter (Smt.Solver.inject_unsoundness s) unsound;
-  s
+(* One checking task's body, for the product tasks and the partition
+   check alike: [f] runs on a fresh solver under local isolation, and the
+   result is assembled from that solver's own reports.  The solver is
+   then released, so the next task's solver reuses its tables. *)
+let checked ~certify ~budget ~retry ~unsound ~owner ~what f =
+  let solver = Smt.Solver.create ~certify () in
+  Smt.Solver.set_budget solver budget;
+  Smt.Solver.set_escalation solver retry;
+  Option.iter (Smt.Solver.inject_unsoundness solver) unsound;
+  let errors = ref [] in
+  let findings = guarded ~solver ~errors ~what ~fallback:[] (fun () -> f solver) in
+  let rr = Smt.Solver.retry_report solver in
+  let cr = Smt.Solver.cert_report solver in
+  Smt.Solver.release solver;
+  { Shard.product = owner;
+    findings;
+    errors = List.rev !errors;
+    queries = rr.Smt.Solver.total_queries;
+    certs = (if certify then cr.Smt.Solver.certs else []);
+    cert_failures = (if certify then cr.Smt.Solver.failures else []);
+    retried = rr.Smt.Solver.retried }
 
 (* A journal entry is only worth replaying if the current run's
    certification demands are no stricter than the run that wrote it. *)
@@ -182,31 +197,13 @@ let plan_all ~exclusive ~budget ~certify ~retry ~unsound ~inputs_hash ~resume
       tasks := f :: !tasks;
       incr n_tasks
     in
-    (* Wrap a checking thunk as one task: fresh solver, local isolation,
-       result assembled from that solver's own reports.  The solver is
-       then released, so the next task's solver reuses its tables. *)
     let checking_task ~name f =
       add_task
         { Shard.owner = name;
           run =
             (fun () ->
-          let solver = fresh_solver ~certify ~budget ~retry ~unsound () in
-          let task_errors = ref [] in
-          let findings =
-            guarded ~solver ~errors:task_errors ~what:("product " ^ name)
-              ~fallback:[]
-              (fun () -> f solver)
-          in
-          let rr = Smt.Solver.retry_report solver in
-          let cr = Smt.Solver.cert_report solver in
-          Smt.Solver.release solver;
-          { Shard.product = name;
-            findings;
-            errors = List.rev !task_errors;
-            queries = rr.Smt.Solver.total_queries;
-            certs = (if certify then cr.Smt.Solver.certs else []);
-            cert_failures = (if certify then cr.Smt.Solver.failures else []);
-            retried = rr.Smt.Solver.retried }) }
+              checked ~certify ~budget ~retry ~unsound ~owner:name
+                ~what:("product " ^ name) f) }
     in
     let degraded ~name ~features =
       Done { p = { name; features; tree = core; findings = [] };
@@ -298,8 +295,8 @@ let plan_tasks ?(exclusive = []) ?budget ?(certify = false) ?retry ?unsound
    are re-run with scaled budgets and diversified restarts.
 
    Crash safety: with [journal] each completed product (and the partition
-   check) is appended to the journal as one fsync'd record keyed by a
-   content hash of its inputs.  [resume] is a previously loaded journal;
+   check) is appended to the journal, as it finishes, as one fsync'd
+   record keyed by a content hash of its inputs.  [resume] is a previously loaded journal;
    products whose hash matches a trusted journal entry are replayed —
    trees regenerated (cheap and deterministic) but findings taken from the
    journal, no solver work — and everything else is re-checked.  A
@@ -314,7 +311,6 @@ let run ?(exclusive = []) ?budget ?(certify = false) ?retry ?unsound
   let jobs = if jobs <= 0 then Shard.online_cpus () else jobs in
   let errors = ref [] in
   let replayed = ref [] in
-  let fresh_solver () = fresh_solver ~certify ~budget ~retry ~unsound () in
   let journal_entry ~kind ~name ~hash ~features ~order ~findings
       ~cert_failures =
     match journal with
@@ -373,6 +369,42 @@ let run ?(exclusive = []) ?budget ?(certify = false) ?retry ?unsound
   | Plan_rejected findings ->
     finish ~products:[] ~alloc_findings:findings ~partition_findings:[] ~delta_orders:[]
   | Planned { plans; tasks } ->
+    (* A delta failure needs no solver work: it is the product's complete
+       verdict, journaled like any checked product. *)
+    List.iter
+      (function
+        | Done { p; journal_hash = Some hash } ->
+          journal_entry ~kind:Journal.Product ~name:p.name ~hash
+            ~features:p.features
+            ~order:(Delta.Apply.order ~selected:p.features deltas)
+            ~findings:p.findings ~cert_failures:0
+        | Done _ | Sharded _ -> ())
+      plans;
+    (* A checked product is journaled the moment its last task returns,
+       in whatever order the runner finishes them, so a killed run keeps
+       every product that finished before it.  Only a product whose every
+       task completed without an isolated error is journaled: anything
+       less and the recorded findings would not reflect a full check. *)
+    let arrived = Array.make (Array.length tasks) None in
+    let fresh i r =
+      arrived.(i) <- Some r;
+      List.iter
+        (function
+          | Sharded { name; features; hash; first; count; _ }
+            when first <= i && i < first + count ->
+            let rs =
+              List.filter_map Fun.id (Array.to_list (Array.sub arrived first count))
+            in
+            if List.length rs = count && List.for_all (fun r -> r.Shard.errors = []) rs
+            then
+              journal_entry ~kind:Journal.Product ~name ~hash ~features
+                ~order:(Delta.Apply.order ~selected:features deltas)
+                ~findings:(List.concat_map (fun r -> r.Shard.findings) rs)
+                ~cert_failures:
+                  (List.length (List.concat_map (fun r -> r.Shard.cert_failures) rs))
+          | Done _ | Sharded _ -> ())
+        plans
+    in
     let results =
       (* [runner] (the fleet dispatcher) takes the place of the local
          pool when supplied; it receives the replayed product names so
@@ -380,10 +412,10 @@ let run ?(exclusive = []) ?budget ?(certify = false) ?retry ?unsound
          [plan_tasks ~skip].  Everything downstream — merge, journal,
          partition check — is runner-agnostic. *)
       match runner with
-      | Some f -> f ~skip:(List.rev !replayed) tasks
+      | Some f -> f ~skip:(List.rev !replayed) ~fresh tasks
       | None ->
         Shard.run_tasks ~jobs ?deadline:task_deadline ?max_respawns ?mem_limit
-          ?cpu_limit tasks
+          ?cpu_limit ~fresh tasks
     in
     (* Canonical merge: task order == plan order, so absorbing the results
        array front to back renumbers queries identically for every job
@@ -391,16 +423,8 @@ let run ?(exclusive = []) ?budget ?(certify = false) ?retry ?unsound
        (their queries ran and their certificates are real). *)
     let absorbed = Array.map (Option.map absorb) results in
     let merge = function
-      | Done { p; journal_hash } ->
-        (match journal_hash with
-         | Some hash ->
-           journal_entry ~kind:Journal.Product ~name:p.name ~hash
-             ~features:p.features
-             ~order:(Delta.Apply.order ~selected:p.features deltas)
-             ~findings:p.findings ~cert_failures:0
-         | None -> ());
-        p
-      | Sharded { name; features; hash; tree; first; count } ->
+      | Done { p; _ } -> p
+      | Sharded { name; features; tree; first; count; _ } ->
         let rs = Array.to_list (Array.sub absorbed first count) in
         if List.exists Option.is_none rs then begin
           (* Last resort: the supervised pool reassigns a dead worker's
@@ -423,19 +447,9 @@ let run ?(exclusive = []) ?budget ?(certify = false) ?retry ?unsound
             List.iter (fun d -> errors := d :: !errors) task_errors;
             { name; features; tree = core; findings = [] }
           end
-          else begin
-            let findings = List.concat_map (fun r -> r.Shard.findings) rs in
-            (* Only journal products whose every task completed without an
-               isolated error: anything less and the recorded findings
-               would not reflect a full check. *)
-            journal_entry ~kind:Journal.Product ~name ~hash ~features
-              ~order:(Delta.Apply.order ~selected:features deltas)
-              ~findings
-              ~cert_failures:
-                (List.length
-                   (List.concat_map (fun r -> r.Shard.cert_failures) rs));
-            { name; features; tree; findings }
-          end
+          else
+            { name; features; tree;
+              findings = List.concat_map (fun r -> r.Shard.findings) rs }
         end
     in
     let all_products = List.map merge plans in
@@ -457,8 +471,6 @@ let run ?(exclusive = []) ?budget ?(certify = false) ?retry ?unsound
         replayed := "partition" :: !replayed;
         e.Journal.findings
       | _ ->
-        let solver = fresh_solver () in
-        let task_errors = ref [] in
         let vm_products =
           List.filter (fun p -> p.name <> "platform") all_products
         in
@@ -467,31 +479,19 @@ let run ?(exclusive = []) ?budget ?(certify = false) ?retry ?unsound
           | Some p -> p.tree
           | None -> core
         in
-        let fs =
-          guarded ~solver ~errors:task_errors ~what:"partition check"
-            ~fallback:[] (fun () ->
-              Partition.check ~solver ~platform:platform_tree
-                (List.map (fun p -> (p.name, p.tree)) vm_products))
-        in
-        let rr = Smt.Solver.retry_report solver in
-        let cr = Smt.Solver.cert_report solver in
-        Smt.Solver.release solver;
         let r =
           absorb
-            { Shard.product = "partition";
-              findings = fs;
-              errors = List.rev !task_errors;
-              queries = rr.Smt.Solver.total_queries;
-              certs = (if certify then cr.Smt.Solver.certs else []);
-              cert_failures = (if certify then cr.Smt.Solver.failures else []);
-              retried = rr.Smt.Solver.retried }
+            (checked ~certify ~budget ~retry ~unsound ~owner:"partition"
+               ~what:"partition check" (fun solver ->
+                 Partition.check ~solver ~platform:platform_tree
+                   (List.map (fun p -> (p.name, p.tree)) vm_products)))
         in
         if r.Shard.errors = [] then
           journal_entry ~kind:Journal.Partition ~name:"partition" ~hash
-            ~features:[] ~order:[] ~findings:fs
+            ~features:[] ~order:[] ~findings:r.Shard.findings
             ~cert_failures:(List.length r.Shard.cert_failures)
         else List.iter (fun d -> errors := d :: !errors) r.Shard.errors;
-        fs
+        r.Shard.findings
     in
     finish ~products:all_products ~alloc_findings:[] ~partition_findings
       ~delta_orders

@@ -71,7 +71,11 @@ val ok : outcome -> bool
 
     [journal] makes the run crash-safe: one fsync'd JSONL record per
     completed product (content hash + findings + certification status).
-    [resume] replays a previously loaded journal (see [Journal.load]):
+    A checked product is recorded the moment its last task returns, in
+    the order the runner finishes them; a product with no solver work (a
+    delta failure) right after planning; the partition check after the
+    merge barrier.  A killed run so loses at most the products whose
+    tasks were still running.  [resume] replays a previously loaded journal (see [Journal.load]):
     products whose content hash matches a trusted entry are skipped —
     findings replayed verbatim — and stale or untrusted entries are
     re-checked.  [inputs_hash] identifies the run's inputs and
@@ -110,9 +114,10 @@ val ok : outcome -> bool
     [runner] replaces the local task pool with a caller-supplied
     executor (the fleet dispatcher): it receives the names of the
     products replayed from the journal (so remote workers can rebuild
-    the identical task array via {!plan_tasks}[ ~skip]) and the task
-    array, and must return one result per index ([None] for tasks that
-    failed every avenue).  When present, [jobs]/[task_deadline]/
+    the identical task array via {!plan_tasks}[ ~skip]), a [fresh]
+    callback and the task array.  It must pass each task's result to
+    [fresh] once, as it arrives, and return one result per index ([None]
+    for tasks that failed every avenue).  When present, [jobs]/[task_deadline]/
     [max_respawns]/[mem_limit]/[cpu_limit] are ignored; merge, journal
     and partition check behave identically either way. *)
 val run :
@@ -129,7 +134,11 @@ val run :
   ?max_respawns:int ->
   ?mem_limit:int ->
   ?cpu_limit:int ->
-  ?runner:(skip:string list -> Shard.task array -> Shard.result option array) ->
+  ?runner:
+    (skip:string list ->
+    fresh:(int -> Shard.result -> unit) ->
+    Shard.task array ->
+    Shard.result option array) ->
   model:Featuremodel.Model.t ->
   core:Devicetree.Tree.t ->
   deltas:Delta.Lang.t list ->

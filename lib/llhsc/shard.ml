@@ -721,7 +721,7 @@ let supervise ?deadline ?listen ~spec ~admit ~replace ~fresh st
    on: every message carries this stamp instead of a spec hash. *)
 let local_spec = "local"
 
-let run_local ~jobs ~deadline ~max_respawns ~mem_limit ~cpu_limit
+let run_local ~jobs ~deadline ~max_respawns ~mem_limit ~cpu_limit ~fresh
     (tasks : task array) =
   let st = Supervise.create (Array.length tasks) in
   let pids = ref [] in
@@ -781,15 +781,20 @@ let run_local ~jobs ~deadline ~max_respawns ~mem_limit ~cpu_limit
   Fun.protect
     ~finally:(fun () -> List.iter (fun (c, _) -> reap c) !pids)
     (fun () ->
-      supervise ?deadline ~spec:local_spec ~admit:(fun _ -> None) ~replace
-        ~fresh:(fun _ _ -> ()) st tasks)
+      supervise ?deadline ~spec:local_spec ~admit:(fun _ -> None) ~replace ~fresh
+        st tasks)
 
 let run_tasks ~jobs ?deadline ?(max_respawns = 8) ?mem_limit ?cpu_limit
-    (tasks : task array) =
+    ?(fresh = fun _ _ -> ()) (tasks : task array) =
   let jobs = min jobs (Array.length tasks) in
   if jobs <= 1 then
     (* In-process path: no forks, no hooks, no guards — this is the
        reference schedule every supervised run must match byte for
        byte. *)
-    Array.map (fun t -> Some (t.run ())) tasks
-  else run_local ~jobs ~deadline ~max_respawns ~mem_limit ~cpu_limit tasks
+    Array.mapi
+      (fun i t ->
+        let r = t.run () in
+        fresh i r;
+        Some r)
+      tasks
+  else run_local ~jobs ~deadline ~max_respawns ~mem_limit ~cpu_limit ~fresh tasks

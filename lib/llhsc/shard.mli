@@ -44,8 +44,10 @@
       to a per-task [error[RESOURCE]] diagnostic instead of killing the
       checker.
 
-    Workers never touch the journal: the supervisor remains the sole
-    journal writer.
+    Workers never touch the journal.  The supervisor hands each task's
+    winning result to a [fresh] callback as it arrives, so the pipeline,
+    the one journal writer, can record a product the moment its last
+    task returns.
 
     The six worker kinds of the [LLHSC_FAULT] schedule ({!Fault}) fire
     only in {!serve} (in-process runs never consult them), at the leased
@@ -177,7 +179,7 @@ val ready : conn -> unit
     workers and runs every unresolved task in-process.  Returns
     {!Supervise.results}[ st].
 
-    The transports differ in four places only:
+    The transports differ in three places only:
     - [deadline]: the lease, in seconds; no deadline when omitted.
     - [replace pool lost] runs at the start of every round while work
       is left, with the connections dropped since the last one
@@ -185,7 +187,9 @@ val ready : conn -> unit
       the loop should give up and finish in-process.
     - [admit c] runs on every new connection: [None] admits it at once,
       [Some shake] routes its messages to [shake] until {!ready}.
-    - [fresh i r] runs once for each task's winning result.
+
+    [fresh i r] runs once for each task's winning result, as it
+    arrives, in-process sweep included.
 
     [spec] is the stamp every heartbeat and result must carry, and
     [listen] a listening socket whose connections join the pool. *)
@@ -213,12 +217,16 @@ val supervise :
     the per-task lease in seconds (no deadline when omitted);
     [max_respawns] bounds replacement workers across the whole run
     (default 8); [mem_limit] (MiB) and [cpu_limit] (seconds) install
-    per-worker rlimit guards. *)
+    per-worker rlimit guards.
+
+    [fresh i r] runs once for each task's result, as it arrives: in
+    task order in-process, in completion order in the pool. *)
 val run_tasks :
   jobs:int ->
   ?deadline:float ->
   ?max_respawns:int ->
   ?mem_limit:int ->
   ?cpu_limit:int ->
+  ?fresh:(int -> result -> unit) ->
   task array ->
   result option array

@@ -363,6 +363,54 @@ cmp -s "$TMP/journal1.out" "$TMP/term-resume.out" \
 grep -q "resume: replayed from journal" "$TMP/term-resume.err" \
   || fail "expected replay after SIGTERM (journal was not durable)"
 
+echo "# journal at --jobs 2: a product is journaled when its last task returns"
+# Task 5, the platform's semantic task, hangs in its worker, so vm1 and
+# vm2 are finished while the run is still going: their two records must
+# be on disk before the SIGTERM, and the resume must replay them.
+run_pool_pipeline() {
+  "$LLHSC" pipeline --core "$FIXTURES/custom-sbc.dts" --deltas "$FIXTURES/custom-sbc.deltas" \
+    --model "$FIXTURES/custom-sbc.fm" --schemas "$FIXTURES/schemas" \
+    --vm "memory,cpu@0,uart@20000000,uart@30000000,veth0" \
+    --vm "memory,cpu@1,uart@20000000,uart@30000000,veth1" \
+    --exclusive cpus --jobs 2 --journal "$TMP/pool.journal" "$@"
+}
+LLHSC_FAULT=hang-worker@5 "$LLHSC" pipeline --core "$FIXTURES/custom-sbc.dts" \
+  --deltas "$FIXTURES/custom-sbc.deltas" --model "$FIXTURES/custom-sbc.fm" \
+  --schemas "$FIXTURES/schemas" \
+  --vm "memory,cpu@0,uart@20000000,uart@30000000,veth0" \
+  --vm "memory,cpu@1,uart@20000000,uart@30000000,veth1" \
+  --exclusive cpus --jobs 2 --journal "$TMP/pool.journal" > /dev/null 2> "$TMP/pool.err" &
+pid=$!
+tries=0
+until [ -f "$TMP/pool.journal" ] && [ "$(wc -l < "$TMP/pool.journal")" -ge 3 ]; do
+  tries=$((tries + 1))
+  if [ "$tries" -gt 100 ]; then
+    # SIGTERM, not SIGKILL: the run reaps its hung worker on the way out.
+    kill -TERM "$pid"
+    wait "$pid" || true
+    fail "the journal held no two product records after 10 s of a hung --jobs 2 run"
+  fi
+  sleep 0.1
+done
+kill -TERM "$pid"
+set +e
+wait "$pid"
+rc=$?
+set -e
+[ "$rc" -eq 143 ] || fail "interrupted --jobs 2 pipeline should exit 143 (got $rc)"
+grep -q "journal $TMP/pool.journal synced" "$TMP/pool.err" \
+  || fail "expected the journal-synced notice: $(cat "$TMP/pool.err")"
+"$LLHSC" journal fsck "$TMP/pool.journal" > "$TMP/pool-fsck.out" \
+  || fail "fsck of the interrupted --jobs 2 journal should exit 0"
+grep -q "records: 2 " "$TMP/pool-fsck.out" \
+  || fail "expected two journaled products: $(cat "$TMP/pool-fsck.out")"
+run_pool_pipeline --resume > "$TMP/pool-resume.out" 2> "$TMP/pool-resume.err" \
+  || fail "resume of the interrupted --jobs 2 run should pass"
+grep -qx "resume: replayed from journal: vm1, vm2" "$TMP/pool-resume.err" \
+  || fail "expected vm1 and vm2 replayed: $(cat "$TMP/pool-resume.err")"
+cmp -s "$TMP/journal1.out" "$TMP/pool-resume.out" \
+  || fail "resumed --jobs 2 report differs from the --jobs 1 report"
+
 echo "# journal fsck: exit-code contract (0 clean / 1 issues / 2 unusable)"
 "$LLHSC" journal fsck "$TMP/run.journal" > "$TMP/fsck.out" \
   || fail "fsck of a clean journal should exit 0"

@@ -128,16 +128,17 @@ let mutate s = mutators.(rand_int (Array.length mutators)) s
 (* --- running the CLI ---------------------------------------------------------- *)
 
 (* Start [argv]; stdin from /dev/null, stdout devnulled unless
-   [stdout_file] is given, stderr to a file.  [env] appends NAME=VALUE
-   bindings (the LLHSC_FAULT schedule).  Returns the pid — the fleet
-   phase runs a dispatcher and workers concurrently; everything else
-   waits. *)
-let spawn_cli ?env ?stdout_file binary args ~stderr_file =
+   [stdout_file] or the caller's [stdout_fd] is given, stderr to a file.
+   [env] appends NAME=VALUE bindings (the LLHSC_FAULT schedule).  Returns
+   the pid — the fleet phase runs a dispatcher and workers concurrently;
+   everything else waits. *)
+let spawn_cli ?env ?stdout_file ?stdout_fd binary args ~stderr_file =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   let out =
-    match stdout_file with
-    | None -> devnull
-    | Some f -> Unix.openfile f [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    match (stdout_fd, stdout_file) with
+    | Some fd, _ -> fd
+    | None, None -> devnull
+    | None, Some f -> Unix.openfile f [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
   let err = Unix.openfile stderr_file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   let argv = Array.of_list (binary :: args) in
@@ -150,7 +151,7 @@ let spawn_cli ?env ?stdout_file binary args ~stderr_file =
         devnull out err
   in
   Unix.close devnull;
-  if out <> devnull then Unix.close out;
+  if out <> devnull && stdout_fd = None then Unix.close out;
   Unix.close err;
   pid
 
@@ -159,6 +160,29 @@ let run_cli ?env ?stdout_file binary args ~stderr_file =
   let pid = spawn_cli ?env ?stdout_file binary args ~stderr_file in
   let _, status = Unix.waitpid [] pid in
   (status, read_file stderr_file)
+
+(* [run_cli] with the run's stdout on a pipe, drained after the run
+   exits.  Every pool worker the run forked holds the pipe's write end
+   too, so its EOF means that they have all exited; the third component
+   is [false] when some process still held it 10 s after the run. *)
+let run_cli_reaped ?env binary args ~stderr_file =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  let pid = spawn_cli ?env ~stdout_fd:wr binary args ~stderr_file in
+  Unix.close wr;
+  let _, status = Unix.waitpid [] pid in
+  let buf = Bytes.create 4096 in
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec eof () =
+    let left = deadline -. Unix.gettimeofday () in
+    left > 0.
+    &&
+    match Unix.select [ rd ] [] [] left with
+    | [], _, _ -> false
+    | _ -> Unix.read rd buf 0 (Bytes.length buf) = 0 || eof ()
+  in
+  let reaped = eof () in
+  Unix.close rd;
+  (status, read_file stderr_file, reaped)
 
 (* Every contract violation, one reproducible line each; dumped to the
    artifact file (argv[3]) on failure so CI can upload it. *)
@@ -258,7 +282,10 @@ let run_solver_mutations binary sandbox ~failures ~total =
 (* Crash-safety contract of the --journal/--resume pipeline: SIGKILL the
    run at a seeded point (after the n-th fsync'd record, or halfway through
    writing it), then resume from the journal; the resumed run's stdout and
-   exit code must be byte-identical to an uninterrupted run.  Runs without
+   exit code must be byte-identical to an uninterrupted run.  Every kill
+   point runs at --jobs 1 and at --jobs 2, where records arrive in
+   completion order and the kill lands while pool workers are alive:
+   each must exit on its own once its parent is gone.  Runs without
    --certify/--retry, whose reports legitimately depend on how much solver
    work the resumed run skipped. *)
 
@@ -296,10 +323,14 @@ let run_kill_resume binary sandbox ~failures ~total =
       in
       let baseline = read_file base_out in
       List.iter
-        (fun (hook, mode) ->
+        (fun (jobs, (hook, mode)) ->
+          let args ~resume =
+            pipeline_args sandbox ~vms ~journal:(Some journal) ~resume
+            @ [ "--jobs"; jobs ]
+          in
           for n = 1 to records do
             incr total;
-            let what = Printf.sprintf "%s %s=%d" label mode n in
+            let what = Printf.sprintf "%s jobs=%s %s=%d" label jobs mode n in
             let bad reason err =
               incr failures;
               log_failure "phase=kill-resume what=%S reason=%S" what reason;
@@ -308,22 +339,18 @@ let run_kill_resume binary sandbox ~failures ~total =
                 (if err = "" then "(empty)" else String.trim err)
             in
             if Sys.file_exists journal then Sys.remove journal;
-            let kill_status, kerr =
-              run_cli binary
+            let kill_status, kerr, reaped =
+              run_cli_reaped binary
                 ~env:[ Printf.sprintf "LLHSC_FAULT=%s@%d" hook n ]
-                (pipeline_args sandbox ~vms ~journal:(Some journal)
-                   ~resume:false)
-                ~stderr_file
+                (args ~resume:false) ~stderr_file
             in
             (match kill_status with
              | Unix.WSIGNALED s when s = Sys.sigkill -> ()
              | Unix.WSIGNALED _ | Unix.WSTOPPED _ | Unix.WEXITED _ ->
                bad "kill hook did not SIGKILL the run" kerr);
+            if not reaped then bad "a pool worker outlived its killed parent" kerr;
             let res_status, rerr =
-              run_cli binary ~stdout_file:res_out
-                (pipeline_args sandbox ~vms ~journal:(Some journal)
-                   ~resume:true)
-                ~stderr_file
+              run_cli binary ~stdout_file:res_out (args ~resume:true) ~stderr_file
             in
             if res_status <> base_status then
               bad
@@ -338,7 +365,11 @@ let run_kill_resume binary sandbox ~failures ~total =
             else if read_file res_out <> baseline then
               bad "resumed report is not byte-identical to baseline" rerr
           done)
-        [ ("kill-after-records", "after"); ("kill-mid-record", "mid") ])
+        (List.concat_map
+           (fun jobs ->
+             [ (jobs, ("kill-after-records", "after"));
+               (jobs, ("kill-mid-record", "mid")) ])
+           [ "1"; "2" ]))
     kill_configs
 
 (* --- kill-a-worker phase -------------------------------------------------------- *)

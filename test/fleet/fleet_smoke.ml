@@ -503,46 +503,40 @@ let () =
       reap w)
     [ 1; 2 ];
 
-  (* Task-journal degradation.  Writes 1-3 are the two journal headers
-     and the port file, so ENOSPC on write 5 hits the second task record:
-     the dispatcher carries on unjournaled, with the baseline report and
-     one warning naming the task journal.  A --resume must then replay
-     nothing from it, although its first record is intact.  The product
-     journal is removed first, so the resumed run plans the same tasks
-     and only the degradation marker stands between it and a replay. *)
+  (* Journal degradation in a fleet run.  Writes 1 and 2 are the journal
+     header and the port file, so ENOSPC on write 4 hits the second
+     product record: the dispatcher carries on unjournaled, and its
+     report is the baseline plus one warning[JOURNAL] line.  A --resume
+     must then replay nothing, although the first record is intact. *)
   let jj = Filename.concat tmp_root "enospc.jsonl" in
-  let r =
-    fleet ~name:"tasks-enospc" ~dispatch_env:[ "LLHSC_FAULT=enospc@5" ]
+  let code, out, err, wpids =
+    fleet ~name:"journal-enospc" ~dispatch_env:[ "LLHSC_FAULT=enospc@4" ]
       ~dispatch_flags:[ "--journal"; jj; "--wait-workers"; "30" ]
       ~workers:[ [] ] ()
   in
-  let err = check ~name:"tasks-enospc" ~base r in
-  let warnings =
-    List.filter
+  if code <> 0 then fail "journal-enospc: dispatcher exited %d:\n%s" code (read_file err);
+  let warnings, rest =
+    List.partition
       (fun l -> contains l "warning[JOURNAL]")
-      (String.split_on_char '\n' (read_file err))
+      (String.split_on_char '\n' (read_file out))
   in
-  (match warnings with
-   | [ w ] when contains w (jj ^ ".tasks") -> ()
-   | _ ->
-     fail "tasks-enospc: want one warning[JOURNAL] naming %s.tasks:\n%s" jj
-       (read_file err));
-  Sys.remove jj;
+  if List.length warnings <> 1 || String.concat "\n" rest <> base then
+    fail "journal-enospc: want the baseline plus one warning[JOURNAL] line:\n%s"
+      (read_file out);
+  List.iter reap wpids;
   let r =
-    fleet ~name:"tasks-enospc-resume"
+    fleet ~name:"journal-enospc-resume"
       ~dispatch_flags:[ "--journal"; jj; "--resume"; "--wait-workers"; "1" ]
       ~workers:[] ()
   in
-  let err = check ~name:"tasks-enospc-resume" ~base r in
-  if contains_line ~needle:"task result(s)" err then
-    fail "tasks-enospc-resume: replayed task results from a degraded journal:\n%s"
-      (read_file err);
+  let err = check ~name:"journal-enospc-resume" ~base r in
+  expect_notice ~name:"journal-enospc-resume" err "resume: nothing replayable";
 
   (* Dispatcher crash-recovery: SIGTERM (via the journal's fault hook)
-     after two task results are journalled, then a --resume successor on
-     the same port file.  The surviving worker re-reads the port, re-handshakes,
-     and the resumed run replays the two completed tasks instead of
-     re-running them — byte-identical to the baseline. *)
+     once vm1 and vm2 are journalled, then a --resume successor on the
+     same port file.  The surviving worker re-reads the port,
+     re-handshakes, and the resumed run replays the two finished products
+     instead of re-checking them — byte-identical to the baseline. *)
   say "schedule: term-resume";
   let dir = scenario_dir "term-resume" in
   let pf = Filename.concat dir "port" in
@@ -567,8 +561,7 @@ let () =
   (match wait_exit ~what:"terminated dispatcher" dpid with
    | 143 -> ()
    | c -> fail "term-resume: dispatcher exited %d, want 143 (128+SIGTERM)" c);
-  if not (Sys.file_exists (jj ^ ".tasks")) then
-    fail "term-resume: no task journal at %s.tasks" jj;
+  if not (Sys.file_exists jj) then fail "term-resume: no journal at %s" jj;
   Sys.remove pf;
   let out2 = Filename.concat dir "report2.txt" in
   let err2 = Filename.concat dir "dispatch2.err" in
@@ -581,7 +574,7 @@ let () =
   in
   let code = wait_exit ~what:"resumed dispatcher" dpid in
   ignore (check ~name:"term-resume" ~base (code, out2, err2, []));
-  expect_notice ~name:"term-resume" err2 "resume: replayed 2 task result(s)";
+  expect_notice ~name:"term-resume" err2 "resume: replayed from journal: vm1, vm2\n";
   (match wait_exit ~what:"surviving worker" w with
    | 0 -> ()
    | c -> fail "term-resume: surviving worker exited %d, want 0 (retired)" c);

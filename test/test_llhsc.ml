@@ -981,22 +981,6 @@ let test_journal_foreign_file_refused () =
    | exception Sys_error _ -> ());
   Alcotest.(check string) "bytes unchanged" notes (slurp path)
 
-(* The task journal's header names its own journal: the product-journal
-   tools refuse it, so [compact] can never drop task records. *)
-let test_task_journal_is_not_a_product_journal () =
-  with_temp_journal @@ fun path ->
-  let record = Llhsc.Json.Obj [ ("task", Llhsc.Json.Int 0) ] in
-  let sink = J.open_json J.Tasks ~path ~binding:"spec/1" in
-  J.append sink record;
-  J.close sink;
-  let bytes = slurp path in
-  check_bool "its bodies load" true (J.bodies J.Tasks ~path ~binding:"spec/1" = [ record ]);
-  check_bool "compact refuses it" true (Result.is_error (J.compact ~path));
-  (match J.open_ ~path ~inputs_hash:quad_inputs_hash with
-   | _ -> Alcotest.fail "a task journal opened as a product journal"
-   | exception Sys_error _ -> ());
-  Alcotest.(check string) "bytes unchanged" bytes (slurp path)
-
 (* The fsck/load tolerance property: whatever a disk does to a journal —
    truncation at any byte, arbitrary byte flips, appended garbage —
    [load] never raises and never yields an entry that was not written
@@ -1376,8 +1360,6 @@ let () =
             test_journal_failed_header_restarts;
           Alcotest.test_case "a foreign file is refused untouched" `Quick
             test_journal_foreign_file_refused;
-          Alcotest.test_case "a task journal is not a product journal" `Quick
-            test_task_journal_is_not_a_product_journal;
         ] );
       ( "fault-schedule",
         [
