@@ -35,6 +35,8 @@ let notice fmt =
     Format.err_formatter
     ("llhsc dispatch: " ^^ fmt)
 
+(* The socket address of [host] (a dotted quad or a name) and [port], the
+   one resolution the listen side and the connecting side share. *)
 let addr_of host port =
   let ip =
     try Unix.inet_addr_of_string host
@@ -45,6 +47,18 @@ let addr_of host port =
   Unix.ADDR_INET (ip, port)
 
 (* --- protocol messages ------------------------------------------------------ *)
+
+(* The handshake's three HMACs under the fleet secret, over the worker's
+   nonce [nw] and the dispatcher's [nd]: the dispatcher's proof in its
+   challenge and the worker's in its answer, both hex on the wire, and
+   the session key that seals every later frame. *)
+let challenge_mac ~secret ~nw ~nd =
+  Hmac.to_hex (Hmac.hmac ~key:secret ("llhsc-disp:" ^ nw ^ ":" ^ nd))
+
+let answer_mac ~secret ~nw ~nd =
+  Hmac.to_hex (Hmac.hmac ~key:secret ("llhsc-work:" ^ nd ^ ":" ^ nw))
+
+let session_key ~secret ~nw ~nd = Hmac.hmac ~key:secret ("llhsc-sess:" ^ nw ^ ":" ^ nd)
 
 let closed_marker = "closed"
 
@@ -101,9 +115,7 @@ let run cfg ~spec ~fresh (tasks : Shard.task array) =
               let nd = Hmac.nonce () in
               nonces := (nw, nd);
               state := `Auth;
-              let mac =
-                Hmac.to_hex (Hmac.hmac ~key:secret ("llhsc-disp:" ^ nw ^ ":" ^ nd))
-              in
+              let mac = challenge_mac ~secret ~nw ~nd in
               Shard.post c
                 (Json.to_string
                    (Json.Obj
@@ -118,11 +130,8 @@ let run cfg ~spec ~fresh (tasks : Shard.task array) =
           match Option.bind (Json.member "mac" aj) Json.to_str with
           | None -> reject "auth without mac"
           | Some mac_w ->
-            let expect =
-              Hmac.to_hex (Hmac.hmac ~key:secret ("llhsc-work:" ^ nd ^ ":" ^ nw))
-            in
-            if Hmac.equal expect mac_w then begin
-              Shard.set_key c (Hmac.hmac ~key:secret ("llhsc-sess:" ^ nw ^ ":" ^ nd));
+            if Hmac.equal (answer_mac ~secret ~nw ~nd) mac_w then begin
+              Shard.set_key c (session_key ~secret ~nw ~nd);
               send_setup ()
             end
             else reject "bad auth mac")

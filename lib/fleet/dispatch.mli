@@ -75,3 +75,22 @@ val closed_marker : string
     command calls it first, so that a worker started beside it never
     takes an earlier run's {!closed_marker} for this run's. *)
 val clear_port_file : string -> unit
+
+(** [addr_of host port]: [host] as a dotted quad, or else resolved by
+    name.  Raises [Failure] when it does not resolve. *)
+val addr_of : string -> int -> Unix.sockaddr
+
+(** {1 Handshake}
+
+    The three HMAC-SHA256 values of the handshake, keyed by the fleet
+    secret, over the worker's hello nonce [nw] and the dispatcher's
+    challenge nonce [nd].  Both ends compute them here. *)
+
+(** The dispatcher's proof in its challenge, in hex. *)
+val challenge_mac : secret:string -> nw:string -> nd:string -> string
+
+(** The worker's proof in its answer, in hex. *)
+val answer_mac : secret:string -> nw:string -> nd:string -> string
+
+(** The raw session key that seals every frame after the handshake. *)
+val session_key : secret:string -> nw:string -> nd:string -> string

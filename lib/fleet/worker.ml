@@ -95,15 +95,9 @@ let connect cfg =
   match resolve_port cfg with
   | None -> failwith "no dispatcher port: need --connect HOST:PORT or --port-file"
   | Some port ->
-    let ip =
-      try Unix.inet_addr_of_string cfg.host
-      with Failure _ -> (
-        try (Unix.gethostbyname cfg.host).Unix.h_addr_list.(0)
-        with Not_found ->
-          failwith (Printf.sprintf "cannot resolve host %S" cfg.host))
-    in
+    let addr = Dispatch.addr_of cfg.host port in
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_INET (ip, port))
+    (try Unix.connect fd addr
      with e ->
        (try Unix.close fd with Unix.Unix_error _ -> ());
        (* Refused: the dispatcher may have finished since the port was
@@ -146,15 +140,13 @@ let backoff_delay ~seed ~attempt =
 
    Auth protocol (see DESIGN.md "fleet trust"): the worker's hello
    carries nonce_w; a secret-holding dispatcher replies with
-   {challenge: {nonce: nonce_d, mac: HMAC(secret, "llhsc-disp:" ^
-   nonce_w ^ ":" ^ nonce_d)}}; the worker verifies (constant-time) and
-   answers {auth: {mac: HMAC(secret, "llhsc-work:" ^ nonce_d ^ ":" ^
-   nonce_w)}}.  Both sides then derive session_key = HMAC(secret,
-   "llhsc-sess:" ^ nonce_w ^ ":" ^ nonce_d) and every further frame in
-   each direction is sealed with the session key and a per-direction
-   sequence number ({!Frame.seal}).  A secret-configured worker never
-   accepts a spec from a dispatcher that did not complete the
-   challenge. *)
+   {challenge: {nonce: nonce_d, mac: Dispatch.challenge_mac}}; the worker
+   verifies (constant-time) and answers {auth: {mac:
+   Dispatch.answer_mac}}.  Both sides then derive Dispatch.session_key
+   and every further frame in each direction is sealed with it and a
+   per-direction sequence number ({!Frame.seal}).  A secret-configured
+   worker never accepts a spec from a dispatcher that did not complete
+   the challenge. *)
 let session fd ~secret ~mem_limit =
   let c = Shard.conn ~peer:"dispatcher" fd in
   let authed = ref false in
@@ -179,21 +171,12 @@ let session fd ~secret ~mem_limit =
         | None -> raise (Shard.Protocol ("challenge without " ^ name))
       in
       let nd = field "nonce" in
-      let expect =
-        Llhsc.Hmac.to_hex (Llhsc.Hmac.hmac ~key:secret ("llhsc-disp:" ^ nw ^ ":" ^ nd))
-      in
-      if not (Llhsc.Hmac.equal expect (field "mac")) then
+      let mac = Dispatch.challenge_mac ~secret ~nw ~nd in
+      if not (Llhsc.Hmac.equal mac (field "mac")) then
         raise (Shard.Protocol "dispatcher failed authentication");
-      Shard.send c
-        (Json.Obj
-           [ ( "auth",
-               Json.Obj
-                 [ ( "mac",
-                     Json.Str
-                       (Llhsc.Hmac.to_hex
-                          (Llhsc.Hmac.hmac ~key:secret ("llhsc-work:" ^ nd ^ ":" ^ nw)))
-                   ) ] ) ]);
-      Shard.set_key c (Llhsc.Hmac.hmac ~key:secret ("llhsc-sess:" ^ nw ^ ":" ^ nd));
+      let mac = Dispatch.answer_mac ~secret ~nw ~nd in
+      Shard.send c (Json.Obj [ ("auth", Json.Obj [ ("mac", Json.Str mac) ]) ]);
+      Shard.set_key c (Dispatch.session_key ~secret ~nw ~nd);
       authed := true
     | _ -> raise (Shard.Protocol "dispatcher requires authentication (--secret-file)")
   in

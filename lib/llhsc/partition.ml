@@ -98,14 +98,9 @@ let contained_in solver (r : Semantic.region_at) banks =
 
 let rec pairs = function [] -> [] | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest
 
-(* Cross-VM checks over the generated products.  As in the other checkers,
-   [certify] only takes effect on a solver we create ourselves. *)
-let check ?solver ?(certify = false) ?(memory_overlap_severity = Report.Warning)
+(* Cross-VM checks over the generated products. *)
+let check ?(solver = Solver.create ()) ?(memory_overlap_severity = Report.Warning)
     ~platform vms =
-  let owned = solver = None in
-  let solver =
-    match solver with Some s -> s | None -> Solver.create ~certify ()
-  in
   let platform_r = classify ~vm:"platform" platform in
   let vm_rs = List.map (fun (name, tree) -> classify ~vm:name tree) vms in
   let findings = ref [] in
@@ -207,7 +202,4 @@ let check ?solver ?(certify = false) ?(memory_overlap_severity = Report.Warning)
         vm_r.cpu_ids)
     vm_rs;
 
-  let result = List.rev !findings in
-  if owned && certify then
-    result @ Report.cert_findings (Solver.cert_report solver)
-  else result
+  List.rev !findings

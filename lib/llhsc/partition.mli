@@ -6,12 +6,9 @@
     solver. *)
 
 (** [check ?solver ?memory_overlap_severity ~platform vms] with [vms] the
-    named per-VM trees.  Without a caller-supplied [solver],
-    [~certify:true] certifies every solver verdict and appends an error
-    finding per uncertified query. *)
+    named per-VM trees, on a fresh solver unless [solver] is given. *)
 val check :
   ?solver:Smt.Solver.t ->
-  ?certify:bool ->
   ?memory_overlap_severity:Report.severity ->
   platform:Devicetree.Tree.t ->
   (string * Devicetree.Tree.t) list ->

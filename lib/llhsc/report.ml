@@ -31,15 +31,6 @@ let is_clean findings = errors findings = []
 
 (* --- certification ------------------------------------------------------- *)
 
-(* A verdict the independent checker would not certify is itself an error
-   finding: the check in question may have silently passed on a wrong
-   answer, so the run must not be reported clean. *)
-let cert_findings (r : Smt.Solver.cert_report) =
-  List.map
-    (fun msg ->
-      finding ~checker:"certify" ~node_path:"/" "uncertified verdict: %s" msg)
-    r.Smt.Solver.failures
-
 let pp_retry ppf (r : Smt.Solver.retry_report) =
   let recovered =
     List.filter (fun (e : Smt.Solver.retry_entry) -> e.recovered) r.retried

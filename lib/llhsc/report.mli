@@ -32,11 +32,6 @@ val errors : finding list -> finding list
 (** No errors (warnings allowed)? *)
 val is_clean : finding list -> bool
 
-(** Certification failures of a solver as error findings (checker
-    ["certify"]): a verdict the independent checker rejected must never
-    leave the run looking clean. *)
-val cert_findings : Smt.Solver.cert_report -> finding list
-
 (** Per-query certificate stats (verdict, trace length, check time) plus a
     one-line summary. *)
 val pp_cert : Format.formatter -> Smt.Solver.cert_report -> unit

@@ -355,18 +355,7 @@ let check_unit_addresses tree =
   in
   List.rev (walk tree "/" [])
 
-(* All semantic checks on one incremental solver instance.  When we own the
-   solver, [certify] certifies every verdict and appends an error finding
-   per uncertified query (see Report.cert_findings). *)
-let check ?solver ?(certify = false) tree =
-  let owned = solver = None in
-  let solver =
-    match solver with Some s -> s | None -> Solver.create ~certify ()
-  in
-  let findings =
-    check_memory ~solver tree @ check_interrupts ~solver tree
-    @ check_truncation tree @ check_unit_addresses tree
-  in
-  if owned && certify then
-    findings @ Report.cert_findings (Solver.cert_report solver)
-  else findings
+(* All semantic checks on one incremental solver instance. *)
+let check ?(solver = Solver.create ()) tree =
+  check_memory ~solver tree @ check_interrupts ~solver tree
+  @ check_truncation tree @ check_unit_addresses tree

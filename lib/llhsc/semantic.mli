@@ -58,8 +58,6 @@ val check_truncation : Devicetree.Tree.t -> Report.finding list
     (warnings). *)
 val check_unit_addresses : Devicetree.Tree.t -> Report.finding list
 
-(** All semantic checks on one incremental solver instance.  Without a
-    caller-supplied [solver], [~certify:true] certifies every solver
-    verdict and appends an error finding per uncertified query. *)
-val check :
-  ?solver:Smt.Solver.t -> ?certify:bool -> Devicetree.Tree.t -> Report.finding list
+(** All semantic checks on one incremental solver instance, a fresh one
+    unless [solver] is given. *)
+val check : ?solver:Smt.Solver.t -> Devicetree.Tree.t -> Report.finding list

@@ -732,7 +732,12 @@ let run_local ~jobs ~deadline ~max_respawns ~mem_limit ~cpu_limit ~fresh
     match Unix.fork () with
     | 0 ->
       (* Children exit through [_exit], never [exit]: the parent's
-         [at_exit] handlers and buffers must not run a second time. *)
+         [at_exit] handlers and buffers must not run a second time.  A
+         Ctrl-C reaches the whole process group, and only the parent
+         reports it: a child dies of SIGINT or SIGTERM silently instead
+         of running the handlers it inherited. *)
+      Sys.set_signal Sys.sigint Sys.Signal_default;
+      Sys.set_signal Sys.sigterm Sys.Signal_default;
       close_quiet mine;
       List.iter (fun c -> close_quiet c.fd) pool.conns;
       install_guards ~mem_limit ~cpu_limit;

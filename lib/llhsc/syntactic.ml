@@ -32,42 +32,29 @@ let obligations ~schemas tree =
       List.map (fun schema -> (path, node, schema)) applicable)
     (Schema.Binding.applicable schemas tree)
 
-let check_obligations ?solver ?(certify = false) ?(product = "") obls =
-  (* When we own the solver, [certify] turns on verdict certification and
-     surfaces any uncertified query as an error finding; a caller-supplied
-     solver keeps ownership of its certification report (the pipeline
-     collects it once per run). *)
-  let owned = solver = None in
-  let solver =
-    match solver with Some s -> s | None -> Smt.Solver.create ~certify ()
-  in
+let check_obligations ?(solver = Smt.Solver.create ()) ?(product = "") obls =
   (* Scope all symbols by the product name so several products can share one
      incremental solver instance. *)
   let prefix path = if product = "" then path else product ^ ":" ^ path in
-  let findings =
-    List.concat_map
-      (fun (path, node, schema) ->
-        match Schema.Compile.check_node solver ~schema ~path:(prefix path) node with
-        | `Valid -> []
-        | `Invalid core ->
-          [ Report.finding ~checker:"syntactic" ~node_path:path ~loc:node.T.loc ~core
-              "node violates schema %s: %s" schema.Schema.Binding.id
-              (String.concat "; " (summarize_core core))
-          ]
-        | `Inconclusive ->
-          [ Report.finding ~severity:Report.Warning ~checker:"syntactic"
-              ~node_path:path ~loc:node.T.loc
-              "inconclusive: solver budget exhausted while checking schema %s"
-              schema.Schema.Binding.id
-          ])
-      obls
-  in
-  if owned && certify then
-    findings @ Report.cert_findings (Smt.Solver.cert_report solver)
-  else findings
+  List.concat_map
+    (fun (path, node, schema) ->
+      match Schema.Compile.check_node solver ~schema ~path:(prefix path) node with
+      | `Valid -> []
+      | `Invalid core ->
+        [ Report.finding ~checker:"syntactic" ~node_path:path ~loc:node.T.loc ~core
+            "node violates schema %s: %s" schema.Schema.Binding.id
+            (String.concat "; " (summarize_core core))
+        ]
+      | `Inconclusive ->
+        [ Report.finding ~severity:Report.Warning ~checker:"syntactic"
+            ~node_path:path ~loc:node.T.loc
+            "inconclusive: solver budget exhausted while checking schema %s"
+            schema.Schema.Binding.id
+        ])
+    obls
 
-let check ?solver ?certify ~schemas ?product tree =
-  check_obligations ?solver ?certify ?product (obligations ~schemas tree)
+let check ?solver ~schemas ?product tree =
+  check_obligations ?solver ?product (obligations ~schemas tree)
 
 (* The dt-schema baseline: same judgements, no solver, no cores. *)
 let check_direct ~schemas tree =

@@ -21,21 +21,17 @@ val obligations :
     order.  Same solver-ownership contract as {!check}. *)
 val check_obligations :
   ?solver:Smt.Solver.t ->
-  ?certify:bool ->
   ?product:string ->
   obligation list ->
   Report.finding list
 
 (** [check ?solver ~schemas ?product tree] checks every applicable
-    node/schema pair.  [product] prefixes solver symbols so several products
-    can share one incremental solver.  Without a caller-supplied [solver],
-    [~certify:true] certifies every solver verdict (see
-    {!Smt.Solver.create}) and appends an error finding per uncertified
-    query; with a supplied solver the caller collects certification results
-    itself. *)
+    node/schema pair, on a fresh solver unless one is given.  [product]
+    prefixes solver symbols so several products can share one incremental
+    solver.  A caller that certifies passes a certifying [solver] and reads
+    its {!Smt.Solver.cert_report}. *)
 val check :
   ?solver:Smt.Solver.t ->
-  ?certify:bool ->
   schemas:Schema.Binding.t list ->
   ?product:string ->
   Devicetree.Tree.t ->

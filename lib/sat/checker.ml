@@ -20,10 +20,12 @@
    - each Unsat answer names the chain from its assumptions to a conflict.
 
    A cited clause that is neither unit nor false adds nothing, rather than
-   failing the step: under the full assumption set of an Unsat answer, an
-   assumption outside the core may already satisfy a clause of the chain.
-   Every accept is therefore a run of unit propagation over the live
-   clauses, so it implies the RUP accept a searching checker would give. *)
+   failing the step.  Skipping a clause derives nothing, so it can only
+   make the checker reject more; and [check_conflict] then holds for any
+   superset of the assumptions a chain was built from, although an extra
+   assumption may already satisfy one of its clauses.  Every accept is
+   therefore a run of unit propagation over the live clauses, so it
+   implies the RUP accept a searching checker would give. *)
 
 type t = {
   proof : Proof.t;

@@ -13,7 +13,9 @@
     Verdicts are then validated against the replayed clauses:
     {!check_conflict} for Unsat (the assumptions and the solver's answer
     chain must reach a conflict; a refutation is carried by the trace) and
-    {!check_model} for Sat (every input clause satisfied).
+    {!check_model} for Sat (every input clause satisfied), used where the
+    clauses are the input, as in [llhsc sat]; the SMT layer checks its
+    models on their terms instead.
 
     The incremental interface ({!create}/{!replay}/...) lets a long-lived
     solver certify many queries without re-replaying the whole trace; the

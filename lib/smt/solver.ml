@@ -245,17 +245,17 @@ let model_env t : Interp.env =
 
 (* --- certification ----------------------------------------------------------- *)
 
-(* Certify the answer just produced by [Sat.Solver.solve].  Sat answers are
-   model-checked twice: once at CNF level against every input clause of the
-   trace, and once at term level by re-evaluating every live assertion (and
-   this call's assumptions) under the extracted model via [Interp] — the
-   latter catches bit-blasting bugs the former cannot.  Every answer first
-   replays the trace suffix logged since the previous one; Unsat answers
-   then confirm the conflict twice, from the solver's answer chain: under
-   the full assumption set and again restricted to the reported unsat core.
-   Unknown answers prove nothing and are exempt.
-   Failures are recorded (never raised): callers surface them as error[CERT]
-   diagnostics. *)
+(* Certify the answer just produced by [Sat.Solver.solve], with one check
+   per verdict after replaying the trace suffix logged since the previous
+   answer.  A Sat answer is checked on its terms: every live assertion and
+   this call's assumptions must evaluate to true under the extracted model
+   ([Interp]).  Such a model is a witness whatever the CNF says, so the
+   clauses are not checked.  An Unsat answer's core must consist of this
+   call's assumption literals, and the core with the solver's answer chain
+   must reach a conflict; assuming the remaining literals as well would
+   only make more literals true.  Unknown answers prove nothing and are
+   exempt.  Failures are recorded (never raised): callers surface them as
+   error[CERT] diagnostics. *)
 let certify_answer t ck ~lits ~assumption_terms answer =
   let q = t.n_checks in
   let fail fmt =
@@ -285,9 +285,6 @@ let certify_answer t ck ~lits ~assumption_terms answer =
   match answer with
   | Unknown -> () (* inconclusive by construction: nothing to certify *)
   | Sat ->
-    (match Sat.Checker.check_model ck (fun l -> Sat.Solver.lit_value t.sat l) with
-     | Ok () -> ()
-     | Error m -> fail "%s" m);
     let env = model_env t in
     let eval_true what name term =
       match Interp.eval env term with
@@ -307,15 +304,14 @@ let certify_answer t ck ~lits ~assumption_terms answer =
       assumption_terms;
     record `Sat
   | Unsat names ->
-    let chain = Sat.Solver.unsat_chain t.sat in
-    (match Sat.Checker.check_conflict ck lits chain with
-     | Ok () -> ()
-     | Error m -> fail "%s" m);
     let core = Sat.Solver.unsat_core t.sat in
-    (match Sat.Checker.check_conflict ck core chain with
-     | Ok () -> ()
-     | Error m ->
-       fail "unsat core [%s] not confirmed: %s" (String.concat "; " names) m);
+    (match List.find_opt (fun l -> not (List.mem l lits)) core with
+     | Some l -> fail "unsat core literal %d is not an assumption" (L.to_dimacs l)
+     | None -> (
+       match Sat.Checker.check_conflict ck core (Sat.Solver.unsat_chain t.sat) with
+       | Ok () -> ()
+       | Error m ->
+         fail "unsat core [%s] not confirmed: %s" (String.concat "; " names) m));
     record `Unsat
 
 (* Decide satisfiability, escalating on [Unknown].  The original attempt

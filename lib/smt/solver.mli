@@ -21,12 +21,13 @@ type answer =
 exception Error of string
 
 (** With [~certify:true] the solver certifies every {!check} answer as it is
-    produced: the underlying SAT solver records a DRUP-style proof trace
-    with hints beside it (see {!Sat.Proof}), and an independent checker
-    that replays those hints by unit resolution ({!Sat.Checker}) validates
-    each verdict — models at both CNF and term level for [Sat], proof
-    replay plus unsat-core confirmation from the solver's answer chain for
-    [Unsat];
+    produced, with one check per verdict.  The underlying SAT solver
+    records a DRUP-style proof trace with hints beside it (see
+    {!Sat.Proof}), which an independent checker replays by unit
+    resolution ({!Sat.Checker}).  A [Sat] model must then make every live
+    assertion and the call's assumptions true under the reference
+    interpreter ({!Interp}); an [Unsat] core must consist of assumption
+    literals and reach a conflict through the solver's answer chain;
     [Unknown] answers are exempt.  Certification never changes an answer:
     failures accumulate in {!cert_report} for the caller to surface (the
     llhsc pipeline turns them into [error[CERT]] diagnostics). *)

@@ -411,6 +411,36 @@ grep -qx "resume: replayed from journal: vm1, vm2" "$TMP/pool-resume.err" \
 cmp -s "$TMP/journal1.out" "$TMP/pool-resume.out" \
   || fail "resumed --jobs 2 report differs from the --jobs 1 report"
 
+echo "# Ctrl-C at --jobs 2: the workers die quietly, the parent reports it once"
+# A terminal sends SIGINT to the whole process group.  setsid gives the
+# run a group of its own, led by the parent, to send it to.
+LLHSC_FAULT=hang-worker@5 setsid "$LLHSC" pipeline --core "$FIXTURES/custom-sbc.dts" \
+  --deltas "$FIXTURES/custom-sbc.deltas" --model "$FIXTURES/custom-sbc.fm" \
+  --schemas "$FIXTURES/schemas" \
+  --vm "memory,cpu@0,uart@20000000,uart@30000000,veth0" \
+  --vm "memory,cpu@1,uart@20000000,uart@30000000,veth1" \
+  --exclusive cpus --jobs 2 --journal "$TMP/int.journal" > /dev/null 2> "$TMP/int.err" &
+pid=$!
+tries=0
+until [ -f "$TMP/int.journal" ] && [ "$(wc -l < "$TMP/int.journal")" -ge 3 ]; do
+  tries=$((tries + 1))
+  if [ "$tries" -gt 100 ]; then
+    kill -TERM "$pid"
+    wait "$pid" || true
+    fail "the journal held no two product records after 10 s of a hung --jobs 2 run"
+  fi
+  sleep 0.1
+done
+kill -INT -"$pid"
+set +e
+wait "$pid"
+rc=$?
+set -e
+[ "$rc" -eq 130 ] || fail "a Ctrl-C'd --jobs 2 pipeline should exit 130 (got $rc)"
+[ "$(cat "$TMP/int.err")" = \
+  "interrupted by signal 2: journal $TMP/int.journal synced; rerun with --resume" ] \
+  || fail "expected the parent's interrupt line alone on stderr: $(cat "$TMP/int.err")"
+
 echo "# journal fsck: exit-code contract (0 clean / 1 issues / 2 unusable)"
 "$LLHSC" journal fsck "$TMP/run.journal" > "$TMP/fsck.out" \
   || fail "fsck of a clean journal should exit 0"

@@ -520,6 +520,103 @@ let prop_comparisons_match width =
           r)
         cases)
 
+(* --- certification against brute force --------------------------------------- *)
+
+(* A random query over [a] and [b] of one width: two named assertions, one
+   assertion inside a scope and one assumption, each a comparison of two
+   random terms. *)
+type cert_query = { cwidth : int; named : T.t list; scoped : T.t; assumption : T.t }
+
+let gen_cert_query =
+  let open QCheck.Gen in
+  let* cwidth = int_range 3 6 in
+  let atom =
+    let* x = gen_term cwidth and* y = gen_term cwidth in
+    oneofl [ T.eq x y; T.not_ (T.eq x y); T.ult x y; T.ule x y; T.slt x y; T.sle x y ]
+  in
+  let* named = list_repeat 2 atom and* scoped = atom and* assumption = atom in
+  return { cwidth; named; scoped; assumption }
+
+let cert_atoms q = q.scoped :: q.assumption :: q.named
+
+let holds_at ~a ~b term = Smt.Interp.eval (interp_env ~a ~b) term = Smt.Interp.V_bool true
+
+(* Ground truth: some assignment of [a] and [b] makes every atom true. *)
+let cert_truth q =
+  let n = 1 lsl q.cwidth in
+  let rec search i =
+    i < n * n
+    && (List.for_all (holds_at ~a:(Int64.of_int (i / n)) ~b:(Int64.of_int (i mod n)))
+          (cert_atoms q)
+       || search (i + 1))
+  in
+  search 0
+
+(* Run [q] on a certifying solver under [mutation]: whether the answer
+   contradicts the truth, whether a Sat answer's model falsifies a live
+   assertion or the assumption, and whether certification failed. *)
+let run_cert_query q truth mutation =
+  let s = S.create ~certify:true () in
+  Option.iter (S.inject_unsoundness s) mutation;
+  List.iteri (fun i t -> S.assert_named s (Printf.sprintf "n%d" i) t) q.named;
+  S.push s;
+  S.assert_ s q.scoped;
+  let answer = S.check ~assumptions:[ q.assumption ] s in
+  let wrong =
+    match answer with S.Sat -> not truth | S.Unsat _ -> truth | S.Unknown -> false
+  in
+  let falsified =
+    answer = S.Sat
+    &&
+    let a = S.get_bv s (T.bv_var "a" ~width:q.cwidth)
+    and b = S.get_bv s (T.bv_var "b" ~width:q.cwidth) in
+    not (List.for_all (holds_at ~a ~b) (cert_atoms q))
+  in
+  (wrong, falsified, (S.cert_report s).S.failures <> [])
+
+let cert_mutations =
+  let open QCheck.Gen in
+  let* drop = int_range 1 3 and* mute = int_range 1 3 and* flip = int_range 1 12 in
+  return
+    Sat.Solver.[ Drop_learnt_literal drop; Mute_proof_step mute; Flip_model_bit flip ]
+
+(* Per instance: the honest run answers right with no failure, and every
+   mutated answer that is wrong or whose model falsifies a term is
+   flagged.  Returns the mutated runs' [(wrong, falsified)] pairs. *)
+let cert_instance (q, mutations) =
+  let truth = cert_truth q in
+  let honest = run_cert_query q truth None = (false, false, false) in
+  let mutated = List.map (fun m -> run_cert_query q truth (Some m)) mutations in
+  ( honest && List.for_all (fun (w, f, flagged) -> flagged || not (w || f)) mutated,
+    List.map (fun (w, f, _) -> (w, f)) mutated )
+
+let prop_certify_flags_wrong_answers =
+  QCheck.Test.make ~count:150
+    ~name:"certification flags every wrong answer and falsifying model"
+    (QCheck.make QCheck.Gen.(pair gen_cert_query cert_mutations))
+    (fun inst -> fst (cert_instance inst))
+
+(* The property above is not vacuous: on a fixed sample, drop-lit yields
+   wrong verdicts and flip-model yields falsifying models. *)
+let test_certify_property_bites () =
+  let rand = Random.State.make [| 26 |] in
+  let instances =
+    QCheck.Gen.(generate ~rand ~n:300 (pair gen_cert_query cert_mutations))
+  in
+  let wrong = ref 0 and falsified = ref 0 in
+  List.iter
+    (fun inst ->
+      match cert_instance inst with
+      | false, _ -> Alcotest.fail "an honest run failed or a wrong answer went unflagged"
+      | true, [ (drop_wrong, _); _; (_, flip_falsified) ] ->
+        if drop_wrong then incr wrong;
+        if flip_falsified then incr falsified
+      | true, _ -> assert false)
+    instances;
+  check_bool (Printf.sprintf "drop-lit wrong verdicts (%d)" !wrong) true (!wrong > 0);
+  check_bool (Printf.sprintf "flip-model falsifying models (%d)" !falsified) true
+    (!falsified > 0)
+
 
 (* --- introspection ----------------------------------------------------------- *)
 
@@ -908,6 +1005,9 @@ let () =
           Alcotest.test_case "catches unsound solver" `Quick
             test_certify_catches_unsound_solver;
           Alcotest.test_case "off by default" `Quick test_certify_off_by_default;
+          Alcotest.test_case "mutants yield wrong answers" `Quick
+            test_certify_property_bites;
+          QCheck_alcotest.to_alcotest prop_certify_flags_wrong_answers;
         ] );
       ( "escalation",
         [
