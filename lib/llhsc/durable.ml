@@ -61,12 +61,12 @@ let fsync_dir dir =
               _ ) ->
           ())
 
-let with_file ~path f =
+let write_file ~path data =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   if fires opens Fault.Erofs then raise (Sys_error (tmp ^ ": Read-only file system"));
   let oc = open_out_gen [ Open_wronly; Open_trunc; Open_creat; Open_binary ] 0o644 tmp in
   (try
-     f oc;
+     out_string oc data;
      sync oc;
      close_out oc
    with e ->
@@ -79,5 +79,3 @@ let with_file ~path f =
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
   fsync_dir (Filename.dirname path)
-
-let write_file ~path data = with_file ~path (fun oc -> out_string oc data)

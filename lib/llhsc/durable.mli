@@ -2,11 +2,11 @@
 
     Two disciplines, matching the two kinds of state llhsc persists:
 
-    - {b Whole files} (reports, port files, bench JSON, compacted
-      journals): {!write_file} writes to a temp file in the same
-      directory, fsyncs it, renames it over the destination and fsyncs
-      the directory.  A reader can never observe a partial file and a
-      crash leaves either the old bytes or the new bytes, never a mix.
+    - {b Whole files} (reports, port files, compacted journals):
+      {!write_file} writes to a temp file in the same directory, fsyncs
+      it, renames it over the destination and fsyncs the directory.  A
+      reader can never observe a partial file and a crash leaves either
+      the old bytes or the new bytes, never a mix.
     - {b Append-only journals}: {!open_for_append} / {!out_string} /
       {!sync} are checked variants of the stdlib calls — every error,
       including fsync failure, is raised rather than swallowed, so the
@@ -26,12 +26,6 @@
     temp file is removed and the original [path] is untouched.  Raises
     [Sys_error] or [Unix.Unix_error]. *)
 val write_file : path:string -> string -> unit
-
-(** [with_file ~path f] is {!write_file} for callers that stream their
-    output: [f] writes to a channel backed by the temp file, and the
-    atomic fsync/rename commit happens after [f] returns.  If [f] raises,
-    the temp file is removed and [path] is untouched. *)
-val with_file : path:string -> (out_channel -> unit) -> unit
 
 (** Open for appending (creating if needed, mode 0o644; emptied first
     with [~truncate:true]).  Raises [Sys_error], including the injected

@@ -271,10 +271,9 @@ let vm3_features = [ "bank@b0000000"; "cpu@3"; "virtio@10003000" ]
 let exclusive = [ "memory"; "cpus"; "uarts"; "virtio" ]
 
 let run_pipeline ?budget ?(certify = false) ?retry ?inputs_hash ?journal
-    ?resume ?jobs ?task_deadline ?max_respawns ?mem_limit ?cpu_limit () =
+    ?resume () =
   Pipeline.run ~exclusive ?budget ~certify ?retry ?inputs_hash ?journal
-    ?resume ?jobs ?task_deadline ?max_respawns ?mem_limit ?cpu_limit
-    ~model:(feature_model ()) ~core:(core_tree ())
+    ?resume ~model:(feature_model ()) ~core:(core_tree ())
     ~deltas:(deltas ()) ~schemas_for
     ~vm_requests:[ vm1_features; vm2_features; vm3_features ]
     ()

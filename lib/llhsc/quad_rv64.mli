@@ -26,13 +26,11 @@ val vm3_features : string list
 (** Exclusive resource groups: memory banks, CPUs, UARTs, virtio. *)
 val exclusive : string list
 
-(** The full Fig.-2 pipeline on this case study; [~certify:true] certifies
-    every solver verdict of the run.  [?budget]/[?retry] bound and escalate
-    solver work, [?journal]/[?resume]/[?inputs_hash] thread crash-safe
-    journaling through, [?jobs] dispatches the check phase across a
-    supervised pool of forked workers, and
-    [?task_deadline]/[?max_respawns]/[?mem_limit]/[?cpu_limit] tune its
-    supervision (see {!Pipeline.run}). *)
+(** The full Fig.-2 pipeline on this case study, in process;
+    [~certify:true] certifies every solver verdict of the run.
+    [?budget]/[?retry] bound and escalate solver work, and
+    [?journal]/[?resume]/[?inputs_hash] thread crash-safe journaling
+    through (see {!Pipeline.run}). *)
 val run_pipeline :
   ?budget:Sat.Solver.budget ->
   ?certify:bool ->
@@ -40,10 +38,5 @@ val run_pipeline :
   ?inputs_hash:string ->
   ?journal:Journal.sink ->
   ?resume:Journal.entry list ->
-  ?jobs:int ->
-  ?task_deadline:float ->
-  ?max_respawns:int ->
-  ?mem_limit:int ->
-  ?cpu_limit:int ->
   unit ->
   Pipeline.outcome

@@ -685,13 +685,28 @@ let test_journal_last_record_wins () =
   J.record sink (List.nth entries 1);
   J.record sink updated;
   J.close sink;
-  let loaded = J.load ~path ~inputs_hash in
-  check_int "still two entries" 2 (List.length loaded);
-  match J.find loaded J.Product "vm1" with
-  | Some e ->
-    check_int "latest record wins" 7 e.J.cert_failures;
-    check_bool "latest findings win" true (e.J.findings = [])
-  | None -> Alcotest.fail "vm1 entry missing"
+  let check_latest what =
+    let loaded = J.load ~path ~inputs_hash in
+    check_int (what ^ ": still two entries") 2 (List.length loaded);
+    match J.find loaded J.Product "vm1" with
+    | Some e ->
+      check_int (what ^ ": latest record wins") 7 e.J.cert_failures;
+      check_bool (what ^ ": latest findings win") true (e.J.findings = [])
+    | None -> Alcotest.fail (what ^ ": vm1 entry missing")
+  in
+  check_latest "appended";
+  (* Compaction collapses the superseded vm1 record and keeps the
+     latest one. *)
+  (match J.compact ~path with
+   | Ok counts -> check_bool "compact: 3 records in, 2 entries out" true (counts = (3, 2))
+   | Error e -> Alcotest.fail e);
+  (match J.fsck ~path with
+   | Some r ->
+     check_int "compacted records" 2 r.J.records;
+     check_int "no torn line" 0 r.J.torn;
+     check_int "no invalid line" 0 r.J.invalid
+   | None -> Alcotest.fail "compacted journal unreadable");
+  check_latest "compacted"
 
 let test_journal_stale_inputs_hash () =
   with_temp_journal @@ fun path ->
