@@ -99,8 +99,7 @@ let contained_in solver (r : Semantic.region_at) banks =
 let rec pairs = function [] -> [] | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest
 
 (* Cross-VM checks over the generated products. *)
-let check ?(solver = Solver.create ()) ?(memory_overlap_severity = Report.Warning)
-    ~platform vms =
+let check ?(solver = Solver.create ()) ~platform vms =
   let platform_r = classify ~vm:"platform" platform in
   let vm_rs = List.map (fun (name, tree) -> classify ~vm:name tree) vms in
   let findings = ref [] in
@@ -129,7 +128,7 @@ let check ?(solver = Solver.create ()) ?(memory_overlap_severity = Report.Warnin
               | `Disjoint -> ()
               | `Overlap witness ->
                 push
-                  (Report.finding ~severity:memory_overlap_severity ~checker:"partition"
+                  (Report.finding ~severity:Report.Warning ~checker:"partition"
                      ~node_path:ra.Semantic.owner ~loc:ra.Semantic.loc
                      "memory of %s %a overlaps memory of %s %a (at 0x%Lx); RAM is not partitioned"
                      a.vm Addr.pp_region ra.Semantic.region b.vm Addr.pp_region

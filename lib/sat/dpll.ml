@@ -128,7 +128,6 @@ let of_formula ~num_vars formula =
       add [ q; pa; pb ];
       add [ q; -pa; -pb ];
       q
-    | Formula.Xor (a, b) -> define (Formula.Not (Formula.Iff (a, b)))
   in
   let root = define formula in
   add [ root ];

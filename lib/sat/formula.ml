@@ -7,10 +7,7 @@ type t =
   | Or of t list
   | Implies of t * t
   | Iff of t * t
-  | Xor of t * t
 
-let tt = True
-let ff = False
 let atom v = Atom v
 
 let neg = function
@@ -45,14 +42,6 @@ let iff a b =
   | b, False -> neg b
   | _ -> Iff (a, b)
 
-let xor a b =
-  match (a, b) with
-  | False, b -> b
-  | b, False -> b
-  | True, b -> neg b
-  | b, True -> neg b
-  | _ -> Xor (a, b)
-
 let at_most_one fs =
   let rec pairs = function
     | [] -> []
@@ -60,40 +49,11 @@ let at_most_one fs =
   in
   conj (pairs fs)
 
-let exactly_one fs = conj [ disj fs; at_most_one fs ]
-
-let rec size = function
-  | True | False | Atom _ -> 1
-  | Not f -> 1 + size f
-  | And fs | Or fs -> List.fold_left (fun acc f -> acc + size f) 1 fs
-  | Implies (a, b) | Iff (a, b) | Xor (a, b) -> 1 + size a + size b
-
-let rec eval assign = function
-  | True -> true
-  | False -> false
-  | Atom v -> assign v
-  | Not f -> not (eval assign f)
-  | And fs -> List.for_all (eval assign) fs
-  | Or fs -> List.exists (eval assign) fs
-  | Implies (a, b) -> (not (eval assign a)) || eval assign b
-  | Iff (a, b) -> eval assign a = eval assign b
-  | Xor (a, b) -> eval assign a <> eval assign b
-
-let atoms f =
-  let rec collect acc = function
-    | True | False -> acc
-    | Atom v -> v :: acc
-    | Not f -> collect acc f
-    | And fs | Or fs -> List.fold_left collect acc fs
-    | Implies (a, b) | Iff (a, b) | Xor (a, b) -> collect (collect acc a) b
-  in
-  List.sort_uniq Int.compare (collect [] f)
-
 (* --- Tseitin ------------------------------------------------------------- *)
 
 (* [define solver f] returns a literal [p] with clauses enforcing p <-> f.
-   The encoding is the full (both-direction) Tseitin transform so defined
-   literals can be used under either polarity (needed by [define_in]). *)
+   The encoding is the full (both-direction) Tseitin transform, so a
+   defined literal can be asserted under either polarity. *)
 let rec define solver f : Lit.t =
   let fresh () = Lit.of_var (Solver.new_var solver) in
   let add lits = ignore (Solver.add_clause solver lits : bool) in
@@ -129,16 +89,6 @@ let rec define solver f : Lit.t =
     add [ q; pa; pb ];
     add [ q; Lit.neg pa; Lit.neg pb ];
     q
-  | Xor (a, b) ->
-    let pa = define solver a and pb = define solver b in
-    let q = fresh () in
-    add [ Lit.neg q; pa; pb ];
-    add [ Lit.neg q; Lit.neg pa; Lit.neg pb ];
-    add [ q; Lit.neg pa; pb ];
-    add [ q; pa; Lit.neg pb ];
-    q
-
-let define_in solver f = define solver f
 
 (* Assert [f] directly, clausifying top-level conjunction/disjunction
    structure without a definition variable where possible. *)
@@ -155,7 +105,7 @@ let assert_in solver f =
     | Not f -> assert_false f
     | Atom v -> add [ Lit.of_var v ]
     | Implies (a, b) -> assert_true (Or [ Not a; b ])
-    | (Iff _ | Xor _) as f -> add [ define solver f ]
+    | Iff _ as f -> add [ define solver f ]
   and assert_false = function
     | True -> add []
     | False -> ()
@@ -168,20 +118,7 @@ let assert_in solver f =
     | Implies (a, b) ->
       assert_true a;
       assert_false b
-    | (Iff _ | Xor _) as f -> add [ Lit.neg (define solver f) ]
+    | Iff _ as f -> add [ Lit.neg (define solver f) ]
   in
   assert_true f;
   !ok
-
-let rec pp ppf = function
-  | True -> Fmt.string ppf "true"
-  | False -> Fmt.string ppf "false"
-  | Atom v -> Fmt.pf ppf "x%d" v
-  | Not f -> Fmt.pf ppf "!%a" pp_atomic f
-  | And fs -> Fmt.pf ppf "(%a)" Fmt.(list ~sep:(any " & ") pp_atomic) fs
-  | Or fs -> Fmt.pf ppf "(%a)" Fmt.(list ~sep:(any " | ") pp_atomic) fs
-  | Implies (a, b) -> Fmt.pf ppf "(%a -> %a)" pp_atomic a pp_atomic b
-  | Iff (a, b) -> Fmt.pf ppf "(%a <-> %a)" pp_atomic a pp_atomic b
-  | Xor (a, b) -> Fmt.pf ppf "(%a ^ %a)" pp_atomic a pp_atomic b
-
-and pp_atomic ppf f = pp ppf f

@@ -2,7 +2,7 @@
     clausification into a {!Solver}.
 
     Atoms are solver variables (allocated with {!Solver.new_var}).  The
-    feature-model and SMT layers build formulas here and clausify them once;
+    feature-model layer builds its formulas here and clausifies them once;
     the Tseitin transform introduces fresh definition variables so the CNF
     is linear in the formula size. *)
 
@@ -15,40 +15,17 @@ type t =
   | Or of t list
   | Implies of t * t
   | Iff of t * t
-  | Xor of t * t
 
-val tt : t
-val ff : t
 val atom : int -> t
 val neg : t -> t
 val conj : t list -> t
 val disj : t list -> t
 val implies : t -> t -> t
 val iff : t -> t -> t
-val xor : t -> t -> t
-
-(** Exactly one of the formulas holds. *)
-val exactly_one : t list -> t
 
 (** At most one of the formulas holds (pairwise encoding). *)
 val at_most_one : t list -> t
 
-(** Structural size (number of connectives and atoms). *)
-val size : t -> int
-
-(** [eval assign f] evaluates [f] under a total assignment of atoms. *)
-val eval : (int -> bool) -> t -> bool
-
-(** Atoms occurring in the formula, ascending and without duplicates. *)
-val atoms : t -> int list
-
 (** [assert_in solver f] clausifies [f] and asserts it into [solver].
     Returns [false] if the solver became trivially unsatisfiable. *)
 val assert_in : Solver.t -> t -> bool
-
-(** [define_in solver f] clausifies [f] and returns a literal that is
-    equivalent to [f] in every model, without asserting it.  Used to guard
-    formulas by activation literals (incremental push/pop). *)
-val define_in : Solver.t -> t -> Lit.t
-
-val pp : Format.formatter -> t -> unit

@@ -143,20 +143,6 @@ let mk_xor ctx a b =
 
 let mk_iff ctx a b = mk_not (mk_xor ctx a b)
 
-(* mux: if c then a else b *)
-let mk_mux ctx c a b =
-  if a = b then a
-  else if c = ctx.true_lit then a
-  else if c = false_lit ctx then b
-  else begin
-    let r = fresh ctx in
-    add ctx [ mk_not c; mk_not r; a ];
-    add ctx [ mk_not c; r; mk_not a ];
-    add ctx [ c; mk_not r; b ];
-    add ctx [ c; r; mk_not b ];
-    r
-  end
-
 (* full adder: returns (sum, carry_out).  The carry's products are built
    b·cin, a·cin, a·b, in that order: the clause stream is part of the
    report contract (test_smt's cnf-identity digests pin it). *)
@@ -194,11 +180,6 @@ let ripple_add ctx a b cin =
   end
 
 let bv_add ctx a b = ripple_add ctx a b (false_lit ctx)
-let bv_not a = Array.map mk_not a
-let bv_sub ctx a b = ripple_add ctx a (bv_not b) ctx.true_lit
-let bv_neg ctx a = bv_sub ctx (bv_const ctx ~width:(Array.length a) 0L) a
-
-let bv_bitwise ctx f a b = Array.init (Array.length a) (fun i -> f ctx a.(i) b.(i))
 
 (* Shift-and-add.  A row whose multiplier bit is the constant false is all
    false and would add nothing, so it is skipped. *)
@@ -215,29 +196,6 @@ let bv_mul ctx a b =
   done;
   !acc
 
-(* Equality of a bit-vector with a small integer constant. *)
-let bv_eq_const ctx a k =
-  let w = Array.length a in
-  let bits =
-    List.init w (fun i ->
-        if k land (1 lsl i) <> 0 then a.(i) else mk_not a.(i))
-  in
-  mk_and ctx bits
-
-(* Shift by a (possibly symbolic) amount: mux over all in-range constant
-   amounts; out-of-range amounts yield zero, matching SMT-LIB semantics for
-   widths <= 64. *)
-let bv_shift ctx ~left a b =
-  let w = Array.length a in
-  let conds = Array.init w (fun s -> bv_eq_const ctx b s) in
-  Array.init w (fun i ->
-      let picks = ref [] in
-      for s = 0 to w - 1 do
-        let src = if left then i - s else i + s in
-        if src >= 0 && src < w then picks := and2 ctx conds.(s) a.(src) :: !picks
-      done;
-      mk_or ctx !picks)
-
 let bv_eq ctx a b =
   mk_and ctx (List.init (Array.length a) (fun i -> mk_iff ctx a.(i) b.(i)))
 
@@ -252,15 +210,6 @@ let bv_ult ctx a b =
   !res
 
 let bv_ule ctx a b = mk_not (bv_ult ctx b a)
-
-let flip_msb a =
-  let w = Array.length a in
-  Array.init w (fun i -> if i = w - 1 then mk_not a.(i) else a.(i))
-
-let bv_slt ctx a b = bv_ult ctx (flip_msb a) (flip_msb b)
-let bv_sle ctx a b = bv_ule ctx (flip_msb a) (flip_msb b)
-
-let bv_mux ctx c a b = Array.init (Array.length a) (fun i -> mk_mux ctx c a.(i) b.(i))
 
 (* --- enum encoding --------------------------------------------------------- *)
 
@@ -363,12 +312,6 @@ let rec blast_bool ctx (t : Term.t) : L.t =
         let lb = blast_bool ctx b in
         or2 ctx (mk_not (blast_bool ctx a)) lb
       | Iff (a, b) -> mk_iff ctx (blast_bool ctx a) (blast_bool ctx b)
-      | Xor (a, b) -> mk_xor ctx (blast_bool ctx a) (blast_bool ctx b)
-      | Ite (c, a, b) ->
-        (match ctx.sort_of a with
-         | Bool -> mk_mux ctx (blast_bool ctx c) (blast_bool ctx a) (blast_bool ctx b)
-         | Bitvec _ | Enum _ ->
-           Fmt.invalid_arg "blast_bool: ite of non-boolean sort")
       | Eq (a, b) ->
         (match (ctx.sort_of a, a, b) with
          | Bool, _, _ -> mk_iff ctx (blast_bool ctx a) (blast_bool ctx b)
@@ -393,11 +336,7 @@ let rec blast_bool ctx (t : Term.t) : L.t =
         mk_and ctx (List.map distinct_pair (pairs ts))
       | Bv_cmp (op, a, b) ->
         let ba = blast_bv ctx a and bb = blast_bv ctx b in
-        (match op with
-         | Ult -> bv_ult ctx ba bb
-         | Ule -> bv_ule ctx ba bb
-         | Slt -> bv_slt ctx ba bb
-         | Sle -> bv_sle ctx ba bb)
+        (match op with Ult -> bv_ult ctx ba bb | Ule -> bv_ule ctx ba bb)
       | Pred (name, args) ->
         let arg_sorts =
           List.map
@@ -410,8 +349,7 @@ let rec blast_bool ctx (t : Term.t) : L.t =
         if List.for_all (function Term.Enum_const _ -> true | _ -> false) args then
           constant_instance ctx name arg_sorts args
         else ground ctx name arg_sorts args
-      | Bv_const _ | Bv_var _ | Bv_unop _ | Bv_binop _ | Bv_extract _ | Bv_concat _
-      | Bv_extend _ | Enum_const _ | Enum_var _ ->
+      | Bv_const _ | Bv_var _ | Bv_mul _ | Bv_zero_extend _ | Enum_const _ | Enum_var _ ->
         Fmt.invalid_arg "blast_bool: term %a is not boolean" Term.pp t
     in
     Hashtbl.add ctx.bool_memo t l;
@@ -449,31 +387,13 @@ and blast_bv ctx (t : Term.t) : L.t array =
            let bits = Array.init width (fun _ -> fresh ctx) in
            Hashtbl.add ctx.bv_vars name bits;
            bits)
-      | Bv_unop (Bv_neg, a) -> bv_neg ctx (blast_bv ctx a)
-      | Bv_unop (Bv_not, a) -> bv_not (blast_bv ctx a)
-      | Bv_binop (op, a, b) ->
+      | Bv_mul (a, b) ->
         let ba = blast_bv ctx a and bb = blast_bv ctx b in
-        (match op with
-         | Bv_add -> bv_add ctx ba bb
-         | Bv_sub -> bv_sub ctx ba bb
-         | Bv_mul -> bv_mul ctx ba bb
-         | Bv_and -> bv_bitwise ctx and2 ba bb
-         | Bv_or -> bv_bitwise ctx or2 ba bb
-         | Bv_xor -> bv_bitwise ctx mk_xor ba bb
-         | Bv_shl -> bv_shift ctx ~left:true ba bb
-         | Bv_lshr -> bv_shift ctx ~left:false ba bb)
-      | Bv_extract { hi; lo; arg } ->
-        let bits = blast_bv ctx arg in
-        Array.sub bits lo (hi - lo + 1)
-      | Bv_concat (a, b) ->
-        (* SMT-LIB concat: a is the high part. *)
-        let ba = blast_bv ctx a and bb = blast_bv ctx b in
-        Array.append bb ba
-      | Bv_extend { signed; by; arg } ->
+        bv_mul ctx ba bb
+      | Bv_zero_extend { by; arg } ->
         let bits = blast_bv ctx arg in
         let w = Array.length bits in
-        let top = if signed then bits.(w - 1) else false_lit ctx in
-        Array.init (w + by) (fun i -> if i < w then bits.(i) else top)
+        Array.init (w + by) (fun i -> if i < w then bits.(i) else false_lit ctx)
       | Enum_const { sort; value } ->
         let universe = ctx.enum_universe sort in
         let width = enum_width (Array.length universe) in
@@ -494,9 +414,8 @@ and blast_bv ctx (t : Term.t) : L.t array =
              add ctx [ bv_ult ctx bits bound ]
            end;
            bits)
-      | Ite (c, a, b) -> bv_mux ctx (blast_bool ctx c) (blast_bv ctx a) (blast_bv ctx b)
-      | True | False | Bool_var _ | Not _ | And _ | Or _ | Implies _ | Iff _ | Xor _
-      | Eq _ | Distinct _ | Bv_cmp _ | Pred _ ->
+      | True | False | Bool_var _ | Not _ | And _ | Or _ | Implies _ | Iff _ | Eq _
+      | Distinct _ | Bv_cmp _ | Pred _ ->
         Fmt.invalid_arg "blast_bv: term %a is not a bit-vector" Term.pp t
     in
     Hashtbl.add ctx.bv_memo t bits;

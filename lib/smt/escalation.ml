@@ -31,15 +31,14 @@ let rung_polarity rung =
 
 let rung_decay rung = Some (if rung mod 2 = 0 then 0.8 else 0.99)
 
-let ladder ?(base = 4) ~attempts () =
-  if base < 2 then invalid_arg "Escalation.ladder: base must be >= 2";
+let ladder ~attempts () =
   if attempts <= 1 then none
   else
     {
       steps =
         List.init (attempts - 1) (fun rung ->
             {
-              scale = int_of_float (float_of_int base ** float_of_int (rung + 1));
+              scale = int_of_float (4. ** float_of_int (rung + 1));
               seed = rung_seed rung;
               polarity = rung_polarity rung;
               var_decay = rung_decay rung;

@@ -35,11 +35,11 @@ val none : t
 val default : t
 
 (** [ladder ~attempts ()] builds a policy allowing [attempts] total
-    attempts (so [attempts - 1] retries), with budgets scaled by
-    [base]^(rung) (default [base = 4]) and deterministically varied
-    seeds/polarities/decays per rung.  [attempts <= 1] yields {!none};
-    [ladder ~attempts:3 ()] is {!default}'s shape. *)
-val ladder : ?base:int -> attempts:int -> unit -> t
+    attempts (so [attempts - 1] retries), with budgets scaled by 4^(rung)
+    and deterministically varied seeds/polarities/decays per rung.
+    [attempts <= 1] yields {!none}; [ladder ~attempts:3 ()] is
+    {!default}. *)
+val ladder : attempts:int -> unit -> t
 
 (** Scale a base budget by a rung's factor (saturating); [None] — an
     unlimited budget — stays unlimited. *)

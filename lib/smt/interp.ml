@@ -22,13 +22,6 @@ let error fmt = Fmt.kstr (fun msg -> raise (Eval_error msg)) fmt
 let mask width v =
   if width = 64 then v else Int64.logand v (Int64.sub (Int64.shift_left 1L width) 1L)
 
-(* sign-extend a w-bit value into a full int64 *)
-let sext width v =
-  if width = 64 then v
-  else if Int64.logand v (Int64.shift_left 1L (width - 1)) <> 0L then
-    Int64.logor v (Int64.shift_left (-1L) width)
-  else v
-
 let pp_value ppf = function
   | V_bool b -> Fmt.bool ppf b
   | V_bv { width; value } -> Fmt.pf ppf "#x%Lx[%d]" value width
@@ -50,8 +43,6 @@ let rec eval env (t : Term.t) : value =
   | Or ts -> V_bool (List.exists (fun t -> as_bool (eval env t)) ts)
   | Implies (a, b) -> V_bool ((not (as_bool (eval env a))) || as_bool (eval env b))
   | Iff (a, b) -> V_bool (as_bool (eval env a) = as_bool (eval env b))
-  | Xor (a, b) -> V_bool (as_bool (eval env a) <> as_bool (eval env b))
-  | Ite (c, a, b) -> if as_bool (eval env c) then eval env a else eval env b
   | Eq (a, b) -> V_bool (value_equal (eval env a) (eval env b))
   | Distinct ts ->
     let vs = List.map (eval env) ts in
@@ -62,52 +53,18 @@ let rec eval env (t : Term.t) : value =
     V_bool (all_distinct vs)
   | Bv_const { width; value } -> V_bv { width; value = mask width value }
   | Bv_var (name, width) -> V_bv { width; value = mask width (env.bv_var name) }
-  | Bv_unop (op, a) ->
-    let w, v = as_bv (eval env a) in
-    let r = match op with Term.Bv_neg -> Int64.neg v | Term.Bv_not -> Int64.lognot v in
-    V_bv { width = w; value = mask w r }
-  | Bv_binop (op, a, b) ->
+  | Bv_mul (a, b) ->
     let w, va = as_bv (eval env a) in
     let _, vb = as_bv (eval env b) in
-    let r =
-      match op with
-      | Term.Bv_add -> Int64.add va vb
-      | Term.Bv_sub -> Int64.sub va vb
-      | Term.Bv_mul -> Int64.mul va vb
-      | Term.Bv_and -> Int64.logand va vb
-      | Term.Bv_or -> Int64.logor va vb
-      | Term.Bv_xor -> Int64.logxor va vb
-      | Term.Bv_shl ->
-        if Int64.unsigned_compare vb (Int64.of_int w) >= 0 then 0L
-        else Int64.shift_left va (Int64.to_int vb)
-      | Term.Bv_lshr ->
-        if Int64.unsigned_compare vb (Int64.of_int w) >= 0 then 0L
-        else Int64.shift_right_logical (mask w va) (Int64.to_int vb)
-    in
-    V_bv { width = w; value = mask w r }
+    V_bv { width = w; value = mask w (Int64.mul va vb) }
   | Bv_cmp (op, a, b) ->
-    let w, va = as_bv (eval env a) in
+    let _, va = as_bv (eval env a) in
     let _, vb = as_bv (eval env b) in
-    let r =
-      match op with
-      | Term.Ult -> Int64.unsigned_compare va vb < 0
-      | Term.Ule -> Int64.unsigned_compare va vb <= 0
-      | Term.Slt -> Int64.compare (sext w va) (sext w vb) < 0
-      | Term.Sle -> Int64.compare (sext w va) (sext w vb) <= 0
-    in
-    V_bool r
-  | Bv_extract { hi; lo; arg } ->
-    let _, v = as_bv (eval env arg) in
-    let width = hi - lo + 1 in
-    V_bv { width; value = mask width (Int64.shift_right_logical v lo) }
-  | Bv_concat (a, b) ->
-    let wa, va = as_bv (eval env a) in
-    let wb, vb = as_bv (eval env b) in
-    V_bv { width = wa + wb; value = Int64.logor (Int64.shift_left va wb) vb }
-  | Bv_extend { signed; by; arg } ->
+    let c = Int64.unsigned_compare va vb in
+    V_bool (match op with Term.Ult -> c < 0 | Term.Ule -> c <= 0)
+  | Bv_zero_extend { by; arg } ->
     let w, v = as_bv (eval env arg) in
-    let v' = if signed then sext w v else v in
-    V_bv { width = w + by; value = mask (w + by) v' }
+    V_bv { width = w + by; value = v }
   | Enum_const { sort; value } -> V_enum { sort; value }
   | Enum_var (name, sort) -> V_enum { sort; value = env.enum_var name }
   | Pred (name, args) ->

@@ -60,8 +60,8 @@ type t = {
   mutable named : (string * L.t) list; (* live named assertions *)
   mutable assertions : (string option * Term.t) list; (* newest first *)
   mutable last_sat : bool;
-  mutable budget : Sat.Solver.budget option; (* default for every [check] *)
-  mutable escalation : Escalation.t option; (* default retry policy *)
+  mutable budget : Sat.Solver.budget option; (* every [check]'s budget *)
+  mutable escalation : Escalation.t option; (* every [check]'s retry policy *)
   mutable any_retry_policy : bool; (* a policy was in force for some check *)
   mutable retries : retry_entry list; (* newest first *)
   (* certification state ([checker] is [Some] iff created with ~certify) *)
@@ -321,9 +321,8 @@ let certify_answer t ck ~lits ~assumption_terms answer =
    attempts, so every retry resumes from all the work done so far.
    Certification (below) sees only the final answer — whichever attempt
    concluded produced the model/proof being certified. *)
-let check ?(assumptions = []) ?budget ?retry t =
-  let budget = match budget with Some _ as b -> b | None -> t.budget in
-  let policy = match retry with Some _ as r -> r | None -> t.escalation in
+let check ?(assumptions = []) t =
+  let budget = t.budget and policy = t.escalation in
   let extra = List.map (fun term -> (term, blast_checked t term)) assumptions in
   let lits =
     List.map (fun s -> s.act) t.scopes
@@ -434,36 +433,6 @@ let get_enum t term =
   | Interp.V_enum { value; _ } -> value
   | v -> error "expected an enum value, got %a" Interp.pp_value v
 
-(* Smallest value of a bit-vector term consistent with the live assertions,
-   by binary search over check-sat calls (each probe in its own scope) —
-   the incremental-solving pattern an optimizing solver runs internally. *)
-let minimize ?(assumptions = []) t term =
-  let width =
-    match Term.sort_of ~enum_sorts:(enum_sorts t) term with
-    | Term.Bitvec w -> w
-    | s -> error "minimize: expected a bit-vector term, got %a" Term.pp_sort s
-    | exception Term.Sort_error msg -> error "%s" msg
-  in
-  match check ~assumptions t with
-  | Unsat _ | Unknown -> None
-  | Sat ->
-    (* Unsigned binary search: [lo] is a proven lower bound, [hi] is
-       achievable; every probe either tightens [hi] to a model value or
-       raises [lo] past the midpoint. *)
-    let lo = ref 0L and hi = ref (get_bv t term) in
-    while Int64.unsigned_compare !lo !hi < 0 do
-      let mid = Int64.add !lo (Int64.shift_right_logical (Int64.sub !hi !lo) 1) in
-      push t;
-      assert_ t (Term.ule term (Term.bv ~width mid));
-      (match check ~assumptions t with
-       | Sat -> hi := get_bv t term
-       | Unsat _ -> lo := Int64.add mid 1L
-       (* budget exhausted: stop the descent, keep the best model value *)
-       | Unknown -> lo := !hi);
-      pop t
-    done;
-    Some !hi
-
 let assertions t = List.rev t.assertions
 
 (* SMT-LIB2-flavoured dump of the live assertion set: sort and function
@@ -484,16 +453,10 @@ let pp_smtlib ppf t =
     | Term.Pred (name, args) ->
       Hashtbl.replace preds name (List.length args);
       List.iter collect args
-    | Term.Not a | Term.Bv_unop (_, a) | Term.Bv_extract { arg = a; _ }
-    | Term.Bv_extend { arg = a; _ } ->
-      collect a
+    | Term.Not a | Term.Bv_zero_extend { arg = a; _ } -> collect a
     | Term.And ts | Term.Or ts | Term.Distinct ts -> List.iter collect ts
-    | Term.Implies (a, b) | Term.Iff (a, b) | Term.Xor (a, b) | Term.Eq (a, b)
-    | Term.Bv_binop (_, a, b) | Term.Bv_cmp (_, a, b) | Term.Bv_concat (a, b) ->
-      collect a;
-      collect b
-    | Term.Ite (c, a, b) ->
-      collect c;
+    | Term.Implies (a, b) | Term.Iff (a, b) | Term.Eq (a, b) | Term.Bv_mul (a, b)
+    | Term.Bv_cmp (_, a, b) ->
       collect a;
       collect b
     | Term.True | Term.False | Term.Bv_const _ | Term.Enum_const _ -> ()

@@ -10,9 +10,9 @@ type t
 
 (** Answer of {!check}.  On [Unsat], the core lists the names of the named
     assertions (see {!assert_named}) that participate in the conflict.
-    [Unknown] means the solver's resource budget (see {!set_budget} and the
-    [?budget] argument of {!check}) ran out before a verdict: the query is
-    inconclusive, and no model or core is available. *)
+    [Unknown] means the solver's resource budget (see {!set_budget}) ran
+    out before a verdict: the query is inconclusive, and no model or core
+    is available. *)
 type answer =
   | Sat
   | Unsat of string list
@@ -67,30 +67,22 @@ val pop : t -> unit
 val num_scopes : t -> int
 
 (** Decide satisfiability of all live assertions, plus optional extra
-    assumptions for this call only.  [?budget] overrides the solver-level
-    default budget (see {!set_budget}) for this call; [?retry] overrides the
-    solver-level escalation policy (see {!set_escalation}).  With a retry
-    policy in force, an [Unknown] first attempt is re-run up the ladder —
-    scaled budget, diversified restart — until a rung concludes or the
-    ladder is exhausted; every attempt is recorded (see {!retry_report}),
-    and certification applies to whichever attempt produced the final
-    answer. *)
-val check :
-  ?assumptions:Term.t list ->
-  ?budget:Sat.Solver.budget ->
-  ?retry:Escalation.t ->
-  t ->
-  answer
+    assumptions for this call only, under the solver's budget (see
+    {!set_budget}) and escalation policy (see {!set_escalation}).  With a
+    retry policy in force, an [Unknown] first attempt is re-run up the
+    ladder — scaled budget, diversified restart — until a rung concludes
+    or the ladder is exhausted; every attempt is recorded (see
+    {!retry_report}), and certification applies to whichever attempt
+    produced the final answer. *)
+val check : ?assumptions:Term.t list -> t -> answer
 
-(** Install a default resource budget applied to every subsequent {!check}
-    (and the checks done by {!minimize}); [None] removes it.  With a budget
-    in place, long-running queries degrade to [Unknown] instead of
-    hanging. *)
+(** Install a resource budget applied to every subsequent {!check};
+    [None] removes it.  With a budget in place, long-running queries
+    degrade to [Unknown] instead of hanging. *)
 val set_budget : t -> Sat.Solver.budget option -> unit
 
-(** Install a default retry-with-escalation policy applied to every
-    subsequent {!check} (including the probes of {!minimize}); [None]
-    removes it. *)
+(** Install a retry-with-escalation policy applied to every subsequent
+    {!check}; [None] removes it. *)
 val set_escalation : t -> Escalation.t option -> unit
 
 (** {1 Quantifier expansion over finite sorts} *)
@@ -113,16 +105,6 @@ val model_eval : t -> Term.t -> Interp.value
 val get_bool : t -> Term.t -> bool
 val get_bv : t -> Term.t -> int64
 val get_enum : t -> Term.t -> string
-
-(** {1 Optimization} *)
-
-(** Smallest value of a bit-vector term consistent with the live assertions
-    (and the optional extra assumptions); [None] when unsatisfiable or when
-    the very first budgeted probe is inconclusive.  Under a budget the
-    result is best-effort: an [Unknown] probe mid-descent stops early and
-    the smallest model value seen so far is returned.  Implemented by
-    descent over incremental check-sat probes. *)
-val minimize : ?assumptions:Term.t list -> t -> Term.t -> int64 option
 
 (** {1 Introspection} *)
 

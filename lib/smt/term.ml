@@ -3,9 +3,7 @@ type sort =
   | Bitvec of int
   | Enum of string
 
-type bv_unop = Bv_neg | Bv_not
-type bv_binop = Bv_add | Bv_sub | Bv_mul | Bv_and | Bv_or | Bv_xor | Bv_shl | Bv_lshr
-type bv_cmp = Ult | Ule | Slt | Sle
+type bv_cmp = Ult | Ule
 
 type t =
   | True
@@ -16,18 +14,13 @@ type t =
   | Or of t list
   | Implies of t * t
   | Iff of t * t
-  | Xor of t * t
-  | Ite of t * t * t
   | Eq of t * t
   | Distinct of t list
   | Bv_const of { width : int; value : int64 }
   | Bv_var of string * int
-  | Bv_unop of bv_unop * t
-  | Bv_binop of bv_binop * t * t
+  | Bv_mul of t * t
   | Bv_cmp of bv_cmp * t * t
-  | Bv_extract of { hi : int; lo : int; arg : t }
-  | Bv_concat of t * t
-  | Bv_extend of { signed : bool; by : int; arg : t }
+  | Bv_zero_extend of { by : int; arg : t }
   | Enum_const of { sort : string; value : string }
   | Enum_var of string * string
   | Pred of string * t list
@@ -68,13 +61,6 @@ let iff a b =
   | False, b | b, False -> not_ b
   | _ -> Iff (a, b)
 
-let xor a b =
-  match (a, b) with
-  | False, b | b, False -> b
-  | True, b | b, True -> not_ b
-  | _ -> Xor (a, b)
-
-let ite c a b = match c with True -> a | False -> b | _ -> Ite (c, a, b)
 let eq a b = if a = b then True else Eq (a, b)
 let distinct = function [] | [ _ ] -> True | ts -> Distinct ts
 
@@ -90,35 +76,14 @@ let bv_var name ~width =
   if width < 1 || width > 64 then invalid_arg "Term.bv_var: width must be in 1..64";
   Bv_var (name, width)
 
-let add a b = Bv_binop (Bv_add, a, b)
-let sub a b = Bv_binop (Bv_sub, a, b)
-let mul a b = Bv_binop (Bv_mul, a, b)
-let neg a = Bv_unop (Bv_neg, a)
-let band a b = Bv_binop (Bv_and, a, b)
-let bor a b = Bv_binop (Bv_or, a, b)
-let bxor a b = Bv_binop (Bv_xor, a, b)
-let bnot a = Bv_unop (Bv_not, a)
-let shl a b = Bv_binop (Bv_shl, a, b)
-let lshr a b = Bv_binop (Bv_lshr, a, b)
+let mul a b = Bv_mul (a, b)
 let ult a b = Bv_cmp (Ult, a, b)
 let ule a b = Bv_cmp (Ule, a, b)
-let ugt a b = Bv_cmp (Ult, b, a)
 let uge a b = Bv_cmp (Ule, b, a)
-let slt a b = Bv_cmp (Slt, a, b)
-let sle a b = Bv_cmp (Sle, a, b)
 
-let extract ~hi ~lo arg =
-  if lo < 0 || hi < lo then invalid_arg "Term.extract";
-  Bv_extract { hi; lo; arg }
-
-let concat a b = Bv_concat (a, b)
 let zero_extend ~by arg =
   if by < 0 then invalid_arg "Term.zero_extend";
-  if by = 0 then arg else Bv_extend { signed = false; by; arg }
-
-let sign_extend ~by arg =
-  if by < 0 then invalid_arg "Term.sign_extend";
-  if by = 0 then arg else Bv_extend { signed = true; by; arg }
+  if by = 0 then arg else Bv_zero_extend { by; arg }
 
 let enum ~sort value = Enum_const { sort; value }
 let enum_var name ~sort = Enum_var (name, sort)
@@ -150,16 +115,10 @@ let sort_of ~enum_sorts term =
     | And ts | Or ts ->
       List.iter (expect Bool) ts;
       Bool
-    | Implies (a, b) | Iff (a, b) | Xor (a, b) ->
+    | Implies (a, b) | Iff (a, b) ->
       expect Bool a;
       expect Bool b;
       Bool
-    | Ite (c, a, b) ->
-      expect Bool c;
-      let sa = go a and sb = go b in
-      if not (equal_sort sa sb) then
-        sort_error "ite branches have sorts %a and %a" pp_sort sa pp_sort sb;
-      sa
     | Eq (a, b) ->
       let sa = go a and sb = go b in
       if not (equal_sort sa sb) then
@@ -174,11 +133,7 @@ let sort_of ~enum_sorts term =
          Bool)
     | Bv_const { width; _ } -> Bitvec width
     | Bv_var (_, width) -> Bitvec width
-    | Bv_unop (_, a) ->
-      (match go a with
-       | Bitvec w -> Bitvec w
-       | s -> sort_error "bit-vector op applied to %a" pp_sort s)
-    | Bv_binop (_, a, b) ->
+    | Bv_mul (a, b) ->
       (match (go a, go b) with
        | Bitvec w, Bitvec w' when w = w' -> Bitvec w
        | sa, sb -> sort_error "bit-vector op applied to %a, %a" pp_sort sa pp_sort sb)
@@ -186,17 +141,7 @@ let sort_of ~enum_sorts term =
       (match (go a, go b) with
        | Bitvec w, Bitvec w' when w = w' -> Bool
        | sa, sb -> sort_error "bit-vector comparison of %a, %a" pp_sort sa pp_sort sb)
-    | Bv_extract { hi; lo; arg } ->
-      (match go arg with
-       | Bitvec w when hi < w && lo >= 0 && lo <= hi -> Bitvec (hi - lo + 1)
-       | Bitvec w -> sort_error "extract [%d:%d] out of range for width %d" hi lo w
-       | s -> sort_error "extract applied to %a" pp_sort s)
-    | Bv_concat (a, b) ->
-      (match (go a, go b) with
-       | Bitvec w, Bitvec w' when w + w' <= 64 -> Bitvec (w + w')
-       | Bitvec w, Bitvec w' -> sort_error "concat width %d exceeds 64" (w + w')
-       | sa, sb -> sort_error "concat applied to %a, %a" pp_sort sa pp_sort sb)
-    | Bv_extend { by; arg; _ } ->
+    | Bv_zero_extend { by; arg } ->
       (match go arg with
        | Bitvec w when w + by <= 64 -> Bitvec (w + by)
        | Bitvec w -> sort_error "extend width %d exceeds 64" (w + by)
@@ -229,19 +174,7 @@ let sort_of ~enum_sorts term =
 
 (* --- printing ------------------------------------------------------------- *)
 
-let bv_unop_name = function Bv_neg -> "bvneg" | Bv_not -> "bvnot"
-
-let bv_binop_name = function
-  | Bv_add -> "bvadd"
-  | Bv_sub -> "bvsub"
-  | Bv_mul -> "bvmul"
-  | Bv_and -> "bvand"
-  | Bv_or -> "bvor"
-  | Bv_xor -> "bvxor"
-  | Bv_shl -> "bvshl"
-  | Bv_lshr -> "bvlshr"
-
-let bv_cmp_name = function Ult -> "bvult" | Ule -> "bvule" | Slt -> "bvslt" | Sle -> "bvsle"
+let bv_cmp_name = function Ult -> "bvult" | Ule -> "bvule"
 
 let rec pp ppf = function
   | True -> Fmt.string ppf "true"
@@ -252,19 +185,13 @@ let rec pp ppf = function
   | Or ts -> Fmt.pf ppf "(or %a)" Fmt.(list ~sep:sp pp) ts
   | Implies (a, b) -> Fmt.pf ppf "(=> %a %a)" pp a pp b
   | Iff (a, b) -> Fmt.pf ppf "(= %a %a)" pp a pp b
-  | Xor (a, b) -> Fmt.pf ppf "(xor %a %a)" pp a pp b
-  | Ite (c, a, b) -> Fmt.pf ppf "(ite %a %a %a)" pp c pp a pp b
   | Eq (a, b) -> Fmt.pf ppf "(= %a %a)" pp a pp b
   | Distinct ts -> Fmt.pf ppf "(distinct %a)" Fmt.(list ~sep:sp pp) ts
   | Bv_const { width; value } -> Fmt.pf ppf "(_ bv%Lu %d)" value width
   | Bv_var (v, _) -> Fmt.string ppf v
-  | Bv_unop (op, a) -> Fmt.pf ppf "(%s %a)" (bv_unop_name op) pp a
-  | Bv_binop (op, a, b) -> Fmt.pf ppf "(%s %a %a)" (bv_binop_name op) pp a pp b
+  | Bv_mul (a, b) -> Fmt.pf ppf "(bvmul %a %a)" pp a pp b
   | Bv_cmp (op, a, b) -> Fmt.pf ppf "(%s %a %a)" (bv_cmp_name op) pp a pp b
-  | Bv_extract { hi; lo; arg } -> Fmt.pf ppf "((_ extract %d %d) %a)" hi lo pp arg
-  | Bv_concat (a, b) -> Fmt.pf ppf "(concat %a %a)" pp a pp b
-  | Bv_extend { signed; by; arg } ->
-    Fmt.pf ppf "((_ %s_extend %d) %a)" (if signed then "sign" else "zero") by pp arg
+  | Bv_zero_extend { by; arg } -> Fmt.pf ppf "((_ zero_extend %d) %a)" by pp arg
   | Enum_const { value; _ } -> Fmt.pf ppf "%S" value
   | Enum_var (v, _) -> Fmt.string ppf v
   | Pred (name, args) -> Fmt.pf ppf "(%s %a)" name Fmt.(list ~sep:sp pp) args

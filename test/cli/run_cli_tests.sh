@@ -112,10 +112,12 @@ EOF
 "$LLHSC" overlay "$TMP/base.dts" "$TMP/enable-uart.dts" --check -o "$TMP/merged.dts"   > /dev/null || fail "overlay should pass"
 grep -q 'status = "okay"' "$TMP/merged.dts" || fail "overlay not applied"
 
-echo "# smt2 export"
+echo "# smt2 export: matches the golden byte for byte"
+# The export prints every term the schema compiler builds, (bvmul ...) and
+# ((_ zero_extend n) ...) among them, through Smt.Term's printer.
 "$LLHSC" smt2 "$FIXTURES/custom-sbc.dts" --schemas "$FIXTURES/schemas" -o "$TMP/problem.smt2" > /dev/null
-grep -q "(set-logic" "$TMP/problem.smt2" || fail "smt2 header"
-grep -q "(check-sat)" "$TMP/problem.smt2" || fail "smt2 footer"
+cmp "$GOLDEN/smt2.expected" "$TMP/problem.smt2" \
+  || fail "smt2 export differs from test/golden/smt2.expected"
 
 echo "# products anomalies"
 "$LLHSC" products "$FIXTURES/custom-sbc.fm" --anomalies > "$TMP/anom.out"

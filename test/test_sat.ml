@@ -229,7 +229,7 @@ let test_formula_assert () =
   let f =
     conj
       [ iff (atom v.(0)) (atom v.(1));
-        xor (atom v.(1)) (atom v.(2));
+        neg (iff (atom v.(1)) (atom v.(2)));
         atom v.(0)
       ]
   in
@@ -239,10 +239,12 @@ let test_formula_assert () =
   check_sat "x1" true (Sat.Solver.value s v.(1));
   check_sat "x2 false" false (Sat.Solver.value s v.(2))
 
+(* Exactly one of four: the encoding a feature model's Xor group gets. *)
 let test_formula_exactly_one () =
   let open Sat.Formula in
   let s, v = fresh_solver 4 in
-  let f = exactly_one (List.init 4 (fun i -> atom v.(i))) in
+  let atoms = List.init 4 (fun i -> atom v.(i)) in
+  let f = conj [ disj atoms; at_most_one atoms ] in
   check_sat "ok" true (assert_in s f);
   check_sat "sat" true (Sat.Solver.solve s = Sat);
   let count = ref 0 in
@@ -250,21 +252,6 @@ let test_formula_exactly_one () =
     if Sat.Solver.value s v.(i) then incr count
   done;
   Alcotest.(check int) "exactly one true" 1 !count
-
-let test_define_guard () =
-  (* define_in gives an activation literal: guarded formula only bites when
-     the guard is assumed. *)
-  let open Sat.Formula in
-  let s, v = fresh_solver 2 in
-  let guard = Sat.Formula.define_in s (conj [ atom v.(0); atom v.(1) ]) in
-  check_sat "unguarded sat" true (Sat.Solver.solve ~assumptions:[] s = Sat);
-  check_sat "guarded sat" true (Sat.Solver.solve ~assumptions:[ guard ] s = Sat);
-  check_sat "x0 under guard" true (Sat.Solver.value s v.(0));
-  check_sat "x1 under guard" true (Sat.Solver.value s v.(1));
-  ignore (Sat.Solver.add_clause s [ Sat.Lit.neg (lit v.(0)) ] : bool);
-  check_sat "guard now unsat" true (Sat.Solver.solve ~assumptions:[ guard ] s = Unsat);
-  check_sat "negated guard sat" true
-    (Sat.Solver.solve ~assumptions:[ Sat.Lit.neg guard ] s = Sat)
 
 (* --- dimacs --------------------------------------------------------------- *)
 
@@ -1054,9 +1041,9 @@ let prop_heap_matches_oracle =
       !same)
 
 let test_dpll_of_formula () =
-  (* Tseitin into DPLL: (x0 <-> x1) & (x0 xor x2) & x0 forces x1, !x2. *)
+  (* Tseitin into DPLL: (x0 <-> x1) & !(x1 <-> x2) & x0 forces x1, !x2. *)
   let open Sat.Formula in
-  let f = conj [ iff (atom 0) (atom 1); xor (atom 1) (atom 2); atom 0 ] in
+  let f = conj [ iff (atom 0) (atom 1); neg (iff (atom 1) (atom 2)); atom 0 ] in
   let problem = Sat.Dpll.of_formula ~num_vars:3 f in
   (match Sat.Dpll.solve problem with
    | Sat.Dpll.Sat model ->
@@ -1153,7 +1140,6 @@ let () =
         [
           Alcotest.test_case "assert" `Quick test_formula_assert;
           Alcotest.test_case "exactly_one" `Quick test_formula_exactly_one;
-          Alcotest.test_case "define guard" `Quick test_define_guard;
         ] );
       ( "dimacs",
         [

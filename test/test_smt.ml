@@ -12,21 +12,27 @@ let is_sat = function S.Sat -> true | S.Unsat _ | S.Unknown -> false
 
 (* --- bit-vector basics ----------------------------------------------------- *)
 
+(* A product of zero-extended operands, as multipleOf builds it, here of
+   two variables: 35 = 5 * 7 is its only factorisation with 1 < x < y. *)
 let test_bv_arith_model () =
   let s = S.create () in
   let x = T.bv_var "x" ~width:8 and y = T.bv_var "y" ~width:8 in
-  S.assert_ s (T.eq (T.add x y) (T.bv_of_int ~width:8 10));
-  S.assert_ s (T.eq (T.sub x y) (T.bv_of_int ~width:8 4));
+  let wide t = T.zero_extend ~by:8 t in
+  S.assert_ s (T.eq (T.mul (wide x) (wide y)) (T.bv_of_int ~width:16 35));
+  S.assert_ s (T.ult (T.bv_of_int ~width:8 1) x);
+  S.assert_ s (T.ult x y);
   check_bool "sat" true (is_sat (S.check s));
-  check_int64 "x" 7L (S.get_bv s x);
-  check_int64 "y" 3L (S.get_bv s y)
+  check_int64 "x" 5L (S.get_bv s x);
+  check_int64 "y" 7L (S.get_bv s y)
 
+(* A product wraps modulo 2^width: 3 * 171 = 513 = 2 * 256 + 1.  This is
+   why multipleOf multiplies zero-extended operands. *)
 let test_bv_overflow_wraps () =
   let s = S.create () in
-  let x = T.bv_var "x" ~width:4 in
-  S.assert_ s (T.eq (T.add x (T.bv_of_int ~width:4 1)) (T.bv_of_int ~width:4 0));
+  let x = T.bv_var "x" ~width:8 in
+  S.assert_ s (T.eq (T.mul x (T.bv_of_int ~width:8 3)) (T.bv_of_int ~width:8 1));
   check_bool "sat" true (is_sat (S.check s));
-  check_int64 "x = 15 wraps" 15L (S.get_bv s x)
+  check_int64 "x = 171 wraps" 171L (S.get_bv s x)
 
 let test_bv_mul () =
   let s = S.create () in
@@ -36,72 +42,36 @@ let test_bv_mul () =
   check_bool "sat" true (is_sat (S.check s));
   check_int64 "x" 7L (S.get_bv s x)
 
-let test_bv_unsigned_vs_signed () =
-  let s = S.create () in
-  let x = T.bv_var "x" ~width:4 in
-  (* x > 7 unsigned but x < 0 signed: any of 8..15. *)
-  S.assert_ s (T.ugt x (T.bv_of_int ~width:4 7));
-  S.assert_ s (T.slt x (T.bv_of_int ~width:4 0));
-  check_bool "sat" true (is_sat (S.check s));
-  let v = S.get_bv s x in
-  check_bool "in 8..15" true (v >= 8L && v <= 15L)
-
-let test_bv_shift () =
-  let s = S.create () in
-  let x = T.bv_var "x" ~width:8 in
-  S.assert_ s (T.eq (T.shl (T.bv_of_int ~width:8 1) x) (T.bv_of_int ~width:8 16));
-  check_bool "sat" true (is_sat (S.check s));
-  check_int64 "x=4" 4L (S.get_bv s x);
-  (* shift beyond width yields zero *)
-  let s2 = S.create () in
-  S.assert_ s2
-    (T.eq
-       (T.shl (T.bv_of_int ~width:8 255) (T.bv_of_int ~width:8 9))
-       (T.bv_of_int ~width:8 0));
-  check_bool "oversized shift is zero" true (is_sat (S.check s2))
-
-let test_bv_extract_concat () =
-  let s = S.create () in
-  let x = T.bv_var "x" ~width:16 in
-  S.assert_ s (T.eq (T.extract ~hi:15 ~lo:8 x) (T.bv_of_int ~width:8 0xAB));
-  S.assert_ s (T.eq (T.extract ~hi:7 ~lo:0 x) (T.bv_of_int ~width:8 0xCD));
-  check_bool "sat" true (is_sat (S.check s));
-  check_int64 "x" 0xABCDL (S.get_bv s x);
-  let s2 = S.create () in
-  let y = T.bv_var "y" ~width:16 in
-  S.assert_ s2
-    (T.eq y (T.concat (T.bv_of_int ~width:8 0x12) (T.bv_of_int ~width:8 0x34)));
-  check_bool "sat" true (is_sat (S.check s2));
-  check_int64 "concat" 0x1234L (S.get_bv s2 y)
-
 let test_bv_extend () =
   let s = S.create () in
   let x = T.bv_var "x" ~width:4 in
   S.assert_ s (T.eq x (T.bv_of_int ~width:4 0xF));
   S.assert_ s
     (T.eq (T.zero_extend ~by:4 x) (T.bv_of_int ~width:8 0x0F));
-  S.assert_ s
-    (T.eq (T.sign_extend ~by:4 x) (T.bv_of_int ~width:8 0xFF));
-  check_bool "extends agree" true (is_sat (S.check s))
+  check_bool "zero-extends" true (is_sat (S.check s))
 
+(* 64-bit addresses as the semantic checks compare them.  The order is
+   unsigned up to the top bit: 0x8000000040000000 is above 0x40000000. *)
 let test_wide_64bit () =
-  (* 64-bit address arithmetic as used for DT memory regions. *)
   let s = S.create () in
   let base = T.bv_var "base" ~width:64 in
-  S.assert_ s
-    (T.eq (T.add base (T.bv ~width:64 0x20000000L)) (T.bv ~width:64 0x60000000L));
+  let high = T.bv ~width:64 0x8000000040000000L in
+  S.assert_ s (T.ule high base);
+  S.assert_ s (T.ule base high);
   check_bool "sat" true (is_sat (S.check s));
-  check_int64 "base" 0x40000000L (S.get_bv s base)
+  check_int64 "base" 0x8000000040000000L (S.get_bv s base);
+  S.assert_ s (T.ult base (T.bv ~width:64 0x40000000L));
+  check_bool "not below 0x40000000" false (is_sat (S.check s))
 
 (* --- overlap formula (paper formula (7) shape) ------------------------------ *)
 
 let regions_overlap s (b1, s1) (b2, s2) =
   let bv v = T.bv ~width:64 v in
   (* exists x in [b1, b1+s1) and [b2, b2+s2): standard interval intersection
-     b1 < b2+s2 && b2 < b1+s1 *)
+     b1 < b2+s2 && b2 < b1+s1, with the ends folded on the constants as
+     Semantic.contains folds them *)
   S.assert_ s
-    (T.and_
-       [ T.ult (bv b1) (T.add (bv b2) (bv s2)); T.ult (bv b2) (T.add (bv b1) (bv s1)) ]);
+    (T.and_ [ T.ult (bv b1) (bv (Int64.add b2 s2)); T.ult (bv b2) (bv (Int64.add b1 s1)) ]);
   is_sat (S.check s)
 
 let test_overlap_disjoint () =
@@ -194,7 +164,7 @@ let test_nested_scopes () =
   S.push s;
   S.assert_ s (T.ult x (T.bv_of_int ~width:4 5));
   S.push s;
-  S.assert_ s (T.ugt x (T.bv_of_int ~width:4 10));
+  S.assert_ s (T.ult (T.bv_of_int ~width:4 10) x);
   check_bool "unsat nested" false (is_sat (S.check s));
   S.pop s;
   check_bool "sat after inner pop" true (is_sat (S.check s));
@@ -206,7 +176,7 @@ let test_nested_scopes () =
 let test_named_core () =
   let s = S.create () in
   let x = T.bv_var "x" ~width:8 in
-  S.assert_named s "lower" (T.ugt x (T.bv_of_int ~width:8 10));
+  S.assert_named s "lower" (T.ult (T.bv_of_int ~width:8 10) x);
   S.assert_named s "upper" (T.ult x (T.bv_of_int ~width:8 5));
   S.assert_named s "irrelevant" (T.ult x (T.bv_of_int ~width:8 200));
   match S.check s with
@@ -278,7 +248,7 @@ let test_certify_mixed_queries () =
   let s = S.create ~certify:true () in
   check_bool "certifying" true (S.certifying s);
   let x = T.bv_var "x" ~width:8 in
-  S.assert_ s (T.ugt x (T.bv_of_int ~width:8 10));
+  S.assert_ s (T.ult (T.bv_of_int ~width:8 10) x);
   check_bool "q0 sat" true (is_sat (S.check s));
   S.push s;
   S.assert_ s (T.ult x (T.bv_of_int ~width:8 5));
@@ -300,7 +270,7 @@ let test_certify_unknown_exempt () =
      no cert entry and no failure. *)
   let s = S.create ~certify:true () in
   let x = T.bv_var "x" ~width:8 in
-  S.assert_ s (T.ugt x (T.bv_of_int ~width:8 10));
+  S.assert_ s (T.ult (T.bv_of_int ~width:8 10) x);
   S.set_budget s (Some (Sat.Solver.budget ~max_decisions:0 ~max_conflicts:0 ()));
   (match S.check s with
    | S.Unknown -> ()
@@ -324,7 +294,7 @@ let test_escalation_recovers_forced_unknown () =
      Unknown, and the ladder's first retry (call 3) recovers. *)
   let s = S.create () in
   let x = T.bv_var "x" ~width:8 in
-  S.assert_ s (T.ugt x (T.bv_of_int ~width:8 10));
+  S.assert_ s (T.ult (T.bv_of_int ~width:8 10) x);
   S.set_escalation s (Some Smt.Escalation.default);
   S.inject_unsoundness s (Sat.Solver.Force_unknown 2);
   check_bool "check #1 concludes on attempt 1" true (is_sat (S.check s));
@@ -352,9 +322,10 @@ let test_escalation_exhausts_honestly () =
      answer degrades to Unknown — never a fabricated verdict. *)
   let s = S.create () in
   let x = T.bv_var "x" ~width:8 in
-  S.assert_ s (T.ugt x (T.bv_of_int ~width:8 10));
+  S.assert_ s (T.ult (T.bv_of_int ~width:8 10) x);
   S.inject_unsoundness s (Sat.Solver.Force_unknown 1);
-  (match S.check s ~retry:(Smt.Escalation.ladder ~attempts:3 ()) with
+  S.set_escalation s (Some (Smt.Escalation.ladder ~attempts:3 ()));
+  (match S.check s with
    | S.Unknown -> ()
    | S.Sat | S.Unsat _ -> Alcotest.fail "exhausted ladder must stay Unknown");
   let r = S.retry_report s in
@@ -371,7 +342,7 @@ let test_escalation_certifies_final_attempt () =
      on whichever rung — is the one certified, and it passes. *)
   let s = S.create ~certify:true () in
   let x = T.bv_var "x" ~width:8 in
-  S.assert_ s (T.ugt x (T.bv_of_int ~width:8 10));
+  S.assert_ s (T.ult (T.bv_of_int ~width:8 10) x);
   S.set_escalation s (Some Smt.Escalation.default);
   S.inject_unsoundness s (Sat.Solver.Force_unknown 2);
   check_bool "query 0 sat" true (is_sat (S.check s));
@@ -385,7 +356,8 @@ let test_escalation_certifies_final_attempt () =
 let test_escalation_none_is_inert () =
   let s = S.create () in
   S.assert_ s (T.bool_var "p");
-  check_bool "sat" true (is_sat (S.check s ~retry:Smt.Escalation.none));
+  S.set_escalation s (Some Smt.Escalation.none);
+  check_bool "sat" true (is_sat (S.check s));
   let r = S.retry_report s in
   check_bool "policy with no steps never retries" true (r.S.retried = []);
   check_bool "but counts as enabled" true r.S.retry_enabled
@@ -428,7 +400,8 @@ let test_certify_off_by_default () =
 
 (* --- differential property tests --------------------------------------------- *)
 
-(* Random bit-vector term generator over variables a b of a given width. *)
+(* Random bit-vector term generator over variables a b of a given width:
+   products of leaves, the one arithmetic operator the checkers build. *)
 let gen_term width =
   let open QCheck.Gen in
   let leaf =
@@ -443,19 +416,7 @@ let gen_term width =
       if n = 0 then leaf
       else
         let sub = self (n / 2) in
-        oneof
-          [ leaf;
-            map2 T.add sub sub;
-            map2 T.sub sub sub;
-            map2 T.mul sub sub;
-            map2 T.band sub sub;
-            map2 T.bor sub sub;
-            map2 T.bxor sub sub;
-            map T.bnot sub;
-            map T.neg sub;
-            map2 T.shl sub sub;
-            map2 T.lshr sub sub;
-          ])
+        oneof [ leaf; map2 T.mul sub sub ])
     3
 
 let interp_env ~a ~b : Smt.Interp.env =
@@ -488,26 +449,18 @@ let prop_blaster_matches_interp width =
 let prop_comparisons_match width =
   QCheck.Test.make ~count:200
     ~name:(Printf.sprintf "comparison blasting (width %d)" width)
-    QCheck.(make Gen.(pair (int_bound 0xFFFF) (int_bound 0xFFFF)))
-    (fun (a, b) ->
-      let a64 = Int64.of_int a and b64 = Int64.of_int b in
+    (* Operands over the whole 64-bit range, equal ones included. *)
+    QCheck.(make Gen.(ui64 >>= fun a -> map (fun b -> (a, b)) (oneof [ ui64; return a ])))
+    (fun (a64, b64) ->
       let s = S.create () in
       let ta = T.bv ~width a64 and tb = T.bv ~width b64 in
       let mask v =
         if width = 64 then v
         else Int64.logand v (Int64.sub (Int64.shift_left 1L width) 1L)
       in
-      let sext v =
-        let m = mask v in
-        if width < 64 && Int64.logand m (Int64.shift_left 1L (width - 1)) <> 0L then
-          Int64.logor m (Int64.shift_left (-1L) width)
-        else m
-      in
       let cases =
         [ (T.ult ta tb, Int64.unsigned_compare (mask a64) (mask b64) < 0);
           (T.ule ta tb, Int64.unsigned_compare (mask a64) (mask b64) <= 0);
-          (T.slt ta tb, Int64.compare (sext a64) (sext b64) < 0);
-          (T.sle ta tb, Int64.compare (sext a64) (sext b64) <= 0);
         ]
       in
       List.for_all
@@ -532,7 +485,7 @@ let gen_cert_query =
   let* cwidth = int_range 3 6 in
   let atom =
     let* x = gen_term cwidth and* y = gen_term cwidth in
-    oneofl [ T.eq x y; T.not_ (T.eq x y); T.ult x y; T.ule x y; T.slt x y; T.sle x y ]
+    oneofl [ T.eq x y; T.not_ (T.eq x y); T.ult x y; T.ule x y ]
   in
   let* named = list_repeat 2 atom and* scoped = atom and* assumption = atom in
   return { cwidth; named; scoped; assumption }
@@ -650,50 +603,6 @@ let test_smtlib_dump () =
   check_bool "check-sat" true (has "(check-sat)")
 
 
-(* --- optimization ------------------------------------------------------------ *)
-
-let test_minimize_basic () =
-  let s = S.create () in
-  let x = T.bv_var "x" ~width:8 in
-  S.assert_ s (T.ugt x (T.bv_of_int ~width:8 41));
-  S.assert_ s (T.not_ (T.eq x (T.bv_of_int ~width:8 42)));
-  Alcotest.(check (option int64)) "min is 43" (Some 43L) (S.minimize s x);
-  (* The solver remains usable and unpoisoned. *)
-  check_bool "still sat" true (is_sat (S.check s));
-  Alcotest.(check (option int64)) "repeatable" (Some 43L) (S.minimize s x)
-
-let test_minimize_unsat () =
-  let s = S.create () in
-  let x = T.bv_var "x" ~width:4 in
-  S.assert_ s (T.ult x (T.bv_of_int ~width:4 3));
-  S.assert_ s (T.ugt x (T.bv_of_int ~width:4 10));
-  Alcotest.(check (option int64)) "none" None (S.minimize s x)
-
-let test_minimize_with_assumptions () =
-  let s = S.create () in
-  let x = T.bv_var "x" ~width:8 and flag = T.bool_var "flag" in
-  S.assert_ s (T.implies flag (T.uge x (T.bv_of_int ~width:8 100)));
-  Alcotest.(check (option int64)) "free minimum" (Some 0L) (S.minimize s x);
-  Alcotest.(check (option int64)) "under assumption" (Some 100L)
-    (S.minimize ~assumptions:[ flag ] s x);
-  (* Minimizing an expression, not just a variable. *)
-  let y = T.add x (T.bv_of_int ~width:8 5) in
-  Alcotest.(check (option int64)) "expression minimum" (Some 0L) (S.minimize s y)
-
-let test_minimize_64bit () =
-  let s = S.create () in
-  let x = T.bv_var "addr" ~width:64 in
-  S.assert_ s (T.uge x (T.bv ~width:64 0x40000000L));
-  Alcotest.(check (option int64)) "64-bit bound" (Some 0x40000000L) (S.minimize s x)
-
-let test_minimize_sort_error () =
-  let s = S.create () in
-  try
-    ignore (S.minimize s (T.bool_var "b") : int64 option);
-    Alcotest.fail "expected sort error"
-  with S.Error _ -> ()
-
-
 (* --- additional term coverage -------------------------------------------------- *)
 
 let test_distinct_three () =
@@ -707,24 +616,6 @@ let test_distinct_three () =
   let ys = List.init 5 (fun i -> T.bv_var (Printf.sprintf "e%d" i) ~width:2) in
   S.assert_ s2 (T.distinct ys);
   check_bool "5 in 2 bits unsat" false (is_sat (S.check s2))
-
-let test_ite_on_bitvectors () =
-  let s = S.create () in
-  let c = T.bool_var "c" in
-  let x = T.ite c (T.bv_of_int ~width:8 10) (T.bv_of_int ~width:8 20) in
-  S.assert_ s (T.eq x (T.bv_of_int ~width:8 20));
-  check_bool "sat" true (is_sat (S.check s));
-  check_bool "condition false" false (S.get_bool s c)
-
-let test_ite_on_enums () =
-  let s = S.create () in
-  S.declare_enum s "e" [ "a"; "b"; "c" ];
-  let c = T.bool_var "c" in
-  let x = T.ite c (T.enum ~sort:"e" "a") (T.enum ~sort:"e" "b") in
-  S.assert_ s c;
-  S.assert_ s (T.eq (T.enum_var "y" ~sort:"e") x);
-  check_bool "sat" true (is_sat (S.check s));
-  Alcotest.(check string) "y = a" "a" (S.get_enum s (T.enum_var "y" ~sort:"e"))
 
 let test_binary_predicate () =
   (* A binary "requires" relation over a finite sort. *)
@@ -880,9 +771,11 @@ let test_cnf_constant_predicates () =
     ("ad7eccd7c3ef5b0a202b592666ef81ee", 133, 331, "sat unsat")
     (cnf_digest [ terms; clash @ terms ])
 
-(* Seeded terms over gen_term's grammar.  A local xorshift drives the
-   choices, so the terms do not depend on the generator internals of
-   QCheck or Stdlib.Random, which differ between library versions. *)
+(* Seeded products: of leaves, as gen_term draws them, and of a term with
+   a zero-extended half-width variable, as multipleOf builds them.  A
+   local xorshift drives the choices, so the terms do not depend on the
+   generator internals of QCheck or Stdlib.Random, which differ between
+   library versions. *)
 let seeded_terms ~seed ~width n =
   let state = ref seed in
   let next bound =
@@ -899,26 +792,17 @@ let seeded_terms ~seed ~width n =
     | 1 -> T.bv_var "b" ~width
     | _ -> T.bv ~width (Int64.of_int (next 1001))
   in
+  let half = T.zero_extend ~by:(width / 2) (T.bv_var "h" ~width:(width / 2)) in
   let rec gen n =
     if n = 0 then leaf ()
     else
-      let binary op =
+      match next 3 with
+      | 0 -> leaf ()
+      | 1 ->
         let x = gen (n / 2) in
         let y = gen (n / 2) in
-        op x y
-      in
-      match next 11 with
-      | 0 -> leaf ()
-      | 1 -> binary T.add
-      | 2 -> binary T.sub
-      | 3 -> binary T.mul
-      | 4 -> binary T.band
-      | 5 -> binary T.bor
-      | 6 -> binary T.bxor
-      | 7 -> T.bnot (gen (n / 2))
-      | 8 -> T.neg (gen (n / 2))
-      | 9 -> binary T.shl
-      | _ -> binary T.lshr
+        T.mul x y
+      | _ -> T.mul (gen (n / 2)) half
   in
   List.init n (fun _ -> gen 3)
 
@@ -927,15 +811,19 @@ let test_cnf_seeded_terms () =
     (fun (width, expected) ->
       let terms = seeded_terms ~seed:(0x9E3779B9 + width) ~width 6 in
       let result i term = T.eq term (T.bv_var (Printf.sprintf "r%d" i) ~width) in
-      let pin name v = T.eq (T.bv_var name ~width) (T.bv ~width v) in
+      let pin name ~width v = T.eq (T.bv_var name ~width) (T.bv ~width v) in
       (* The results as free circuits, then every result under fixed inputs. *)
       let circuits = List.mapi result terms in
-      let fixed = pin "a" 0x5A5A5A5A5A5A5A5AL :: pin "b" 0x0123456789ABCDEFL :: circuits in
+      let fixed =
+        pin "a" ~width 0x5A5A5A5A5A5A5A5AL
+        :: pin "b" ~width 0x0123456789ABCDEFL
+        :: pin "h" ~width:(width / 2) 0x0F1E2D3C4B5A6978L
+        :: circuits
+      in
       check_cnf (Printf.sprintf "width %d" width) expected (cnf_digest [ circuits; fixed ]))
-    [ (8, ("2a5c9991fe233d9abac020ee9eee37f5", 377, 1290, "sat sat"));
-      (16, ("aad1f1d27d6ae2b2d3e6fc5f2921729e", 1870, 6348, "sat sat"));
-      (32, ("3c2e4a6e88ceae5eb811cc0295893ecc", 5227, 19653, "sat sat"));
-      (64, ("dc9ea3886e9cdcd57a86f2281454143b", 18053, 60711, "sat sat"));
+    [ (8, ("305835c217cdff2354c368c2b75b16ff", 772, 2435, "sat sat"));
+      (16, ("847a84acfe05f05cb6612d61ccf577e5", 3976, 13328, "sat sat"));
+      (32, ("e742362fded1cc582a229848319d59b9", 21816, 74284, "sat sat"));
     ]
 
 let () =
@@ -946,9 +834,6 @@ let () =
           Alcotest.test_case "arith model" `Quick test_bv_arith_model;
           Alcotest.test_case "overflow wraps" `Quick test_bv_overflow_wraps;
           Alcotest.test_case "mul" `Quick test_bv_mul;
-          Alcotest.test_case "signed vs unsigned" `Quick test_bv_unsigned_vs_signed;
-          Alcotest.test_case "shift" `Quick test_bv_shift;
-          Alcotest.test_case "extract/concat" `Quick test_bv_extract_concat;
           Alcotest.test_case "extend" `Quick test_bv_extend;
           Alcotest.test_case "64-bit addresses" `Quick test_wide_64bit;
         ] );
@@ -975,17 +860,7 @@ let () =
       ( "coverage",
         [
           Alcotest.test_case "distinct (3+)" `Quick test_distinct_three;
-          Alcotest.test_case "ite on bitvectors" `Quick test_ite_on_bitvectors;
-          Alcotest.test_case "ite on enums" `Quick test_ite_on_enums;
           Alcotest.test_case "binary predicate + grounded transitivity" `Quick test_binary_predicate;
-        ] );
-      ( "optimization",
-        [
-          Alcotest.test_case "basic" `Quick test_minimize_basic;
-          Alcotest.test_case "unsat" `Quick test_minimize_unsat;
-          Alcotest.test_case "assumptions + expressions" `Quick test_minimize_with_assumptions;
-          Alcotest.test_case "64-bit" `Quick test_minimize_64bit;
-          Alcotest.test_case "sort error" `Quick test_minimize_sort_error;
         ] );
       ( "introspection",
         [
@@ -1026,6 +901,7 @@ let () =
           QCheck_alcotest.to_alcotest (prop_blaster_matches_interp 32);
           QCheck_alcotest.to_alcotest (prop_comparisons_match 8);
           QCheck_alcotest.to_alcotest (prop_comparisons_match 16);
+          QCheck_alcotest.to_alcotest (prop_comparisons_match 64);
         ] );
       ( "cnf-identity",
         [
